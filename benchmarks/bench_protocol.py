@@ -1,11 +1,9 @@
 """Micro-benchmarks for the coordination substrate.
 
-Two gauges for the machinery that schedules work but does none of it:
-
-* the claim-file protocol (cooperative backend) — acquire, heartbeat
-  and release cycles through the advisory-locked claims directory;
-* the remote lease/wire layer — lease-table transitions plus frame
-  encode/decode for a result-sized message.
+Gauges for the machinery that schedules work but does none of it: the
+remote lease/wire layer — lease-table transitions plus frame
+encode/decode for a result-sized message — and the fair-share lease
+rotation across tenant grids.
 
 Both should stay far below simulation cost; the BENCH_*.json records
 these emit let `benchmarks/trend.py` flag a coordination-layer
@@ -16,25 +14,10 @@ as mysterious fleet idle time.
 import io
 import pickle
 
-from repro.runner.claims import ClaimStore
 from repro.runner.remote import LeaseTable, encode_frame, read_frame
 
 #: sha256-shaped keys, like real cache digests
 KEYS = [f"{i:064x}" for i in range(32)]
-
-
-def test_claim_protocol_overhead(benchmark, tmp_path):
-    store = ClaimStore(tmp_path, ttl=60.0)
-
-    def cycle():
-        for key in KEYS:
-            assert store.acquire(key)
-        assert store.heartbeat(KEYS) == len(KEYS)
-        for key in KEYS:
-            assert store.release(key)
-
-    benchmark.pedantic(cycle, rounds=5, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["claim_ops_per_cycle"] = 3 * len(KEYS)
 
 
 def test_remote_lease_wire_overhead(benchmark):

@@ -21,10 +21,12 @@ End-to-end, through the real CLI entry points:
    golden bytes, that the autoscaler scaled up from zero, and that it
    scaled *down* mid-queue by draining a worker (protocol v3: the
    ``fleet_events.jsonl`` log records a ``down`` with a non-empty
-   queue, and the serve summary counts at least one drain);
+   queue, and the serve summary counts at least one drain), and that
+   no ``*.claim`` or ``*.done`` coordination file landed in the cache;
 7. run ``report --html`` against the smoke cache and assert the
-   rendered site covers the fleet's scale-up and the submitted
-   experiments (CI uploads the site directory as an artifact).
+   rendered site covers the fleet's scale-up, the per-holder
+   throughput table (from the index) and the submitted experiments
+   (CI uploads the site directory as an artifact).
 
 Run as ``PYTHONPATH=src python scripts/serve_smoke_check.py [DIR]``;
 exits non-zero on any divergence.
@@ -335,6 +337,14 @@ def main(argv) -> int:
         assert mid_queue_downs, (
             f"every scale-down waited for an empty queue: {downs}"
         )
+        # the broker is the only coordinator: nothing wrote per-spec
+        # claim files or per-worker counter files into the cache
+        strays = sorted(
+            str(path.relative_to(cache_dir))
+            for pattern in ("*.claim", "*.done")
+            for path in cache_dir.rglob(pattern)
+        )
+        assert not strays, f"coordination files in the cache: {strays}"
 
         # the reporting pipeline runs against the same cache: the
         # smoke fleet's published results + scaling events must
@@ -350,6 +360,10 @@ def main(argv) -> int:
         assert "Fleet" in index_html, "fleet section missing"
         assert ">up<" in index_html or ">up" in index_html, (
             "scale-up event missing from the rendered timeline"
+        )
+        assert "Per-holder throughput" in index_html, (
+            "per-holder throughput missing: the broker's publishes "
+            "should carry worker holders into the index"
         )
         experiment_pages = list(site_dir.glob("experiment-*.html"))
         assert experiment_pages, (

@@ -6,7 +6,6 @@ Examples::
     ltp-repro fig9 --size small --workloads em3d tomcatv
     ltp-repro all --size tiny
     ltp-repro run-all --size small --jobs 8 --cache-dir .repro-cache
-    ltp-repro run-all --cooperative   # in N terminals: splits the grid
     ltp-repro run-all --backend remote --listen 0.0.0.0:7463 \
         --remote-workers 0            # broker; attach workers below
     ltp-repro worker --connect broker-host:7463
@@ -22,13 +21,11 @@ and ``--cache-dir PATH`` (content-addressed result cache); ``run-all``
 executes the entire paper grid through one shared runner so the
 overlapping simulations across experiments run exactly once and repeat
 invocations are served from the cache. ``run-all`` selects an
-execution backend (``--backend inline|pool|cooperative|remote``, auto
-by default): ``--cooperative`` lets N independent invocations sharing
-one ``--cache-dir`` partition the grid through the claim protocol
-(:mod:`repro.runner.claims`), while ``--backend remote`` starts a TCP
-broker (:mod:`repro.runner.remote`) that leases specs to ``ltp-repro
-worker --connect`` processes — no shared filesystem required. Both
-default to persisting built workload traces under
+execution backend (``--backend inline|pool|remote``, auto by
+default): ``--backend remote`` starts a TCP broker
+(:mod:`repro.runner.remote`) that leases specs to ``ltp-repro worker
+--connect`` processes — no shared filesystem required. ``run-all``
+defaults to persisting built workload traces under
 ``<cache-dir>/traces`` so repeat runs skip ``ProgramSet`` synthesis.
 
 ``serve`` keeps one broker alive *across* grids with an autoscaled
@@ -53,26 +50,19 @@ from repro._version import __version__
 from repro.codecs import CODEC_NAMES, codec_census
 from repro.experiments import EXPERIMENTS, report
 from repro.fleet import (
+    CLAIMS_DIRNAME,
     FLEET_STATUS_NAME,
     FleetService,
     POLICY_NAMES,
     make_policy,
 )
 from repro.runner import (
-    ClaimStore,
     GridClient,
     ResultCache,
     Runner,
-    completions,
-    fleet_throughput,
     prune_files,
 )
-from repro.runner.backends import (
-    CooperativeBackend,
-    InlineBackend,
-    PoolBackend,
-)
-from repro.runner.claims import DEFAULT_TTL
+from repro.runner.backends import InlineBackend, PoolBackend
 from repro.runner.remote import (
     AUTH_TOKEN_ENV,
     DEFAULT_LEASE_TTL,
@@ -176,8 +166,8 @@ def _add_engine_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-#: run-all execution backend choices (auto = derive from flags)
-BACKEND_CHOICES = ("auto", "inline", "pool", "cooperative", "remote")
+#: run-all execution backend choices (auto = derive from --jobs)
+BACKEND_CHOICES = ("auto", "inline", "pool", "remote")
 
 
 def _parse_address(text: str):
@@ -280,20 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workloads", nargs="+", choices=WORKLOAD_NAMES, default=None
     )
     p.add_argument(
-        "--cooperative", action="store_true",
-        help="split the grid with other --cooperative invocations "
-             "sharing this --cache-dir (claim protocol; each unique "
-             "job executes exactly once across the fleet)",
-    )
-    p.add_argument(
-        "--claim-ttl", type=float, default=DEFAULT_TTL, metavar="SECS",
-        help="heartbeat age after which a peer's claim is presumed "
-             f"dead and taken over (default: {DEFAULT_TTL:g})",
-    )
-    p.add_argument(
         "--backend", choices=BACKEND_CHOICES, default="auto",
-        help="execution backend (default: auto — cooperative if "
-             "--cooperative, pool if --jobs > 1, else inline)",
+        help="execution backend (default: auto — pool if --jobs > 1, "
+             "else inline)",
     )
     p.add_argument(
         "--listen", type=_parse_address, default=("127.0.0.1", 0),
@@ -517,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
     cache_help = {
-        "stats": "show entry/claim/trace accounting",
-        "prune": "apply retention limits and sweep stale claims",
+        "stats": "show result/trace/index accounting",
+        "prune": "apply retention limits to results and traces",
         "migrate": "re-encode existing result/trace entries under a "
                    "codec (in place, atomic, readable throughout)",
         "reindex": "rebuild the sqlite result index from the blobs "
@@ -532,12 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"cache directory (default: {DEFAULT_CACHE_DIR})",
         )
         cp.add_argument(
-            "--claim-ttl", type=float, default=DEFAULT_TTL,
-            metavar="SECS",
-            help="heartbeat age beyond which a claim counts as stale "
-                 f"(default: {DEFAULT_TTL:g})",
-        )
-        cp.add_argument(
             "--trace-cache", metavar="PATH", default=None,
             help="trace cache directory to account/prune "
                  "(default: <cache-dir>/traces)",
@@ -546,8 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
             cp.add_argument(
                 "--watch", type=float, default=None, metavar="SECS",
                 help="refresh the display every SECS seconds "
-                     "(live claim/fleet status for cooperative and "
-                     "remote runs; Ctrl-C to stop)",
+                     "(Ctrl-C to stop)",
             )
             cp.add_argument(
                 "--refreshes", type=int, default=None, metavar="N",
@@ -803,7 +775,7 @@ def _warn_broker(message: str) -> None:
 
 def _backend_from_args(args):
     """Explicit --backend choice -> ExecutionBackend, or None (auto:
-    the Runner derives one from jobs/cooperative)."""
+    the Runner derives one from jobs)."""
     choice = getattr(args, "backend", "auto")
     attach = getattr(args, "attach", None)
     if attach is not None:
@@ -824,11 +796,6 @@ def _backend_from_args(args):
         return InlineBackend()
     if choice == "pool":
         return PoolBackend(jobs=jobs)
-    if choice == "cooperative":
-        return CooperativeBackend(
-            jobs=jobs,
-            claim_ttl=getattr(args, "claim_ttl", DEFAULT_TTL),
-        )
     workers = getattr(args, "remote_workers", None)
     return RemoteBackend(
         listen=getattr(args, "listen", ("127.0.0.1", 0)),
@@ -881,36 +848,17 @@ def _runner_from_args(args, progress=None) -> Runner:
         jobs=getattr(args, "jobs", 1),
         cache=cache,
         progress=progress,
-        cooperative=getattr(args, "cooperative", False),
-        claim_ttl=getattr(args, "claim_ttl", DEFAULT_TTL),
         trace_cache=trace_cache,
         backend=_backend_from_args(args),
     )
 
 
 def _print_progress(done: int, total: int, spec, source: str) -> None:
-    tag = {
-        "run": "ran", "cache": "cached", "memo": "memo", "peer": "peer",
-    }[source]
+    tag = {"run": "ran", "cache": "cached", "memo": "memo"}[source]
     print(f"[{done:>4}/{total}] {tag:<6} {spec.label()}", flush=True)
 
 
 def _run_all(args) -> int:
-    cooperative = args.cooperative or args.backend == "cooperative"
-    if cooperative and (args.no_cache or not args.cache_dir):
-        print(
-            "run-all: --cooperative requires a result cache "
-            "(--cache-dir without --no-cache)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.cooperative and args.backend not in ("auto", "cooperative"):
-        print(
-            f"run-all: --cooperative conflicts with "
-            f"--backend {args.backend}",
-            file=sys.stderr,
-        )
-        return 2
     if args.ship_traces and args.backend != "remote":
         print(
             "run-all: --ship-traces requires --backend remote "
@@ -927,12 +875,10 @@ def _run_all(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.attach is not None and (
-        args.cooperative or args.ship_traces
-    ):
+    if args.attach is not None and args.ship_traces:
         print(
             "run-all: --attach submits to a serve broker, which owns "
-            "its own fleet — drop --cooperative/--ship-traces",
+            "its own fleet — drop --ship-traces",
             file=sys.stderr,
         )
         return 2
@@ -1000,9 +946,8 @@ def _run_all(args) -> int:
     return 0
 
 
-def _print_cache_stats(cache, store, traces, claim_ttl) -> None:
+def _print_cache_stats(cache, traces) -> None:
     stats = cache.stats()
-    live, stale = store.partition()
     print(f"cache {cache.root}")
     ages = (
         f" (oldest {_fmt_age(stats.oldest_age)}, "
@@ -1014,42 +959,6 @@ def _print_cache_stats(cache, store, traces, claim_ttl) -> None:
         f"{_fmt_bytes(stats.total_bytes)}{ages}"
         f"{_codec_suffix(cache.entry_paths())}"
     )
-    print(
-        f"  claims   {len(live)} live, {len(stale)} stale "
-        f"(ttl {claim_ttl:g}s)"
-    )
-    # fleet view: group live claims by holder — cooperative peers
-    # appear per host/pid, a remote broker's lease mirror as one line
-    holders: dict = {}
-    for info in live:
-        holders.setdefault((info.host, info.pid), []).append(info)
-    if holders:
-        fleet = ", ".join(
-            f"{host}/{pid} ×{len(infos)}"
-            for (host, pid), infos in sorted(holders.items())
-        )
-        print(f"  fleet    {len(holders)} holder(s): {fleet}")
-    now = time.time()
-    for info in live:
-        print(
-            f"             {info.key[:12]}… held by "
-            f"{info.host}/{info.pid} "
-            f"for {_fmt_age(max(0.0, now - info.created))}"
-        )
-    # throughput: per-holder completed-jobs counters written next to
-    # the claim files (pid 0 marks a remote worker name, not a local
-    # process — the broker counts on its behalf)
-    counters = completions(cache.root)
-    if counters:
-        done = ", ".join(
-            f"{_holder(info.host, info.pid)}: {info.done} done "
-            f"({info.rate_per_min():.1f}/min)"
-            for info in counters
-        )
-        # fleet-wide rate over recently-active holders only, so
-        # retired workers stop contributing once they go quiet
-        rate = fleet_throughput(cache.root)
-        print(f"  done     {done} — fleet {rate:.1f}/min")
     print(
         f"  traces   {traces.entries()} entries, "
         f"{_fmt_bytes(traces.total_bytes())}"
@@ -1103,8 +1012,8 @@ def _codec_suffix(paths) -> str:
 def _print_fleet_status(cache_root) -> None:
     """The serve-mode autoscaler's view: desired vs live workers and
     recent scaling events, read from the controller's fleet.json
-    mirror next to the claim files."""
-    path = Path(cache_root) / "claims" / FLEET_STATUS_NAME
+    mirror."""
+    path = Path(cache_root) / CLAIMS_DIRNAME / FLEET_STATUS_NAME
     try:
         data = json.loads(path.read_text())
         live = int(data["live"])
@@ -1136,13 +1045,8 @@ def _print_fleet_status(cache_root) -> None:
             continue
 
 
-def _holder(host: str, pid: int) -> str:
-    return host if pid == 0 else f"{host}/{pid}"
-
-
 def _cache_command(args) -> int:
     cache = ResultCache(args.cache_dir)
-    store = ClaimStore(args.cache_dir, ttl=args.claim_ttl)
     traces = TraceCache(
         args.trace_cache or Path(args.cache_dir) / "traces"
     )
@@ -1154,7 +1058,7 @@ def _cache_command(args) -> int:
             while True:
                 if watch is not None:
                     print(time.strftime("— %H:%M:%S —"))
-                _print_cache_stats(cache, store, traces, args.claim_ttl)
+                _print_cache_stats(cache, traces)
                 shown += 1
                 if watch is None or (
                     refreshes is not None and shown >= refreshes
@@ -1192,29 +1096,19 @@ def _cache_command(args) -> int:
         )
         return 0
     # prune: age sweep per store, then one *combined* byte budget over
-    # results + traces (so --max-bytes bounds the directory as a
-    # whole), then stale claims. Completed-jobs counters of holders
-    # idle past --max-age are swept too, so the `cache stats` done
-    # line tracks the live fleet rather than history.
+    # results + traces, so --max-bytes bounds the directory as a whole
     def trace_paths():
         if traces.root.is_dir():
             yield from traces.root.glob("*/*.pkl")
 
-    def counter_paths():
-        claims_dir = Path(args.cache_dir) / "claims"
-        if claims_dir.is_dir():
-            yield from claims_dir.glob("*.done")
-
     removed_age = (
         cache.prune_by(max_age=args.max_age)
         + prune_files(trace_paths(), max_age=args.max_age)
-        + prune_files(counter_paths(), max_age=args.max_age)
     )
     removed_budget = prune_files(
         list(cache.entry_paths()) + list(trace_paths()),
         max_bytes=args.max_bytes,
     )
-    reaped = store.reap()
     # drop index rows whose blobs the sweep removed, so query results
     # never point at pruned entries
     if cache.index is not None and cache.index.exists():
@@ -1225,8 +1119,7 @@ def _cache_command(args) -> int:
     print(
         f"pruned {removed_age + removed_budget} cached files "
         f"({removed_age} past --max-age, "
-        f"{removed_budget} over --max-bytes), "
-        f"swept {len(reaped)} stale claims; "
+        f"{removed_budget} over --max-bytes); "
         f"{stats.entries} results ({_fmt_bytes(stats.total_bytes)}) "
         f"and {traces.entries()} traces "
         f"({_fmt_bytes(traces.total_bytes())}) remain"

@@ -10,8 +10,9 @@ execution service:
 * :mod:`repro.fleet.supervisor` — :class:`WorkerSupervisor`, which
   spawns, reaps, and retires local ``repro worker`` processes;
 * :mod:`repro.fleet.controller` — :class:`FleetController`, the
-  control loop with its scaling-event log, crash circuit breaker,
-  and ``claims/fleet.json`` status mirror;
+  control loop with its scaling-event log
+  (``claims/fleet_events.jsonl``), crash circuit breaker, and
+  ``claims/fleet.json`` status mirror;
 * :mod:`repro.fleet.service` — :class:`FleetService`, the composed
   ``repro serve`` daemon (persistent broker + supervised fleet).
 
@@ -34,6 +35,8 @@ from repro.fleet.policy import (
     make_policy,
 )
 from repro.fleet.service import (
+    CLAIMS_DIRNAME,
+    FLEET_EVENTS_NAME,
     FLEET_STATUS_NAME,
     FleetService,
     ThroughputWindow,
@@ -41,7 +44,9 @@ from repro.fleet.service import (
 from repro.fleet.supervisor import WorkerExit, WorkerSupervisor
 
 __all__ = [
+    "CLAIMS_DIRNAME",
     "EVENT_LOG_LIMIT",
+    "FLEET_EVENTS_NAME",
     "FLEET_STATUS_NAME",
     "FleetController",
     "FleetService",

@@ -10,12 +10,12 @@ Each :meth:`tick`:
    respawning, so a worker that dies on startup cannot fork-bomb the
    host; a clean exit or :meth:`reset_crashes` re-arms it);
 2. samples the scaling signals (queue depth from the broker's lease
-   table, fleet jobs/min from the per-holder completion counters);
+   table, fleet jobs/min from the broker's published-result count);
 3. asks the policy for the desired worker count and tells the
    supervisor to scale — every change (and every unsolicited exit)
    is appended to :attr:`events`, the scaling-event log;
-4. mirrors its state into ``claims/fleet.json`` next to the claim
-   files (atomic write), which is how ``repro cache stats --watch``
+4. mirrors its state into ``claims/fleet.json`` under the cache root
+   (atomic write), which is how ``repro cache stats --watch``
    shows desired-vs-live workers and recent scaling events without
    talking to the service. ``fleet.json`` keeps only the recent tail
    of events; when ``events_path`` is set, every event is *also*

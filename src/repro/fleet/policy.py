@@ -15,7 +15,7 @@ Two concrete policies cover the common shapes:
   reactive, the default.
 * :class:`ThroughputPolicy` — size the fleet to *drain the backlog
   within a target time*, using the observed fleet completion rate
-  (jobs/min, from the per-holder ``claims/*.done`` counters) to
+  (jobs/min, from the broker's count of published results) to
   estimate what one worker achieves. Before any throughput has been
   observed it falls back to ``assumed_rate``.
 

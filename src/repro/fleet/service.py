@@ -39,27 +39,29 @@ from repro.fleet.controller import FleetController
 from repro.fleet.policy import QueueDepthPolicy, ScalingPolicy
 from repro.fleet.supervisor import WorkerSupervisor
 from repro.runner.cache import ResultCache
-from repro.runner.claims import CLAIMS_DIRNAME, completions
 from repro.runner.remote import DEFAULT_LEASE_TTL, Broker
 from repro.telemetry import MetricsServer
 from repro.workloads import TraceCache
 
-#: filename of the controller's status mirror, inside the claims dir
+#: subdirectory of the cache root holding the fleet's status mirror
+#: and scaling-event log
+CLAIMS_DIRNAME = "claims"
+
+#: filename of the controller's status mirror, inside CLAIMS_DIRNAME
 FLEET_STATUS_NAME = "fleet.json"
 
-#: filename of the durable scaling-event log, inside the claims dir
+#: filename of the durable scaling-event log, inside CLAIMS_DIRNAME
 FLEET_EVENTS_NAME = "fleet_events.jsonl"
 
 
 class ThroughputWindow:
-    """Windowed fleet completion rate from cumulative done counts.
+    """Windowed fleet completion rate from a cumulative result count.
 
-    Per-holder completion counters only expose lifetime totals, and a
-    lifetime *average* dilutes toward zero on a service that has been
-    up for days — the scaling signal must reflect what the fleet does
-    *now*. This tracker samples the summed total each observation and
-    reports the delta over a sliding ``window`` as jobs/min. A total
-    that shrinks (counters pruned) resets the window.
+    A lifetime *average* dilutes toward zero on a service that has
+    been up for days — the scaling signal must reflect what the fleet
+    does *now*. This tracker samples the broker's cumulative count of
+    first publications each observation and reports the delta over a
+    sliding ``window`` as jobs/min.
     """
 
     def __init__(self, window: float = 120.0) -> None:
@@ -68,8 +70,6 @@ class ThroughputWindow:
 
     def observe(self, total: int, now: float) -> float:
         """Record one sample, return the current jobs/min rate."""
-        if self._samples and total < self._samples[-1][1]:
-            self._samples.clear()  # counters were pruned/reset
         self._samples.append((now, total))
         cutoff = now - self.window
         while len(self._samples) > 1 and self._samples[0][0] < cutoff:
@@ -99,7 +99,7 @@ class FleetService:
         codec: wire/cache codec name.
         ship_traces: broker-side trace builds + wire shipping.
         scale_interval: seconds between controller ticks.
-        throughput_window: how far back completion counters count
+        throughput_window: how far back published results count
             toward the throughput signal.
         announce: callback receiving the bound ``host:port`` string.
         auth_token: shared wire-auth secret (protocol v3). ``None``
@@ -190,12 +190,13 @@ class FleetService:
         # clients' grid state must be reclaimed even when no new
         # submission ever arrives to trigger the lazy sweep
         self.broker.reap_grids()
-        total_done = sum(
-            info.done for info in completions(self.cache.root)
-        )
+        # the broker counts every first publication in memory, so the
+        # signal needs no disk reads and survives REPRO_TELEMETRY=off
         return (
             self.broker.queue_depth(),
-            self._throughput.observe(total_done, time.time()),
+            self._throughput.observe(
+                self.broker.stats.results, time.time()
+            ),
         )
 
     # -- observability -------------------------------------------------

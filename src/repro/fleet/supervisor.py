@@ -127,10 +127,9 @@ class WorkerSupervisor:
 
         Names are *slots*, not serial numbers: a fleet that scales
         0->N->0 around every grid would otherwise mint a fresh name
-        (and thus a fresh ``claims/<name>.done`` completion-counter
-        file, plus broker-side counter state) per spawn, growing
-        service bookkeeping without bound. At most ``max_workers``
-        names exist per service process this way.
+        (and thus fresh per-worker broker state and metric series)
+        per spawn, growing service bookkeeping without bound. At most
+        ``max_workers`` names exist per service process this way.
         """
         slot = 1
         while f"{self.name_prefix}-{slot}-{os.getpid()}" in self._procs:

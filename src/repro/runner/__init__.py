@@ -18,21 +18,8 @@ from repro.runner.cache import (
     ResultCache,
     prune_files,
 )
-from repro.runner.claims import (
-    DEFAULT_TTL,
-    Backoff,
-    ClaimInfo,
-    ClaimStore,
-    CompletionCounter,
-    CompletionInfo,
-    FileLock,
-    HeartbeatKeeper,
-    completions,
-    fleet_throughput,
-)
 from repro.runner.runner import Runner, RunnerStats, execute_spec
 from repro.runner.backends import (
-    CooperativeBackend,
     ExecutionBackend,
     InlineBackend,
     PoolBackend,
@@ -51,7 +38,6 @@ from repro.runner.remote import (
     authenticate,
     encode_frame,
     read_frame,
-    read_frame_versioned,
     run_worker,
     submit_grid,
 )
@@ -66,21 +52,12 @@ from repro.runner.spec import (
 
 __all__ = [
     "AUTH_TOKEN_ENV",
-    "Backoff",
     "Broker",
     "CACHE_SCHEMA",
     "CacheStats",
-    "ClaimInfo",
-    "ClaimStore",
-    "CompletionCounter",
-    "CompletionInfo",
-    "CooperativeBackend",
     "DEFAULT_LEASE_TTL",
-    "DEFAULT_TTL",
     "ExecutionBackend",
-    "FileLock",
     "GridClient",
-    "HeartbeatKeeper",
     "InlineBackend",
     "JobSpec",
     "LeaseTable",
@@ -96,15 +73,12 @@ __all__ = [
     "accuracy_job",
     "authenticate",
     "census_job",
-    "completions",
     "default_backend",
     "encode_frame",
     "execute_spec",
-    "fleet_throughput",
     "oracle_job",
     "prune_files",
     "read_frame",
-    "read_frame_versioned",
     "run_worker",
     "submit_grid",
     "timing_job",

@@ -1,59 +1,46 @@
-"""Execution backends: one contract, four transports.
+"""Execution backends: one contract, three transports.
 
 A backend is a strategy for turning the :class:`Runner`'s cache-miss
-``JobSpec`` list into ``(spec, report, source)`` outcomes. The Runner
-owns everything above the miss line — request dedup, the in-memory
-memo, on-disk cache probes, stats and progress — and hands what is
-left to exactly one :class:`ExecutionBackend`:
+``JobSpec`` list into ``(spec, report)`` outcomes. The Runner owns
+everything above the miss line — request dedup, the in-memory memo,
+on-disk cache probes, stats and progress — and hands what is left to
+exactly one :class:`ExecutionBackend`:
 
 * :class:`InlineBackend` — run every spec in this process (``jobs=1``).
 * :class:`PoolBackend` — fan out over a local ``multiprocessing`` pool.
-* :class:`CooperativeBackend` — partition the misses with peer
-  processes sharing the cache directory through the claim protocol of
-  :mod:`repro.runner.claims` (shared-filesystem fleets).
 * :class:`~repro.runner.remote.RemoteBackend` — serve the misses to
-  ``repro worker`` processes over TCP (no shared filesystem needed),
-  or — with ``attach=(host, port)`` — submit them to a live
-  ``repro serve`` broker (:mod:`repro.fleet`) and stream the results
-  back instead of running a broker at all.
+  ``repro worker`` processes over TCP, or — with
+  ``attach=(host, port)`` — submit them to a live ``repro serve``
+  broker (:mod:`repro.fleet`) and stream the results back instead of
+  running a broker at all.
 
-All four are asserted byte-identical and exactly-once by the backend
+All three are asserted byte-identical and exactly-once by the backend
 conformance suite (``tests/integration/test_backend_conformance.py``),
 which is the contract a future job-queue backend must also meet.
 
-``source`` is ``"run"`` for specs this fleet executed and ``"peer"``
-for results observed from a cooperating process. Backends that publish
-results into the runner's cache themselves (cooperative and remote
-publish *before* releasing the claim/lease, so peers never observe
-"no claim, no result") set ``publishes = True`` and the Runner skips
-its own ``cache.put``. ``publishes`` may be overridden per instance:
-an *attached* RemoteBackend flips it off, because the serve broker
-publishes into its own cache, not this runner's.
+A backend that publishes results into the runner's cache itself (the
+remote broker publishes each report as it lands) sets
+``publishes = True`` and the Runner skips its own ``cache.put``.
+``publishes`` may be overridden per instance: an *attached*
+RemoteBackend flips it off, because the serve broker publishes into
+its own cache, not this runner's.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
 import repro.runner.runner as _execution
 import repro.telemetry as _tm
-from repro.runner.claims import (
-    DEFAULT_TTL,
-    Backoff,
-    ClaimStore,
-    CompletionCounter,
-    HeartbeatKeeper,
-)
 from repro.runner.spec import JobSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runner.runner import Runner
 
-#: what a backend yields per resolved spec: (spec, report, source)
-Outcome = Tuple[JobSpec, Any, str]
+#: what a backend yields per resolved spec: (spec, report)
+Outcome = Tuple[JobSpec, Any]
 
 #: miss batches handed to each backend, labeled by backend name —
 #: with repro_runner_specs_executed_total this shows how work reached
@@ -69,13 +56,10 @@ class ExecutionBackend:
         name: short identifier (CLI ``--backend`` vocabulary).
         publishes: True when the backend writes results into the
             runner's cache itself; the Runner then skips its own put.
-        requires_cache: human-readable reason a result cache is
-            mandatory, or ``None`` when the backend works without one.
     """
 
     name = "abstract"
     publishes = False
-    requires_cache: Optional[str] = None
 
     def run(
         self, specs: List[JobSpec], runner: "Runner"
@@ -107,18 +91,6 @@ def _grouped(specs: List[JobSpec]) -> List[JobSpec]:
     return sorted(specs, key=lambda s: (s.workload, s.size, s.overrides))
 
 
-def _pooled(
-    pool, ordered: List[JobSpec], jobs: int
-) -> Iterable[Tuple[JobSpec, Any]]:
-    chunksize = max(1, len(ordered) // (max(1, jobs) * 4))
-    # ordered imap: results stream back as they finish but pair up
-    # with their specs positionally
-    yield from zip(
-        ordered,
-        pool.imap(_execution.execute_spec, ordered, chunksize=chunksize),
-    )
-
-
 @dataclass
 class InlineBackend(ExecutionBackend):
     """Execute every spec in this process, no pool."""
@@ -131,7 +103,7 @@ class InlineBackend(ExecutionBackend):
         )
         try:
             for spec in specs:
-                yield spec, _execution.execute_spec(spec), "run"
+                yield spec, _execution.execute_spec(spec)
         finally:
             _execution._swap_trace_cache(previous)
 
@@ -150,134 +122,24 @@ class PoolBackend(ExecutionBackend):
             yield from InlineBackend().run(specs, runner)
             return
         ordered = _grouped(specs)
+        chunksize = max(1, len(ordered) // (max(1, self.jobs) * 4))
         with multiprocessing.Pool(
             processes=min(self.jobs, len(ordered)),
             initializer=_execution._worker_init,
             initargs=_worker_initargs(runner),
         ) as pool:
-            for spec, value in _pooled(pool, ordered, self.jobs):
-                yield spec, value, "run"
+            # ordered imap: results stream back as they finish but
+            # pair up with their specs positionally
+            yield from zip(
+                ordered,
+                pool.imap(
+                    _execution.execute_spec, ordered, chunksize=chunksize
+                ),
+            )
 
 
-@dataclass
-class CooperativeBackend(ExecutionBackend):
-    """Partition misses with cache-sharing peers via the claim protocol.
-
-    Each pass over the pending list re-checks the cache (a peer may
-    have published), claims up to ``jobs`` free specs, executes them,
-    and publishes each result *before* releasing its claim. Specs
-    claimed by live peers are left pending; when a full pass makes no
-    progress the backend sleeps on a capped exponential backoff (with
-    jitter, reset on progress) and reaps claims whose owners have died
-    so their work can be taken over.
-    """
-
-    jobs: int = 1
-    claim_ttl: float = DEFAULT_TTL
-    poll_interval: float = 0.2
-
-    name = "cooperative"
-    publishes = True
-    requires_cache = (
-        "peers coordinate through claim files in its directory"
-    )
-
-    def _backoff(self) -> Backoff:
-        cap = max(self.poll_interval, min(self.claim_ttl / 2.0, 2.0))
-        return Backoff(initial=self.poll_interval, cap=cap)
-
-    def run(self, specs, runner):
-        cache = runner.cache
-        store = ClaimStore(cache.root, ttl=self.claim_ttl)
-        completed = CompletionCounter(cache.root)
-        keys = {spec: cache.key(spec) for spec in specs}
-        pending = list(specs)
-        held: Dict[str, JobSpec] = {}
-        batch_cap = max(1, self.jobs)
-        backoff = self._backoff()
-        # one long-lived pool across all claim batches: workers keep
-        # their ProgramSet memos and we pay spawn cost once, not once
-        # per batch
-        pool = None
-        try:
-            if self.jobs > 1:
-                pool = multiprocessing.Pool(
-                    processes=self.jobs,
-                    initializer=_execution._worker_init,
-                    initargs=_worker_initargs(runner),
-                )
-            with HeartbeatKeeper(store) as keeper:
-                while pending:
-                    progressed = False
-                    deferred: List[JobSpec] = []
-                    claimed: List[JobSpec] = []
-                    for spec in pending:
-                        hit, value = cache.get(spec)
-                        if hit:
-                            yield spec, value, "peer"
-                            progressed = True
-                        elif (
-                            len(claimed) < batch_cap
-                            and store.acquire(keys[spec])
-                        ):
-                            keeper.add(keys[spec])
-                            held[keys[spec]] = spec
-                            claimed.append(spec)
-                        else:
-                            deferred.append(spec)
-                    holder = f"{store.host}-{store.pid}"
-                    for spec, value in self._execute(
-                        claimed, runner, pool
-                    ):
-                        # publish (indexed under this claim holder),
-                        # then...
-                        cache.put(spec, value, holder=holder)
-                        store.release(keys[spec])  # ...free the claim
-                        keeper.discard(keys[spec])
-                        held.pop(keys[spec], None)
-                        completed.add(1)  # per-holder throughput
-                        yield spec, value, "run"
-                        progressed = True
-                    pending = deferred
-                    if progressed:
-                        backoff.reset()
-                    elif pending:
-                        # everything left is claimed by peers: wait,
-                        # and reap any claim whose owner has died
-                        time.sleep(backoff.next())
-                        store.reap([keys[spec] for spec in pending])
-        finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-            # on an execution error, unclaim whatever we still hold so
-            # peers can pick the specs up instead of waiting out the ttl
-            for key in list(held):
-                store.release(key)
-
-    def _execute(
-        self, claimed: List[JobSpec], runner: "Runner", pool
-    ) -> Iterable[Tuple[JobSpec, Any]]:
-        if not claimed:
-            return
-        if pool is None:
-            for spec, value, _ in InlineBackend().run(claimed, runner):
-                yield spec, value
-            return
-        yield from _pooled(pool, _grouped(claimed), self.jobs)
-
-
-def default_backend(
-    jobs: int = 1,
-    cooperative: bool = False,
-    claim_ttl: float = DEFAULT_TTL,
-    poll_interval: float = 0.2,
-) -> ExecutionBackend:
-    """The backend the legacy Runner flags imply."""
-    if cooperative:
-        return CooperativeBackend(
-            jobs=jobs, claim_ttl=claim_ttl, poll_interval=poll_interval
-        )
+def default_backend(jobs: int = 1) -> ExecutionBackend:
+    """The backend a Runner's ``jobs`` count implies."""
     if jobs > 1:
         return PoolBackend(jobs=jobs)
     return InlineBackend()

@@ -7,8 +7,6 @@ Layout::
             ab3f...e1.pkl     # pickled report, sha256-named
         cd/
             cd90...77.pkl
-        claims/               # cooperative-mode claim files + lock
-            ef12...9a.claim   #   (see repro.runner.claims)
         traces/               # ProgramSet build cache (run-all default;
             ...               #   see repro.workloads.trace_cache)
 
@@ -50,7 +48,6 @@ from typing import Any, Iterable, Optional, Tuple
 from repro._fsutil import atomic_write_bytes
 from repro._version import __version__
 from repro.codecs import get_codec, migrate_files, pack, unpack
-from repro.runner.claims import DEFAULT_TTL, ClaimStore
 from repro.runner.spec import JobSpec
 
 #: bump to orphan every existing cache entry on a layout change
@@ -167,8 +164,8 @@ class ResultCache:
         self, spec: JobSpec, value: Any, holder: Optional[str] = None
     ) -> Path:
         """Publish one result; ``holder`` labels who computed it in
-        the index (a worker name when the broker publishes, the local
-        claim holder cooperatively, None for a plain local run)."""
+        the index (a worker name when the broker publishes, None for a
+        plain local run)."""
         raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         packed = pack(raw, self.codec)
         path = atomic_write_bytes(self.path(spec), packed)
@@ -202,7 +199,7 @@ class ResultCache:
         return sum(1 for _ in self.root.glob("*/*.pkl"))
 
     def entry_paths(self):
-        """Every stored result file (any salt), excluding claims."""
+        """Every stored result file (any salt)."""
         if not self.root.is_dir():
             return
         yield from self.root.glob("*/*.pkl")
@@ -245,11 +242,6 @@ class ResultCache:
             self.entry_paths(), max_age=max_age, max_bytes=max_bytes,
             now=now,
         )
-
-    def claim_store(self, ttl: float = DEFAULT_TTL) -> ClaimStore:
-        """The claim protocol rooted in this cache's directory (see
-        :mod:`repro.runner.claims`)."""
-        return ClaimStore(self.root, ttl=ttl)
 
     def prune(self, keep_specs=()) -> int:
         """Delete entries not addressed by ``keep_specs`` under the

@@ -1,24 +1,21 @@
 """Remote execution: a TCP broker serving ``JobSpec`` leases to workers.
 
-The cooperative claim protocol (:mod:`repro.runner.claims`) dedups a
-grid across hosts *sharing a filesystem*; this module lifts that
-requirement by shipping specs over the network. The ``JobSpec ->
-pickled report`` contract is transport-agnostic, so the broker and
-worker are thin framing around the same execution stack every other
-backend uses::
+The one distributed execution path: specs travel over the network, so
+a fleet needs no shared filesystem. The ``JobSpec -> pickled report``
+contract is transport-agnostic, so the broker and worker are thin
+framing around the same execution stack every other backend uses::
 
     Runner ── misses ──▶ RemoteBackend
                              │ owns
                              ▼
                           Broker ◀── TCP frames ──▶ repro worker (× N)
                           ├ LeaseTable  (lease / heartbeat / expire / reassign)
-                          ├ ResultCache publication (exactly-once)
-                          └ advisory claim-file mirror (`cache stats --watch`)
+                          └ ResultCache publication (exactly-once)
 
-Wire protocol (``ltp-remote/3``; v1/v2 frames are still accepted,
-and replies echo the requester's version): one frame per message —
-the 4-byte magic ``LTPW``, a version byte, a big-endian u32 payload
-length, then the pickled message dict — request/reply over a
+Wire protocol (``ltp-remote/3``; every peer ships from this package,
+so a frame stamped with any other version is rejected): one frame per
+message — the 4-byte magic ``LTPW``, a version byte, a big-endian u32
+payload length, then the pickled message dict — request/reply over a
 persistent connection. Messages: ``hello``/``welcome``,
 ``lease``/``specs``, ``result``, ``error``, ``heartbeat``, ``bye``,
 the serve-mode v2 frames ``submit``/``grid-poll``/``grid-results``/
@@ -49,7 +46,7 @@ payload decodes and matches the digest, and that it unpickles to a
 unknown codec) falls back to a local build without failing the spec.
 Cold-fleet trace cost drops from O(workers x builds) to O(builds).
 
-Lease lifecycle mirrors the claim files::
+Lease lifecycle::
 
     PENDING ──lease()──▶ LEASED ──result──▶ DONE
                  ▲          │
@@ -69,11 +66,6 @@ Failure modes:
 * **Spec raises on a worker** — the error is reported, the spec is
   retried (possibly elsewhere) up to ``max_attempts`` times, then
   surfaced as :class:`RemoteExecutionError` with the remote traceback.
-
-When a cache is attached the broker also mirrors live leases into the
-cache's ``claims/`` directory (advisory, owner = the broker process),
-so ``repro cache stats --watch`` shows remote fleet status exactly
-like cooperative runs.
 
 **Serve mode** (``Broker(persistent=True)``, wrapped by
 :class:`repro.fleet.FleetService` / ``repro serve``) lifts the
@@ -113,24 +105,18 @@ import repro.telemetry as _tm
 from repro.codecs import CodecError, blob_codec, get_codec, pack, unpack
 from repro.runner.backends import ExecutionBackend, _trace_codec, _trace_root
 from repro.runner.cache import ResultCache
-from repro.runner.claims import CompletionCounter
 from repro.runner.spec import JobSpec
 from repro.trace.program import ProgramSet
 from repro.workloads import TraceCache, cached_build, get_workload, trace_key
 
 #: frame header: magic, protocol version, payload length
 MAGIC = b"LTPW"
-#: version this side emits; v2 added the serve-mode frames (submit /
-#: grid-poll / grid-results / grid-done) and welcome trace offers;
-#: v3 added the multi-tenant frames (auth / challenge handshake,
-#: drain, busy) plus the optional submit ``priority`` key
+#: the only version either side emits or accepts; v2 added the
+#: serve-mode frames (submit / grid-poll / grid-results / grid-done)
+#: and welcome trace offers; v3 added the multi-tenant frames (auth /
+#: challenge handshake, drain, busy) plus the optional submit
+#: ``priority`` key
 PROTOCOL_VERSION = 3
-#: versions this side accepts — v1/v2 peers' frames decode unchanged
-#: (the v2/v3 additions are new message types and optional keys, not
-#: layout changes), so an old worker can still lease from a new
-#: broker — unless the broker requires auth, which pre-v3 peers
-#: cannot speak
-ACCEPTED_VERSIONS = frozenset({1, 2, PROTOCOL_VERSION})
 _HEADER = struct.Struct("!4sBI")
 
 #: refuse frames beyond this size — a garbage header read as a huge
@@ -201,9 +187,9 @@ _M_LEASE_TO_PUBLISH = _tm.histogram(
 #: stamped broker-side at heartbeat receipt from the worker-measured
 #: round-trip of its previous heartbeat frame
 # broker-stamped, so it lives in the broker family — the worker
-# prefixes below must NOT match it, or an in-process worker (tests,
-# cooperative setups) would echo the gauge back inside its heartbeat
-# snapshot and the scrape would show duplicate series
+# prefixes below must NOT match it, or an in-process worker (tests)
+# would echo the gauge back inside its heartbeat snapshot and the
+# scrape would show duplicate series
 _M_HB_RTT = _tm.gauge("repro_broker_heartbeat_rtt_seconds")
 
 # Worker-side series; shipped back to the broker inside heartbeat
@@ -229,20 +215,10 @@ class RemoteExecutionError(RuntimeError):
 # -- framing -----------------------------------------------------------
 
 
-def encode_frame(
-    message: Any, version: int = PROTOCOL_VERSION
-) -> bytes:
-    """One wire frame: header + pickled ``message``.
-
-    ``version`` stamps the header. Peers that *initiate* (workers,
-    clients) send their own version; the broker *echoes the
-    requester's version on replies* — a v1 worker would reject a
-    v2-stamped welcome, and the pre-v2 frame types are
-    layout-identical, so answering in kind is what actually keeps old
-    workers leasing from new brokers.
-    """
+def encode_frame(message: Any) -> bytes:
+    """One wire frame: header + pickled ``message``."""
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    return _HEADER.pack(MAGIC, version, len(payload)) + payload
+    return _HEADER.pack(MAGIC, PROTOCOL_VERSION, len(payload)) + payload
 
 
 def _read_exact(stream, n: int, at_frame_start: bool = False):
@@ -259,13 +235,13 @@ def _read_exact(stream, n: int, at_frame_start: bool = False):
     return chunks
 
 
-def read_frame_versioned(stream) -> Optional[Tuple[int, Any]]:
-    """Read one frame; returns ``(version, message)``, or ``None`` on
-    a clean EOF at a frame boundary.
+def read_frame(stream) -> Any:
+    """Read one frame from a binary stream.
 
-    The version is surfaced so a server can echo it on the reply (see
-    :func:`encode_frame`). Raises :class:`ProtocolError` on bad
-    magic, unaccepted versions, oversized or truncated frames, and
+    Returns the decoded message, or ``None`` on a clean EOF at a frame
+    boundary (protocol messages are always dicts, never ``None``).
+    Raises :class:`ProtocolError` on bad magic, any version other than
+    :data:`PROTOCOL_VERSION`, oversized or truncated frames, and
     undecodable payloads.
     """
     header = _read_exact(stream, _HEADER.size, at_frame_start=True)
@@ -274,30 +250,18 @@ def read_frame_versioned(stream) -> Optional[Tuple[int, Any]]:
     magic, version, length = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
-    if version not in ACCEPTED_VERSIONS:
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
-            f"protocol version {version} (this side accepts "
-            f"{sorted(ACCEPTED_VERSIONS)})"
+            f"protocol version {version} (this side speaks "
+            f"{PROTOCOL_VERSION})"
         )
     if length > MAX_FRAME:
         raise ProtocolError(f"frame of {length} bytes exceeds cap")
     payload = _read_exact(stream, length)
     try:
-        return version, pickle.loads(payload)
+        return pickle.loads(payload)
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
-
-
-def read_frame(stream) -> Any:
-    """Read one frame from a binary stream.
-
-    Returns the decoded message, or ``None`` on a clean EOF at a frame
-    boundary (protocol messages are always dicts, never ``None``).
-    Raises :class:`ProtocolError` on bad magic/version, oversized or
-    truncated frames, and undecodable payloads.
-    """
-    frame = read_frame_versioned(stream)
-    return None if frame is None else frame[1]
 
 
 def _request(stream, message: dict) -> dict:
@@ -408,11 +372,6 @@ class LeaseTable:
         self.errors: Dict[str, str] = {}
         #: expired leases reclaimed for reassignment, cumulative
         self.reclaimed = 0
-        #: keys reclaimed by expire() since the last drain_reclaimed()
-        #: — the broker reads this after lease() so no reclaim (not
-        #: even one from lease()'s internal expire) can slip past its
-        #: mirror-claim release
-        self._reclaim_pending: Set[str] = set()
         #: admission-ordered group -> priority (weight per rotation)
         self._groups: Dict[str, int] = {DEFAULT_GROUP: 1}
         #: key -> group; a key keeps the group it was first admitted
@@ -485,12 +444,7 @@ class LeaseTable:
 
     def expire(self) -> List[str]:
         """Reclaim every lease *strictly* past its expiry; returns the
-        keys. The boundary matches the claim files' staleness rule
-        (:meth:`repro.runner.claims.ClaimStore.is_live`): a lease at
-        exactly ``ttl`` seconds is still live. Reclaimed keys are
-        also accumulated for :meth:`drain_reclaimed`, so a caller
-        that cannot see this call (it may run inside :meth:`lease`)
-        still learns about every reclaim."""
+        keys. A lease at exactly ``ttl`` seconds is still live."""
         now = self.clock()
         reclaimed = []
         for key, info in list(self._leases.items()):
@@ -500,19 +454,7 @@ class LeaseTable:
                     self._state[key] = PENDING
                     reclaimed.append(key)
         self.reclaimed += len(reclaimed)
-        self._reclaim_pending.update(reclaimed)
         return reclaimed
-
-    def drain_reclaimed(self) -> List[str]:
-        """Every key reclaimed by :meth:`expire` since the last call,
-        sorted. :meth:`lease` expires internally, so a broker that
-        called only ``lease()`` would otherwise miss those reclaims
-        and leak their advisory mirror claims — reading this buffer
-        right after ``lease()`` (under the same lock) is the complete
-        picture."""
-        drained = sorted(self._reclaim_pending)
-        self._reclaim_pending.clear()
-        return drained
 
     def lease(self, owner: str, max_n: int = 1) -> List[str]:
         """Grant ``owner`` up to ``max_n`` pending keys (expired leases
@@ -731,7 +673,6 @@ class Broker:
         poll: float = 0.1,
         max_attempts: int = 3,
         clock: Callable[[], float] = time.time,
-        mirror_claims: bool = True,
         ship_traces: bool = False,
         codec="none",
         trace_cache: Optional[TraceCache] = None,
@@ -798,8 +739,6 @@ class Broker:
         #: raw-report bytes per results key, for budget eviction
         self._result_sizes: Dict[str, int] = {}
         self._result_bytes_held = 0
-        #: per-worker completed-jobs counters (claims-dir throughput)
-        self._counters: Dict[str, CompletionCounter] = {}
         #: lease key -> trace id, minted at first grant and shipped in
         #: the lease reply so the worker's execute span and this
         #: broker's publish span stitch into one cross-process trace
@@ -824,11 +763,10 @@ class Broker:
         self._listen = listen
         self._server = None
         self._thread: Optional[threading.Thread] = None
-        self._claims = (
-            cache.claim_store(ttl=lease_ttl)
-            if (cache is not None and mirror_claims)
-            else None
-        )
+        #: accepted connection -> its handler thread, so stop() can
+        #: cut every live peer off instead of only the listener
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
         #: monotonic stamp of the last message from any worker — how
         #: stream() distinguishes a silent-but-alive external fleet
         #: from a genuinely dead one
@@ -872,6 +810,25 @@ class Broker:
             allow_reuse_address = True
             daemon_threads = True
 
+            def process_request(self, request, client_address):
+                # registered here, on the serving thread, so a
+                # connection accepted just before stop() is never
+                # missed by its sweep
+                thread = threading.Thread(
+                    target=self.process_request_thread,
+                    args=(request, client_address),
+                    name="remote-broker-conn",
+                    daemon=True,
+                )
+                with broker._connections_lock:
+                    broker._connections[request] = thread
+                thread.start()
+
+            def shutdown_request(self, request):
+                with broker._connections_lock:
+                    broker._connections.pop(request, None)
+                super().shutdown_request(request)
+
         class _Handler(socketserver.StreamRequestHandler):
             def handle(self):
                 # per-connection auth state: with a token configured,
@@ -881,12 +838,11 @@ class Broker:
                 nonce = None
                 while True:
                     try:
-                        frame = read_frame_versioned(self.rfile)
-                    except ProtocolError:
+                        message = read_frame(self.rfile)
+                    except (OSError, ProtocolError):
                         break
-                    if frame is None:
+                    if message is None:
                         break
-                    version, message = frame
                     close = False
                     if not authed:
                         reply, authed, nonce, close = (
@@ -901,11 +857,7 @@ class Broker:
                                 "message": f"{type(exc).__name__}: {exc}",
                             }
                     try:
-                        # reply in the peer's own wire version: a v1
-                        # worker must not be answered with v2 frames
-                        self.wfile.write(
-                            encode_frame(reply, version=version)
-                        )
+                        self.wfile.write(encode_frame(reply))
                         self.wfile.flush()
                     except OSError:
                         break
@@ -942,6 +894,16 @@ class Broker:
         self.closing = True
 
     def stop(self) -> None:
+        """Stop accepting, then cut every connected peer off.
+
+        Closing the listener alone would leave each connection's
+        handler thread answering its worker forever. Every accepted
+        socket is shut down as well, so the handlers read EOF and end
+        (they are joined here — no frame is dispatched after ``stop``
+        returns) and the workers on the other side see the broker
+        vanish and exit. A serve-mode caller that wants idle workers
+        to leave cleanly calls :meth:`begin_shutdown` first.
+        """
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
@@ -949,13 +911,15 @@ class Broker:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        if self._claims is not None:
-            # drop every mirrored claim we still own, whatever the
-            # table state — a reclaimed-but-never-regranted key sits
-            # PENDING yet may still have our claim file on disk
-            # (release is an owner-checked no-op everywhere else)
-            for key in self._by_key:
-                self._claims.release(key)
+        with self._connections_lock:
+            connections = dict(self._connections)
+        for sock in connections:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer already hung up
+        for thread in connections.values():
+            thread.join(timeout=5)
 
     # -- message handling ----------------------------------------------
 
@@ -1141,10 +1105,6 @@ class Broker:
             with self._lock:
                 self.stats.workers.add(worker)
                 offers = self._welcome_offers()
-            if self._claims is not None:
-                # start the worker's throughput counter now, so its
-                # first completion already has a real denominator
-                self._counter_for(worker)
             welcome = {
                 "type": "welcome",
                 "protocol": PROTOCOL_VERSION,
@@ -1198,10 +1158,9 @@ class Broker:
             )
         if mtype == "heartbeat":
             keys = [str(k) for k in message.get("keys", ())]
-            # optional v3+ piggyback: the worker's own registry
-            # snapshot and the round-trip it measured on its previous
-            # heartbeat — ignored by design on brokers that predate
-            # them, stamped here for /healthz and fleet /metrics
+            # optional piggyback: the worker's own registry snapshot
+            # and the round-trip it measured on its previous
+            # heartbeat, stamped here for /healthz and fleet /metrics
             rtt = message.get("rtt")
             snapshot = message.get("metrics")
             health = {
@@ -1219,19 +1178,12 @@ class Broker:
                 self._worker_health[worker] = health
             if health["rtt"] is not None:
                 _M_HB_RTT.set(health["rtt"], worker=worker)
-            # claim-file I/O happens outside the lock: the mirror is
-            # advisory, and flock latency must not serialize the fleet
-            if self._claims is not None and refreshed:
-                self._claims.heartbeat(keys)
             return {"type": "ok", "refreshed": refreshed}
         if mtype == "bye":
             with self._lock:
                 returned = self.table.release(worker)
                 self._worker_health.pop(worker, None)
             _M_HB_RTT.remove(worker=worker)
-            if self._claims is not None:
-                for key in returned:
-                    self._claims.release(key)
             return {"type": "ok", "returned": len(returned)}
         return {
             "type": "error", "message": f"unknown message type {mtype!r}"
@@ -1263,23 +1215,16 @@ class Broker:
                 # leases here — release() is a defensive no-op that
                 # guarantees zero stranded leases regardless.
                 self._draining.discard(worker)
-                returned = self.table.release(worker)
-                if self._claims is not None:
-                    for key in returned:
-                        self._claims.release(key)
+                self.table.release(worker)
                 return {
                     "type": "specs",
                     "leases": [],
                     "done": True,
                     "drain": True,
                 }
-            # lease() expires internally; drain_reclaimed() — read
-            # under the same lock — reports every key that expiry
-            # reclaimed, so none can leak its advisory mirror claim
-            # (a separate expire() here used to race lease()'s
-            # internal one and miss its reclaims)
+            # lease() reclaims expired leases first, so a dead
+            # worker's specs are regranted right here
             keys = self.table.lease(worker, max(1, max_n))
-            reclaimed = self.table.drain_reclaimed()
             self.stats.leases += len(keys)
             now = time.time()
             traces = {}
@@ -1302,14 +1247,6 @@ class Broker:
                 done = self.closing
             else:
                 done = self.table.done()
-        if self._claims is not None:
-            # reclaimed-but-not-regranted keys go back to pending, so
-            # their mirror claims must not linger as stale files
-            for key in reclaimed:
-                if key not in keys:
-                    self._claims.release(key)
-            for key in keys:
-                self._claims.acquire(key)  # advisory mirror
         if keys:
             _M_LEASES.inc(len(keys), worker=worker)
             reply = {
@@ -1744,16 +1681,12 @@ class Broker:
         """First completion of ``key``: publish + fan out (the half of
         ``_handle_result`` the publish span times)."""
         # the file I/O stays outside the lock so slow cache disks do
-        # not serialize the whole fleet's traffic; ordering still
-        # guarantees publish-before-release for the mirror claim
+        # not serialize the whole fleet's traffic
         spec = self._by_key[key]
         if self.cache is not None:
-            # publish, then... (the worker name lands in the result
-            # index as the entry's holder for per-worker accounting)
+            # the worker name lands in the result index as the entry's
+            # holder — the source of per-holder throughput reports
             self.cache.put(spec, value, holder=worker)
-        if self._claims is not None:
-            self._claims.release(key)    # ...free the mirror claim
-            self._bump_completed(worker)
         self.results[key] = value
         # size the grid-results entry from the raw pickle already in
         # hand (plus spec slack) — never pickle under the lock
@@ -1804,24 +1737,6 @@ class Broker:
             self._result_bytes_held -= self._result_sizes.pop(oldest)
             self.results.pop(oldest, None)
 
-    def _counter_for(self, worker: str) -> CompletionCounter:
-        with self._lock:
-            counter = self._counters.get(worker)
-            if counter is None:
-                counter = CompletionCounter(
-                    self.cache.root, owner=(worker, 0)
-                )
-                self._counters[worker] = counter
-        return counter
-
-    def _bump_completed(self, worker: str) -> None:
-        """Advance ``worker``'s completed-jobs counter in the claims
-        directory (pid 0: the holder is a remote worker name, not a
-        local process), feeding `cache stats --watch` throughput.
-        The counter is normally created at ``hello`` — its start
-        stamp — so jobs/min spans the worker's whole session."""
-        self._counter_for(worker).add(1)
-
     def _handle_error(self, worker: str, key, message: str) -> dict:
         if key not in self._by_key:
             return {"type": "error", "message": f"unknown key {key!r}"}
@@ -1829,7 +1744,6 @@ class Broker:
         with self._lock:
             self.stats.errors += 1
             final = self.table.fail(key, worker, message)
-            lease_gone = self.table.owner_of(key) is None
             if final:
                 # a permanently failed key will never produce a
                 # result: deliver the failure to its waiting grids
@@ -1837,12 +1751,6 @@ class Broker:
                 for grid in self._subscribers.pop(key, ()):
                     grid.outstanding.discard(key)
                     grid.failures[label] = message
-        # drop the mirror claim whenever the lease is gone — both on a
-        # permanent failure and on a retry (the next lease re-acquires
-        # it); a stale error that left a peer's live lease intact
-        # keeps the claim
-        if lease_gone and self._claims is not None:
-            self._claims.release(key)
         return {"type": "ok", "final": final}
 
     # -- result streaming ----------------------------------------------
@@ -2155,8 +2063,7 @@ def run_worker(
                     keys = sorted(held)
                 # every beat ships this worker's registry snapshot and
                 # the round-trip measured on the *previous* beat; the
-                # broker stamps both into /healthz and fleet /metrics.
-                # Optional keys: pre-v3 brokers simply ignore them.
+                # broker stamps both into /healthz and fleet /metrics
                 frame = {
                     "type": "heartbeat",
                     "worker": worker_name,
@@ -2200,12 +2107,7 @@ def run_worker(
             )
         ttl = float(welcome.get("lease_ttl", DEFAULT_LEASE_TTL))
         ship = fetch_traces and bool(welcome.get("ship_traces"))
-        try:
-            wire_codec = get_codec(welcome.get("codec", "none"))
-        except CodecError:
-            # a newer broker advertising a codec we lack: send raw
-            # (its unpack() passes legacy payloads through unchanged)
-            wire_codec = get_codec("none")
+        wire_codec = get_codec(welcome.get("codec", "none"))
         welcome_offers: Set[str] = set()
         if ship:
             welcome_offers = set(welcome.get("trace_offers", ()))
@@ -2393,8 +2295,6 @@ class GridClient:
             "specs": specs,
         }
         if priority != 1:
-            # optional key: v2 brokers never see it (they ignore
-            # unknown keys anyway), v3 brokers weight the grid
             message["priority"] = int(priority)
         deadline = (
             None if quota_wait is None else clock() + quota_wait
@@ -2541,8 +2441,6 @@ class RemoteBackend(ExecutionBackend):
         poll: seconds idle workers wait between lease retries.
         max_attempts: execution attempts per spec before giving up.
         timeout: overall safety limit for one grid, ``None`` = wait.
-        mirror_claims: mirror live leases into the cache's claims
-            directory for ``cache stats`` visibility.
         ship_traces: build each unique trace once broker-side and
             offer the packed blob to cold workers over the wire.
         codec: wire/trace compression codec name (``none``/``zlib``).
@@ -2569,7 +2467,6 @@ class RemoteBackend(ExecutionBackend):
     poll: float = 0.1
     max_attempts: int = 3
     timeout: Optional[float] = None
-    mirror_claims: bool = True
     ship_traces: bool = False
     codec: str = "none"
     wait_workers_timeout: Optional[float] = None
@@ -2606,7 +2503,6 @@ class RemoteBackend(ExecutionBackend):
             listen=self.listen,
             poll=self.poll,
             max_attempts=self.max_attempts,
-            mirror_claims=self.mirror_claims,
             ship_traces=self.ship_traces,
             codec=self.codec,
             trace_cache=runner.trace_cache,
@@ -2647,14 +2543,13 @@ class RemoteBackend(ExecutionBackend):
                 proc.start()
                 procs.append(proc)
             broker.serve()
-            for spec, value in broker.stream(
+            yield from broker.stream(
                 timeout=self.timeout,
                 workers=procs or None,
                 first_worker_timeout=(
                     self.wait_workers_timeout if not procs else None
                 ),
-            ):
-                yield spec, value, "run"
+            )
             for proc in procs:
                 proc.join(timeout=10)
         finally:
@@ -2676,7 +2571,6 @@ class RemoteBackend(ExecutionBackend):
         )
         try:
             client.submit(specs)
-            for spec, value in client.stream(timeout=self.timeout):
-                yield spec, value, "run"
+            yield from client.stream(timeout=self.timeout)
         finally:
             client.close()

@@ -13,16 +13,16 @@ per process.
    ``repro run-all`` deduplicates overlapping experiment grids);
 2. the on-disk :class:`~repro.runner.cache.ResultCache`, if attached;
 3. execution through exactly one :class:`ExecutionBackend` — inline,
-   a local ``multiprocessing`` pool, the cooperative shared-filesystem
-   claim protocol, or a TCP broker serving ``repro worker`` fleets
-   (:mod:`repro.runner.backends`, :mod:`repro.runner.remote`).
+   a local ``multiprocessing`` pool, or a TCP broker serving
+   ``repro worker`` fleets (:mod:`repro.runner.backends`,
+   :mod:`repro.runner.remote`).
 
 The backend is picked explicitly (``Runner(backend=...)``) or derived
-from the legacy ``jobs``/``cooperative`` flags. All four backends
-satisfy one contract, asserted by the conformance suite: every unique
-spec executes exactly once fleet-wide, and reports are byte-identical
-to a serial run — the simulations are seeded and event ordering is
-total, so a spec's report does not depend on where it ran.
+from ``jobs``. All three backends satisfy one contract, asserted by
+the conformance suite: every unique spec executes exactly once
+fleet-wide, and reports are byte-identical to a serial run — the
+simulations are seeded and event ordering is total, so a spec's report
+does not depend on where it ran.
 
 Attaching a :class:`~repro.workloads.trace_cache.TraceCache` makes
 :func:`_programs_for` deserialize persisted ``ProgramSet`` traces
@@ -41,7 +41,6 @@ from repro.analysis.sharing import census
 from repro.errors import ConfigurationError
 from repro.protocol.states import ProtocolVariant
 from repro.runner.cache import ResultCache
-from repro.runner.claims import DEFAULT_TTL
 from repro.runner.spec import NULL_POLICY, JobSpec
 from repro.sim import AccuracySimulator
 from repro.timing import make_engine, select_engine
@@ -56,7 +55,7 @@ _PROGRAMS: Dict[Tuple, ProgramSet] = {}
 _TRACE_CACHE: Optional[TraceCache] = None
 
 #: progress callback: (done, total, spec, source) with source one of
-#: "memo" | "cache" | "run" | "peer"
+#: "memo" | "cache" | "run"
 ProgressFn = Callable[[int, int, JobSpec, str], None]
 
 # -- execution-layer instruments (see docs/observability.md) -----------
@@ -182,16 +181,11 @@ class RunnerStats:
     dedup_hits: int = 0
     memo_hits: int = 0
     cache_hits: int = 0
-    #: results published by a cooperating peer process while we waited
-    peer_hits: int = 0
     executed: int = 0
 
     @property
     def served_without_execution(self) -> int:
-        return (
-            self.dedup_hits + self.memo_hits + self.cache_hits
-            + self.peer_hits
-        )
+        return self.dedup_hits + self.memo_hits + self.cache_hits
 
     @property
     def cache_fraction(self) -> float:
@@ -206,19 +200,14 @@ class RunnerStats:
             dedup_hits=self.dedup_hits,
             memo_hits=self.memo_hits,
             cache_hits=self.cache_hits,
-            peer_hits=self.peer_hits,
             executed=self.executed,
         )
 
     def summary(self) -> str:
-        peers = (
-            f"{self.peer_hits} from peers, " if self.peer_hits else ""
-        )
         return (
             f"{self.requested} jobs requested: "
             f"{self.executed} executed, "
             f"{self.cache_hits} from disk cache, "
-            f"{peers}"
             f"{self.memo_hits} from memory, "
             f"{self.dedup_hits} duplicates collapsed "
             f"({self.cache_fraction:.0%} served without execution)"
@@ -233,25 +222,15 @@ class Runner:
         jobs: worker process count; 1 runs inline (no pool).
         cache: on-disk result cache, or ``None`` to disable.
         progress: optional per-job callback (done, total, spec, source).
-        cooperative: split misses with peer processes sharing the cache
-            directory via the claim protocol (requires ``cache``).
-        claim_ttl: seconds without a heartbeat before a peer's claim is
-            presumed dead and taken over.
-        poll_interval: initial delay between cache polls while waiting
-            on specs claimed by live peers (grows with capped
-            exponential backoff + jitter while no progress is made).
         trace_cache: persistent ``ProgramSet`` build cache; installed
             process-wide during execution (and in pool workers).
         backend: explicit :class:`ExecutionBackend`; when ``None`` one
-            is derived from ``jobs``/``cooperative``.
+            is derived from ``jobs``.
     """
 
     jobs: int = 1
     cache: Optional[ResultCache] = None
     progress: Optional[ProgressFn] = None
-    cooperative: bool = False
-    claim_ttl: float = DEFAULT_TTL
-    poll_interval: float = 0.2
     trace_cache: Optional[TraceCache] = None
     backend: Optional[Any] = None
     stats: RunnerStats = field(default_factory=RunnerStats)
@@ -267,18 +246,7 @@ class Runner:
             # execute_spec and the trace-cache globals
             from repro.runner.backends import default_backend
 
-            self.backend = default_backend(
-                jobs=self.jobs,
-                cooperative=self.cooperative,
-                claim_ttl=self.claim_ttl,
-                poll_interval=self.poll_interval,
-            )
-        reason = self.backend.requires_cache
-        if reason is not None and self.cache is None:
-            raise ConfigurationError(
-                f"{self.backend.name} mode requires a result cache: "
-                f"{reason}"
-            )
+            self.backend = default_backend(jobs=self.jobs)
 
     def run(self, specs: Iterable[JobSpec]) -> Dict[JobSpec, Any]:
         """Resolve every spec, executing each unique one at most once.
@@ -312,21 +280,17 @@ class Runner:
                 _M_SOURCES.inc(source=source)
                 done += 1
                 self._report(done, total, spec, source)
-        for spec, value, source in self._resolve(misses):
-            _M_SOURCES.inc(source=source)
+        for spec, value in self._resolve(misses):
+            _M_SOURCES.inc(source="run")
             results[spec] = self._memo[spec] = value
-            if source == "run":
-                # self-publishing backends (cooperative, remote) write
-                # the cache entry before releasing their claim/lease;
-                # either way every publish path lands in the sqlite
-                # result index beside the blobs (repro query/report)
-                if self.cache is not None and not self.backend.publishes:
-                    self.cache.put(spec, value)
-                self.stats.executed += 1
-            else:  # "peer": published by a cooperating process
-                self.stats.peer_hits += 1
+            # a self-publishing backend (the remote broker) wrote the
+            # cache entry already; either way every publish path lands
+            # in the sqlite result index beside the blobs
+            if self.cache is not None and not self.backend.publishes:
+                self.cache.put(spec, value)
+            self.stats.executed += 1
             done += 1
-            self._report(done, total, spec, source)
+            self._report(done, total, spec, "run")
         return results
 
     def run_one(self, spec: JobSpec) -> Any:
@@ -334,10 +298,8 @@ class Runner:
 
     def _resolve(
         self, misses: List[JobSpec]
-    ) -> Iterable[Tuple[JobSpec, Any, str]]:
-        """Hand misses to the backend; (spec, value, source) triples
-        with source ``"run"`` (this fleet executed it) or ``"peer"``
-        (a cooperating process published it)."""
+    ) -> Iterable[Tuple[JobSpec, Any]]:
+        """Hand misses to the backend; yields ``(spec, value)``."""
         if not misses:
             return
         from repro.runner.backends import _M_BATCHES, _M_BATCH_SPECS

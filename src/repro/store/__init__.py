@@ -5,7 +5,7 @@ Three modules over one database (``<cache-root>/index.sqlite``):
 ``index``
     :class:`~repro.store.index.ResultIndex` — the sqlite sidecar
     every :meth:`ResultCache.put` records into (WAL mode, idempotent
-    digest-keyed upserts, safe under concurrent cooperative/remote
+    digest-keyed upserts, safe under concurrent runner and broker
     publishers), plus the scalar-metric extraction per report type.
 ``query``
     the ``repro query`` predicate language (compiled to parameterized

@@ -19,10 +19,11 @@ row per entry:
   digests against the experiment modules' declared grids (see
   :func:`repro.store.query.tag_experiments`).
 
-Every publish path — the Runner's own ``cache.put``, the cooperative
-backend's publish-before-release, and the remote broker — funnels
-through :meth:`repro.runner.cache.ResultCache.put`, which upserts the
-row here. Concurrent publishers are the normal case, so the database
+Every publish path — the Runner's own ``cache.put`` and the remote
+broker — funnels through :meth:`repro.runner.cache.ResultCache.put`,
+which upserts the row here. Concurrent publishers are the normal
+case (independent runners and brokers sharing one cache), so the
+database
 runs in WAL mode with a generous busy timeout, every write is an
 idempotent ``INSERT .. ON CONFLICT`` keyed by digest, and each
 operation opens its own short-lived connection (the broker publishes

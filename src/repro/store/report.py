@@ -4,11 +4,11 @@ Stdlib-only generator — no template engine, no JS, no external
 assets. :func:`generate_report` reads three sources:
 
 * the sqlite :class:`~repro.store.index.ResultIndex` (experiment
-  metric tables + inline SVG figures, one page per experiment);
+  metric tables + inline SVG figures, one page per experiment, and
+  per-holder throughput from each row's ``holder``/``created``);
 * the fleet observability files under ``<cache>/claims/`` —
-  ``fleet.json`` (current status), ``fleet_events.jsonl`` (the
-  durable scaling-event log the controller appends), and the
-  per-holder ``*.done`` completion counters;
+  ``fleet.json`` (current status) and ``fleet_events.jsonl`` (the
+  durable scaling-event log the controller appends);
 * ``BENCH_*.json`` micro-benchmark records (the
   ``ltp-repro-bench/1`` schema the benchmark suite emits) for trend
   charts.
@@ -494,33 +494,69 @@ def _experiment_page(
 # -- fleet section -----------------------------------------------------
 
 
-def load_fleet(cache_root) -> Dict[str, Any]:
-    """Status + full event history from the claims directory.
+def holder_throughput(
+    rows: Sequence[Dict[str, Any]]
+) -> List[Dict[str, Any]]:
+    """Per-holder publish counts from index rows, busiest first.
+
+    Each entry: ``holder``, ``done`` (rows it published), ``started``
+    and ``updated`` (its first and last ``created`` stamps), and
+    ``rate`` in jobs/min over that span, floored at one second. Rows
+    without a holder (plain local runs) are skipped.
+    """
+    by_holder: Dict[str, List[float]] = {}
+    for row in rows:
+        if row.get("holder") and row.get("created") is not None:
+            by_holder.setdefault(row["holder"], []).append(
+                float(row["created"])
+            )
+    out = []
+    for holder, stamps in by_holder.items():
+        started, updated = min(stamps), max(stamps)
+        out.append({
+            "holder": holder,
+            "done": len(stamps),
+            "started": started,
+            "updated": updated,
+            "rate": len(stamps) * 60.0 / max(updated - started, 1.0),
+        })
+    return sorted(out, key=lambda h: (-h["done"], h["holder"]))
+
+
+def load_fleet(
+    cache_root, rows: Sequence[Dict[str, Any]] = ()
+) -> Dict[str, Any]:
+    """Status + full event history from the claims directory, plus
+    per-holder throughput from the index ``rows``.
 
     The controller size-rotates its event log (``fleet_events.jsonl``
     plus ``.1``..``.N`` backups); the rotated segments are read
     oldest-first so the timeline stays chronological across rotation.
     """
-    from repro.runner.claims import CLAIMS_DIRNAME, completions
+    from repro.fleet import (
+        CLAIMS_DIRNAME,
+        FLEET_EVENTS_NAME,
+        FLEET_STATUS_NAME,
+    )
     from repro.telemetry.sink import read_jsonl
 
     claims = Path(cache_root) / CLAIMS_DIRNAME
     status: Dict[str, Any] = {}
     try:
         status = json.loads(
-            (claims / "fleet.json").read_text(encoding="utf-8")
+            (claims / FLEET_STATUS_NAME).read_text(encoding="utf-8")
         )
     except (OSError, ValueError):
         pass
     events: List[Dict[str, Any]] = list(
-        read_jsonl(claims / "fleet_events.jsonl")
+        read_jsonl(claims / FLEET_EVENTS_NAME)
     )
     if not events:
         events = list(status.get("events", []))
     return {
         "status": status,
         "events": events,
-        "holders": completions(cache_root),
+        "holders": holder_throughput(rows),
     }
 
 
@@ -601,15 +637,13 @@ def _fleet_section(fleet: Dict[str, Any]) -> str:
     if holders:
         rows = "".join(
             "<tr>"
-            f"<td>{_esc(h.host)}-{_esc(h.pid)}</td>"
-            f'<td class="num">{h.done}</td>'
-            f'<td class="num">{h.rate_per_min():.1f}</td>'
-            f"<td>{_fmt_ts(h.started)}</td>"
-            f"<td>{_fmt_ts(h.updated)}</td>"
+            f"<td>{_esc(h['holder'])}</td>"
+            f'<td class="num">{h["done"]}</td>'
+            f'<td class="num">{h["rate"]:.1f}</td>'
+            f"<td>{_fmt_ts(h['started'])}</td>"
+            f"<td>{_fmt_ts(h['updated'])}</td>"
             "</tr>"
-            for h in sorted(
-                holders, key=lambda h: -h.done
-            )
+            for h in holders
         )
         holder_table = (
             "<h3>Per-holder throughput</h3>"
@@ -1000,7 +1034,7 @@ def generate_report(
             "(<code>ltp-repro cache reindex</code>).</p></section>"
         )
     campaigns_html = _campaign_section(load_campaigns(cache.root))
-    fleet_html = _fleet_section(load_fleet(cache.root))
+    fleet_html = _fleet_section(load_fleet(cache.root, rows))
     latency_html = _telemetry_section(
         load_span_durations(cache.root)
     )

@@ -72,7 +72,7 @@ EVENT_KIND_NAMES = (
 )
 
 #: environment variable carrying the process-global engine selection
-#: (read by pool/cooperative workers on init, exported by select_engine)
+#: (read by pool and remote workers on init, exported by select_engine)
 ENGINE_ENV = "REPRO_ENGINE"
 
 #: registered core names, reference first

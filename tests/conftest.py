@@ -2,11 +2,49 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
+import repro.telemetry as telemetry
 from repro.trace.program import Access, Barrier, Program, ProgramSet
 
 BLOCK = 32  # bytes
+
+#: seconds a test's threads get, all told, to finish unwinding at
+#: teardown (a worker that just saw its broker stop)
+THREAD_EXIT_GRACE = 2.0
+
+
+@pytest.fixture(autouse=True)
+def _isolated():
+    """Fail a test that leaves a thread it started running, and drop
+    the process-global span sink after every test.
+
+    A leaked thread outlives its test: a broker handler keeps
+    answering, a worker keeps polling, and both emit spans into
+    whatever sink a later test configures. Worse, a later test that
+    forks inherits the leaked threads' held locks in the child.
+    """
+    before = set(threading.enumerate())
+    yield
+    try:
+        deadline = time.monotonic() + THREAD_EXIT_GRACE
+        leaked = []
+        for thread in threading.enumerate():
+            if thread in before:
+                continue
+            thread.join(max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                leaked.append(thread.name)
+    finally:
+        telemetry.shutdown()
+    if leaked:
+        pytest.fail(
+            f"test left thread(s) running: {', '.join(sorted(leaked))}",
+            pytrace=False,
+        )
 
 
 def addr(block_number: int, offset: int = 0) -> int:

@@ -1,12 +1,12 @@
 """Cross-backend conformance suite.
 
-Every execution backend — inline, multiprocessing pool, cooperative
-shared-filesystem, and remote TCP — implements one contract
-(`ExecutionBackend.run(specs, runner)`), and this suite pins it down
-with a single parametrized matrix: for the same grid every backend
-must produce byte-identical reports, execute each unique spec exactly
-once fleet-wide, leak no claim files, and account identically in
-``RunnerStats`` (cold run all-executed, warm run all-cache-hits).
+Every execution backend — inline, multiprocessing pool, and remote
+TCP — implements one contract (`ExecutionBackend.run(specs, runner)`),
+and this suite pins it down with a single parametrized matrix: for
+the same grid every backend must produce byte-identical reports,
+execute each unique spec exactly once fleet-wide, write nothing into
+the cache but results, the index and traces, and account identically
+in ``RunnerStats`` (cold run all-executed, warm run all-cache-hits).
 The matrix is additionally parametrized over the cache/wire codec
 (``none``/``zlib``) — compression must be invisible to every one of
 those properties. A future job-queue backend joins the matrix by
@@ -19,7 +19,6 @@ import pickle
 import pytest
 
 from repro.runner import (
-    CooperativeBackend,
     InlineBackend,
     PolicySpec,
     PoolBackend,
@@ -34,7 +33,7 @@ from repro.runner import (
 
 SIZE = "tiny"
 
-BACKENDS = ("inline", "pool", "cooperative", "remote")
+BACKENDS = ("inline", "pool", "remote")
 
 CODECS = ("none", "zlib")
 
@@ -68,13 +67,6 @@ def _make_runner(kind: str, cache_dir, codec: str = "none") -> Runner:
         return Runner(cache=cache, backend=InlineBackend())
     if kind == "pool":
         return Runner(cache=cache, backend=PoolBackend(jobs=2))
-    if kind == "cooperative":
-        return Runner(
-            cache=cache,
-            backend=CooperativeBackend(
-                jobs=1, claim_ttl=20.0, poll_interval=0.02
-            ),
-        )
     # the acceptance-criteria configuration: a 2-worker remote run
     # over localhost (codec also compresses the wire report frames)
     return Runner(
@@ -108,14 +100,14 @@ class TestBackendConformance:
         # exactly-once execution, and the accounting says so
         assert runner.stats.executed == len(grid)
         assert runner.stats.cache_hits == 0
-        assert runner.stats.peer_hits == 0
 
         # every backend leaves the cache fully populated...
         assert ResultCache(tmp_path).entries() == len(grid)
-        # ...and leaks no claim files (inline/pool never create any;
-        # cooperative releases after publishing; the remote broker's
-        # advisory lease mirror is cleared as results land)
-        assert list((tmp_path / "claims").glob("*.claim")) == []
+        # ...and writes no per-spec coordination files (no claim or
+        # per-worker counter files, no claims directory at all)
+        assert not (tmp_path / "claims").exists()
+        assert list(tmp_path.rglob("*.claim")) == []
+        assert list(tmp_path.rglob("*.done")) == []
 
     def test_warm_run_is_all_cache_hits(
         self, kind, codec, tmp_path, serial_golden
@@ -178,29 +170,11 @@ class TestCodecTransparency:
 
 
 class TestBackendSelection:
-    def test_legacy_flags_map_to_backends(self, tmp_path):
+    def test_jobs_maps_to_backends(self):
         assert Runner().backend.name == "inline"
         assert Runner(jobs=4).backend.name == "pool"
-        coop = Runner(
-            cooperative=True,
-            cache=ResultCache(tmp_path),
-            claim_ttl=7.0,
-            poll_interval=0.05,
-        )
-        assert coop.backend.name == "cooperative"
-        assert coop.backend.claim_ttl == 7.0
-        assert coop.backend.poll_interval == 0.05
-
-    def test_cache_requirement_is_enforced(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            Runner(cooperative=True)
-        with pytest.raises(ConfigurationError):
-            Runner(backend=CooperativeBackend())
 
     def test_self_publishing_flags(self):
         assert not InlineBackend().publishes
         assert not PoolBackend().publishes
-        assert CooperativeBackend().publishes
         assert RemoteBackend().publishes

@@ -7,7 +7,8 @@ back down to zero on drain (asserted via the scaling-event log), and
 every streamed result is byte-identical to the inline backend.
 
 Plus the protocol-level seams: the proactive welcome trace offer, the
-v1 wire-compat accept, submitted-grid failure delivery, the
+rejection of every other wire version, submitted-grid failure
+delivery, the
 ``RemoteBackend(attach=...)`` path, and the serve/submit CLI plumbing.
 """
 
@@ -150,11 +151,15 @@ class TestServeMode:
             assert downs and downs[-1].desired == 0
             assert service.supervisor.live() == 0
 
-            # the status mirror landed next to the claim files
+            # the status mirror landed at its documented path, and
+            # nothing wrote per-spec claim or per-worker counter files
             status = (
                 service.cache.root / "claims" / "fleet.json"
             )
             assert status.is_file()
+            root = service.cache.root
+            assert list(root.rglob("*.claim")) == []
+            assert list(root.rglob("*.done")) == []
 
     def test_resubmitted_grid_is_fully_cached(self, tmp_path):
         with _service(tmp_path) as service:
@@ -695,6 +700,10 @@ class TestGracefulDrain:
             assert len(results) == len(specs)
             # drained + relief executions cover the grid exactly once
             assert broker.stats.results == len(specs)
+            # the idle relief worker leaves once the service closes
+            broker.begin_shutdown()
+            relief.join(timeout=30)
+            assert not relief.is_alive()
         finally:
             broker.stop()
 
@@ -797,8 +806,10 @@ class TestWireAuth:
             assert len(results) == len(specs)
             assert broker.stats.auth_failures == 0
         finally:
-            broker.stop()
+            broker.begin_shutdown()
             worker.join(timeout=30)
+            broker.stop()
+        assert not worker.is_alive()
 
     def test_token_bearing_client_interops_with_open_broker(
         self, tmp_path
@@ -871,6 +882,9 @@ class TestSubmitQuota:
             assert retry["type"] == "grid"
             raw.close()
             other.close()
+            broker.begin_shutdown()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
         finally:
             broker.stop()
 
@@ -1022,60 +1036,20 @@ class TestWelcomeTraceOffer:
 
 
 class TestWireCompat:
-    def test_v1_frames_are_still_accepted(self):
-        """A v1 peer's frames decode on a v2 side (backward-compat
-        accept across the wire-version bump)."""
-        message = {"type": "hello", "worker": "old"}
-        payload = pickle.dumps(
-            message, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        v1_frame = (
-            struct.pack("!4sBI", b"LTPW", 1, len(payload)) + payload
-        )
-        assert read_frame(io.BytesIO(v1_frame)) == message
-
-    def test_future_versions_are_rejected(self):
+    @pytest.mark.parametrize("version", [1, 2, 9])
+    def test_future_versions_are_rejected(self, version):
+        """Every peer ships from this package, so any version but the
+        current one — older or newer — is a protocol error."""
         payload = pickle.dumps({"type": "hello"})
-        v9_frame = (
-            struct.pack("!4sBI", b"LTPW", 9, len(payload)) + payload
+        frame = (
+            struct.pack("!4sBI", b"LTPW", version, len(payload))
+            + payload
         )
         with pytest.raises(remote_mod.ProtocolError, match="version"):
-            read_frame(io.BytesIO(v9_frame))
+            read_frame(io.BytesIO(frame))
 
     def test_current_version_is_v3(self):
         assert remote_mod.PROTOCOL_VERSION == 3
-        assert remote_mod.ACCEPTED_VERSIONS == frozenset({1, 2, 3})
-
-    def test_broker_replies_in_the_peers_version(self, tmp_path):
-        """A v1 worker rejects v2-stamped frames, so true back-compat
-        means the broker *echoes* the requester's version on every
-        reply — checked against the raw header bytes."""
-        broker = Broker(
-            [census_job("em3d", SIZE)], cache=ResultCache(tmp_path)
-        )
-        address = broker.start()
-        try:
-            for version in (1, 2, 3):
-                sock = socket.create_connection(address)
-                stream = sock.makefile("rwb")
-                payload = pickle.dumps(
-                    {"type": "hello", "worker": f"v{version}"},
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                stream.write(struct.pack(
-                    "!4sBI", b"LTPW", version, len(payload)
-                ) + payload)
-                stream.flush()
-                header = stream.read(9)
-                _, reply_version, length = struct.unpack(
-                    "!4sBI", header
-                )
-                assert reply_version == version
-                reply = pickle.loads(stream.read(length))
-                assert reply["type"] == "welcome"
-                sock.close()
-        finally:
-            broker.stop()
 
 
 class TestWaitWorkersTimeout:
@@ -1173,10 +1147,11 @@ class TestCliPlumbing:
         assert code == 2
         assert "conflicts" in capsys.readouterr().err
 
-    def test_attach_conflicts_with_cooperative(self, capsys):
+    def test_attach_conflicts_with_ship_traces(self, capsys):
         code = main([
             "run-all", "--attach", "127.0.0.1:7463",
-            "--cooperative", "--cache-dir", "/tmp/x",
+            "--backend", "remote", "--ship-traces",
+            "--cache-dir", "/tmp/x",
         ])
         assert code == 2
         assert "serve broker" in capsys.readouterr().err

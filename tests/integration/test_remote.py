@@ -128,8 +128,6 @@ class TestWorkerDeath:
         assert broker.stats.duplicates == 0
         assert broker.table.reclaimed == len(taken)
         assert broker.stats.leases == len(grid) + len(taken)
-        # the claim mirror is clean
-        assert list((tmp_path / "claims").glob("*.claim")) == []
 
     def test_slow_worker_duplicate_result_is_dropped(self, tmp_path):
         """A worker that lost its lease to reassignment but still
@@ -204,8 +202,6 @@ class TestRemoteFailures:
         with pytest.raises(RemoteExecutionError):
             runner.run([bad])
         assert backend.broker.stats.errors == 2
-        # no claim-mirror leak after permanent failure
-        assert list((tmp_path / "claims").glob("*.claim")) == []
 
     def test_oversized_report_fails_spec_instead_of_hanging(
         self, tmp_path, monkeypatch
@@ -231,42 +227,36 @@ class TestRemoteFailures:
                 list(broker.stream(timeout=30))
         finally:
             broker.stop()
-        # no mirror-claim leak after the permanent failure either
-        assert list((tmp_path / "claims").glob("*.claim")) == []
 
-    def test_expired_leases_leave_no_orphan_mirror_claims(
+    def test_expired_leases_are_reclaimed_by_the_next_lease(
         self, tmp_path
     ):
-        """Mirror claims must be cleaned up on every lease exit path:
-        expiry-reclaim without a regrant, and broker stop() while keys
-        sit pending."""
+        """A lease call reclaims every expired lease, regrants what it
+        can, and leaves the rest pending for the next caller."""
+        from repro.runner.remote import LEASED, PENDING
+
         cache = ResultCache(tmp_path)
         specs = [census_job("em3d", SIZE), census_job("tomcatv", SIZE)]
         broker = Broker(specs, cache=cache, lease_ttl=0.5, poll=0.05)
         address = broker.start()
-        claims = tmp_path / "claims"
         try:
             first = _DoomedWorker(address)
-            assert len(first.hello_and_lease(2)) == 2
+            taken = first.hello_and_lease(2)
+            assert len(taken) == 2
             first.crash()
-            assert len(list(claims.glob("*.claim"))) == 2
             time.sleep(0.7)  # both leases expire
-            # the next lease call reclaims both but regrants only one:
-            # the other's mirror claim must be released, not orphaned
             second = _DoomedWorker(address)
             regranted = second.hello_and_lease(1)
             assert len(regranted) == 1
             second.crash()
-            # exactly the regranted key's mirror claim survives; the
-            # reclaimed-but-not-regranted key's claim must have been
-            # released (the old expire()-then-lease() double expiry
-            # could hide a reclaim from the broker and leak it)
-            assert [p.stem for p in claims.glob("*.claim")] == regranted
+            assert broker.table.reclaimed == 2
+            states = broker.table.states()
+            assert states[regranted[0]] == LEASED
+            assert broker.table.owner_of(regranted[0]) == "doomed"
+            (left,) = set(taken) - set(regranted)
+            assert states[left] == PENDING
         finally:
             broker.stop()
-        # stop() drops the remaining claim even though its key went
-        # back to pending (nobody regranted it before shutdown)
-        assert list(claims.glob("*.claim")) == []
 
     def test_all_workers_dead_raises_instead_of_hanging(self, tmp_path):
         class _Corpse:
@@ -399,16 +389,12 @@ class TestCliPlumbing:
         assert _runner_from_args(args).backend.workers == 4
 
     def test_explicit_backend_choices_map(self, tmp_path):
-        for choice, expected in (
-            ("inline", "inline"),
-            ("pool", "pool"),
-            ("cooperative", "cooperative"),
-        ):
+        for choice in ("inline", "pool"):
             args = build_parser().parse_args([
                 "run-all", "--backend", choice,
                 "--cache-dir", str(tmp_path),
             ])
-            assert _runner_from_args(args).backend.name == expected
+            assert _runner_from_args(args).backend.name == choice
 
     def test_listen_parse_rejects_garbage(self):
         with pytest.raises(SystemExit):
@@ -416,13 +402,51 @@ class TestCliPlumbing:
                 ["run-all", "--listen", "no-port-here"]
             )
 
-    def test_cooperative_conflicts_with_other_backend(self, capsys):
-        code = main([
-            "run-all", "--cooperative", "--backend", "remote",
-            "--cache-dir", "/tmp/x",
-        ])
-        assert code == 2
-        assert "conflicts" in capsys.readouterr().err
+
+class TestBrokerStop:
+    def test_stop_cuts_off_connected_workers(self, tmp_path):
+        """stop() ends every connection, not only the listener: an
+        idle worker polling a persistent broker sees the broker go
+        away and exits, and no handler dispatches after stop()."""
+        import repro.telemetry as tm
+        from repro.runner.remote import ProtocolError
+
+        broker = Broker(
+            (), cache=ResultCache(tmp_path / "cache"), persistent=True,
+            poll=0.02,
+        )
+        address = broker.start()
+        lost = []
+
+        def work():
+            try:
+                run_worker(address=address, name="idle")
+            except (OSError, ProtocolError) as exc:
+                lost.append(exc)
+
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+        try:
+            deadline = time.monotonic() + 30
+            while (
+                "idle" not in broker.stats.workers
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert "idle" in broker.stats.workers
+        finally:
+            stopped = time.monotonic()
+            broker.stop()
+            tm.configure(tmp_path / "after-stop")
+            worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert time.monotonic() - stopped < 5
+        assert lost, "the worker never noticed the broker stop"
+        leases = [
+            record for record in tm.read_spans(tmp_path / "after-stop")
+            if record["name"] == "broker.lease"
+        ]
+        assert leases == []
 
 
 class TestFrameOverTcp:

@@ -1,11 +1,12 @@
 """Index consistency under concurrent publishers.
 
 The acceptance bar for the result index as *infrastructure*: two real
-cooperative processes and a remote broker fleet all publish into one
-cache directory (so one ``index.sqlite``), and at the end the index
-holds exactly one row per unique digest, with no ``database is
-locked`` error ever surfacing to a publisher — WAL mode, busy
-timeouts, and idempotent digest-keyed upserts absorb the contention.
+runner processes and a remote broker fleet all publish into one cache
+directory (so one ``index.sqlite``) — the two runners racing on the
+very same digests — and at the end the index holds exactly one row
+per unique digest, with no ``database is locked`` error ever
+surfacing to a publisher — WAL mode, busy timeouts, and idempotent
+digest-keyed upserts absorb the contention.
 """
 
 import json
@@ -38,15 +39,9 @@ def _grid(workload="em3d"):
     ]
 
 
-def _cooperative_member(cache_dir: str, out_path: str) -> None:
+def _runner_member(cache_dir: str, out_path: str) -> None:
     try:
-        runner = Runner(
-            cooperative=True,
-            cache=ResultCache(cache_dir),
-            poll_interval=0.02,
-            claim_ttl=20.0,
-        )
-        runner.run(_grid())
+        Runner(cache=ResultCache(cache_dir)).run(_grid())
         payload = {"error": None}
     except Exception as exc:  # propagated to the parent's assert
         payload = {"error": f"{type(exc).__name__}: {exc}"}
@@ -55,15 +50,15 @@ def _cooperative_member(cache_dir: str, out_path: str) -> None:
 
 
 class TestConcurrentPublishers:
-    def test_cooperative_pair_plus_broker_one_index(self, tmp_path):
+    def test_runner_pair_plus_broker_one_index(self, tmp_path):
         cache_dir = tmp_path / "shared-cache"
         ctx = multiprocessing.get_context("fork")
 
-        # two cooperative processes split one grid through claims...
-        outs = [tmp_path / f"coop-{i}.json" for i in range(2)]
-        coop = [
+        # two plain runner processes publish the same grid...
+        outs = [tmp_path / f"runner-{i}.json" for i in range(2)]
+        runners = [
             ctx.Process(
-                target=_cooperative_member,
+                target=_runner_member,
                 args=(str(cache_dir), str(out)),
             )
             for out in outs
@@ -74,19 +69,22 @@ class TestConcurrentPublishers:
         broker = Broker(
             _grid("tomcatv"), cache=broker_cache, lease_ttl=30.0
         )
-        address = broker.start()
+        address = broker.bind()
         worker_proc = ctx.Process(
             target=run_worker,
             kwargs={"address": address, "name": "w0"},
         )
-        for proc in (*coop, worker_proc):
+        # fork before the serving thread starts (as RemoteBackend
+        # does), so no child inherits a lock a broker thread holds
+        for proc in (*runners, worker_proc):
             proc.start()
+        broker.serve()
         drained = threading.Thread(
             target=lambda: list(broker.stream())
         )
         drained.start()
         drained.join(timeout=120)
-        for proc in (*coop, worker_proc):
+        for proc in (*runners, worker_proc):
             proc.join(timeout=120)
             assert proc.exitcode == 0
         broker.stop()
@@ -113,7 +111,7 @@ class TestConcurrentPublishers:
         assert index.count() == len(expected)
 
         # broker-published rows carry the worker's name as holder;
-        # cooperative rows carry host-pid holders
+        # plain runner publishes carry none
         rows = index.select("", ())
         holders = {
             row["digest"]: row["holder"] for row in rows
@@ -124,8 +122,7 @@ class TestConcurrentPublishers:
         for digest in tomcatv_digests:
             assert holders[digest] == "w0"
         for digest in expected - tomcatv_digests:
-            assert holders[digest] is not None
-            assert "-" in holders[digest]
+            assert holders[digest] is None
 
     def test_threaded_hammer_single_digest_set(self, tmp_path):
         """Many threads upserting overlapping digests concurrently

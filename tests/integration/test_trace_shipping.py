@@ -417,29 +417,6 @@ class TestBrokerServingPolicy:
             sock.close()
             broker.stop()
 
-    def test_counter_starts_at_hello_not_first_result(self, tmp_path):
-        """The throughput denominator must span the worker's session:
-        the broker opens the counter on hello, so a slow first spec
-        does not report an inflated jobs/min."""
-        from repro.runner import ResultCache as RC
-
-        spec = census_job("em3d", SIZE)
-        broker = Broker(
-            [spec], cache=RC(tmp_path), lease_ttl=20.0, poll=0.02,
-        )
-        address = broker.start()
-        sock = socket.create_connection(address)
-        stream = sock.makefile("rwb")
-        try:
-            _request(stream, {"type": "hello", "worker": "w"})
-            assert "w" in broker._counters
-            counter = broker._counters["w"]
-            assert counter.done == 0
-            assert not counter.path().exists()  # nothing completed yet
-        finally:
-            sock.close()
-            broker.stop()
-
     def test_torn_cache_file_header_degrades_to_rebuild(
         self, tmp_path, fresh_memo
     ):

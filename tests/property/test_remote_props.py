@@ -390,22 +390,6 @@ def test_failed_key_is_never_resurrected_by_expire():
     assert table.lease("w2", 1) == []
 
 
-def test_lease_internal_expiry_is_visible_via_drain_reclaimed():
-    """Regression: ``lease()`` expires internally, and keys it
-    reclaimed were missing from the broker's ``reclaimed`` list — the
-    advisory mirror claims for those keys leaked as stale claim
-    files. ``drain_reclaimed()`` now reports every reclaim."""
-    now = [1_000.0]
-    table = LeaseTable(KEYS, ttl=TTL, clock=lambda: now[0])
-    w1_keys = table.lease("w1", 2)
-    now[0] += TTL + 1.0
-    granted = table.lease("w2", len(KEYS))
-    assert set(w1_keys) <= set(granted)
-    # the internal expire()'s reclaims are buffered, not lost
-    assert table.drain_reclaimed() == sorted(w1_keys)
-    assert table.drain_reclaimed() == []  # read-once
-
-
 # -- fair-share scheduling ---------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """Tests for cache maintenance: ResultCache.stats()/prune_by(), the
-`repro cache {stats,prune}` CLI, and the run-all cooperative/trace
-cache flag plumbing."""
+`repro cache {stats,prune}` CLI, and the run-all trace cache flag
+plumbing."""
 
 import os
 import time
@@ -15,7 +15,6 @@ from repro.experiments.cli import (
     main,
 )
 from repro.runner import (
-    ClaimStore,
     ResultCache,
     census_job,
     execute_spec,
@@ -48,12 +47,6 @@ class TestResultCacheStats:
         assert stats.total_bytes > 0
         assert stats.oldest_age == pytest.approx(7200, abs=60)
         assert stats.newest_age < 60
-
-    def test_claims_do_not_count_as_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        _populate(cache)
-        ClaimStore(tmp_path).acquire("deadbeef")
-        assert cache.stats().entries == 2
 
 
 class TestPruneBy:
@@ -89,28 +82,17 @@ class TestCacheCli:
     def test_stats_output(self, tmp_path, capsys):
         cache = ResultCache(tmp_path)
         _populate(cache)
-        store = ClaimStore(tmp_path, ttl=10.0)
-        store.acquire("live0000")
-        stale = ClaimStore(
-            tmp_path, ttl=10.0, owner=("host-x", 1),
-            clock=lambda: time.time() - 3600,
-        )
-        stale.acquire("stale000")
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "2 entries" in out
-        assert "1 live, 1 stale" in out
         assert "traces" in out
+        assert "claims" not in out
 
-    def test_prune_sweeps_age_and_stale_claims(self, tmp_path, capsys):
+    def test_prune_sweeps_by_age(self, tmp_path, capsys):
         cache = ResultCache(tmp_path)
         specs = _populate(cache)
         old = time.time() - 7200
         os.utime(cache.path(specs[0]), (old, old))
-        ClaimStore(
-            tmp_path, owner=("host-x", 1),
-            clock=lambda: time.time() - 3600,
-        ).acquire("stale000")
         code = main([
             "cache", "prune", "--cache-dir", str(tmp_path),
             "--max-age", "1h",
@@ -118,17 +100,7 @@ class TestCacheCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "pruned 1 cached files" in out
-        assert "swept 1 stale claims" in out
         assert cache.entries() == 1
-        assert list((tmp_path / "claims").glob("*.claim")) == []
-
-    def test_prune_respects_live_claims(self, tmp_path, capsys):
-        ClaimStore(tmp_path).acquire("live0000")
-        assert main([
-            "cache", "prune", "--cache-dir", str(tmp_path),
-            "--max-age", "1h",
-        ]) == 0
-        assert len(list((tmp_path / "claims").glob("*.claim"))) == 1
 
     def test_prune_max_bytes(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -198,25 +170,25 @@ class TestParsers:
 
 
 class TestRunAllFlags:
-    def test_cooperative_flag_parses(self):
-        args = build_parser().parse_args(
-            ["run-all", "--cooperative", "--cache-dir", "/tmp/x"]
-        )
-        assert args.cooperative
-        assert args.claim_ttl > 0
-
-    def test_runner_from_args_wires_cooperation(self, tmp_path):
+    def test_runner_from_args_defaults_trace_cache(self, tmp_path):
         args = build_parser().parse_args([
-            "run-all", "--cooperative",
-            "--cache-dir", str(tmp_path), "--claim-ttl", "5",
+            "run-all", "--cache-dir", str(tmp_path),
         ])
         runner = _runner_from_args(args)
-        assert runner.cooperative
-        assert runner.claim_ttl == 5.0
         assert runner.cache is not None
         # run-all defaults the trace cache inside the result cache
         assert runner.trace_cache is not None
         assert runner.trace_cache.root == tmp_path / "traces"
+
+    @pytest.mark.parametrize("flags", [
+        ["run-all", "--cooperative"],
+        ["run-all", "--claim-ttl", "5"],
+        ["run-all", "--backend", "cooperative"],
+        ["cache", "stats", "--claim-ttl", "5"],
+    ])
+    def test_claim_options_are_gone(self, flags):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(flags)
 
     def test_no_cache_disables_defaulted_trace_cache(self, tmp_path):
         args = build_parser().parse_args([
@@ -244,11 +216,6 @@ class TestRunAllFlags:
         assert runner.trace_cache is not None
         assert runner.trace_cache.root == tmp_path / "t"
 
-    def test_cooperative_without_cache_is_an_error(self, capsys):
-        code = main(["run-all", "--cooperative", "--no-cache"])
-        assert code == 2
-        assert "--cooperative requires" in capsys.readouterr().err
-
 
 class TestStatsWatch:
     def test_watch_refreshes_n_times(self, tmp_path, capsys):
@@ -271,54 +238,6 @@ class TestStatsWatch:
         out = capsys.readouterr().out
         assert out.count(f"cache {tmp_path}") == 1
         assert "— " not in out  # no timestamp header without --watch
-
-    def test_watch_surfaces_fleet_holders(self, tmp_path, capsys):
-        """Live claims group by holder — the fleet view for
-        cooperative peers and the remote broker's lease mirror."""
-        fleet_a = ClaimStore(tmp_path, ttl=300.0, owner=("host-a", 11))
-        fleet_b = ClaimStore(tmp_path, ttl=300.0, owner=("host-b", 22))
-        for key in ("aa11", "bb22"):
-            assert fleet_a.acquire(key)
-        assert fleet_b.acquire("cc33")
-        code = main([
-            "cache", "stats", "--cache-dir", str(tmp_path),
-            "--watch", "0.01", "--refreshes", "1",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fleet    2 holder(s)" in out
-        assert "host-a/11 ×2" in out
-        assert "host-b/22 ×1" in out
-
-    def test_remote_broker_lease_mirror_is_visible(self, tmp_path):
-        """While a remote broker holds leases, `cache stats` sees them
-        as live claims (the advisory mirror)."""
-        from repro.runner import Broker, census_job
-        from repro.runner.remote import _request
-        import socket as socket_mod
-
-        cache = ResultCache(tmp_path)
-        specs = [census_job("em3d", SIZE), census_job("tomcatv", SIZE)]
-        broker = Broker(specs, cache=cache, lease_ttl=60.0)
-        address = broker.start()
-        sock = socket_mod.create_connection(address)
-        stream = sock.makefile("rwb")
-        try:
-            _request(stream, {"type": "hello", "worker": "w"})
-            reply = _request(
-                stream, {"type": "lease", "worker": "w", "max": 2}
-            )
-            assert len(reply["leases"]) == 2
-            live, stale = cache.claim_store(ttl=60.0).partition()
-            assert len(live) == 2
-            assert {info.key for info in live} == {
-                key for key, _ in reply["leases"]
-            }
-        finally:
-            sock.close()
-            broker.stop()
-        # stop() released the mirror claims for the unfinished leases
-        assert list((tmp_path / "claims").glob("*.claim")) == []
 
 
 class TestCacheMigrateCli:
@@ -415,86 +334,11 @@ class TestCodecFlagPlumbing:
         ])
         assert args.no_fetch_traces
 
-
-class TestStatsThroughput:
-    def test_stats_reports_per_holder_jobs_per_min(
-        self, tmp_path, capsys
-    ):
-        from repro.runner import CompletionCounter
-
-        class Clock:
-            now = 1_000.0
-
-            def __call__(self):
-                return self.now
-
-        clock = Clock()
-        counter = CompletionCounter(
-            tmp_path, owner=("host-a", 11), clock=clock
-        )
-        clock.now += 60.0
-        counter.add(4)  # 4 jobs over a minute
-        remote = CompletionCounter(
-            tmp_path, owner=("worker-7", 0), clock=clock
-        )
-        clock.now += 60.0
-        remote.add(6)  # broker-counted remote worker: 6 in its 60s
-        assert main([
-            "cache", "stats", "--cache-dir", str(tmp_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "host-a/11: 4 done (4.0/min)" in out
-        assert "worker-7: 6 done (6.0/min)" in out  # pid 0 elided
-        # fleet-wide windowed rate rides the same line (these fake
-        # counters are long idle by wall-clock, so it reads 0)
-        assert "— fleet 0.0/min" in out
-
-    def test_stats_without_counters_has_no_done_line(
-        self, tmp_path, capsys
-    ):
-        cache = ResultCache(tmp_path)
-        _populate(cache)
-        assert main([
-            "cache", "stats", "--cache-dir", str(tmp_path),
-        ]) == 0
-        assert "done" not in capsys.readouterr().out
-
     def test_worker_codec_flag_parses(self):
         args = build_parser().parse_args([
             "worker", "--connect", "127.0.0.1:1", "--codec", "zlib",
         ])
         assert args.codec == "zlib"
-
-
-class TestPruneCounters:
-    def test_prune_sweeps_stale_done_counters(self, tmp_path):
-        import os as os_mod
-
-        from repro.runner import CompletionCounter
-
-        old = CompletionCounter(tmp_path, owner=("gone-host", 1))
-        old.add(3)
-        stamp = time.time() - 7200
-        os_mod.utime(old.path(), (stamp, stamp))
-        fresh = CompletionCounter(tmp_path, owner=("live-host", 2))
-        fresh.add(1)
-        assert main([
-            "cache", "prune", "--cache-dir", str(tmp_path),
-            "--max-age", "1h",
-        ]) == 0
-        from repro.runner import completions
-
-        remaining = completions(tmp_path)
-        assert [(c.host, c.pid) for c in remaining] == [("live-host", 2)]
-
-    def test_prune_without_max_age_keeps_counters(self, tmp_path):
-        from repro.runner import CompletionCounter, completions
-
-        CompletionCounter(tmp_path, owner=("host-a", 1)).add(1)
-        assert main([
-            "cache", "prune", "--cache-dir", str(tmp_path),
-        ]) == 0
-        assert len(completions(tmp_path)) == 1
 
 
 class TestCodecBreakdown:

@@ -456,15 +456,30 @@ class TestThroughputWindow:
         rate = window.observe(630, now=9_060.0)
         assert rate == pytest.approx(30.0)
 
-    def test_counter_prune_resets_the_window(self):
-        from repro.fleet import ThroughputWindow
+    def test_service_signal_follows_broker_results(
+        self, tmp_path, monkeypatch
+    ):
+        """The serve autoscaler's throughput signal is the broker's
+        in-memory count of first publications — no claims directory
+        or counter file is read (or written) to produce it."""
+        import types
 
-        window = ThroughputWindow(window=60.0)
-        window.observe(100, now=0.0)
-        window.observe(120, now=30.0)
-        # counters pruned: total shrinks; no negative rates
-        assert window.observe(5, now=31.0) == 0.0
-        assert window.observe(8, now=61.0) == pytest.approx(6.0)
+        import repro.fleet.service as service_mod
+        from repro.fleet import FleetService
+        from repro.runner import ResultCache
+
+        clock = FakeClock(now=1_000.0)
+        monkeypatch.setattr(
+            service_mod, "time", types.SimpleNamespace(time=clock)
+        )
+        service = FleetService(
+            cache=ResultCache(tmp_path), throughput_window=60.0
+        )
+        assert service._signals() == (0, 0.0)
+        service.broker.stats.results = 30
+        clock.advance(60.0)
+        assert service._signals() == (0, pytest.approx(30.0))
+        assert not (tmp_path / "claims").exists()
 
 
 class TestFleetController:

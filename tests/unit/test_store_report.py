@@ -75,7 +75,8 @@ def build_site(tmp_path):
     """A deterministic seeded cache + fleet + bench fixture."""
     cache = ResultCache(tmp_path / "cache")
     for spec in figure9.jobs(size="tiny", workloads=("em3d",)):
-        cache.put(spec, execute_spec(spec))
+        # a broker publish: the holder feeds per-holder throughput
+        cache.put(spec, execute_spec(spec), holder="host-7")
     claims = tmp_path / "cache" / "claims"
     claims.mkdir(parents=True, exist_ok=True)
     events = [
@@ -96,10 +97,6 @@ def build_site(tmp_path):
         "updated": FIXED_NOW, "live": 1, "desired": 1,
         "queue_depth": 0, "throughput": 14.0, "policy": "queue",
         "halted": False, "events": events[-2:],
-    }))
-    (claims / "host-7.done").write_text(json.dumps({
-        "host": "host", "pid": 7, "done": 12,
-        "started": FIXED_NOW - 600, "updated": FIXED_NOW,
     }))
     bench = tmp_path / "bench"
     bench.mkdir()
@@ -147,6 +144,29 @@ class TestReportGolden:
         assert "execution_cycles" in text
         assert 'href="index.html"' in text
         assert text.count("<tr>") >= 3   # base/dsi/ltp rows
+
+    def test_holder_throughput_comes_from_index_rows(self):
+        from repro.store.report import holder_throughput
+
+        rows = [
+            {"holder": "w0", "created": 100.0},
+            {"holder": "w0", "created": 160.0},
+            {"holder": "w0", "created": 130.0},
+            {"holder": "w1", "created": 50.0},
+            {"holder": None, "created": 70.0},  # a plain local run
+        ]
+        w0, w1 = holder_throughput(rows)
+        assert (w0["holder"], w0["done"]) == ("w0", 3)
+        assert (w0["started"], w0["updated"]) == (100.0, 160.0)
+        assert w0["rate"] == 3.0  # 3 publishes over one minute
+        # a lone publish spans the one-second floor
+        assert (w1["holder"], w1["done"], w1["rate"]) == ("w1", 1, 60.0)
+
+    def test_index_holders_render_per_holder_table(self, tmp_path):
+        out = build_site(tmp_path)
+        text = (out / "index.html").read_text()
+        assert "Per-holder throughput" in text
+        assert "<td>host-7</td>" in text
 
     def test_empty_cache_site_renders(self, tmp_path):
         cache = ResultCache(tmp_path / "empty")

@@ -323,7 +323,7 @@ class TestResultPathIsolation:
 
 class TestFleetEventLogReaders:
     def test_load_fleet_reads_rotated_segments_in_order(self, tmp_path):
-        from repro.runner.claims import CLAIMS_DIRNAME
+        from repro.fleet import CLAIMS_DIRNAME
         from repro.store.report import load_fleet
 
         claims = tmp_path / CLAIMS_DIRNAME
