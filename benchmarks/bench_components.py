@@ -1,31 +1,29 @@
 """Micro-benchmarks of the simulation substrates.
 
-These measure the throughput of the hot paths (predictor updates,
-coherence-engine accesses, scheduler interleaving, timing-engine
-events) so regressions in the library's own performance are visible
-alongside the experiment regenerations.
+These measure the throughput of the hot paths — the interleaving
+scheduler, the one-time stream compile, the accuracy kernel (the
+simulator loop over the dense-id coherence engine) under each
+predictor, and timing-engine events — so regressions in the library's
+own performance are visible alongside the experiment regenerations.
+The accuracy benchmarks compile their workload's stream before timing
+starts, as a grid does once per workload, so they time the kernel
+alone.
 """
 
 from repro.core import GlobalLTP, LastPCPredictor, NullPolicy, PerBlockLTP
-from repro.protocol.coherence import CoherenceEngine
 from repro.sim import AccuracySimulator
+from repro.sim.functional import compile_stream
 from repro.timing import SystemConfig, TimingSimulator
 from repro.trace.scheduler import interleave
 from repro.workloads import get_workload
 
-WORKLOAD = get_workload("em3d", "small")
-
-
-def _programs():
-    return WORKLOAD.build()
+PROGRAMS = get_workload("em3d", "small").build()
 
 
 def test_scheduler_throughput(benchmark):
-    ps = _programs()
-
     def drain():
         n = 0
-        for _ in interleave(ps):
+        for _ in interleave(PROGRAMS):
             n += 1
         return n
 
@@ -33,30 +31,28 @@ def test_scheduler_throughput(benchmark):
     assert events > 0
 
 
+def test_stream_compile_throughput(benchmark):
+    events = list(interleave(PROGRAMS))
+
+    stream = benchmark(compile_stream, events, PROGRAMS.num_nodes)
+    assert len(stream.codes) == len(events)
+
+
+def _kernel(factory) -> AccuracySimulator:
+    sim = AccuracySimulator(factory)
+    sim.run(PROGRAMS)  # compiles the stream outside the measurement
+    return sim
+
+
 def test_coherence_engine_throughput(benchmark):
-    ps = _programs()
-    from repro.trace.events import MemoryAccess
-
-    stream = [e for e in interleave(ps) if isinstance(e, MemoryAccess)]
-
-    def run():
-        engine = CoherenceEngine(ps.num_nodes)
-        for ev in stream:
-            engine.access(ev.node, ev.pc, ev.address, ev.is_write)
-        return engine.external_invalidations
-
-    invals = benchmark(run)
-    assert invals > 0
-
-
-def _accuracy_run(factory):
-    ps = _programs()
-    return AccuracySimulator(factory).run(ps)
+    sim = _kernel(lambda n: NullPolicy())
+    rep = benchmark(sim.run, PROGRAMS)
+    assert rep.not_predicted > 0
 
 
 def test_per_block_ltp_throughput(benchmark):
     rep = benchmark.pedantic(
-        _accuracy_run, args=(lambda n: PerBlockLTP(),),
+        _kernel(lambda n: PerBlockLTP()).run, args=(PROGRAMS,),
         rounds=2, iterations=1,
     )
     assert rep.predicted > 0
@@ -64,7 +60,7 @@ def test_per_block_ltp_throughput(benchmark):
 
 def test_global_ltp_throughput(benchmark):
     rep = benchmark.pedantic(
-        _accuracy_run, args=(lambda n: GlobalLTP(),),
+        _kernel(lambda n: GlobalLTP()).run, args=(PROGRAMS,),
         rounds=2, iterations=1,
     )
     assert rep.accesses > 0
@@ -72,19 +68,17 @@ def test_global_ltp_throughput(benchmark):
 
 def test_last_pc_throughput(benchmark):
     rep = benchmark.pedantic(
-        _accuracy_run, args=(lambda n: LastPCPredictor(),),
+        _kernel(lambda n: LastPCPredictor()).run, args=(PROGRAMS,),
         rounds=2, iterations=1,
     )
     assert rep.accesses > 0
 
 
 def test_timing_engine_throughput(benchmark):
-    ps = _programs()
-
     def run():
         return TimingSimulator(
-            lambda n: NullPolicy(), SystemConfig(num_nodes=ps.num_nodes)
-        ).run(ps)
+            lambda n: NullPolicy(), SystemConfig(num_nodes=PROGRAMS.num_nodes)
+        ).run(PROGRAMS)
 
     rep = benchmark.pedantic(run, rounds=2, iterations=1)
     assert rep.execution_cycles > 0

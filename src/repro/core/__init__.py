@@ -34,7 +34,7 @@ from repro.core.signature import (
 from repro.core.ltp import GlobalLTP, PerBlockLTP
 from repro.core.last_pc import LastPCPredictor
 from repro.core.null import NullPolicy
-from repro.core.oracle import OraclePolicy, compute_last_touch_ordinals
+from repro.core.oracle import OraclePolicy
 from repro.core.storage import (
     AggregateStorage,
     aggregate_reports,
@@ -58,6 +58,5 @@ __all__ = [
     "TruncatedAddEncoder",
     "XorRotateEncoder",
     "aggregate_reports",
-    "compute_last_touch_ordinals",
     "max_entries_per_block",
 ]

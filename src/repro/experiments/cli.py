@@ -606,13 +606,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_campaign_parser(sub)
     p = sub.add_parser(
         "profile",
-        help="run one experiment's timing grid under cProfile and "
-             "report hot functions plus per-kind engine event "
-             "counters",
+        help="run every unique spec of one experiment (any job kind) "
+             "under cProfile and report hot functions, seconds per "
+             "job kind, and timing-engine event counts by kind",
     )
     p.add_argument(
         "experiment", choices=tuple(EXPERIMENTS),
-        help="experiment whose timing jobs to profile",
+        help="experiment whose jobs to profile",
     )
     p.add_argument("--size", choices=SIZES, default="small")
     p.add_argument(
@@ -630,7 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-cache", metavar="PATH", default=None,
         help="persistent ProgramSet build cache (trace synthesis "
              "happens before profiling either way, so the profile "
-             "shows only engine time)",
+             "shows only simulation time, including each accuracy "
+             "workload's one-time stream compile)",
     )
     p.add_argument(
         "--json", metavar="PATH", default=None,
@@ -1576,73 +1577,80 @@ def _profile_command(args) -> int:
     import platform
     import pstats
 
+    import repro.telemetry as _tm
     from repro.runner.runner import (
+        _execute_spec_inner,
         _programs_for,
         _swap_trace_cache,
-        make_timing_engine,
     )
+    from repro.telemetry.metrics import parse_label_key
 
     if args.engine:
         select_engine(args.engine)
     engine_name = selected_engine()
     module = EXPERIMENTS[args.experiment]
-    specs = [
-        spec
-        for spec in dict.fromkeys(
-            module.jobs(size=args.size, workloads=args.workloads)
-        )
-        if spec.kind == "timing"
-    ]
-    if not specs:
-        print(
-            f"profile: {args.experiment} runs no timing jobs — "
-            "profile a timing experiment (e.g. fig9 or table4)",
-            file=sys.stderr,
-        )
-        return 2
+    specs = list(dict.fromkeys(
+        module.jobs(size=args.size, workloads=args.workloads)
+    ))
     if args.trace_cache:
         _swap_trace_cache(TraceCache(args.trace_cache))
-    print(
-        f"[profile] {len(specs)} timing specs "
-        f"({args.experiment}, size={args.size}) on the "
-        f"{engine_name!r} core"
+    kinds: dict = {}
+    for spec in specs:
+        kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
+    header = (
+        f"[profile] {len(specs)} specs ({args.experiment}, "
+        f"size={args.size}: "
+        + ", ".join(f"{n} {kind}" for kind, n in kinds.items()) + ")"
     )
+    if "timing" in kinds:
+        header += f", timing on the {engine_name!r} core"
+    print(header)
     # synthesize (or load) every ProgramSet up front: the profile
-    # should show where engine cycles go, not trace construction
+    # should show where simulation cycles go, not trace construction
     for spec in specs:
         _programs_for(spec)
-    counters: dict = {}
+    # timing cores fold their per-kind dispatch counts into this series
+    events = _tm.counter("repro_engine_events_total")
+    before = events.collect()
+    seconds = dict.fromkeys(kinds, 0.0)
     profiler = cProfile.Profile()
     start = time.time()
     profiler.enable()
     for spec in specs:
-        engine = make_timing_engine(spec)
-        engine.run(_programs_for(spec))
-        for kind, count in getattr(engine, "event_counts", {}).items():
-            counters[kind] = counters.get(kind, 0) + count
+        began = time.perf_counter()
+        _execute_spec_inner(spec)
+        seconds[spec.kind] += time.perf_counter() - began
     profiler.disable()
     elapsed = time.time() - start
+    counters: dict = {}
+    for key, value in events.collect().items():
+        count = int(value - before.get(key, 0))
+        if count:
+            kind = parse_label_key(key).get("kind", "")
+            counters[kind] = counters.get(kind, 0) + count
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     rate = len(specs) / elapsed if elapsed else 0.0
     print(
         f"[profile] {len(specs)} specs in {elapsed:.2f}s "
-        f"({rate:.2f} specs/s)"
+        f"({rate:.2f} specs/s); by job kind:"
     )
+    for kind, n in kinds.items():
+        print(f"    {kind:<14} {n:>6} specs {seconds[kind]:>9.2f}s")
     if counters:
-        total = sum(counters.values()) or 1
-        print(f"[profile] {sum(counters.values()):,} events by kind:")
+        total = sum(counters.values())
+        print(f"[profile] {total:,} events by kind:")
         for kind, count in sorted(
             counters.items(), key=lambda kv: (-kv[1], kv[0])
         ):
             print(
                 f"    {kind:<14} {count:>12,}  ({count / total:5.1%})"
             )
-    else:
+    elif "timing" in kinds:
         print(
-            "[profile] (no events dispatched — both cores report "
-            "per-kind event counters, so an empty breakdown means "
-            "the specs scheduled nothing)"
+            "[profile] (no engine events recorded — the counts come "
+            "from the repro_engine_events_total metric, which "
+            "REPRO_TELEMETRY=off disables)"
         )
     if args.json:
         record = {
@@ -1664,6 +1672,10 @@ def _profile_command(args) -> int:
                 "specs": len(specs),
                 "specs_per_second": rate,
                 "event_counts": counters,
+                "kinds": {
+                    kind: {"specs": n, "seconds": seconds[kind]}
+                    for kind, n in kinds.items()
+                },
             },
         }
         with open(args.json, "w") as handle:

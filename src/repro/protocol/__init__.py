@@ -7,11 +7,13 @@ migratory-favouring variant the paper evaluates (a read to an Exclusive
 block invalidates the writer's copy rather than downgrading it).
 
 The functional engine (:class:`~repro.protocol.coherence.CoherenceEngine`)
-tracks no time; it resolves each access in global stream order and
-reports the coherence events (invalidations delivered, self-invalidation
-verification outcomes, DSI version numbers) the predictors and
-classifiers need. The timing simulator reuses the same directory state
-machine with latencies layered on top.
+tracks no time; it resolves each access in global stream order, over
+dense block ids, and reports the coherence events (invalidations
+delivered, self-invalidation verification outcomes, DSI version numbers)
+the predictors and classifiers need. The reference timing core keeps
+its per-block state in :class:`~repro.protocol.directory.Directory` and
+:class:`~repro.protocol.cache.NodeCaches` and layers latencies on the
+same transitions.
 """
 
 from repro.protocol.states import (

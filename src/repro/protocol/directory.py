@@ -50,9 +50,10 @@ class DirectoryEntry:
 class Directory:
     """Lazy map of block number -> :class:`DirectoryEntry`.
 
-    One logical directory suffices for the functional model; the timing
-    model distributes entries across home nodes but reuses this class
-    per home.
+    The reference timing core keeps its directory state here. (The
+    functional engine keeps the same fields in flat per-block lists,
+    and returns :class:`DirectoryEntry` snapshots from its ``entry()``
+    accessor.)
     """
 
     def __init__(self) -> None:

@@ -112,9 +112,7 @@ def make_timing_engine(spec: JobSpec) -> Any:
     """The process-selected engine core, configured for a timing spec.
 
     Engine choice is deliberately *not* part of the spec (both cores
-    are byte-identical, so cached results are valid under either);
-    ``repro profile`` uses this to run specs while keeping a handle on
-    the engine's per-kind event counters.
+    are byte-identical, so cached results are valid under either).
     """
     return make_engine(
         spec.policy.build,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.protocol.coherence import CoherenceEngine
-from repro.protocol.states import CacheState, DirState
+from repro.protocol.states import CacheState, DirState, ProtocolVariant
 
 NODES = 4
 BLOCKS = 6
@@ -28,24 +28,24 @@ accesses = st.lists(
 
 
 def _check_consistency(engine: CoherenceEngine) -> None:
-    engine.directory.check_all_invariants()
-    for block in engine.directory.known_blocks():
-        ent = engine.directory.entry(block)
+    engine.check_invariants()
+    for block in engine.known_blocks():
+        ent = engine.entry(block)
         holders = {
             node
             for node in range(NODES)
-            if engine.caches.lookup(node, block) is not None
+            if engine.cache_state(node, block) is not None
         }
         if ent.state is DirState.IDLE:
             assert not holders
         elif ent.state is DirState.SHARED:
             assert holders == ent.sharers
             for node in holders:
-                assert engine.caches.lookup(node, block) is \
+                assert engine.cache_state(node, block) is \
                     CacheState.SHARED
         else:
             assert holders == {ent.owner}
-            assert engine.caches.lookup(ent.owner, block) is \
+            assert engine.cache_state(ent.owner, block) is \
                 CacheState.EXCLUSIVE
 
 
@@ -88,11 +88,11 @@ def test_exclusive_writer_unique(stream):
     engine = CoherenceEngine(NODES)
     for node, block_idx, is_write, _ in stream:
         engine.access(node, 0x10, 0x1000 + 32 * block_idx, is_write)
-        for block in engine.directory.known_blocks():
+        for block in engine.known_blocks():
             writers = [
                 n
                 for n in range(NODES)
-                if engine.caches.lookup(n, block) is CacheState.EXCLUSIVE
+                if engine.cache_state(n, block) is CacheState.EXCLUSIVE
             ]
             assert len(writers) <= 1
 
@@ -106,3 +106,23 @@ def test_hits_never_generate_invalidations(stream):
         if res.hit:
             assert not res.invalidations
             assert res.miss_kind is None
+
+
+@given(accesses, st.sampled_from(list(ProtocolVariant)))
+@settings(max_examples=80, deadline=None)
+def test_hits_leave_nothing_to_verify(stream, variant):
+    """The engine skips Section-4 verification on plain hits. That is
+    exact only if a hit never finds a masked copy it would resolve: its
+    own (premature), an Exclusive one, or — on a write — any."""
+    engine = CoherenceEngine(NODES, variant=variant)
+    for node, block_idx, is_write, do_si in stream:
+        address = 0x1000 + 32 * block_idx
+        block = engine.block_of(address)
+        mask = engine.entry(block).verification_mask
+        res = engine.access(node, 0x10 + node, address, is_write)
+        if res.hit:
+            assert node not in mask
+            assert CacheState.EXCLUSIVE not in mask.values()
+            assert not (is_write and mask)
+        if do_si and engine.holds(node, block):
+            engine.self_invalidate(node, block)

@@ -32,7 +32,7 @@ class TestBasicTransitions:
     def test_write_grants_exclusive(self, engine):
         res = engine.access(0, 0x10, A, True)
         assert res.miss_kind is MissKind.WRITE_FETCH
-        ent = engine.directory.entry(engine.block_of(A))
+        ent = engine.entry(engine.block_of(A))
         assert ent.state is DirState.EXCLUSIVE
         assert ent.owner == 0
         assert ent.version == 1
@@ -77,7 +77,7 @@ class TestInvalidationDelivery:
         engine.access(0, 0x10, A, True)
         res = engine.access(1, 0x20, A, False)
         assert [i.node for i in res.invalidations] == [0]
-        ent = engine.directory.entry(engine.block_of(A))
+        ent = engine.entry(engine.block_of(A))
         assert ent.state is DirState.SHARED
         assert ent.owner is None
 
@@ -91,7 +91,7 @@ class TestInvalidationDelivery:
         engine.access(0, 0x10, A, True)   # v 0 -> 1
         engine.access(1, 0x20, A, False)  # read, no bump
         engine.access(2, 0x30, A, True)   # v 1 -> 2
-        assert engine.directory.entry(block).version == 2
+        assert engine.entry(block).version == 2
 
 
 class TestSelfInvalidation:
@@ -99,7 +99,7 @@ class TestSelfInvalidation:
         block = engine.block_of(A)
         engine.access(0, 0x10, A, True)
         engine.self_invalidate(0, block)
-        ent = engine.directory.entry(block)
+        ent = engine.entry(block)
         assert ent.state is DirState.IDLE
         assert ent.verification_mask == {0: CacheState.EXCLUSIVE}
         assert not engine.holds(0, block)
@@ -136,7 +136,7 @@ class TestSelfInvalidation:
         engine.self_invalidate(0, block)
         res = engine.access(1, 0x20, A, False)
         assert res.verified_correct == []
-        assert engine.directory.entry(block).verification_mask
+        assert engine.entry(block).verification_mask
 
     def test_shared_mask_resolved_by_write(self, engine):
         block = engine.block_of(A)
@@ -154,7 +154,7 @@ class TestSelfInvalidation:
         engine.access(1, 0x14, A, False)
         engine.self_invalidate(0, block)
         engine.self_invalidate(1, block)
-        assert engine.directory.entry(block).state is DirState.IDLE
+        assert engine.entry(block).state is DirState.IDLE
 
     def test_unresolved_count(self, engine):
         block = engine.block_of(A)
@@ -183,14 +183,14 @@ class TestInvariants:
         ]
         for node, address, is_write in ops:
             engine.access(node, 0x10, address, is_write)
-            engine.directory.check_all_invariants()
+            engine.check_invariants()
 
     def test_cache_and_directory_agree(self, engine):
         engine.access(0, 0x10, A, True)
         engine.access(1, 0x14, A, False)
         engine.access(2, 0x18, A, False)
         block = engine.block_of(A)
-        ent = engine.directory.entry(block)
+        ent = engine.entry(block)
         assert ent.sharers == {1, 2}
         assert engine.holds(1, block) and engine.holds(2, block)
         assert not engine.holds(0, block)

@@ -190,6 +190,7 @@ class TestProfileAndEngineCli:
         assert record["extra_info"]["engine"] == "fast"
         assert record["extra_info"]["specs"] > 0
         assert record["extra_info"]["event_counts"]["dir_arrive"] > 0
+        assert record["extra_info"]["kinds"]["timing"]["specs"] > 0
 
     def test_profile_reference_core_reports_counters(self, capsys):
         # the reference core keeps the same per-kind counters as the
@@ -204,10 +205,16 @@ class TestProfileAndEngineCli:
         assert "events by kind:" in out
         assert "dir_arrive" in out
 
-    def test_profile_rejects_non_timing_experiment(self, capsys):
-        code = main(["profile", "fig6", "--size", "tiny"])
-        assert code == 2
-        assert "no timing jobs" in capsys.readouterr().err
+    def test_profile_covers_accuracy_experiment(self, capsys):
+        code = main([
+            "profile", "fig6", "--size", "tiny", "--workloads", "em3d",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        # the accuracy simulator's replay loop and its job-kind line
+        assert "functional.py" in out and "(_replay)" in out
+        assert "3 accuracy" in out
+        assert "events by kind" not in out
 
     def test_engine_flag_pins_the_process_selection(self, capsys):
         from repro.timing import selected_engine

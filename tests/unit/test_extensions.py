@@ -30,8 +30,8 @@ class TestDowngradeVariantFunctional:
         # no invalidation: the writer keeps a read-only copy
         assert res.invalidations == []
         block = engine.block_of(A)
-        assert engine.caches.lookup(0, block) is CacheState.SHARED
-        ent = engine.directory.entry(block)
+        assert engine.cache_state(0, block) is CacheState.SHARED
+        ent = engine.entry(block)
         assert ent.state is DirState.SHARED
         assert ent.sharers == {0, 1}
         assert engine.downgrades == 1

@@ -1,5 +1,8 @@
 """Unit tests for the accuracy simulator (repro.sim.functional)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import (
@@ -9,7 +12,12 @@ from repro.core import (
     PerBlockLTP,
 )
 from repro.dsi import DSIPolicy
+from repro.errors import ConfigurationError
 from repro.sim import AccuracySimulator
+from repro.sim import functional
+from repro.sim.functional import compile_stream
+from repro.trace.events import MemoryAccess, SyncBoundary, SyncKind
+from repro.trace.io import parse_stream
 from tests.conftest import migratory_rmw, producer_consumer
 
 
@@ -107,3 +115,134 @@ class TestReportRendering:
         text = rep.summary()
         assert "producer-consumer" in text
         assert "ltp" in text
+
+
+class TestCompiledStreamMemo:
+    """One interleave per (ProgramSet, quantum, block_shift) per process,
+    living exactly as long as the ProgramSet object."""
+
+    @pytest.fixture
+    def interleaves(self, monkeypatch):
+        """Count calls to the interleaver the simulator compiles from,
+        against a fresh runner ProgramSet memo."""
+        from repro.runner import runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "_PROGRAMS", {})
+        calls = []
+        real = functional.interleave
+
+        def counting(programs, quantum=1):
+            calls.append((programs.name, quantum))
+            return real(programs, quantum=quantum)
+
+        monkeypatch.setattr(functional, "interleave", counting)
+        return calls
+
+    def test_fig6_fig7_and_oracle_share_one_interleave(self, interleaves):
+        from repro.experiments import figure6, figure7
+        from repro.runner import Runner
+        from repro.runner.runner import _programs_for
+
+        specs = figure6.jobs(size="tiny", workloads=["em3d"])
+        specs += figure7.jobs(size="tiny", workloads=["em3d"])
+        assert len(set(specs)) == 6
+        Runner().run(specs)
+        assert interleaves == [("em3d", 1)]
+
+        programs = _programs_for(specs[0])
+        AccuracySimulator(lambda n: NullPolicy()).run_oracle(programs)
+        assert len(interleaves) == 1
+
+    def test_quantum_and_block_shift_compile_their_own(self, interleaves):
+        ps = producer_consumer(iterations=3)
+        for kwargs in ({}, {"quantum": 2}, {"block_shift": 6}, {}):
+            AccuracySimulator(lambda n: NullPolicy(), **kwargs).run(ps)
+        # the last run is served by the first run's compile
+        assert [quantum for _, quantum in interleaves] == [1, 2, 1]
+
+    def test_entry_dropped_when_programs_are_collected(self):
+        ps = producer_consumer(iterations=3)
+        AccuracySimulator(lambda n: NullPolicy()).run(ps)
+        key, alive = id(ps), weakref.ref(ps)
+        assert key in functional._COMPILED
+        del ps
+        gc.collect()
+        assert alive() is None
+        assert key not in functional._COMPILED
+
+    def test_memoized_replay_matches_a_fresh_compile(self, pc_workload):
+        from repro.trace.scheduler import interleave
+
+        sim = AccuracySimulator(lambda n: PerBlockLTP())
+        first, again = sim.run(pc_workload), sim.run(pc_workload)
+        fresh = sim.run_stream(
+            interleave(pc_workload), pc_workload.num_nodes,
+            name=pc_workload.name,
+        )
+        assert first == again == fresh
+
+
+class TestReplayedStreamNodes:
+    """run_stream replays traces from outside the program, so the
+    compile step bounds every event's node."""
+
+    @pytest.mark.parametrize("line", [
+        "A 2 10 40 W",       # one past the last node
+        "A -1 10 40 W",      # negative: would alias node 1
+        "S 2 barrier 1",
+    ])
+    def test_out_of_range_node_rejected(self, line):
+        num_nodes, events = parse_stream(f"#nodes 2\nA 0 10 40 R\n{line}\n")
+        with pytest.raises(ConfigurationError, match="outside 0..1"):
+            AccuracySimulator(lambda n: NullPolicy()).run_stream(
+                events, num_nodes
+            )
+
+    def test_in_range_trace_replays(self):
+        num_nodes, events = parse_stream(
+            "#nodes 2\nA 0 10 40 W\nA 1 14 40 R\nS 1 barrier 1\n"
+        )
+        rep = AccuracySimulator(lambda n: NullPolicy()).run_stream(
+            events, num_nodes
+        )
+        assert rep.accesses == 2
+        assert rep.not_predicted == 1
+
+
+def _decode(stream, code):
+    """One packed event back as the event it was compiled from."""
+    node = (code >> 2) & ((1 << stream.node_bits) - 1)
+    upper = code >> stream.top_shift
+    if code & 3 == 2:
+        kind, sync_id = stream.syncs[upper]
+        return SyncBoundary(node, kind, sync_id)
+    pc = stream.pcs[(code >> stream.pc_shift) & ((1 << stream.pc_bits) - 1)]
+    address = stream.blocks[upper] << stream.block_shift
+    return MemoryAccess(node, pc, address, bool(code & 1))
+
+
+class TestCompileStream:
+    def test_packing_round_trips_through_field_growth(self):
+        # 300 distinct PCs widen the pc field twice (4 -> 8 -> 16 bits)
+        # and 10,000 blocks then push the codes past 32 bits
+        events = []
+        for i in range(10_000):
+            if i % 1000 == 0:
+                events.append(SyncBoundary(1, SyncKind.BARRIER, i))
+            events.append(
+                MemoryAccess(i % 3, 0x4000 + 4 * (i % 300), 32 * i, i % 2 == 0)
+            )
+        stream = compile_stream(events, 3)
+        assert stream.pc_bits == 16
+        assert stream.codes.typecode == "Q"
+        assert stream.accesses == 10_000
+        assert [_decode(stream, code) for code in stream.codes] == events
+
+    def test_small_stream_packs_four_bytes_per_event(self, pc_workload):
+        from repro.trace.scheduler import interleave
+
+        stream = compile_stream(interleave(pc_workload), pc_workload.num_nodes)
+        assert stream.codes.itemsize == 4
+        assert [
+            _decode(stream, code) for code in stream.codes
+        ] == list(interleave(pc_workload))

@@ -7,7 +7,7 @@ from repro.analysis.formatting import bar_segments, format_table
 from repro.analysis.speedup import geomean
 from repro.core.base import StorageReport
 from repro.core.null import NullPolicy
-from repro.core.oracle import OraclePolicy, compute_last_touch_ordinals
+from repro.core.oracle import OraclePolicy
 from repro.core.storage import aggregate_reports, max_entries_per_block
 from repro.errors import (
     ConfigurationError,
@@ -20,6 +20,7 @@ from repro.errors import (
 from repro.protocol.cache import NodeCaches
 from repro.protocol.directory import Directory, DirectoryEntry
 from repro.protocol.states import CacheState, DirState
+from repro.sim.functional import compute_last_touch_ordinals
 from repro.trace.scheduler import interleave
 from repro.trace.stats import collect_stream_stats
 from tests.conftest import producer_consumer
