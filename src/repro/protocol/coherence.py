@@ -21,10 +21,12 @@ writer's copy.
 State is kept over *dense block ids* (``0..len(blocks)-1``, in the order
 blocks were interned): one ``bytearray`` of cache-state codes per node,
 and per-block lists for the directory's owner, sharer bitmask, write
-version and verification mask. The accuracy simulator drives the
-dense-id API (:meth:`CoherenceEngine.miss`,
-:meth:`CoherenceEngine.self_invalidate_id`, and a plain-hit test on
-:attr:`CoherenceEngine.states` inlined in its loop);
+version and verification mask. A block's directory state follows from
+them: Exclusive when it has an owner, Shared when it has sharers, Idle
+otherwise. The accuracy simulator drives the dense-id API
+(:meth:`CoherenceEngine.miss`, :meth:`CoherenceEngine.self_invalidate_id`,
+and a plain-hit test on :attr:`CoherenceEngine.states` inlined in its
+loop);
 :meth:`CoherenceEngine.access`, :meth:`CoherenceEngine.self_invalidate`
 and :meth:`CoherenceEngine.holds` take byte addresses / block numbers,
 intern them and call the dense-id API.

@@ -175,6 +175,15 @@ class TestSelfInvalidation:
         assert res.verified_correct == [1]
 
 
+class TestNodeBounds:
+    @pytest.mark.parametrize("node", [4, -1])
+    def test_out_of_range_node_rejected(self, engine, node):
+        # -1 would otherwise index the last node's cache state
+        with pytest.raises(ProtocolError, match="outside 0..3"):
+            engine.access(node, 0x10, A, True)
+        assert engine.cache_state(3, engine.block_of(A)) is None
+
+
 class TestInvariants:
     def test_directory_invariants_hold_through_a_mix(self, engine):
         ops = [

@@ -10,14 +10,18 @@ from repro.core import (
     LastPCPredictor,
     NullPolicy,
     PerBlockLTP,
+    SelfInvalidationPolicy,
 )
+from repro.core.base import DECISION_FIRE, DECISION_KEEP
 from repro.dsi import DSIPolicy
 from repro.errors import ConfigurationError
+from repro.protocol.states import MissKind
 from repro.sim import AccuracySimulator
 from repro.sim import functional
 from repro.sim.functional import compile_stream
 from repro.trace.events import MemoryAccess, SyncBoundary, SyncKind
 from repro.trace.io import parse_stream
+from repro.trace.program import Access, Barrier, Program, ProgramSet
 from tests.conftest import migratory_rmw, producer_consumer
 
 
@@ -246,3 +250,65 @@ class TestCompileStream:
         assert [
             _decode(stream, code) for code in stream.codes
         ] == list(interleave(pc_workload))
+
+
+class _Recorder(SelfInvalidationPolicy):
+    """Logs every callback; fires at the given node-local ordinals."""
+
+    def __init__(self, node, fire_at, log):
+        self.node, self.fire_at, self.log = node, fire_at, log
+        self.ordinal = 0
+
+    def on_access(self, block, pc, trace_start, miss_kind, version):
+        self.log.append((self.node, "access", trace_start, miss_kind))
+        fire = self.ordinal in self.fire_at
+        self.ordinal += 1
+        return DECISION_FIRE if fire else DECISION_KEEP
+
+    def on_invalidation(self, block):
+        self.log.append((self.node, "invalidation"))
+
+    def on_verified_correct(self, block):
+        self.log.append((self.node, "verified"))
+
+    def on_premature(self, block):
+        self.log.append((self.node, "premature"))
+
+
+class TestCallbackOrder:
+    def test_outcomes_reach_policies_in_protocol_order(self):
+        """Five nodes read one block; nodes 0 and 2 self-invalidate on
+        that read, node 1 on a later re-read, so the verification mask
+        holds 0, 2, 1 in that order. Node 0's write then reports its own
+        premature self-invalidation, verifies 2 and 1 in mask order,
+        invalidates the remaining sharers 3 and 4 in ascending order,
+        and only then sees its own access."""
+        address = 0x1000
+        programs = {n: Program(n) for n in range(5)}
+        for n, prog in programs.items():
+            prog.append(Access(0x10 + n, address, False))
+            prog.append(Barrier(1))
+            if n == 1:
+                prog.append(Access(0x20, address, False))
+            prog.append(Barrier(2))
+        programs[0].append(Access(0x30, address, True))
+        ps = ProgramSet("mask-order", 5, programs)
+        fire_at = {0: {0}, 1: {1}, 2: {0}}
+        log = []
+        rep = AccuracySimulator(
+            lambda n: _Recorder(n, fire_at.get(n, set()), log)
+        ).run(ps)
+        read = MissKind.READ_FETCH
+        assert log == [
+            (0, "access", True, read), (1, "access", True, read),
+            (2, "access", True, read), (3, "access", True, read),
+            (4, "access", True, read),
+            (1, "access", False, None),
+            (0, "premature"), (2, "verified"), (1, "verified"),
+            (3, "invalidation"), (4, "invalidation"),
+            (0, "access", True, MissKind.WRITE_FETCH),
+        ]
+        assert (rep.mispredicted, rep.predicted, rep.not_predicted) == (
+            1, 2, 2
+        )
+        assert rep.self_invalidations == 3 and rep.unresolved == 0
