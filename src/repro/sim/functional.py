@@ -178,7 +178,8 @@ def compiled_stream(
 ) -> CompiledStream:
     """``programs`` interleaved (and validated) once per process per
     ``(quantum, block_shift)``, and compiled; the entry lives as long
-    as the ProgramSet object does."""
+    as the ProgramSet object does. A ProgramSet is not to be mutated
+    after its first run — the runner's build memo assumes the same."""
     per_set = _COMPILED.get(id(programs))
     if per_set is None:
         per_set = _COMPILED[id(programs)] = {}
