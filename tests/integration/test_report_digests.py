@@ -1,19 +1,19 @@
-"""Pinned outputs of the accuracy path.
+"""Pinned outputs of every job kind.
 
-Every accuracy, oracle and census spec in the ``run-all`` grid at
-``--size tiny`` (both protocol variants) is executed and its report
+Every spec in the ``run-all`` grid at ``--size tiny`` (accuracy, oracle,
+census and timing, both protocol variants) is executed and its report
 hashed: sha256 of a canonical JSON rendering that does not depend on
 the interpreter version (dataclass fields in declaration order, ``None``
 kept, floats by ``repr``, enums by value, mappings and sets sorted).
 The digests, keyed by ``JobSpec.canonical()``, live in
-``data/accuracy_digests.json``; a change to the interleaver, the
-coherence engine, the accuracy simulator or any policy that moves a
-number fails here and names the specs that moved.
+``data/report_digests.json``; a change to the interleaver, the
+coherence engine, the accuracy simulator, the timing engine or any
+policy that moves a number fails here and names the specs that moved.
 
 Regenerate after an intended change (and say in the change which
 numbers moved and why)::
 
-    PYTHONPATH=src python tests/integration/test_accuracy_digests.py
+    PYTHONPATH=src python tests/integration/test_report_digests.py
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
-DIGESTS = Path(__file__).resolve().parent / "data" / "accuracy_digests.json"
-
-#: the job kinds the accuracy path produces
-KINDS = ("accuracy", "oracle", "census")
+DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
 
 
 def canonical(value: Any) -> Any:
@@ -61,14 +58,12 @@ def digest(report: Any) -> str:
 
 
 def grid_specs() -> List:
-    """The unique accuracy-path specs of the tiny ``run-all`` grid."""
+    """The unique specs of the tiny ``run-all`` grid."""
     from repro.experiments import EXPERIMENTS
 
     specs = []
     for module in EXPERIMENTS.values():
-        specs.extend(
-            s for s in module.jobs(size="tiny") if s.kind in KINDS
-        )
+        specs.extend(module.jobs(size="tiny"))
     return list(dict.fromkeys(specs))
 
 
@@ -92,13 +87,13 @@ def moved(expected: Dict[str, str], actual: Dict[str, str]) -> List[str]:
     )
 
 
-def test_accuracy_path_reports_match_pinned_digests():
+def test_reports_match_pinned_digests():
     expected = json.loads(DIGESTS.read_text())
     actual, labels = compute()
-    assert len(actual) == 180
+    assert len(actual) == 243
     changed = moved(expected, actual)
     assert not changed, (
-        f"{len(changed)} of {len(expected)} pinned accuracy-path reports "
+        f"{len(changed)} of {len(expected)} pinned reports "
         f"moved:\n" + "\n".join(
             f"  {labels.get(k, 'no longer in the grid')}: {k}"
             for k in changed
