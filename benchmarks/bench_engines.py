@@ -1,15 +1,15 @@
-"""Benchmark: optimized vs reference timing-engine core.
+"""Benchmark: the shipped timing engine vs its reference oracle.
 
-Runs the Figure 9 timing grid (3 policies x 9 workloads) through both
-:class:`EngineCore` implementations on pre-built traces, so the
-measured ratio is pure engine throughput — the conformance suite
-already proves the cores byte-identical, this proves the fast one is
-actually fast. The BENCH record's ``stats_s`` times the fast core (the
-default engine, what every runner uses), with the reference time and
-the speedup in ``extra_info``.
+Runs the Figure 9 timing grid (3 policies x 9 workloads) through the
+shipped :class:`~repro.timing.TimingSimulator` and the reference core
+in ``tests/oracle/`` on pre-built traces, so the measured ratio is pure
+engine throughput — the conformance suite already proves the two
+byte-identical, this proves the shipped one is actually fast. The
+BENCH record's ``stats_s`` times the shipped engine, with the
+reference time and the speedup in ``extra_info``.
 
 The same grid also gates the telemetry layer's overhead budget: the
-fast core is timed with collection on (the default, and what the
+shipped engine is timed with collection on (the default, and what the
 ``stats_s`` measurement runs under) and fully disabled, and the ratio
 must stay under 5% — the engine hot loop is not instrumented
 per-event, so anything larger means an instrument crept onto the hot
@@ -22,8 +22,9 @@ import repro.telemetry as telemetry
 from benchmarks.conftest import save_rendered
 from repro.experiments import figure9
 from repro.protocol.states import ProtocolVariant
-from repro.timing import engine_class
+from repro.timing import TimingSimulator
 from repro.workloads import build_program_set
+from tests.oracle import ReferenceTimingSimulator
 
 SIZE = "small"
 
@@ -55,8 +56,7 @@ def test_engine_cores(benchmark):
                 spec.workload, spec.size, **dict(spec.overrides)
             )
 
-    def grid(core_name):
-        cls = engine_class(core_name)
+    def grid(cls):
         for spec in specs:
             _build_engine(cls, spec).run(
                 programs[(spec.workload, spec.size, spec.overrides)]
@@ -66,12 +66,12 @@ def test_engine_cores(benchmark):
     telemetry.set_enabled(True)
     try:
         start = time.perf_counter()
-        grid("reference")
+        grid(ReferenceTimingSimulator)
         reference_s = time.perf_counter() - start
 
-        # fast core, telemetry collecting (the shipped default)
+        # shipped engine, telemetry collecting (the default)
         benchmark.pedantic(
-            lambda: grid("fast"), rounds=1, iterations=1
+            lambda: grid(TimingSimulator), rounds=1, iterations=1
         )
         stats = getattr(benchmark.stats, "stats", benchmark.stats)
         fast_s = stats.mean
@@ -84,7 +84,7 @@ def test_engine_cores(benchmark):
         for enabled in (False, True, False):
             telemetry.set_enabled(enabled)
             start = time.perf_counter()
-            grid("fast")
+            grid(TimingSimulator)
             samples[enabled].append(time.perf_counter() - start)
     finally:
         telemetry.set_enabled(was_enabled)
@@ -107,7 +107,7 @@ def test_engine_cores(benchmark):
     benchmark.extra_info["telemetry_overhead"] = round(overhead, 4)
     save_rendered(
         "engine_cores",
-        f"timing-engine cores on the figure-9 grid "
+        f"timing engine vs reference core on the figure-9 grid "
         f"({len(specs)} specs, size={SIZE!r})\n"
         f"  reference  {reference_s:7.2f}s "
         f"({len(specs) / reference_s:5.2f} specs/s)\n"
@@ -117,9 +117,9 @@ def test_engine_cores(benchmark):
         f"  telemetry  {overhead:+7.1%} "
         f"(on: {fast_on_s:.2f}s, off: {fast_off_s:.2f}s)",
     )
-    # the point of shipping a second core; measured ~2.1x, gated
-    # loosely so shared-runner noise can't flake the job
-    assert speedup >= 1.6, f"fast core only {speedup:.2f}x"
+    # the point of shipping the optimized engine; measured ~2.1x,
+    # gated loosely so shared-runner noise can't flake the job
+    assert speedup >= 1.6, f"engine only {speedup:.2f}x the reference"
     # telemetry folds engine counters once per spec, never per event;
     # the budget is mostly noise allowance for grid-length timings
     assert overhead < 0.05, (

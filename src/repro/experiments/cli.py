@@ -71,12 +71,6 @@ from repro.runner.remote import (
     RemoteExecutionError,
     run_worker,
 )
-from repro.timing import (
-    DEFAULT_ENGINE,
-    ENGINE_NAMES,
-    select_engine,
-    selected_engine,
-)
 from repro.timing.config import SystemConfig
 from repro.trace.scheduler import interleave
 from repro.trace.stats import collect_stream_stats
@@ -142,7 +136,6 @@ def _add_runner_args(p: argparse.ArgumentParser, cache_default=None):
              "remote wire payloads (default: none; reads decode any "
              "codec, so switching never invalidates a cache)",
     )
-    _add_engine_arg(p)
 
 
 def _add_auth_token_arg(p: argparse.ArgumentParser) -> None:
@@ -153,16 +146,6 @@ def _add_auth_token_arg(p: argparse.ArgumentParser) -> None:
              f"defaults to ${AUTH_TOKEN_ENV}. On `serve` it makes "
              "the broker reject unauthenticated peers; on clients "
              "and workers it authenticates the connection",
-    )
-
-
-def _add_engine_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
-        help="timing-engine core (default: the REPRO_ENGINE "
-             f"environment variable, else {DEFAULT_ENGINE!r}; the "
-             "cores are byte-identical, so cached results stay valid "
-             "under either)",
     )
 
 
@@ -348,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
              "writes (reads decode any codec; default: none)",
     )
     _add_auth_token_arg(p)
-    _add_engine_arg(p)
     p = sub.add_parser(
         "serve",
         help="run a persistent broker with an autoscaled local "
@@ -638,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write an ltp-repro-bench/1 record (wall time, "
              "specs/second, per-kind event counts) to PATH",
     )
-    _add_engine_arg(p)
     sub.add_parser("config", help="print the Table 1 system parameters")
     p = sub.add_parser("workloads", help="print Table 2 workload stats")
     p.add_argument("--size", choices=SIZES, default="small")
@@ -824,10 +805,6 @@ def _configure_telemetry(cache_dir) -> None:
 
 
 def _runner_from_args(args, progress=None) -> Runner:
-    if getattr(args, "engine", None):
-        # process-wide (and, via REPRO_ENGINE, inherited by every
-        # pool/remote worker this runner spawns)
-        select_engine(args.engine)
     cache = None
     codec = getattr(args, "codec", "none")
     cache_dir = getattr(args, "cache_dir", None)
@@ -1550,7 +1527,6 @@ def _worker_command(args) -> int:
             name=args.name,
             fetch_traces=not args.no_fetch_traces,
             trace_codec=args.codec,
-            engine=args.engine,
             auth_token=args.auth_token,
         )
     except (OSError, ProtocolError) as exc:
@@ -1585,9 +1561,6 @@ def _profile_command(args) -> int:
     )
     from repro.telemetry.metrics import parse_label_key
 
-    if args.engine:
-        select_engine(args.engine)
-    engine_name = selected_engine()
     module = EXPERIMENTS[args.experiment]
     specs = list(dict.fromkeys(
         module.jobs(size=args.size, workloads=args.workloads)
@@ -1597,19 +1570,17 @@ def _profile_command(args) -> int:
     kinds: dict = {}
     for spec in specs:
         kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
-    header = (
+    print(
         f"[profile] {len(specs)} specs ({args.experiment}, "
         f"size={args.size}: "
         + ", ".join(f"{n} {kind}" for kind, n in kinds.items()) + ")"
     )
-    if "timing" in kinds:
-        header += f", timing on the {engine_name!r} core"
-    print(header)
     # synthesize (or load) every ProgramSet up front: the profile
     # should show where simulation cycles go, not trace construction
     for spec in specs:
         _programs_for(spec)
-    # timing cores fold their per-kind dispatch counts into this series
+    # the timing engine folds its per-kind dispatch counts into this
+    # series
     events = _tm.counter("repro_engine_events_total")
     before = events.collect()
     seconds = dict.fromkeys(kinds, 0.0)
@@ -1667,7 +1638,6 @@ def _profile_command(args) -> int:
                 "stddev": 0.0,
             },
             "extra_info": {
-                "engine": engine_name,
                 "size": args.size,
                 "specs": len(specs),
                 "specs_per_second": rate,

@@ -10,10 +10,9 @@ The functional engine (:class:`~repro.protocol.coherence.CoherenceEngine`)
 tracks no time; it resolves each access in global stream order, over
 dense block ids, and reports the coherence events (invalidations
 delivered, self-invalidation verification outcomes, DSI version numbers)
-the predictors and classifiers need. The reference timing core keeps
-its per-block state in :class:`~repro.protocol.directory.Directory` and
-:class:`~repro.protocol.cache.NodeCaches` and layers latencies on the
-same transitions.
+the predictors and classifiers need. The timing engine
+(:mod:`repro.timing.engine`) keeps its own dense-id state and layers
+latencies on the same transitions.
 """
 
 from repro.protocol.states import (
@@ -22,18 +21,15 @@ from repro.protocol.states import (
     MissKind,
     ProtocolVariant,
 )
-from repro.protocol.directory import Directory, DirectoryEntry
-from repro.protocol.cache import NodeCaches
+from repro.protocol.directory import DirectoryEntry
 from repro.protocol.coherence import AccessResult, CoherenceEngine
 
 __all__ = [
     "AccessResult",
     "CacheState",
     "CoherenceEngine",
-    "Directory",
     "DirectoryEntry",
     "DirState",
     "MissKind",
     "ProtocolVariant",
-    "NodeCaches",
 ]

@@ -45,33 +45,3 @@ class DirectoryEntry:
         elif self.state is DirState.EXCLUSIVE:
             if self.owner is None or self.sharers:
                 raise ProtocolError(f"bad EXCLUSIVE entry: {self}")
-
-
-class Directory:
-    """Lazy map of block number -> :class:`DirectoryEntry`.
-
-    The reference timing core keeps its directory state here. (The
-    functional engine keeps the same fields in flat per-block lists,
-    and returns :class:`DirectoryEntry` snapshots from its ``entry()``
-    accessor.)
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[int, DirectoryEntry] = {}
-
-    def entry(self, block: int) -> DirectoryEntry:
-        ent = self._entries.get(block)
-        if ent is None:
-            ent = DirectoryEntry()
-            self._entries[block] = ent
-        return ent
-
-    def known_blocks(self) -> Set[int]:
-        return set(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def check_all_invariants(self) -> None:
-        for ent in self._entries.values():
-            ent.check_invariants()

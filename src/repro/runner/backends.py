@@ -77,11 +77,8 @@ def _trace_codec(runner: "Runner") -> str:
 
 
 def _worker_initargs(runner: "Runner") -> Tuple:
-    """Pool-worker initializer arguments: the shared trace cache plus
-    the parent's timing-engine selection, pinned explicitly."""
-    from repro.timing import selected_engine
-
-    return (_trace_root(runner), _trace_codec(runner), selected_engine())
+    """Pool-worker initializer arguments: the shared trace cache."""
+    return (_trace_root(runner), _trace_codec(runner))
 
 
 def _grouped(specs: List[JobSpec]) -> List[JobSpec]:

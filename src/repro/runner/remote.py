@@ -2007,7 +2007,6 @@ def run_worker(
     name: Optional[str] = None,
     fetch_traces: bool = True,
     trace_codec: str = "none",
-    engine: Optional[str] = None,
     auth_token: Optional[str] = None,
 ) -> WorkerStats:
     """Connect to a broker, execute leased specs until the grid is done.
@@ -2030,10 +2029,6 @@ def run_worker(
     """
     worker_name = name or f"{socket.gethostname()}-{os.getpid()}"
     stats = WorkerStats(name=worker_name)
-    if engine:
-        from repro.timing import select_engine
-
-        select_engine(engine)
     local_traces = (
         TraceCache(trace_root, codec=trace_codec) if trace_root else None
     )

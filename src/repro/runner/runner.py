@@ -43,7 +43,7 @@ from repro.protocol.states import ProtocolVariant
 from repro.runner.cache import ResultCache
 from repro.runner.spec import NULL_POLICY, JobSpec
 from repro.sim import AccuracySimulator
-from repro.timing import make_engine, select_engine
+from repro.timing import TimingSimulator
 from repro.trace.program import ProgramSet
 from repro.trace.scheduler import interleave
 from repro.workloads import TraceCache, cached_build, get_workload
@@ -76,20 +76,11 @@ def _swap_trace_cache(cache: Optional[TraceCache]) -> Optional[TraceCache]:
     return previous
 
 
-def _worker_init(
-    trace_root: Optional[str],
-    codec: str = "none",
-    engine: Optional[str] = None,
-) -> None:
+def _worker_init(trace_root: Optional[str], codec: str = "none") -> None:
     """Pool-worker initializer: attach the shared trace cache (writes
-    under the parent runner's codec; reads decode any codec) and pin
-    the parent's timing-engine selection (spawned workers would also
-    inherit it via ``REPRO_ENGINE``, but the initarg survives an
-    environment scrubbed between fork and first spec)."""
+    under the parent runner's codec; reads decode any codec)."""
     if trace_root:
         _swap_trace_cache(TraceCache(trace_root, codec=codec))
-    if engine:
-        select_engine(engine)
 
 
 def _programs_for(spec: JobSpec) -> ProgramSet:
@@ -106,21 +97,6 @@ def _programs_for(spec: JobSpec) -> ProgramSet:
         _M_TRACE_BUILDS.inc(workload=spec.workload)
         _PROGRAMS[key] = programs
     return programs
-
-
-def make_timing_engine(spec: JobSpec) -> Any:
-    """The process-selected engine core, configured for a timing spec.
-
-    Engine choice is deliberately *not* part of the spec (both cores
-    are byte-identical, so cached results are valid under either).
-    """
-    return make_engine(
-        spec.policy.build,
-        config=spec.config,
-        variant=ProtocolVariant[spec.variant.upper()],
-        forwarding=spec.forwarding,
-        si_fire_delay=spec.si_fire_delay,
-    )
 
 
 def execute_spec(spec: JobSpec) -> Any:
@@ -156,14 +132,18 @@ def _execute_spec_inner(spec: JobSpec) -> Any:
         sim = AccuracySimulator(spec.policy.build, variant=variant)
         return sim.run(programs)
     if spec.kind == "timing":
-        engine = make_timing_engine(spec)
+        engine = TimingSimulator(
+            spec.policy.build,
+            config=spec.config,
+            variant=variant,
+            forwarding=spec.forwarding,
+            si_fire_delay=spec.si_fire_delay,
+        )
         report = engine.run(programs)
         if _tm.enabled():
-            # fold the core's per-kind dispatch counters into the
-            # fleet-visible series (both cores report them)
-            for kind, count in getattr(
-                engine, "event_counts", {}
-            ).items():
+            # fold the engine's per-kind dispatch counters into the
+            # fleet-visible series
+            for kind, count in engine.event_counts.items():
                 if count:
                     _M_ENGINE_EVENTS.inc(count, kind=kind)
         return report

@@ -25,29 +25,11 @@ request. This package provides that model:
 """
 
 from repro.timing.config import SystemConfig
-from repro.timing.core import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
-    ENGINE_NAMES,
-    EngineCore,
-    engine_class,
-    make_engine,
-    select_engine,
-    selected_engine,
-)
 from repro.timing.engine import TimingSimulator
 from repro.timing.stats import TimingReport
 
 __all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINE_ENV",
-    "ENGINE_NAMES",
-    "EngineCore",
     "SystemConfig",
     "TimingReport",
     "TimingSimulator",
-    "engine_class",
-    "make_engine",
-    "select_engine",
-    "selected_engine",
 ]

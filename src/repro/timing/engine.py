@@ -1,6 +1,15 @@
-"""The optimized timing-engine core.
+"""The discrete-event timing engine.
 
-Same simulation as :mod:`repro.timing.engine`, restructured for speed:
+:class:`TimingSimulator` executes a
+:class:`~repro.trace.program.ProgramSet` on the CC-NUMA model of
+:class:`~repro.timing.config.SystemConfig` with one self-invalidation
+policy per node, producing a :class:`~repro.timing.stats.TimingReport`
+(execution cycles, directory queueing/service averages,
+self-invalidation timeliness — Figure 9 and Table 4). Timestamps are
+**integer cycles** end to end: every latency in the config is
+integral, so no float accumulation can creep into the calendar.
+
+The simulation is structured for speed:
 
 * **Typed event calendar** — a heap of *distinct integer timestamps*
   over FIFO buckets of ``(kind, a, b, c)`` records, dispatched through
@@ -18,12 +27,14 @@ Same simulation as :mod:`repro.timing.engine`, restructured for speed:
   dataclasses; programs are compiled to tuples before the run.
 
 Correctness contract: for any program the :class:`TimingReport` pickle
-must be **byte-identical** to the reference core's
-(``tests/integration/test_engine_conformance.py``). That works because
-every push to the calendar, every policy callback, and every stats
-increment here corresponds 1:1 — in program order — to one in the
-reference core; only the representation differs. When changing either
-engine, change both and re-run the conformance suite.
+must be **byte-identical** to the one the readable reference core in
+``tests/oracle/`` produces (``tests/integration/test_engine_conformance.py``
+and ``tests/property/test_engine_equivalence_props.py``). That works
+because every push to the calendar, every policy callback, and every
+stats increment here corresponds 1:1 — in program order — to one in
+the reference core; only the representation differs. A change to the
+simulated behaviour changes both, and
+``tests/integration/test_report_digests.py`` names the specs it moved.
 
 The per-kind event counts of the last run are exposed as
 ``event_counts`` for ``repro profile``.
@@ -55,22 +66,35 @@ from repro.timing.locks import LockManager
 
 PolicyFactory = Callable[[int], SelfInvalidationPolicy]
 
-# -- event kinds (calendar records are (time, seq, kind, a, b, c)) -----
-# Shared with the reference core so both report identical
-# ``event_counts``; payload slots here are a=node/home, b=bid/msg,
-# c=epoch/version depending on kind.
-from repro.timing.core import (  # noqa: E402  (re-export for back-compat)
-    EVENT_KIND_NAMES,
-    K_DIR_ARRIVE,
-    K_DIR_COMPLETE,
-    K_DIR_DEQUEUE,
-    K_FETCH_DOWNGRADE,
-    K_FETCH_INVAL,
-    K_FORWARD,
-    K_INVALIDATE,
-    K_REPLY,
-    K_RUN,
-    K_SI_FIRE,
+# -- event kinds --------------------------------------------------------
+# Calendar records are (kind, a, b, c): a=node/home, b=bid/msg,
+# c=epoch/version depending on kind. ``event_counts`` counts dispatches
+# per kind; the reference core in tests/oracle/ tags its closures with
+# the same codes, and its counts are equal because both inline the same
+# operations (immediate si fires, post-reply node resumption) instead
+# of scheduling them.
+K_RUN = 0  # node resumes executing its program
+K_SI_FIRE = 1  # delayed self-invalidation fires
+K_DIR_ARRIVE = 2  # message arrives at a directory home
+K_DIR_DEQUEUE = 3  # directory pops its serialization queue
+K_DIR_COMPLETE = 4  # directory finishes processing a message
+K_REPLY = 5  # data reply lands at the requester
+K_INVALIDATE = 6  # invalidation lands at a sharer
+K_FETCH_INVAL = 7  # owner writeback-invalidate lands
+K_FETCH_DOWNGRADE = 8  # owner downgrade lands
+K_FORWARD = 9  # predicted-consumer forward lands
+
+EVENT_KIND_NAMES = (
+    "run_node",
+    "si_fire",
+    "dir_arrive",
+    "dir_dequeue",
+    "dir_complete",
+    "reply",
+    "invalidate",
+    "fetch_inval",
+    "fetch_downgrade",
+    "forward",
 )
 
 # -- message type codes (messages are [mtype, src, bid, dirty, arrival])
@@ -112,11 +136,16 @@ _RUNNING, _BLOCKED_MISS, _BLOCKED_BARRIER, _BLOCKED_LOCK, _FINISHED = range(
 )
 
 
-class FastTimingSimulator:
-    """Array-of-struct, typed-calendar implementation of
-    :class:`~repro.timing.core.EngineCore`."""
+class TimingSimulator:
+    """Runs one (workload, policy) pair on the timing model.
 
-    core_name = "fast"
+    ``si_fire_delay`` is the number of cycles between a predicted last
+    touch and the SELF_INVAL leaving the node. 0 is the paper's ideal
+    ("a block self-invalidates at the earliest possible time"); larger
+    values model a queued LTP port behind L1 traffic (Section 3.3) or
+    approximate sync-boundary-style lateness — the timeliness
+    ablation sweeps it.
+    """
 
     def __init__(
         self,

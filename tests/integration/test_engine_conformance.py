@@ -1,13 +1,12 @@
-"""Byte-identical conformance between the timing-engine cores.
+"""Byte-identical conformance of the timing engine to its oracle.
 
-The readable reference core (:class:`TimingSimulator`) is the oracle;
-the optimized core (:class:`FastTimingSimulator`) must reproduce its
-:class:`TimingReport` pickle-byte-for-byte across the behavioral
-surface the paper grid exercises: every policy, both protocol
-variants, forwarding on and off, prompt and delayed
-self-invalidation, real registry workloads and the synthetic sharing
-patterns. This is the contract that lets engine choice stay *out* of
-``JobSpec`` identity — a cached report is valid under either core.
+The readable reference core in ``tests/oracle/``
+(:class:`ReferenceTimingSimulator`) is the oracle; the shipped engine
+(:class:`TimingSimulator`) must reproduce its :class:`TimingReport`
+pickle byte for byte across the behavioral surface the paper grid
+exercises: every policy, both protocol variants, forwarding on and
+off, prompt and delayed self-invalidation, real registry workloads and
+the synthetic sharing patterns.
 """
 
 import pickle
@@ -16,21 +15,18 @@ import pytest
 
 from repro.protocol.states import ProtocolVariant
 from repro.runner.spec import PolicySpec, POLICY_NAMES
-from repro.timing import (
-    SystemConfig,
-    TimingSimulator,
-    make_engine,
-    select_engine,
-)
-from repro.timing.engine_fast import FastTimingSimulator
+from repro.timing import SystemConfig, TimingSimulator
+from repro.timing.engine import EVENT_KIND_NAMES
 from repro.workloads.registry import WORKLOAD_NAMES, build_program_set
 from tests.conftest import migratory_rmw, producer_consumer
+from tests.oracle import ReferenceTimingSimulator
 
-CORES = (TimingSimulator, FastTimingSimulator)
+CORES = (ReferenceTimingSimulator, TimingSimulator)
 
 
 def _reports(programs, policy="ltp", **kwargs):
-    """One TimingReport pickle per core, same configuration."""
+    """One TimingReport pickle per core (reference first), same
+    configuration."""
     spec = PolicySpec(name=policy)
     return [
         pickle.dumps(core(spec.build, **kwargs).run(programs))
@@ -109,9 +105,8 @@ class TestSyntheticPatterns:
 class TestEventCountParity:
     """Both cores expose ``event_counts`` and — because they inline
     the same immediate operations — count every dispatched event kind
-    identically. ``repro profile`` and the
-    ``repro_engine_events_total`` metric rely on the mapping meaning
-    the same thing whichever core ran."""
+    identically, so the counts ``repro profile`` and the
+    ``repro_engine_events_total`` metric report are the oracle's."""
 
     @pytest.mark.parametrize("si_fire_delay", [0, 150])
     def test_counts_match_exactly(self, si_fire_delay):
@@ -130,38 +125,5 @@ class TestEventCountParity:
         assert ref == fast
         assert ref  # non-empty: the workload scheduled real events
         assert all(n >= 0 for n in ref.values())
-        from repro.timing.core import EVENT_KIND_NAMES
-
         assert set(ref) == set(EVENT_KIND_NAMES)
 
-
-class TestSelectionRouting:
-    """`make_engine` must honor the process-wide selection, so runner
-    traffic actually reaches the chosen core."""
-
-    def test_make_engine_routes_to_selection(self):
-        spec = PolicySpec(name="base")
-        try:
-            select_engine("reference")
-            assert isinstance(
-                make_engine(spec.build), TimingSimulator
-            )
-            select_engine("fast")
-            assert isinstance(
-                make_engine(spec.build), FastTimingSimulator
-            )
-        finally:
-            select_engine("fast")
-
-    def test_selected_cores_agree_end_to_end(self):
-        programs = producer_consumer(iterations=8)
-        spec = PolicySpec(name="ltp")
-        outputs = []
-        try:
-            for name in ("reference", "fast"):
-                select_engine(name)
-                engine = make_engine(spec.build, si_fire_delay=25)
-                outputs.append(pickle.dumps(engine.run(programs)))
-        finally:
-            select_engine("fast")
-        assert outputs[0] == outputs[1]

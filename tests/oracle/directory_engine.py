@@ -21,12 +21,12 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Set
 
 from repro.timing.config import SystemConfig
-from repro.timing.core import K_DIR_COMPLETE, K_DIR_DEQUEUE
-from repro.timing.messages import DATA_CARRYING, PARKABLE, Message, MsgType
+from repro.timing.engine import K_DIR_COMPLETE, K_DIR_DEQUEUE
 from repro.timing.stats import DirectoryStats
+from tests.oracle.messages import DATA_CARRYING, PARKABLE, Message, MsgType
 
 #: (time, event_kind, callback) scheduling function provided by the
-#: event loop; the kind code (repro.timing.core.K_*) feeds the per-kind
+#: event loop; the kind code (repro.timing.engine.K_*) feeds the per-kind
 #: dispatch counters both cores report as ``event_counts``
 Scheduler = Callable[[int, int, Callable[[int], None]], None]
 #: handler(message, service_completion_time) applied by the protocol

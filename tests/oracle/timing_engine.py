@@ -1,4 +1,4 @@
-"""The discrete-event DSM timing simulator.
+"""The reference timing core: the semantics oracle of the timing engine.
 
 Executes a :class:`~repro.trace.program.ProgramSet` on the CC-NUMA model
 of :class:`~repro.timing.config.SystemConfig` with one self-invalidation
@@ -12,18 +12,19 @@ A single calendar (heap) of ``(time, seq, callback)`` entries drives
 everything. Timestamps are **integer cycles** end to end — every
 latency in :class:`~repro.timing.config.SystemConfig` is integral, so
 no float accumulation can creep into timestamps (the cross-engine
-byte-identity oracle in ``tests/integration/test_engine_conformance.py``
+byte-identity check in ``tests/integration/test_engine_conformance.py``
 depends on exact calendar arithmetic). Nodes are in-order: they execute
 program steps inline, advancing a local clock, until a coherence miss /
 barrier / contended lock blocks them; replies, releases and grants
 schedule their continuation. Directory engines schedule their own
 dequeue/service completions through the same calendar.
 
-This module is the **reference core** — the semantics oracle. The
-drop-in optimized core lives in :mod:`repro.timing.engine_fast`; both
-implement the :class:`~repro.timing.core.EngineCore` contract and must
-produce byte-identical :class:`~repro.timing.stats.TimingReport`
-pickles for any program.
+This module is the **reference core** — readable, one closure per
+scheduled event, and no part of the shipped package. The engine that
+ships, :class:`repro.timing.engine.TimingSimulator`, must produce a
+byte-identical :class:`~repro.timing.stats.TimingReport` pickle for
+any program; the conformance suite and the equivalence property run
+both and compare.
 
 Protocol transactions
 ---------------------
@@ -38,7 +39,7 @@ The directory resolves each request in service order:
 
 While a block's transaction is in flight, further requests and
 self-invalidations for it are parked (see
-:mod:`repro.timing.directory_engine`).
+:mod:`tests.oracle.directory_engine`).
 
 Self-invalidation races are decided by directory arrival order: a
 SELF_INVAL serviced first puts the block Idle with the node in the
@@ -59,8 +60,7 @@ from repro.core.base import SelfInvalidationPolicy
 from repro.core.storage import aggregate_reports
 from repro.errors import ProtocolError, SimulationError
 from repro.ext.sharing import ConsumerPredictor, ForwardingStats
-from repro.protocol.cache import NodeCaches
-from repro.protocol.directory import Directory, DirectoryEntry
+from repro.protocol.directory import DirectoryEntry
 from repro.protocol.states import (
     CacheState,
     DirState,
@@ -68,7 +68,7 @@ from repro.protocol.states import (
     ProtocolVariant,
 )
 from repro.timing.config import SystemConfig
-from repro.timing.core import (
+from repro.timing.engine import (
     EVENT_KIND_NAMES,
     K_DIR_ARRIVE,
     K_FETCH_DOWNGRADE,
@@ -79,11 +79,7 @@ from repro.timing.core import (
     K_RUN,
     K_SI_FIRE,
 )
-from repro.timing.directory_engine import DirectoryEngine
 from repro.timing.locks import LockManager
-from repro.timing.messages import Message, MsgType
-from repro.timing.network import Network
-from repro.timing.node import InjectedAccess, NodeContext, NodeStatus
 from repro.timing.stats import TimingReport
 from repro.trace.events import SyncKind
 from repro.trace.program import (
@@ -93,6 +89,12 @@ from repro.trace.program import (
     LockRelease,
     ProgramSet,
 )
+from tests.oracle.cache import NodeCaches
+from tests.oracle.directory import Directory
+from tests.oracle.directory_engine import DirectoryEngine
+from tests.oracle.messages import Message, MsgType
+from tests.oracle.network import Network
+from tests.oracle.node import InjectedAccess, NodeContext, NodeStatus
 
 PolicyFactory = Callable[[int], SelfInvalidationPolicy]
 
@@ -109,14 +111,10 @@ class _Transaction:
     downgrading_owner: Optional[int] = None
 
 
-class TimingSimulator:
-    """Runs one (workload, policy) pair on the timing model.
-
-    This is the readable reference implementation of the
-    :class:`~repro.timing.core.EngineCore` contract.
+class ReferenceTimingSimulator:
+    """Runs one (workload, policy) pair on the timing model; same
+    constructor and ``run`` as :class:`repro.timing.TimingSimulator`.
     """
-
-    core_name = "reference"
 
     def __init__(
         self,
@@ -142,8 +140,7 @@ class TimingSimulator:
         #: timeliness-sensitivity ablation sweeps this.
         self._si_fire_delay = si_fire_delay
         #: per-kind dispatch counts of the last run — same keys (and,
-        #: by construction, same values) as the fast core's, so
-        #: ``repro profile --engine reference`` is not empty
+        #: by construction, same values) as the shipped engine's
         self.event_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------

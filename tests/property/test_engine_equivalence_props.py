@@ -1,10 +1,10 @@
-"""Property-based equivalence of the two timing-engine cores.
+"""Property-based equivalence of the timing engine and its oracle.
 
 Hypothesis drives random (legal) small ProgramSets — plain accesses,
-barriers, and contended locks — through the reference and the
-optimized core under randomly drawn protocol variants, forwarding,
-and ``si_fire_delay`` settings, and asserts the resulting
-``TimingReport``s pickle byte-identically. The parametrized
+barriers, and contended locks — through the reference core in
+``tests/oracle/`` and the shipped engine under randomly drawn protocol
+variants, forwarding, and ``si_fire_delay`` settings, and asserts the
+resulting ``TimingReport``s pickle byte-identically. The parametrized
 conformance suite proves the paper grid; this proves the long tail of
 interleavings nobody thought to enumerate.
 """
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.protocol.states import ProtocolVariant
 from repro.runner.spec import PolicySpec
 from repro.timing import SystemConfig, TimingSimulator
-from repro.timing.engine_fast import FastTimingSimulator
 from repro.trace.program import (
     Access,
     Barrier,
@@ -26,6 +25,7 @@ from repro.trace.program import (
     Program,
     ProgramSet,
 )
+from tests.oracle import ReferenceTimingSimulator
 
 
 @st.composite
@@ -91,7 +91,7 @@ def test_cores_byte_identical(ps, knobs, policy):
     cfg = SystemConfig(num_nodes=ps.num_nodes)
     reports = [
         pickle.dumps(core(spec.build, cfg, **knobs).run(ps))
-        for core in (TimingSimulator, FastTimingSimulator)
+        for core in (ReferenceTimingSimulator, TimingSimulator)
     ]
     assert reports[0] == reports[1]
 
@@ -99,10 +99,10 @@ def test_cores_byte_identical(ps, knobs, policy):
 @given(mixed_programs(), st.sampled_from([0, 90, 400]))
 @settings(max_examples=30, deadline=None)
 def test_fast_core_accounting_identities(ps, delay):
-    """The optimized core independently satisfies the SI accounting
+    """The shipped engine independently satisfies the SI accounting
     identity (not just equality with the reference)."""
     spec = PolicySpec(name="ltp")
-    rep = FastTimingSimulator(
+    rep = TimingSimulator(
         spec.build,
         SystemConfig(num_nodes=ps.num_nodes),
         si_fire_delay=delay,

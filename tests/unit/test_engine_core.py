@@ -1,22 +1,11 @@
-"""Unit tests for the engine registry/selection and the stall
-diagnostics both cores attach to a deadlocked run."""
+"""The stall diagnostics both timing cores attach to a deadlocked
+run, and their shared constructor checks."""
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.runner.spec import PolicySpec
-from repro.timing import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
-    ENGINE_NAMES,
-    TimingSimulator,
-    engine_class,
-    make_engine,
-    select_engine,
-    selected_engine,
-)
-from repro.timing import core as engine_core
-from repro.timing.engine_fast import FastTimingSimulator
+from repro.timing import TimingSimulator
 from repro.trace.program import (
     Access,
     LockAcquire,
@@ -24,66 +13,9 @@ from repro.trace.program import (
     Program,
     ProgramSet,
 )
+from tests.oracle import ReferenceTimingSimulator
 
-CORES = (TimingSimulator, FastTimingSimulator)
-
-
-@pytest.fixture
-def clean_selection(monkeypatch):
-    """No process-global selection, no REPRO_ENGINE in the env."""
-    monkeypatch.setattr(engine_core, "_selected", None)
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-
-
-class TestEngineRegistry:
-    def test_registered_names_resolve(self):
-        assert engine_class("reference") is TimingSimulator
-        assert engine_class("fast") is FastTimingSimulator
-        for name in ENGINE_NAMES:
-            assert engine_class(name).core_name == name
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown timing"):
-            engine_class("turbo")
-
-
-class TestSelection:
-    def test_default_when_nothing_selects(self, clean_selection):
-        assert selected_engine() == DEFAULT_ENGINE
-
-    def test_env_var_respected(self, clean_selection, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "reference")
-        assert selected_engine() == "reference"
-
-    def test_typod_env_var_fails_loudly(
-        self, clean_selection, monkeypatch
-    ):
-        monkeypatch.setenv(ENGINE_ENV, "refrence")
-        with pytest.raises(ConfigurationError):
-            selected_engine()
-
-    def test_select_wins_over_env_and_exports(
-        self, clean_selection, monkeypatch
-    ):
-        import os
-
-        monkeypatch.setenv(ENGINE_ENV, "fast")
-        assert select_engine("reference") == "reference"
-        assert selected_engine() == "reference"
-        # exported so spawned pool workers inherit the choice
-        assert os.environ[ENGINE_ENV] == "reference"
-
-    def test_select_validates_before_committing(self, clean_selection):
-        with pytest.raises(ConfigurationError):
-            select_engine("turbo")
-        assert selected_engine() == DEFAULT_ENGINE
-
-    def test_make_engine_explicit_override(self, clean_selection):
-        select_engine("fast")
-        engine = make_engine(
-            PolicySpec(name="base").build, engine="reference"
-        )
-        assert isinstance(engine, TimingSimulator)
+CORES = (ReferenceTimingSimulator, TimingSimulator)
 
 
 def deadlocked_programs() -> ProgramSet:

@@ -158,16 +158,7 @@ class TestCLI:
 
 
 class TestProfileAndEngineCli:
-    """The `profile` subcommand and the `--engine` selection flag."""
-
-    @pytest.fixture(autouse=True)
-    def pinned_engine_state(self, monkeypatch):
-        """Restore the process-global engine selection after each
-        test — `--engine` deliberately mutates it."""
-        from repro.timing import core as engine_core
-
-        monkeypatch.setattr(engine_core, "_selected", None)
-        monkeypatch.setenv(engine_core.ENGINE_ENV, "fast")
+    """The `profile` subcommand, and the absence of an engine choice."""
 
     def test_profile_prints_and_writes_bench_record(
         self, tmp_path, capsys
@@ -177,7 +168,7 @@ class TestProfileAndEngineCli:
         out = tmp_path / "BENCH_profile_fig9.json"
         code = main([
             "profile", "fig9", "--size", "tiny",
-            "--workloads", "em3d", "--engine", "fast",
+            "--workloads", "em3d",
             "--top", "3", "--json", str(out),
         ])
         assert code == 0
@@ -187,23 +178,9 @@ class TestProfileAndEngineCli:
         record = json.loads(out.read_text())
         assert record["schema"] == "ltp-repro-bench/1"
         assert record["name"] == "profile_fig9"
-        assert record["extra_info"]["engine"] == "fast"
         assert record["extra_info"]["specs"] > 0
         assert record["extra_info"]["event_counts"]["dir_arrive"] > 0
         assert record["extra_info"]["kinds"]["timing"]["specs"] > 0
-
-    def test_profile_reference_core_reports_counters(self, capsys):
-        # the reference core keeps the same per-kind counters as the
-        # fast one (pinned identical by the conformance suite), so
-        # the profile breakdown is engine-independent
-        code = main([
-            "profile", "fig9", "--size", "tiny",
-            "--workloads", "em3d", "--engine", "reference", "--top", "1",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "events by kind:" in out
-        assert "dir_arrive" in out
 
     def test_profile_covers_accuracy_experiment(self, capsys):
         code = main([
@@ -216,12 +193,19 @@ class TestProfileAndEngineCli:
         assert "3 accuracy" in out
         assert "events by kind" not in out
 
-    def test_engine_flag_pins_the_process_selection(self, capsys):
-        from repro.timing import selected_engine
-
-        code = main([
-            "fig9", "--size", "tiny", "--workloads", "em3d",
-            "--engine", "reference",
-        ])
-        assert code == 0
-        assert selected_engine() == "reference"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run-all"],
+            ["worker", "--connect", "127.0.0.1:7470"],
+            ["profile", "fig9"],
+            ["fig9"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_engine_flag_is_rejected(self, argv, capsys):
+        """One timing engine ships, so no subcommand selects one."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--engine", "fast"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Unit tests for small modules: errors, stats, cache/directory,
-storage aggregation, oracle, null policy, analysis helpers."""
+"""Unit tests for small modules: errors, stats, directory entries,
+the reference core's caches and directory, storage aggregation,
+oracle, null policy, analysis helpers."""
 
 import pytest
 
@@ -17,13 +18,14 @@ from repro.errors import (
     SimulationError,
     WorkloadError,
 )
-from repro.protocol.cache import NodeCaches
-from repro.protocol.directory import Directory, DirectoryEntry
+from repro.protocol.directory import DirectoryEntry
 from repro.protocol.states import CacheState, DirState
 from repro.sim.functional import compute_last_touch_ordinals
 from repro.trace.scheduler import interleave
 from repro.trace.stats import collect_stream_stats
 from tests.conftest import producer_consumer
+from tests.oracle.cache import NodeCaches
+from tests.oracle.directory import Directory
 
 
 class TestErrors:

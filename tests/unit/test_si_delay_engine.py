@@ -13,9 +13,9 @@ from repro.core.base import (
 from repro.core.confidence import ConfidenceConfig
 from repro.errors import SimulationError
 from repro.timing import SystemConfig, TimingSimulator
-from repro.timing.engine_fast import FastTimingSimulator
 from repro.trace.program import Access, Barrier, Program, ProgramSet
 from tests.conftest import addr, producer_consumer
+from tests.oracle import ReferenceTimingSimulator
 
 FAST = ConfidenceConfig(initial=3, predict_threshold=3)
 
@@ -112,7 +112,7 @@ class TestFireEpochRace:
         return FireOnce() if node == 0 else NullPolicy()
 
     @pytest.mark.parametrize(
-        "core", [TimingSimulator, FastTimingSimulator]
+        "core", [ReferenceTimingSimulator, TimingSimulator]
     )
     def test_stale_fire_spares_the_refetched_copy(self, core):
         rep = core(
@@ -137,7 +137,7 @@ class TestFireEpochRace:
                     si_fire_delay=self.DELAY,
                 ).run(refetch_race_programs())
             )
-            for core in (TimingSimulator, FastTimingSimulator)
+            for core in (ReferenceTimingSimulator, TimingSimulator)
         ]
         assert reports[0] == reports[1]
 

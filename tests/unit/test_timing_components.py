@@ -1,15 +1,15 @@
-"""Unit tests for timing-model components: config, network, locks,
-directory engine."""
+"""Unit tests for timing-model components: config, locks and stats,
+plus the reference core's network and directory engine."""
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.timing.config import SystemConfig
-from repro.timing.directory_engine import DirectoryEngine
 from repro.timing.locks import LockManager
-from repro.timing.messages import Message, MsgType
-from repro.timing.network import Network
 from repro.timing.stats import DirectoryStats, SelfInvalStats
+from tests.oracle.directory_engine import DirectoryEngine
+from tests.oracle.messages import Message, MsgType
+from tests.oracle.network import Network
 
 
 class TestSystemConfig:
