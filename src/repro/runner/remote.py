@@ -139,6 +139,13 @@ _TRACE_BUDGET = MAX_FRAME - 65536
 #: seconds without a heartbeat before a worker's lease is reassigned
 DEFAULT_LEASE_TTL = 30.0
 
+#: seconds a worker or client socket waits on any one send or reply.
+#: Every exchange is a bounded request/reply, so a broker that stops
+#: answering (hung process, half-open TCP) surfaces as a socket timeout
+#: (an OSError) instead of a hang. Generous, because a submit reply
+#: decodes every broker-side cache hit before it answers.
+REQUEST_TIMEOUT = 300.0
+
 #: environment fallback for the shared wire-auth secret (the CLI's
 #: --auth-token flags default to it, so a token never has to appear
 #: on a command line)
@@ -2025,7 +2032,8 @@ def run_worker(
     authenticated broker; harmless against an open one). A broker
     drain retires the worker cleanly between batches
     (``stats.drained``). Raises :class:`ProtocolError`/``OSError``
-    when the broker vanishes.
+    when the broker vanishes, and ``OSError`` when it stops answering
+    for :data:`REQUEST_TIMEOUT` seconds.
     """
     worker_name = name or f"{socket.gethostname()}-{os.getpid()}"
     stats = WorkerStats(name=worker_name)
@@ -2043,7 +2051,9 @@ def run_worker(
 
     def heartbeats() -> None:
         try:
-            hb_sock = socket.create_connection(tuple(address))
+            hb_sock = socket.create_connection(
+                tuple(address), timeout=REQUEST_TIMEOUT
+            )
         except OSError:
             return
         hb_stream = hb_sock.makefile("rwb")
@@ -2083,7 +2093,9 @@ def run_worker(
                 pass
 
     try:
-        sock = socket.create_connection(tuple(address))
+        sock = socket.create_connection(
+            tuple(address), timeout=REQUEST_TIMEOUT
+        )
         stream = sock.makefile("rwb")
         if auth_token:
             authenticate(stream, auth_token, worker_name)
@@ -2229,29 +2241,22 @@ class GridClient:
     completion order, not submission order. Raises
     :class:`RemoteExecutionError` when the grid finishes with
     permanently failed specs or ``timeout`` passes with no progress;
-    :class:`ProtocolError`/``OSError`` when the broker vanishes.
+    :class:`ProtocolError`/``OSError`` when the broker vanishes or
+    stops answering for :data:`REQUEST_TIMEOUT` seconds.
     """
 
     def __init__(
         self,
         address: Tuple[str, int],
         name: Optional[str] = None,
-        request_timeout: Optional[float] = 300.0,
         auth_token: Optional[str] = None,
     ) -> None:
         self.name = (
             name or f"client-{socket.gethostname()}-{os.getpid()}"
         )
         self._sock = socket.create_connection(
-            tuple(address), timeout=request_timeout
+            tuple(address), timeout=REQUEST_TIMEOUT
         )
-        # every exchange is a bounded request/reply — a broker that
-        # stops answering (hung process, half-open TCP) surfaces as
-        # a socket timeout (an OSError) within request_timeout
-        # instead of blocking stream()'s deadline check forever. The
-        # default is generous because the submit reply alone decodes
-        # every broker-side cache hit before answering.
-        self._sock.settimeout(request_timeout)
         self._stream = self._sock.makefile("rwb")
         if auth_token:
             authenticate(self._stream, auth_token, self.name)

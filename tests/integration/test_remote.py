@@ -449,6 +449,51 @@ class TestBrokerStop:
         assert leases == []
 
 
+class TestSilentBroker:
+    def test_worker_times_out_instead_of_hanging(self, monkeypatch):
+        """A broker that welcomes a worker and then stops answering (a
+        hung process, a half-open TCP connection) must not hang it:
+        both worker connections are bounded by REQUEST_TIMEOUT, so
+        run_worker raises OSError and its heartbeat thread exits."""
+        from repro.runner import remote as remote_mod
+
+        monkeypatch.setattr(remote_mod, "REQUEST_TIMEOUT", 0.2)
+        server = socket.create_server(("127.0.0.1", 0))
+        done = threading.Event()
+
+        def silent_broker():
+            # the first connection is the worker's main one: answer its
+            # hello, then nothing. The heartbeat connection waits in the
+            # listen backlog, so its beats go unanswered too.
+            conn, _ = server.accept()
+            with conn, conn.makefile("rwb") as stream:
+                read_frame(stream)
+                stream.write(encode_frame(
+                    {"type": "welcome", "lease_ttl": 0.2}
+                ))
+                stream.flush()
+                done.wait(timeout=30)
+
+        broker = threading.Thread(target=silent_broker, daemon=True)
+        broker.start()
+        try:
+            started = time.monotonic()
+            with pytest.raises(OSError):
+                run_worker(address=server.getsockname(), name="w")
+            assert time.monotonic() - started < 4
+            # run_worker joined its heartbeat thread before raising; a
+            # heartbeat still blocked on its reply would be alive here
+            assert not [
+                t for t in threading.enumerate()
+                if t.name == "worker-heartbeat"
+            ]
+        finally:
+            done.set()
+            server.close()
+            broker.join(timeout=5)
+        assert not broker.is_alive()
+
+
 class TestFrameOverTcp:
     def test_oversized_frame_is_rejected_not_buffered(self):
         """A lying length header must raise, not allocate the cap."""
