@@ -76,11 +76,6 @@ def _trace_codec(runner: "Runner") -> str:
     return runner.trace_cache.codec.name if runner.trace_cache else "none"
 
 
-def _worker_initargs(runner: "Runner") -> Tuple:
-    """Pool-worker initializer arguments: the shared trace cache."""
-    return (_trace_root(runner), _trace_codec(runner))
-
-
 def _grouped(specs: List[JobSpec]) -> List[JobSpec]:
     """Order jobs so specs sharing a ProgramSet sit together and each
     pool worker's per-process memo rebuilds as few workloads as
@@ -123,7 +118,7 @@ class PoolBackend(ExecutionBackend):
         with multiprocessing.Pool(
             processes=min(self.jobs, len(ordered)),
             initializer=_execution._worker_init,
-            initargs=_worker_initargs(runner),
+            initargs=(_trace_root(runner), _trace_codec(runner)),
         ) as pool:
             # ordered imap: results stream back as they finish but
             # pair up with their specs positionally
