@@ -6,18 +6,25 @@ The readable reference core in ``tests/oracle/``
 pickle byte for byte across the behavioral surface the paper grid
 exercises: every policy, both protocol variants, forwarding on and
 off, prompt and delayed self-invalidation, real registry workloads and
-the synthetic sharing patterns.
+the synthetic sharing patterns, and the runner's path from a
+:class:`~repro.runner.spec.JobSpec` to the engine.
 """
 
 import pickle
 
 import pytest
 
+from repro.experiments import EXPERIMENTS
 from repro.protocol.states import ProtocolVariant
+from repro.runner.runner import execute_spec
 from repro.runner.spec import PolicySpec, POLICY_NAMES
 from repro.timing import SystemConfig, TimingSimulator
 from repro.timing.engine import EVENT_KIND_NAMES
-from repro.workloads.registry import WORKLOAD_NAMES, build_program_set
+from repro.workloads.registry import (
+    WORKLOAD_NAMES,
+    build_program_set,
+    get_workload,
+)
 from tests.conftest import migratory_rmw, producer_consumer
 from tests.oracle import ReferenceTimingSimulator
 
@@ -127,3 +134,37 @@ class TestEventCountParity:
         assert all(n >= 0 for n in ref.values())
         assert set(ref) == set(EVENT_KIND_NAMES)
 
+
+class TestRunnerPath:
+    """Runner traffic reaches the shipped engine with every knob a
+    timing spec carries: the runner's report for each spec is the
+    oracle's, built straight from the same spec."""
+
+    @pytest.mark.parametrize(
+        "experiment", ["fig9", "forwarding", "variants", "si-delay"]
+    )
+    def test_runner_reports_match_the_oracle(self, experiment):
+        specs = [
+            spec
+            for spec in dict.fromkeys(
+                EXPERIMENTS[experiment].jobs(
+                    size="tiny", workloads=["em3d"]
+                )
+            )
+            if spec.kind == "timing"
+        ]
+        assert specs
+        for spec in specs:
+            programs = get_workload(
+                spec.workload, spec.size, **dict(spec.overrides)
+            ).build()
+            oracle = ReferenceTimingSimulator(
+                spec.policy.build,
+                config=spec.config,
+                variant=ProtocolVariant[spec.variant.upper()],
+                forwarding=spec.forwarding,
+                si_fire_delay=spec.si_fire_delay,
+            )
+            assert pickle.dumps(execute_spec(spec)) == pickle.dumps(
+                oracle.run(programs)
+            ), spec.canonical()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import (
+    EXPERIMENTS,
     ablations,
     figure6,
     figure7,
@@ -193,13 +194,53 @@ class TestProfileAndEngineCli:
         assert "3 accuracy" in out
         assert "events by kind" not in out
 
+    def test_profile_event_counts_are_the_oracles(self, tmp_path):
+        """The per-kind counts `profile` reports are the oracle's,
+        summed over the experiment's unique timing specs."""
+        import json
+
+        from repro.protocol.states import ProtocolVariant
+        from repro.workloads import get_workload
+        from tests.oracle import ReferenceTimingSimulator
+
+        out = tmp_path / "BENCH_profile_fig9.json"
+        code = main([
+            "profile", "fig9", "--size", "tiny", "--workloads", "em3d",
+            "--top", "1", "--json", str(out),
+        ])
+        assert code == 0
+        expected: dict = {}
+        specs = dict.fromkeys(
+            EXPERIMENTS["fig9"].jobs(size="tiny", workloads=["em3d"])
+        )
+        for spec in specs:
+            oracle = ReferenceTimingSimulator(
+                spec.policy.build,
+                config=spec.config,
+                variant=ProtocolVariant[spec.variant.upper()],
+                forwarding=spec.forwarding,
+                si_fire_delay=spec.si_fire_delay,
+            )
+            oracle.run(get_workload(
+                spec.workload, spec.size, **dict(spec.overrides)
+            ).build())
+            for kind, count in oracle.event_counts.items():
+                if count:
+                    expected[kind] = expected.get(kind, 0) + count
+        record = json.loads(out.read_text())
+        assert expected
+        assert record["extra_info"]["event_counts"] == expected
+
     @pytest.mark.parametrize(
         "argv",
         [
+            *([name] for name in EXPERIMENTS),
+            ["all"],
             ["run-all"],
             ["worker", "--connect", "127.0.0.1:7470"],
+            ["serve"],
+            ["report"],
             ["profile", "fig9"],
-            ["fig9"],
         ],
         ids=lambda argv: argv[0],
     )
