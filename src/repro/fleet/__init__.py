@@ -1,8 +1,7 @@
 """Elastic fleet orchestration: autoscaling and the serve service.
 
-This package turns the per-grid remote broker
-(:mod:`repro.runner.remote`) into a long-running, self-sizing
-execution service:
+This package keeps the remote broker (:mod:`repro.runner.remote`)
+up as a long-running, self-sizing execution service:
 
 * :mod:`repro.fleet.policy` — :class:`ScalingPolicy` and the
   queue-depth / throughput implementations (min/max workers,

@@ -4,7 +4,7 @@ A :class:`FleetService` composes the serve-mode pieces into the
 long-running daemon the CLI starts::
 
     FleetService
-    ├── Broker(persistent=True)   lease table + submit/grid frames,
+    ├── Broker                    lease table + submit/grid frames,
     │                             publishes into the ResultCache
     ├── WorkerSupervisor          forks/retires `run_worker` processes
     │                             pointed at the broker's address
@@ -17,7 +17,7 @@ lease table, repeat submissions are served straight from the result
 cache, and the controller scales the local worker fleet up from
 ``min_workers`` (default 0 — an idle service runs no workers) as
 queues form and back down as they drain. External ``repro worker
---connect`` fleets can join at any time, exactly as with a per-grid
+--connect`` fleets can join at any time, exactly as with ``run-all``'s
 broker.
 
 Shutdown order matters and :meth:`stop` encodes it: halt the control
@@ -155,7 +155,6 @@ class FleetService:
         self.scale_interval = scale_interval
         self.announce = announce
         self.broker = Broker(
-            (),
             cache=cache,
             lease_ttl=lease_ttl,
             listen=listen,
@@ -164,7 +163,6 @@ class FleetService:
             codec=codec,
             ship_traces=ship_traces,
             trace_cache=trace_cache,
-            persistent=True,
             auth_token=auth_token,
             max_pending_per_client=max_pending_per_client,
         )

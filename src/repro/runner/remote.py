@@ -18,7 +18,7 @@ message — the 4-byte magic ``LTPW``, a version byte, a big-endian u32
 payload length, then the pickled message dict — request/reply over a
 persistent connection. Messages: ``hello``/``welcome``,
 ``lease``/``specs``, ``result``, ``error``, ``heartbeat``, ``bye``,
-the serve-mode v2 frames ``submit``/``grid-poll``/``grid-results``/
+the v2 grid frames ``submit``/``grid-poll``/``grid-results``/
 ``grid-done``, the multi-tenant v3 frames ``auth``/``challenge``
 (HMAC handshake), ``drain`` (graceful worker retirement), and
 ``busy`` (per-client quota backpressure), and — when trace shipping
@@ -67,18 +67,19 @@ Failure modes:
   retried (possibly elsewhere) up to ``max_attempts`` times, then
   surfaced as :class:`RemoteExecutionError` with the remote traceback.
 
-**Serve mode** (``Broker(persistent=True)``, wrapped by
-:class:`repro.fleet.FleetService` / ``repro serve``) lifts the
-one-grid lifetime: the broker starts with an empty lease table, stays
-up across grids, and grows the protocol's submission frames (v2) —
-``submit`` enqueues a whole JobSpec grid (a *namespace* over the
-fleet-wide deduplicated key space), ``grid-poll`` streams that grid's
-results back to its submitting client (``grid-results`` batches, then
-one ``grid-done`` carrying any permanent failures), and idle workers
+**Grids**: every broker starts with an empty lease table and admits
+work one grid at a time — ``submit`` over the wire, or
+:meth:`Broker.submit` in-process. A grid is a *namespace* over the
+fleet-wide deduplicated key space; its results fan out to it as they
+publish, and its client reads them back (``grid-poll`` →
+``grid-results`` batches, then one ``grid-done`` carrying any
+permanent failures; :meth:`Broker.stream` in-process). Idle workers
 are told to keep waiting rather than exit, until
-:meth:`Broker.begin_shutdown`. :class:`GridClient` is the client side;
-``RemoteBackend(attach=...)`` adapts it to the backend contract so a
-whole ``run-all`` can ride an already-running service.
+:meth:`Broker.begin_shutdown`. ``RemoteBackend`` runs its own broker
+for one ``run-all`` grid; :class:`repro.fleet.FleetService` (``repro
+serve``) keeps one up across grids. :class:`GridClient` is the wire
+client; ``RemoteBackend(attach=...)`` adapts it to the backend
+contract so a whole ``run-all`` can ride an already-running service.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ import hmac
 import multiprocessing
 import os
 import pickle
-import queue
 import secrets
 import socket
 import socketserver
@@ -112,10 +112,9 @@ from repro.workloads import TraceCache, cached_build, get_workload, trace_key
 #: frame header: magic, protocol version, payload length
 MAGIC = b"LTPW"
 #: the only version either side emits or accepts; v2 added the
-#: serve-mode frames (submit / grid-poll / grid-results / grid-done)
-#: and welcome trace offers; v3 added the multi-tenant frames (auth /
-#: challenge handshake, drain, busy) plus the optional submit
-#: ``priority`` key
+#: grid frames (submit / grid-poll / grid-results / grid-done); v3
+#: added the multi-tenant frames (auth / challenge handshake, drain,
+#: busy) plus the optional submit ``priority`` key
 PROTOCOL_VERSION = 3
 _HEADER = struct.Struct("!4sBI")
 
@@ -217,6 +216,19 @@ class ProtocolError(RuntimeError):
 class RemoteExecutionError(RuntimeError):
     """The fleet could not resolve the grid (failures, dead workers,
     or timeout)."""
+
+
+def _failures_error(failures: Dict[str, str]) -> RemoteExecutionError:
+    """One error for a grid's permanent failures (spec label -> remote
+    message), naming each spec with the last line of its message."""
+    return RemoteExecutionError(
+        f"{len(failures)} spec(s) failed permanently on the fleet:\n"
+        + "\n".join(
+            f"  {label}: "
+            + (text.strip().splitlines() or ["<no message>"])[-1]
+            for label, text in failures.items()
+        )
+    )
 
 
 # -- framing -----------------------------------------------------------
@@ -332,10 +344,9 @@ class LeaseInfo:
     expires: float
 
 
-#: group tag for keys admitted without one (per-grid brokers, the
-#: constructor's initial key set): scheduling degenerates to pure
-#: insertion order when it is the only group, byte-identical to the
-#: pre-fair-share grant order
+#: group tag for keys given to the :class:`LeaseTable` constructor
+#: (the broker tags every key with its grid id instead): scheduling
+#: degenerates to pure insertion order when one group has pending keys
 DEFAULT_GROUP = ""
 
 
@@ -399,8 +410,8 @@ class LeaseTable:
         group: str = DEFAULT_GROUP,
         priority: int = 1,
     ) -> int:
-        """Admit new pending keys mid-flight (how a serve-mode broker
-        enqueues a submitted grid into the live table), tagged with
+        """Admit new pending keys mid-flight (how the broker enqueues
+        a submitted grid into the live table), tagged with
         the submitting grid's ``group`` and scheduling ``priority``.
         Keys already tracked — whatever their state — are left
         untouched and keep their original group; returns how many
@@ -434,9 +445,9 @@ class LeaseTable:
         return self._reset_to_pending(key, FAILED)
 
     def requeue(self, key: str) -> bool:
-        """Reset a DONE key to PENDING (serve mode: its published
-        value was evicted from broker memory *and* is gone from the
-        cache — e.g. an operator pruned the live serve cache — so a
+        """Reset a DONE key to PENDING (its published value was
+        evicted from broker memory *and* is gone from the cache —
+        e.g. an operator pruned the live serve cache — so a
         resubmitted grid can only be served by running the spec
         again; reports are deterministic, so the re-execution is
         byte-identical). The attempt budget resets like
@@ -591,7 +602,7 @@ class LeaseTable:
 
 @dataclass
 class BrokerStats:
-    """Fleet-side accounting for one grid."""
+    """Fleet-side accounting of one broker, over every grid it admits."""
 
     specs: int = 0
     #: first-time completions (== specs on a clean run)
@@ -610,9 +621,9 @@ class BrokerStats:
     trace_bytes: int = 0
     #: broker-side trace builds — at most one per unique fingerprint
     trace_builds: int = 0
-    #: grids admitted through ``submit`` frames (serve mode)
+    #: grids admitted (``submit`` frames and :meth:`Broker.submit`)
     grids: int = 0
-    #: submitted grids fully streamed back to their client
+    #: grids fully streamed back to their client
     grids_done: int = 0
     #: submits bounced with a ``busy`` reply (client over quota)
     rejected_submits: int = 0
@@ -625,13 +636,14 @@ class BrokerStats:
 
 @dataclass
 class GridState:
-    """One submitted grid's delivery state inside a serve-mode broker.
+    """One admitted grid's delivery state inside the broker.
 
     The broker's lease table and result publication are grid-blind —
     keys dedup fleet-wide — so a grid is purely a *subscription*: the
     ordered key set the client asked for, the results ready to stream
-    on the next ``grid-poll``, the keys still outstanding, and the
-    permanent failures. All fields are mutated under the broker lock.
+    on the next ``grid-poll`` (or :meth:`Broker.stream` wake-up), the
+    keys still outstanding, and the permanent failures. All fields are
+    mutated under the broker lock.
 
     ``ready`` entries are ``(spec, report, wire-size estimate)`` —
     the size is computed once at append time (cheaply, from bytes the
@@ -657,23 +669,24 @@ class Broker:
 
     Lifecycle: :meth:`bind` (allocate the listening socket — the
     address is then readable), :meth:`serve` (handle connections on
-    daemon threads), :meth:`stream` (yield results as they arrive),
+    daemon threads), :meth:`begin_shutdown` (release idle workers),
     :meth:`stop`. :meth:`start` is bind + serve.
 
-    With ``persistent=True`` the broker is a long-lived *service*
-    (``repro serve``): it may start with no specs at all, accepts
-    whole grids mid-flight through ``submit`` frames (each grid gets a
+    Every broker starts empty and admits whole grids, at any time,
+    through ``submit`` frames or :meth:`submit` — each grid gets a
     namespace id; keys dedup fleet-wide across grids, so a resubmitted
     spec is served from the live results or the cache instead of
-    re-executed), streams each grid back to its submitting client via
-    ``grid-poll``/``grid-results``/``grid-done``, and never tells idle
-    workers the work is done — they wait for the next grid until
-    :meth:`begin_shutdown` flips the ``closing`` flag.
+    re-executed. A grid is read back through
+    ``grid-poll``/``grid-results``/``grid-done`` by a wire client or
+    through :meth:`stream` in-process. Idle workers are never told the
+    work is done — they wait for the next grid until
+    :meth:`begin_shutdown` flips the ``closing`` flag. ``run-all``'s
+    broker admits its own grid and shuts down once it has streamed it;
+    ``repro serve``'s stays up across grids.
     """
 
     def __init__(
         self,
-        specs: Iterable[JobSpec] = (),
         cache: Optional[ResultCache] = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         listen: Tuple[str, int] = ("127.0.0.1", 0),
@@ -683,20 +696,17 @@ class Broker:
         ship_traces: bool = False,
         codec="none",
         trace_cache: Optional[TraceCache] = None,
-        persistent: bool = False,
         results_budget: int = 256 * 1024 * 1024,
         grid_idle_timeout: float = 3600.0,
         auth_token: Optional[str] = None,
         max_pending_per_client: Optional[int] = None,
     ) -> None:
-        unique = list(dict.fromkeys(specs))
         self.cache = cache
         self.lease_ttl = lease_ttl
         self.poll = poll
         self.codec = get_codec(codec)
         self.ship_traces = ship_traces
         self.trace_cache = trace_cache
-        self.persistent = persistent
         #: shared wire-auth secret; None = open broker (no handshake
         #: required, auth frames acknowledged as already-authenticated)
         self.auth_token = auth_token
@@ -709,19 +719,17 @@ class Broker:
         #: lease poll answers done+drain instead of granting, so the
         #: worker finishes its in-flight batch, says bye, and exits
         self._draining: Set[str] = set()
-        #: serve mode: cap on raw-report bytes held in self.results —
-        #: older entries are evicted once they are safely in the
-        #: cache, so a long-lived service cannot grow without bound
+        #: cap on raw-report bytes held in self.results — older
+        #: entries are evicted once they are safely in the cache, so a
+        #: long-lived service cannot grow without bound
         self.results_budget = results_budget
-        #: serve mode: drop a submitted grid's delivery state once its
-        #: client has neither polled nor resubmitted for this long
+        #: drop an admitted grid's delivery state once its client has
+        #: neither polled nor resubmitted for this long
         self.grid_idle_timeout = grid_idle_timeout
-        #: set by begin_shutdown(): serve-mode workers see done=True
-        #: on their next lease poll and exit cleanly
+        #: set by begin_shutdown(): idle workers see done=True on
+        #: their next lease poll and exit cleanly
         self.closing = False
-        self._by_key: Dict[str, JobSpec] = {
-            self._key(spec): spec for spec in unique
-        }
+        self._by_key: Dict[str, JobSpec] = {}
         #: lease key -> trace content address (ship_traces only)
         self._trace_of: Dict[str, str] = {}
         #: trace content address -> a spec that needs that trace
@@ -737,8 +745,6 @@ class Broker:
         #: trace build it once while builds of *different* traces
         #: proceed concurrently
         self._trace_locks: Dict[str, threading.Lock] = {}
-        for key, spec in self._by_key.items():
-            self._register_trace(key, spec)
         #: submitted-grid namespaces and per-key grid subscriptions
         self._grids: Dict[str, GridState] = {}
         self._subscribers: Dict[str, List[GridState]] = {}
@@ -758,15 +764,17 @@ class Broker:
         #: and fleet-merged /metrics (all mutated under self._lock)
         self._worker_health: Dict[str, dict] = {}
         self.table = LeaseTable(
-            self._by_key,
+            (),
             ttl=lease_ttl,
             clock=clock,
             max_attempts=max_attempts,
         )
-        self.stats = BrokerStats(specs=len(unique))
+        self.stats = BrokerStats()
         self.results: Dict[str, Any] = {}
-        self._queue: "queue.Queue" = queue.Queue()
         self._lock = threading.Lock()
+        #: notified (under self._lock) whenever a result or permanent
+        #: failure fans out to grids, waking in-process stream() readers
+        self._fanout = threading.Condition(self._lock)
         self._listen = listen
         self._server = None
         self._thread: Optional[threading.Thread] = None
@@ -890,13 +898,13 @@ class Broker:
         return address
 
     def begin_shutdown(self) -> None:
-        """Serve mode: tell idle workers the service is over.
+        """Tell idle workers the broker is closing.
 
-        Workers polling an empty persistent table are normally told
+        Workers polling an empty table are normally told
         ``done: False`` so they wait for the next submitted grid; once
         ``closing`` is set they get ``done: True`` and exit cleanly —
-        call this before :meth:`stop` so a supervised fleet drains
-        instead of being terminated mid-poll.
+        call this before :meth:`stop` so a fleet drains instead of
+        being cut off mid-poll.
         """
         self.closing = True
 
@@ -908,16 +916,20 @@ class Broker:
         socket is shut down as well, so the handlers read EOF and end
         (they are joined here — no frame is dispatched after ``stop``
         returns) and the workers on the other side see the broker
-        vanish and exit. A serve-mode caller that wants idle workers
-        to leave cleanly calls :meth:`begin_shutdown` first.
+        vanish and exit. A caller that wants idle workers to leave
+        cleanly calls :meth:`begin_shutdown` first. Safe after
+        :meth:`bind` alone: the listener is then closed without waiting
+        on a serving loop that never started.
         """
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
         if self._thread is not None:
+            # shutdown() blocks until serve_forever() acknowledges, so
+            # it is only called once serve() has started that loop
+            self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        if self._server is not None:
+            self._server.server_close()
+            self._server = None
         with self._connections_lock:
             connections = dict(self._connections)
         for sock in connections:
@@ -1111,8 +1123,7 @@ class Broker:
         if mtype == "hello":
             with self._lock:
                 self.stats.workers.add(worker)
-                offers = self._welcome_offers()
-            welcome = {
+            return {
                 "type": "welcome",
                 "protocol": PROTOCOL_VERSION,
                 "lease_ttl": self.lease_ttl,
@@ -1121,27 +1132,10 @@ class Broker:
                 "ship_traces": self.ship_traces,
                 "codec": self.codec.name,
             }
-            if offers:
-                # proactive offer push: a single-fingerprint grid's
-                # trace is fetchable before the first lease grant
-                welcome["trace_offers"] = offers
-            return welcome
         if mtype == "lease":
-            with _tm.span("broker.lease", worker=worker) as s:
-                reply = self._handle_lease(
-                    worker, int(message.get("max", 1))
-                )
-                s["keys"] = len(reply.get("leases") or ())
-            return reply
-        if mtype in ("submit", "grid-poll") and not self.persistent:
-            # a per-grid run-all broker serves exactly the grid its
-            # owner streams: foreign submissions would extend the
-            # lease table and fan stranger specs into that stream
-            return {
-                "type": "error",
-                "message": "this broker serves a fixed grid; "
-                           "submission needs a `repro serve` broker",
-            }
+            return self._handle_lease(
+                worker, int(message.get("max", 1))
+            )
         if mtype == "submit":
             return self._handle_submit(
                 str(message.get("client", worker)),
@@ -1196,24 +1190,6 @@ class Broker:
             "type": "error", "message": f"unknown message type {mtype!r}"
         }
 
-    def _welcome_offers(self) -> List[str]:
-        """Trace offers to push proactively on ``welcome``: when every
-        *unresolved* spec shares one workload fingerprint, every cold
-        worker will need exactly that trace, so it is offered up front
-        instead of waiting for the first lease grant. Only live work
-        counts — a persistent broker that has drained grids of other
-        fingerprints must keep offering for the single-fingerprint
-        grid it is serving *now*. Caller holds the broker lock."""
-        if not self.ship_traces:
-            return []
-        states = self.table.states()
-        pending = {
-            tkey
-            for key, tkey in self._trace_of.items()
-            if states.get(key) in (PENDING, LEASED)
-        }
-        return sorted(pending) if len(pending) == 1 else []
-
     def _handle_lease(self, worker: str, max_n: int) -> dict:
         with self._lock:
             if worker in self._draining:
@@ -1245,16 +1221,18 @@ class Broker:
                     tid = self._trace_ids[key] = _tm.new_trace_id()
                     self._lease_started[key] = now
                 traces[key] = tid
-            if keys:
-                done = False
-            elif self.persistent:
-                # a drained serve-mode table is idle, not finished:
-                # workers wait for the next submitted grid until the
-                # service begins shutting down
-                done = self.closing
-            else:
-                done = self.table.done()
-        if keys:
+        if not keys:
+            # nothing to grant is idle, not finished: workers wait for
+            # the next admitted grid until the broker begins shutting
+            # down. Idle polls leave no span (the frame counter still
+            # counts them) — only grants carry signal.
+            return {
+                "type": "specs",
+                "leases": [],
+                "done": self.closing,
+                "wait": self.poll,
+            }
+        with _tm.span("broker.lease", worker=worker, keys=len(keys)):
             _M_LEASES.inc(len(keys), worker=worker)
             reply = {
                 "type": "specs",
@@ -1271,15 +1249,17 @@ class Broker:
                     {self._trace_of[key] for key in keys}
                 )
             return reply
-        return {
-            "type": "specs",
-            "leases": [],
-            "done": done,
-            "wait": self.poll,
-        }
+
+    def submit(self, specs: Iterable[JobSpec]) -> str:
+        """Admit a grid in-process, exactly as a ``submit`` frame
+        would; returns its id for :meth:`stream`."""
+        reply = self._handle_submit("local", list(specs))
+        if reply["type"] != "grid":
+            raise RemoteExecutionError(reply["message"])
+        return reply["grid"]
 
     def _handle_submit(self, client: str, specs, priority=1) -> dict:
-        """Admit a whole grid into the live lease table (serve mode).
+        """Admit a whole grid into the live lease table.
 
         Each unique spec resolves against, in order: the in-memory
         result map, the attached cache, and — failing both — the lease
@@ -1395,10 +1375,10 @@ class Broker:
                     if not size:
                         # landed mid-submit: estimate from the raw
                         # size recorded at publication rather than
-                        # pickling under the lock (submit is only
-                        # reachable on persistent brokers, which
-                        # track sizes; the slack floor covers the
-                        # sliver where the record has not landed yet)
+                        # pickling under the lock (brokers with a
+                        # cache track sizes; the slack floor covers
+                        # the rest, and the sliver where the record
+                        # has not landed yet)
                         size = (
                             self._result_sizes.get(key, 0)
                             + _ENTRY_SLACK
@@ -1705,28 +1685,23 @@ class Broker:
                 grid.ready.append((spec, value, entry_size))
                 grid.outstanding.discard(key)
             self._evict_results(key, len(raw))
-        if not self.persistent:
-            # the stream() queue has a consumer only on per-grid
-            # brokers; a serve broker delivers via grid-poll, and an
-            # undrained queue would pin every report forever
-            self._queue.put((spec, value))
+            self._fanout.notify_all()
         return {"type": "ok", "duplicate": False}
 
     def _evict_results(self, key: str, raw_len: int) -> None:
-        """Bound the in-memory result map of a long-lived broker.
+        """Bound the in-memory result map to ``results_budget``.
 
-        Only a *persistent* broker with a cache evicts: every entry is
-        already durable on disk there (publish happens before this
-        runs), so dropping the oldest in-memory copies loses nothing —
-        a later submit of an evicted key is served by the cache probe.
-        Per-grid brokers keep everything; their lifetime is one grid
-        and ``results_by_spec()`` promises the full map. Caller holds
+        Only a broker with a cache evicts: every entry is already
+        durable on disk there (publish happens before this runs), so
+        dropping the oldest in-memory copies loses nothing — a later
+        submit of an evicted key is served by the cache probe, and the
+        grids waiting on a key got their copy at fan-out. Caller holds
         the broker lock. Eviction is insertion-ordered and never
         removes the entry just added, so a result always survives
         long enough to race no one (submits check ``results`` under
         this same lock).
         """
-        if not (self.persistent and self.cache is not None):
+        if self.cache is None:
             return
         # a re-executed key (requeued after eviction + cache prune,
         # or a duplicate completion racing a submit) replaces its
@@ -1758,73 +1733,56 @@ class Broker:
                 for grid in self._subscribers.pop(key, ()):
                     grid.outstanding.discard(key)
                     grid.failures[label] = message
+                self._fanout.notify_all()
         return {"type": "ok", "final": final}
 
     # -- result streaming ----------------------------------------------
 
     def stream(
         self,
+        gid: str,
         timeout: Optional[float] = None,
         workers: Optional[List] = None,
         first_worker_timeout: Optional[float] = None,
     ) -> Iterable[Tuple[JobSpec, Any]]:
-        """Yield ``(spec, report)`` as results arrive until the grid
-        is fully resolved.
+        """Yield grid ``gid``'s ``(spec, report)`` pairs in-process as
+        they fan out, until the grid is fully resolved.
 
-        Raises :class:`RemoteExecutionError` when specs failed
-        permanently, when every process in ``workers`` (the locally
-        spawned fleet, if any) has exited AND no worker — external
-        fleets included — has spoken for half a lease ttl, when
-        ``first_worker_timeout`` seconds pass without any worker ever
-        saying hello (a broker started with ``--remote-workers 0`` and
-        no external fleet would otherwise wait forever), or when
-        ``timeout`` seconds pass.
+        Each wake-up (a publication or permanent failure fanning out,
+        or every ``poll`` seconds) counts as a poll of the grid, so
+        :meth:`reap_grids` never drops it while this reads. Raises
+        :class:`RemoteExecutionError` when specs failed permanently,
+        when every process in ``workers`` (the locally spawned fleet,
+        if any) has exited AND no worker — external fleets included —
+        has spoken for half a lease ttl, when ``first_worker_timeout``
+        seconds pass without any worker ever saying hello (a broker
+        started with ``--remote-workers 0`` and no external fleet
+        would otherwise wait forever), or when ``timeout`` seconds
+        pass.
         """
         start = time.monotonic()
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
+        deadline = None if timeout is None else start + timeout
         # long enough that a live external worker's heartbeats (every
         # ttl/4) always land inside the window
         silence_limit = max(1.0, self.lease_ttl / 2.0)
-        served = 0
-        while served < self.stats.specs:
-            try:
-                spec, value = self._queue.get(timeout=0.1)
-                served += 1
-                yield spec, value
-                continue
-            except queue.Empty:
-                pass
-            with self._lock:
-                table_done = self.table.done()
-                failures = dict(self.table.errors)
-            if table_done:
-                while True:  # drain results that raced the done check
-                    try:
-                        spec, value = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    served += 1
-                    yield spec, value
-                if served < self.stats.specs - len(failures):
-                    # a completed result's queue.put is still in
-                    # flight (publication happens after complete(),
-                    # outside the lock) — keep polling for it
-                    continue
-                if failures:
-                    raise RemoteExecutionError(
-                        f"{len(failures)} spec(s) failed permanently "
-                        f"on the fleet:\n"
-                        + "\n".join(
-                            f"  {self._by_key[key].label()}: "
-                            + (
-                                text.strip().splitlines()
-                                or ["<no message>"]
-                            )[-1]
-                            for key, text in failures.items()
-                        )
-                    )
+        while True:
+            with self._fanout:
+                grid = self._grids.get(gid)
+                if grid is None:
+                    raise RemoteExecutionError(f"unknown grid {gid!r}")
+                if grid.outstanding and not grid.ready:
+                    self._fanout.wait(self.poll)
+                grid.last_poll = time.monotonic()
+                batch = [(spec, value) for spec, value, _ in grid.ready]
+                grid.ready.clear()
+                finished = not grid.outstanding
+                if finished:
+                    del self._grids[gid]
+                    self.stats.grids_done += 1
+            yield from batch
+            if finished:
+                if grid.failures:
+                    raise _failures_error(grid.failures)
                 return
             if (
                 workers
@@ -1859,14 +1817,6 @@ class Broker:
                     f"grid unresolved after {timeout:g}s "
                     f"({self._counts_text()})"
                 )
-
-    def results_by_spec(self) -> Dict[JobSpec, Any]:
-        """``spec -> report`` for every completed key (post-run
-        introspection; :meth:`stream` is the live path)."""
-        return {
-            self._by_key[key]: value
-            for key, value in self.results.items()
-        }
 
     def _counts_text(self) -> str:
         counts = self.table.counts()
@@ -1970,41 +1920,6 @@ def _prefetch_traces(
         _execution._PROGRAMS[mkey] = programs
         if cache is not None:
             cache.put_blob(workload, bytes(reply["blob"]))
-
-
-def _prefetch_welcome_offers(
-    stream,
-    worker: str,
-    offers,
-    stats: WorkerStats,
-    cache: Optional[TraceCache],
-) -> None:
-    """Fetch trace blobs the broker pushed proactively on ``welcome``.
-
-    A welcome offer is a bare content address — no spec has been
-    leased yet — so the verified blob can only be *persisted* (into
-    the local trace cache, addressed by key); the per-process memo is
-    filled later by :func:`~repro.workloads.trace_cache.cached_build`
-    when the first lease executes. Without a local trace cache there
-    is nowhere to put the blob and the offer is left for the usual
-    lease-time prefetch.
-    """
-    if cache is None:
-        return
-    for tkey in sorted(offers):
-        if cache.path_for_key(tkey).exists():
-            continue
-        reply = _request(stream, {
-            "type": "trace-fetch", "worker": worker, "key": tkey,
-        })
-        programs = _verify_trace_blob(tkey, reply)
-        if programs is None:
-            # not counted as a fallback: the lease-time prefetch (or a
-            # local build) still gets its chance at this trace
-            continue
-        stats.traces_fetched += 1
-        stats.trace_bytes += len(reply["blob"])
-        cache.put_blob_by_key(tkey, bytes(reply["blob"]))
 
 
 def run_worker(
@@ -2115,14 +2030,6 @@ def run_worker(
         ttl = float(welcome.get("lease_ttl", DEFAULT_LEASE_TTL))
         ship = fetch_traces and bool(welcome.get("ship_traces"))
         wire_codec = get_codec(welcome.get("codec", "none"))
-        welcome_offers: Set[str] = set()
-        if ship:
-            welcome_offers = set(welcome.get("trace_offers", ()))
-            if welcome_offers:
-                _prefetch_welcome_offers(
-                    stream, worker_name, welcome_offers,
-                    stats, local_traces,
-                )
         beat = threading.Thread(
             target=heartbeats, name="worker-heartbeat", daemon=True
         )
@@ -2142,9 +2049,7 @@ def run_worker(
                 held.update(key for key, _ in leases)
             stats.leased += len(leases)
             if ship:
-                offers = welcome_offers | set(
-                    reply.get("trace_offers", ())
-                )
+                offers = set(reply.get("trace_offers", ()))
                 if offers:
                     _prefetch_traces(
                         stream, worker_name, leases, offers,
@@ -2224,7 +2129,7 @@ def run_worker(
 
 
 class GridClient:
-    """Submit ``JobSpec`` grids to a serve-mode broker, stream results.
+    """Submit ``JobSpec`` grids to a broker over the wire, stream results.
 
     The client side of the v2 ``submit`` protocol — the body of
     ``repro submit`` and of ``RemoteBackend(attach=...)``::
@@ -2355,18 +2260,7 @@ class GridClient:
             if rtype == "grid-done":
                 failures = reply.get("failures") or {}
                 if failures:
-                    raise RemoteExecutionError(
-                        f"{len(failures)} spec(s) failed permanently "
-                        "on the serve fleet:\n"
-                        + "\n".join(
-                            f"  {label}: "
-                            + (
-                                text.strip().splitlines()
-                                or ["<no message>"]
-                            )[-1]
-                            for label, text in failures.items()
-                        )
-                    )
+                    raise _failures_error(failures)
                 return
             if rtype != "grid-results":
                 raise ProtocolError(
@@ -2497,7 +2391,6 @@ class RemoteBackend(ExecutionBackend):
             yield from self._run_attached(specs)
             return
         broker = Broker(
-            specs,
             cache=runner.cache,
             lease_ttl=self.lease_ttl,
             listen=self.listen,
@@ -2509,21 +2402,22 @@ class RemoteBackend(ExecutionBackend):
             auth_token=self.auth_token,
         )
         self.broker = broker
-        host, port = broker.bind()
-        if self.announce is not None:
-            self.announce(f"{host}:{port}")
-        if self.workers == 0 and self.warn is not None:
-            bound = (
-                "forever" if self.wait_workers_timeout is None
-                else f"up to {self.wait_workers_timeout:g}s"
-            )
-            self.warn(
-                "no local workers forked — waiting "
-                f"{bound} for external `ltp-repro worker --connect "
-                f"{host}:{port}` fleets"
-            )
+        grid = broker.submit(specs)
         procs: List[multiprocessing.Process] = []
         try:
+            host, port = broker.bind()
+            if self.announce is not None:
+                self.announce(f"{host}:{port}")
+            if self.workers == 0 and self.warn is not None:
+                bound = (
+                    "forever" if self.wait_workers_timeout is None
+                    else f"up to {self.wait_workers_timeout:g}s"
+                )
+                self.warn(
+                    "no local workers forked — waiting "
+                    f"{bound} for external `ltp-repro worker --connect "
+                    f"{host}:{port}` fleets"
+                )
             # fork local workers before the serving thread starts so
             # children never inherit a mid-operation lock; their
             # connects queue in the listen backlog until serve() runs
@@ -2544,12 +2438,16 @@ class RemoteBackend(ExecutionBackend):
                 procs.append(proc)
             broker.serve()
             yield from broker.stream(
+                grid,
                 timeout=self.timeout,
                 workers=procs or None,
                 first_worker_timeout=(
                     self.wait_workers_timeout if not procs else None
                 ),
             )
+            # the grid is resolved: idle workers leave on their next
+            # lease poll (a foreign grid admitted meanwhile ends here)
+            broker.begin_shutdown()
             for proc in procs:
                 proc.join(timeout=10)
         finally:

@@ -76,12 +76,7 @@ class TraceCache:
         return trace_key(workload)
 
     def path(self, workload: Workload) -> Path:
-        return self.path_for_key(self.key(workload))
-
-    def path_for_key(self, key: str) -> Path:
-        """Entry path for a bare content address — how a worker that
-        received an offer key (but has not leased a spec yet) checks
-        for and stores the trace."""
+        key = self.key(workload)
         return self.root / key[:2] / f"{key}.pkl"
 
     def get(self, workload: Workload) -> Tuple[bool, Optional[ProgramSet]]:
@@ -140,13 +135,7 @@ class TraceCache:
     def put_blob(self, workload: Workload, blob: bytes) -> Path:
         """Store an already-packed entry (e.g. fetched over the wire
         after digest verification) without decode/re-encode."""
-        return self.put_blob_by_key(self.key(workload), blob)
-
-    def put_blob_by_key(self, key: str, blob: bytes) -> Path:
-        """Store a packed entry under a bare content address — the
-        welcome-offer prefetch path, where the worker verified the
-        digest against the broker's offered key before any lease."""
-        return atomic_write_bytes(self.path_for_key(key), blob)
+        return atomic_write_bytes(self.path(workload), blob)
 
     # -- accounting ----------------------------------------------------
 

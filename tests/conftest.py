@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
 import repro.telemetry as telemetry
+from repro.runner import run_worker
 from repro.trace.program import Access, Barrier, Program, ProgramSet
 
 BLOCK = 32  # bytes
@@ -45,6 +47,37 @@ def _isolated():
             f"test left thread(s) running: {', '.join(sorted(leaked))}",
             pytrace=False,
         )
+
+
+@contextmanager
+def _worker_thread(broker, **kwargs):
+    box = {}
+    thread = threading.Thread(
+        target=lambda: box.update(
+            stats=run_worker(address=broker.address, **kwargs)
+        ),
+        name="test-worker",
+        daemon=True,
+    )
+    thread.start()
+    try:
+        yield box
+    finally:
+        # a broker never tells an idle worker it is done until it
+        # begins shutting down
+        broker.begin_shutdown()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def worker_thread():
+    """``with worker_thread(broker, name="w") as box:`` runs one
+    ``run_worker`` on a thread against the started ``broker`` for the
+    block (which streams a grid); on exit the broker begins shutting
+    down, the worker leaves, and ``box["stats"]`` holds its
+    :class:`~repro.runner.remote.WorkerStats`."""
+    return _worker_thread
 
 
 def addr(block_number: int, offset: int = 0) -> int:

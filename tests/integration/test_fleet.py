@@ -6,9 +6,8 @@ controller scales the worker fleet up from zero on queue depth and
 back down to zero on drain (asserted via the scaling-event log), and
 every streamed result is byte-identical to the inline backend.
 
-Plus the protocol-level seams: the proactive welcome trace offer, the
-rejection of every other wire version, submitted-grid failure
-delivery, the
+Plus the protocol-level seams: the rejection of every other wire
+version, submitted-grid failure delivery, the
 ``RemoteBackend(attach=...)`` path, and the serve/submit CLI plumbing.
 """
 
@@ -38,7 +37,6 @@ from repro.runner import (
 )
 from repro.runner import remote as remote_mod
 from repro.runner.remote import _request
-from repro.workloads import TraceCache, get_workload, trace_key
 
 SIZE = "tiny"
 
@@ -230,7 +228,7 @@ class TestServeMode:
         for spec in specs:
             cache.put(spec, Runner().run_one(spec))
         monkeypatch.setattr(remote_mod, "_REPORT_BUDGET", 64)
-        broker = Broker((), cache=cache, persistent=True, poll=0.02)
+        broker = Broker(cache=cache, poll=0.02)
         address = broker.start()
         try:
             raw = _RawClient(address)
@@ -260,30 +258,28 @@ class TestServeMode:
         finally:
             broker.stop()
 
-    def test_per_grid_broker_rejects_foreign_submissions(
-        self, tmp_path
+    def test_run_all_broker_admits_a_foreign_grid_beside_its_own(
+        self, tmp_path, worker_thread
     ):
-        """A run-all broker serves exactly its owner's grid: a
-        foreign `submit` must be refused, not spliced into the
-        owner's stream."""
-        broker = Broker(
-            [census_job("em3d", SIZE)], cache=ResultCache(tmp_path)
-        )
+        """A run-all broker admits a foreign `submit` like any other
+        grid: the stranger streams its own results back, and the
+        owner's in-process stream carries only the owner's spec."""
+        own = census_job("em3d", SIZE)
+        foreign = census_job("tomcatv", SIZE)
+        broker = Broker(cache=ResultCache(tmp_path), poll=0.02)
+        gid = broker.submit([own])
         address = broker.start()
         try:
-            raw = _RawClient(address)
-            reply = raw.request({
-                "type": "submit", "client": "stranger",
-                "specs": [census_job("tomcatv", SIZE)],
-            })
-            assert reply["type"] == "error"
-            assert "serve" in reply["message"]
-            assert broker.stats.specs == 1  # untouched
-            poll = raw.request({"type": "grid-poll", "grid": "g0"})
-            assert poll["type"] == "error"
-            raw.close()
+            with GridClient(address, name="stranger") as client:
+                assert client.submit([foreign])["grid"] != gid
+                with worker_thread(broker, name="w"):
+                    mine = dict(broker.stream(gid, timeout=120))
+                    theirs = dict(client.stream(timeout=120))
         finally:
             broker.stop()
+        assert list(mine) == [own]
+        assert list(theirs) == [foreign]
+        assert broker.stats.grids == 2
 
     def test_grid_state_is_dropped_after_done_and_idle_reap(
         self, tmp_path
@@ -295,9 +291,7 @@ class TestServeMode:
         cache = ResultCache(tmp_path)
         for spec in specs:
             cache.put(spec, Runner().run_one(spec))
-        broker = Broker(
-            (), cache=cache, persistent=True, grid_idle_timeout=0.2
-        )
+        broker = Broker(cache=cache, grid_idle_timeout=0.2)
         address = broker.start()
         try:
             raw = _RawClient(address)
@@ -343,9 +337,6 @@ class TestServeMode:
             assert len(results) == len(grid)
             # only the most recent entry may remain in memory
             assert len(service.broker.results) <= 1
-            # the stream() queue must stay empty in serve mode —
-            # nothing drains it there, so puts would pin reports
-            assert service.broker._queue.qsize() == 0
             # accounting matches the held entries exactly
             assert service.broker._result_bytes_held == sum(
                 service.broker._result_sizes.values()
@@ -422,7 +413,7 @@ class TestServeMode:
         for spec in specs:
             cache.put(spec, Runner().run_one(spec))
         monkeypatch.setattr(remote_mod, "_GRID_ITEM_LIMIT", 16)
-        broker = Broker((), cache=cache, persistent=True, poll=0.02)
+        broker = Broker(cache=cache, poll=0.02)
         address = broker.start()
         try:
             with GridClient(address) as client:
@@ -476,7 +467,7 @@ class TestServeMode:
             cache.put(spec, Runner().run_one(spec))
         # one result per poll: every poll is non-empty
         monkeypatch.setattr(remote_mod, "_REPORT_BUDGET", 64)
-        broker = Broker((), cache=cache, persistent=True, poll=0.02)
+        broker = Broker(cache=cache, poll=0.02)
         address = broker.start()
         try:
             with GridClient(address) as client:
@@ -501,9 +492,7 @@ class TestServeMode:
         cache = ResultCache(tmp_path, codec="zlib")
         for spec in specs:
             cache.put(spec, Runner().run_one(spec))
-        broker = Broker(
-            (), cache=cache, persistent=True, codec="zlib", poll=0.02
-        )
+        broker = Broker(cache=cache, codec="zlib", poll=0.02)
         address = broker.start()
         try:
             raw = _RawClient(address)
@@ -652,10 +641,7 @@ class TestGracefulDrain:
         import threading
 
         specs = _grid_a()
-        broker = Broker(
-            (), cache=ResultCache(tmp_path), persistent=True,
-            poll=0.02,
-        )
+        broker = Broker(cache=ResultCache(tmp_path), poll=0.02)
         address = broker.start()
         stats_box = {}
 
@@ -710,10 +696,7 @@ class TestGracefulDrain:
     def test_drain_frame_on_the_wire(self, tmp_path):
         """The v3 `drain` frame marks a named worker for retirement
         (idempotently) without touching anything else."""
-        broker = Broker(
-            (), cache=ResultCache(tmp_path), persistent=True,
-            poll=0.02,
-        )
+        broker = Broker(cache=ResultCache(tmp_path), poll=0.02)
         address = broker.start()
         try:
             raw = _RawClient(address)
@@ -733,10 +716,7 @@ class TestWireAuth:
     TOKEN = "s3kr1t-fleet-token"
 
     def _broker(self, tmp_path, **kwargs):
-        broker = Broker(
-            (), cache=ResultCache(tmp_path), persistent=True,
-            poll=0.02, **kwargs,
-        )
+        broker = Broker(cache=ResultCache(tmp_path), poll=0.02, **kwargs)
         return broker, broker.start()
 
     def test_bad_token_client_is_rejected_before_dispatch(
@@ -835,8 +815,8 @@ class TestSubmitQuota:
         import threading
 
         broker = Broker(
-            (), cache=ResultCache(tmp_path), persistent=True,
-            poll=0.02, max_pending_per_client=1,
+            cache=ResultCache(tmp_path), poll=0.02,
+            max_pending_per_client=1,
         )
         address = broker.start()
         try:
@@ -894,8 +874,8 @@ class TestSubmitQuota:
         """GridClient.submit absorbs transient busy replies and gives
         up with a clear error once quota_wait expires."""
         broker = Broker(
-            (), cache=ResultCache(tmp_path), persistent=True,
-            poll=0.02, max_pending_per_client=1,
+            cache=ResultCache(tmp_path), poll=0.02,
+            max_pending_per_client=1,
         )
         address = broker.start()
         try:
@@ -910,129 +890,6 @@ class TestSubmitQuota:
                     )
         finally:
             broker.stop()
-
-
-class TestWelcomeTraceOffer:
-    def test_single_fingerprint_grid_offers_on_welcome(
-        self, tmp_path
-    ):
-        """A grid with one unique workload fingerprint pushes its
-        trace offer in the welcome frame — fetchable before any
-        lease."""
-        specs = [
-            timing_job("em3d", SIZE, PolicySpec(name=p))
-            for p in ("base", "ltp")
-        ]
-        tkey = trace_key(get_workload("em3d", SIZE))
-        broker = Broker(
-            specs,
-            cache=ResultCache(tmp_path),
-            ship_traces=True,
-            trace_cache=TraceCache(tmp_path / "traces"),
-        )
-        address = broker.start()
-        try:
-            raw = _RawClient(address)
-            welcome = raw.request({"type": "hello", "worker": "w"})
-            assert welcome["trace_offers"] == [tkey]
-            # the offer is immediately fulfillable, no lease needed
-            blob = raw.request({
-                "type": "trace-fetch", "worker": "w", "key": tkey,
-            })
-            assert blob["type"] == "trace"
-            assert blob["key"] == tkey
-            assert isinstance(blob["blob"], bytes)
-            raw.close()
-        finally:
-            broker.stop()
-
-    def test_multi_fingerprint_grid_keeps_lazy_offers(self, tmp_path):
-        specs = [census_job("em3d", SIZE), census_job("tomcatv", SIZE)]
-        broker = Broker(
-            specs, cache=ResultCache(tmp_path), ship_traces=True
-        )
-        address = broker.start()
-        try:
-            raw = _RawClient(address)
-            welcome = raw.request({"type": "hello", "worker": "w"})
-            assert "trace_offers" not in welcome
-            raw.close()
-        finally:
-            broker.stop()
-
-    def test_persistent_broker_offers_for_the_live_grid_only(
-        self, tmp_path
-    ):
-        """Welcome offers track the *unresolved* work: a serve broker
-        that drained a grid of one fingerprint must still push the
-        offer for the single-fingerprint grid it is serving now."""
-        cache = ResultCache(tmp_path)
-        broker = Broker(
-            (),
-            cache=cache,
-            persistent=True,
-            ship_traces=True,
-            trace_cache=TraceCache(tmp_path / "traces"),
-        )
-        address = broker.start()
-        try:
-            raw = _RawClient(address)
-            grid_a = [census_job("em3d", SIZE)]
-            raw.request({
-                "type": "submit", "client": "c", "specs": grid_a,
-            })
-            tkey_a = trace_key(get_workload("em3d", SIZE))
-            welcome = raw.request({"type": "hello", "worker": "w1"})
-            assert welcome["trace_offers"] == [tkey_a]
-            # grid A drains (simulated: its key completes)
-            with broker._lock:
-                for key in list(broker._by_key):
-                    broker.table.complete(key)
-            # grid B has a different single fingerprint: a fresh
-            # worker must be offered *its* trace, not nothing
-            grid_b = [census_job("tomcatv", SIZE)]
-            raw.request({
-                "type": "submit", "client": "c", "specs": grid_b,
-            })
-            tkey_b = trace_key(get_workload("tomcatv", SIZE))
-            welcome = raw.request({"type": "hello", "worker": "w2"})
-            assert welcome["trace_offers"] == [tkey_b]
-            raw.close()
-        finally:
-            broker.stop()
-
-    def test_worker_prefetches_welcome_offer_into_local_cache(
-        self, tmp_path
-    ):
-        """End to end: the worker persists the welcome-offered blob
-        and builds nothing locally."""
-        specs = [
-            timing_job("em3d", SIZE, PolicySpec(name=p))
-            for p in ("base", "ltp")
-        ]
-        broker = Broker(
-            specs,
-            cache=ResultCache(tmp_path / "cache"),
-            ship_traces=True,
-            trace_cache=TraceCache(tmp_path / "broker-traces"),
-            poll=0.02,
-        )
-        address = broker.start()
-        try:
-            stats = run_worker(
-                address=address,
-                trace_root=str(tmp_path / "worker-traces"),
-                name="w",
-            )
-            results = list(broker.stream(timeout=120))
-        finally:
-            broker.stop()
-        assert len(results) == len(specs)
-        assert stats.traces_fetched == 1
-        assert stats.trace_fallbacks == 0
-        local = TraceCache(tmp_path / "worker-traces")
-        tkey = trace_key(get_workload("em3d", SIZE))
-        assert local.path_for_key(tkey).is_file()
 
 
 class TestWireCompat:
@@ -1082,28 +939,21 @@ class TestWaitWorkersTimeout:
             runner.run([census_job("em3d", SIZE)])
         assert warnings and "no local workers" in warnings[0]
 
-    def test_external_worker_disarms_the_timeout(self, tmp_path):
+    def test_external_worker_disarms_the_timeout(
+        self, tmp_path, worker_thread
+    ):
         """The timeout covers *first contact* only: once any worker
         says hello, a slow grid must not trip it."""
-        import threading
-
         spec = census_job("em3d", SIZE)
-        broker = Broker(
-            [spec], cache=ResultCache(tmp_path), poll=0.02
-        )
-        address = broker.start()
-        worker = threading.Thread(
-            target=run_worker,
-            kwargs=dict(address=address, name="late"),
-            daemon=True,
-        )
+        broker = Broker(cache=ResultCache(tmp_path), poll=0.02)
+        gid = broker.submit([spec])
+        broker.start()
         try:
-            worker.start()
-            results = list(broker.stream(
-                timeout=120, first_worker_timeout=30
-            ))
+            with worker_thread(broker, name="late"):
+                results = list(broker.stream(
+                    gid, timeout=120, first_worker_timeout=30
+                ))
         finally:
-            worker.join(timeout=30)
             broker.stop()
         assert len(results) == 1
 

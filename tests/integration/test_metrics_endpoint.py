@@ -76,9 +76,7 @@ class TestLiveScrape:
         grid = [census_job("em3d", SIZE), census_job("tomcatv", SIZE)]
         cache = ResultCache(tmp_path / "cache")
         broker = Broker(
-            (),
             cache=cache,
-            persistent=True,
             lease_ttl=0.4,  # beats every ~0.1s -> rtt shows up fast
             poll=0.02,
             auth_token=TOKEN,
@@ -204,21 +202,18 @@ class TestLiveScrape:
             broker.stop()
         assert not worker.is_alive()
 
-    def test_spans_stitch_lease_execute_publish(self, tmp_path):
+    def test_spans_stitch_lease_execute_publish(
+        self, tmp_path, worker_thread
+    ):
         grid = [census_job("em3d", SIZE)]
         cache = ResultCache(tmp_path / "cache")
-        broker = Broker(grid, cache=cache, poll=0.02)
-        address = broker.start()
-        worker = threading.Thread(
-            target=run_worker,
-            kwargs=dict(address=address, name="tracer"),
-            daemon=True,
-        )
-        worker.start()
+        broker = Broker(cache=cache, poll=0.02)
+        gid = broker.submit(grid)
+        broker.start()
         try:
-            streamed = list(broker.stream(timeout=240))
+            with worker_thread(broker, name="tracer"):
+                streamed = list(broker.stream(gid, timeout=240))
         finally:
-            worker.join(timeout=30)
             broker.stop()
         assert len(streamed) == len(grid)
         spans = list(tm.read_spans(tm.configured_dir()))

@@ -92,9 +92,8 @@ class TestWorkerDeath:
     ):
         grid = _grid()
         cache = ResultCache(tmp_path)
-        broker = Broker(
-            grid, cache=cache, lease_ttl=1.0, poll=0.05
-        )
+        broker = Broker(cache=cache, lease_ttl=1.0, poll=0.05)
+        gid = broker.submit(grid)
         address = broker.start()
 
         doomed = _DoomedWorker(address)
@@ -111,8 +110,9 @@ class TestWorkerDeath:
         )
         healthy.start()
         try:
-            streamed = list(broker.stream(timeout=120))
+            streamed = list(broker.stream(gid, timeout=120))
         finally:
+            broker.begin_shutdown()
             healthy.join(timeout=30)
             broker.stop()
 
@@ -134,7 +134,8 @@ class TestWorkerDeath:
         reports gets acknowledged, not double-published."""
         spec = census_job("em3d", SIZE)
         cache = ResultCache(tmp_path)
-        broker = Broker([spec], cache=cache, lease_ttl=30.0)
+        broker = Broker(cache=cache, lease_ttl=30.0)
+        broker.submit([spec])
         address = broker.start()
         try:
             slow = _DoomedWorker(address)
@@ -204,7 +205,7 @@ class TestRemoteFailures:
         assert backend.broker.stats.errors == 2
 
     def test_oversized_report_fails_spec_instead_of_hanging(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, worker_thread
     ):
         """A report too big for the wire must surface as a failed
         attempt (and eventually RemoteExecutionError), not tear down
@@ -213,20 +214,23 @@ class TestRemoteFailures:
 
         spec = census_job("em3d", SIZE)
         broker = Broker(
-            [spec], cache=ResultCache(tmp_path),
+            cache=ResultCache(tmp_path),
             lease_ttl=20.0, poll=0.02, max_attempts=2,
         )
-        address = broker.start()
+        gid = broker.submit([spec])
+        broker.start()
         # shrink the wire budget so any real report exceeds it
         monkeypatch.setattr(remote_mod, "_REPORT_BUDGET", 16)
         try:
-            stats = run_worker(address=address, name="w")
-            assert stats.executed == 0
-            assert stats.failed == 2  # retried, then gave up
-            with pytest.raises(RemoteExecutionError, match="exceeds"):
-                list(broker.stream(timeout=30))
+            with worker_thread(broker, name="w") as worker:
+                with pytest.raises(
+                    RemoteExecutionError, match="exceeds"
+                ):
+                    list(broker.stream(gid, timeout=30))
         finally:
             broker.stop()
+        assert worker["stats"].executed == 0
+        assert worker["stats"].failed == 2  # retried, then gave up
 
     def test_expired_leases_are_reclaimed_by_the_next_lease(
         self, tmp_path
@@ -237,7 +241,8 @@ class TestRemoteFailures:
 
         cache = ResultCache(tmp_path)
         specs = [census_job("em3d", SIZE), census_job("tomcatv", SIZE)]
-        broker = Broker(specs, cache=cache, lease_ttl=0.5, poll=0.05)
+        broker = Broker(cache=cache, lease_ttl=0.5, poll=0.05)
+        broker.submit(specs)
         address = broker.start()
         try:
             first = _DoomedWorker(address)
@@ -265,15 +270,26 @@ class TestRemoteFailures:
 
         # short lease ttl so the fleet counts as silent quickly
         # (the silence window is ttl / 2)
-        broker = Broker(
-            _grid(), cache=ResultCache(tmp_path), lease_ttl=2.0
-        )
+        broker = Broker(cache=ResultCache(tmp_path), lease_ttl=2.0)
+        gid = broker.submit(_grid())
         broker.start()
         try:
             with pytest.raises(RemoteExecutionError, match="silent"):
-                list(broker.stream(timeout=60, workers=[_Corpse()]))
+                list(broker.stream(
+                    gid, timeout=60, workers=[_Corpse()]
+                ))
         finally:
             broker.stop()
+
+    def test_stream_times_out_and_keeps_its_grid_alive(self, tmp_path):
+        """Broker.stream raises once its overall timeout passes, and
+        each of its wake-ups counts as a poll of the grid, so a grid
+        whose reader is waiting is never reaped as idle."""
+        broker = Broker(cache=ResultCache(tmp_path), poll=0.02)
+        gid = broker.submit([census_job("em3d", SIZE)])
+        with pytest.raises(RemoteExecutionError, match="unresolved after"):
+            list(broker.stream(gid, timeout=0.5))
+        assert broker.reap_grids(max_idle=0.25) == 0
 
     def test_stale_error_does_not_revoke_reassigned_lease(self):
         """An error reported by a worker whose lease already expired
@@ -313,9 +329,8 @@ class TestWorkerCli:
         self, tmp_path, serial_golden
     ):
         grid = _grid()
-        broker = Broker(
-            grid, cache=ResultCache(tmp_path / "cache"), poll=0.05
-        )
+        broker = Broker(cache=ResultCache(tmp_path / "cache"), poll=0.05)
+        gid = broker.submit(grid)
         address = broker.start()
         out = tmp_path / "exit-code"
         proc = multiprocessing.get_context("fork").Process(
@@ -325,9 +340,10 @@ class TestWorkerCli:
         try:
             streamed = dict(
                 (spec.canonical(), _digest(value))
-                for spec, value in broker.stream(timeout=120)
+                for spec, value in broker.stream(gid, timeout=120)
             )
         finally:
+            broker.begin_shutdown()
             proc.join(timeout=60)
             broker.stop()
         assert proc.exitcode == 0
@@ -406,15 +422,12 @@ class TestCliPlumbing:
 class TestBrokerStop:
     def test_stop_cuts_off_connected_workers(self, tmp_path):
         """stop() ends every connection, not only the listener: an
-        idle worker polling a persistent broker sees the broker go
-        away and exits, and no handler dispatches after stop()."""
-        import repro.telemetry as tm
+        idle worker polling the broker sees the broker go away and
+        exits, and no handler dispatches after stop()."""
+        from repro.runner import remote as remote_mod
         from repro.runner.remote import ProtocolError
 
-        broker = Broker(
-            (), cache=ResultCache(tmp_path / "cache"), persistent=True,
-            poll=0.02,
-        )
+        broker = Broker(cache=ResultCache(tmp_path / "cache"), poll=0.02)
         address = broker.start()
         lost = []
 
@@ -437,16 +450,79 @@ class TestBrokerStop:
         finally:
             stopped = time.monotonic()
             broker.stop()
-            tm.configure(tmp_path / "after-stop")
+            frames = sum(remote_mod._M_FRAMES.collect().values())
             worker.join(timeout=5)
         assert not worker.is_alive()
         assert time.monotonic() - stopped < 5
         assert lost, "the worker never noticed the broker stop"
-        leases = [
-            record for record in tm.read_spans(tmp_path / "after-stop")
+        assert sum(remote_mod._M_FRAMES.collect().values()) == frames
+
+    @pytest.mark.parametrize("failing", ["fork", "announce"])
+    def test_failure_before_serve_raises_and_closes_the_listener(
+        self, monkeypatch, failing
+    ):
+        """A run that fails between bind() and serve() — a refused
+        worker fork, a raising announce callback — raises instead of
+        hanging in stop() on a serving loop that never started, and
+        leaves no listening socket behind."""
+        def refuse(*args, **kwargs):
+            raise OSError("refused")
+
+        if failing == "fork":
+            monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+        backend = RemoteBackend(
+            workers=1, announce=refuse if failing == "announce" else None
+        )
+        raised = []
+
+        def run():
+            try:
+                Runner(backend=backend).run([census_job("em3d", SIZE)])
+            except OSError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "the failed run hung in stop()"
+        assert raised
+        with pytest.raises(OSError):
+            socket.create_connection(
+                backend.broker.address, timeout=1
+            ).close()
+
+
+class TestLeaseSpans:
+    def test_only_grants_leave_a_lease_span(self, tmp_path):
+        """Idle lease polls are counted by the frame counter but leave
+        no span; a poll that grants keys leaves one carrying the
+        count."""
+        import repro.telemetry as tm
+        from repro.runner import remote as remote_mod
+
+        tm.configure(tmp_path / "telemetry")
+        broker = Broker(cache=ResultCache(tmp_path / "cache"), poll=0.02)
+        address = broker.start()
+        polls = remote_mod._M_FRAMES.value(type="lease")
+        try:
+            peer = _DoomedWorker(address)
+            _request(peer.stream, {"type": "hello", "worker": "w"})
+            lease = {"type": "lease", "worker": "w", "max": 2}
+            for _ in range(3):
+                assert _request(peer.stream, lease)["leases"] == []
+            broker.submit(
+                [census_job("em3d", SIZE), census_job("tomcatv", SIZE)]
+            )
+            assert len(_request(peer.stream, lease)["leases"]) == 2
+            peer.crash()
+        finally:
+            broker.stop()
+        assert remote_mod._M_FRAMES.value(type="lease") == polls + 4
+        spans = [
+            record for record in tm.read_spans(tmp_path / "telemetry")
             if record["name"] == "broker.lease"
         ]
-        assert leases == []
+        assert [span["attrs"]["keys"] for span in spans] == [2]
 
 
 class TestSilentBroker:

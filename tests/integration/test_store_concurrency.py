@@ -66,9 +66,8 @@ class TestConcurrentPublishers:
         # ...while a broker + worker fleet publishes a second
         # workload's grid into the same cache concurrently
         broker_cache = ResultCache(cache_dir)
-        broker = Broker(
-            _grid("tomcatv"), cache=broker_cache, lease_ttl=30.0
-        )
+        broker = Broker(cache=broker_cache, lease_ttl=30.0)
+        gid = broker.submit(_grid("tomcatv"))
         address = broker.bind()
         worker_proc = ctx.Process(
             target=run_worker,
@@ -80,10 +79,11 @@ class TestConcurrentPublishers:
             proc.start()
         broker.serve()
         drained = threading.Thread(
-            target=lambda: list(broker.stream())
+            target=lambda: list(broker.stream(gid))
         )
         drained.start()
         drained.join(timeout=120)
+        broker.begin_shutdown()
         for proc in (*runners, worker_proc):
             proc.join(timeout=120)
             assert proc.exitcode == 0

@@ -26,7 +26,6 @@ from repro.runner import (
     ResultCache,
     Runner,
     census_job,
-    run_worker,
     timing_job,
 )
 from repro.runner import runner as runner_module
@@ -94,7 +93,8 @@ class TestShippedTraceGolden:
         """Fetch a trace over the raw protocol and compare it
         event-for-event against a fresh local build."""
         spec = census_job("em3d", SIZE)
-        broker = Broker([spec], ship_traces=True, codec="zlib")
+        broker = Broker(ship_traces=True, codec="zlib")
+        broker.submit([spec])
         address = broker.start()
         sock = socket.create_connection(address)
         stream = sock.makefile("rwb")
@@ -127,9 +127,8 @@ class TestShippedTraceGolden:
             broker.stop()
 
     def test_unknown_key_answers_no_blob(self, tmp_path):
-        broker = Broker(
-            [census_job("em3d", SIZE)], ship_traces=True, codec="zlib"
-        )
+        broker = Broker(ship_traces=True, codec="zlib")
+        broker.submit([census_job("em3d", SIZE)])
         address = broker.start()
         sock = socket.create_connection(address)
         stream = sock.makefile("rwb")
@@ -145,7 +144,8 @@ class TestShippedTraceGolden:
             broker.stop()
 
     def test_shipping_off_offers_nothing(self, tmp_path):
-        broker = Broker([census_job("em3d", SIZE)])
+        broker = Broker()
+        broker.submit([census_job("em3d", SIZE)])
         address = broker.start()
         sock = socket.create_connection(address)
         stream = sock.makefile("rwb")
@@ -270,56 +270,70 @@ class TestFleetExactlyOnceBuild:
         assert stats.results == len(grid)
         assert len(stats.workers) == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        [_grid(), _grid()[2:]],
+        ids=["two-fingerprints", "one-fingerprint"],
+    )
     def test_single_worker_accounting_in_process(
-        self, tmp_path, serial_golden, fresh_memo
+        self, tmp_path, serial_golden, fresh_memo, worker_thread, grid
     ):
         """run_worker against an in-process broker: fetch accounting
-        lands in WorkerStats and the local trace cache persists the
+        lands in WorkerStats (one fetch per unique fingerprint, however
+        many specs share it) and the local trace cache persists the
         shipped blobs."""
-        grid = _grid()
+        names = sorted({spec.workload for spec in grid})
         broker = Broker(
-            grid, cache=ResultCache(tmp_path / "cache"),
+            cache=ResultCache(tmp_path / "cache"),
             lease_ttl=20.0, poll=0.02,
             ship_traces=True, codec="zlib",
         )
-        address = broker.start()
+        gid = broker.submit(grid)
+        broker.start()
         try:
-            stats = run_worker(
-                address=address, batch=2, name="w",
+            with worker_thread(
+                broker, batch=2, name="w",
                 trace_root=str(tmp_path / "worker-traces"),
-            )
+            ) as worker:
+                results = dict(broker.stream(gid, timeout=120))
         finally:
             broker.stop()
+        stats = worker["stats"]
         assert stats.executed == len(grid)
-        assert stats.traces_fetched == 2  # one per unique fingerprint
+        assert stats.traces_fetched == len(names)
         assert stats.trace_fallbacks == 0
         assert stats.trace_bytes > 0
         # shipped blobs were persisted into the worker's trace cache
         local = TraceCache(tmp_path / "worker-traces")
-        for name in ("em3d", "tomcatv"):
+        for name in names:
             hit, programs = local.get(get_workload(name, SIZE))
             assert hit
             assert_event_identical(
                 programs, get_workload(name, SIZE).build()
             )
-        assert _digests(broker.results_by_spec()) == serial_golden
+        assert _digests(results) == {
+            spec.canonical(): serial_golden[spec.canonical()]
+            for spec in grid
+        }
 
     def test_no_fetch_traces_builds_locally(
-        self, tmp_path, fresh_memo
+        self, tmp_path, fresh_memo, worker_thread
     ):
         """fetch_traces=False ignores the broker's offers entirely."""
         spec = census_job("em3d", SIZE)
         broker = Broker(
-            [spec], lease_ttl=20.0, poll=0.02,
-            ship_traces=True, codec="zlib",
+            lease_ttl=20.0, poll=0.02, ship_traces=True, codec="zlib"
         )
-        address = broker.start()
+        gid = broker.submit([spec])
+        broker.start()
         try:
-            stats = run_worker(
-                address=address, name="w", fetch_traces=False
-            )
+            with worker_thread(
+                broker, name="w", fetch_traces=False
+            ) as worker:
+                list(broker.stream(gid, timeout=120))
         finally:
             broker.stop()
+        stats = worker["stats"]
         assert stats.executed == 1
         assert stats.traces_fetched == 0
         assert broker.stats.trace_fetches == 0
@@ -358,7 +372,7 @@ class TestCorruptBlobFallback:
 
 class TestBrokerServingPolicy:
     def test_oversized_blob_refused_not_shipped(
-        self, tmp_path, fresh_memo, monkeypatch
+        self, tmp_path, fresh_memo, monkeypatch, worker_thread
     ):
         """A trace too big for the wire answers blob None (the worker
         builds locally) instead of an oversized frame that would tear
@@ -368,14 +382,16 @@ class TestBrokerServingPolicy:
         monkeypatch.setattr(remote_mod, "_TRACE_BUDGET", 16)
         spec = census_job("em3d", SIZE)
         broker = Broker(
-            [spec], lease_ttl=20.0, poll=0.02,
-            ship_traces=True, codec="zlib",
+            lease_ttl=20.0, poll=0.02, ship_traces=True, codec="zlib"
         )
-        address = broker.start()
+        gid = broker.submit([spec])
+        broker.start()
         try:
-            stats = run_worker(address=address, name="w")
+            with worker_thread(broker, name="w") as worker:
+                list(broker.stream(gid, timeout=120))
         finally:
             broker.stop()
+        stats = worker["stats"]
         assert stats.executed == 1  # fallback build, spec still done
         assert stats.traces_fetched == 0
         assert stats.trace_fallbacks == 1
@@ -394,10 +410,11 @@ class TestBrokerServingPolicy:
 
         spec = census_job("em3d", SIZE)
         broker = Broker(
-            [spec], lease_ttl=20.0, poll=0.02,
+            lease_ttl=20.0, poll=0.02,
             ship_traces=True, codec="zlib",
             trace_cache=TraceCache(tmp_path / "traces", codec="zlib"),
         )
+        broker.submit([spec])
         address = broker.start()
         sock = socket.create_connection(address)
         stream = sock.makefile("rwb")
@@ -432,10 +449,11 @@ class TestBrokerServingPolicy:
 
         spec = census_job("em3d", SIZE)
         broker = Broker(
-            [spec], lease_ttl=20.0, poll=0.02,
+            lease_ttl=20.0, poll=0.02,
             ship_traces=True, codec="zlib",
             trace_cache=cache,
         )
+        broker.submit([spec])
         address = broker.start()
         sock = socket.create_connection(address)
         stream = sock.makefile("rwb")
