@@ -1,28 +1,15 @@
-"""Fleet-scaling micro-bench: time-to-drain under fixed vs autoscaled
-worker fleets.
+"""Fleet micro-bench: time-to-drain of one queue on a fixed worker pool.
 
-A serve-mode service receives one submitted 60-spec grid (an
-``si_fire_delay`` sweep over one workload — 60 unique timing specs
-sharing a single trace, so worker start-up cost is real but bounded)
-and the bench measures wall-clock from submit to the last streamed
-result:
-
-* **fixed** — ``min_workers == max_workers == 2``: the fleet is
-  already the target size; drain time is pure execution + protocol.
-* **autoscaled** — ``min_workers 0, max_workers 2``: workers fork
-  only after the controller sees the queue, so the record exposes the
-  cold-start penalty the autoscaler pays for idling at zero.
-
-Both records land in the BENCH artifacts, so the trend gate watches
-the spread between them: an autoscaler regression (slow control loop,
-late scale-up) widens ``autoscaled`` without touching ``fixed``.
+A serve-mode service with a pool of two workers receives one submitted
+60-spec grid (an ``si_fire_delay`` sweep over one workload — 60 unique
+timing specs sharing a single trace, so worker start-up cost is real
+but bounded) and the bench measures wall-clock from submit to the last
+streamed result. ``start()`` forks the whole pool before the timed
+region, so drain time is pure execution + protocol; the trend gate
+flags a regression in either.
 """
 
-import time
-
-import pytest
-
-from repro.fleet import FleetService, QueueDepthPolicy
+from repro.fleet import FleetService
 from repro.runner import (
     PolicySpec,
     ResultCache,
@@ -31,7 +18,7 @@ from repro.runner import (
 )
 
 QUEUE_SPECS = 60
-MAX_WORKERS = 2
+WORKERS = 2
 
 
 def _grid():
@@ -45,43 +32,22 @@ def _grid():
     ]
 
 
-@pytest.mark.parametrize("mode", ["fixed", "autoscaled"])
-def test_fleet_drain(benchmark, tmp_path, mode):
+def test_fleet_drain(benchmark, tmp_path):
     grid = _grid()
     rounds = iter(range(1000))
     last = {}
 
     def drain():
         # a fresh cache per round: every spec must execute remotely
-        root = tmp_path / f"{mode}-{next(rounds)}"
-        min_workers = MAX_WORKERS if mode == "fixed" else 0
         service = FleetService(
-            cache=ResultCache(root),
-            policy=QueueDepthPolicy(
-                specs_per_worker=max(
-                    1, QUEUE_SPECS // MAX_WORKERS
-                ),
-                min_workers=min_workers,
-                max_workers=MAX_WORKERS,
-                cooldown=0.2,
-            ),
-            scale_interval=0.05,
+            cache=ResultCache(tmp_path / f"pool-{next(rounds)}"),
+            workers=WORKERS,
             lease_ttl=20.0,
             poll=0.02,
             batch=4,
         )
         address = service.start()
         try:
-            if mode == "fixed":
-                # wait out the fleet's ramp to its fixed size so the
-                # timed region is pure drain (min_workers forces the
-                # controller there without any queue)
-                deadline = time.monotonic() + 30
-                while (
-                    service.supervisor.live() < MAX_WORKERS
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.02)
             results = submit_grid(address, grid, timeout=600)
             assert len(results) == len(grid)
             last["service"] = service
@@ -90,24 +56,9 @@ def test_fleet_drain(benchmark, tmp_path, mode):
 
     benchmark.pedantic(drain, rounds=2, iterations=1, warmup_rounds=0)
     stats = getattr(benchmark.stats, "stats", benchmark.stats)
-    service = last["service"]
-    events = list(service.controller.events)
-    benchmark.extra_info["mode"] = mode
     benchmark.extra_info["queue_specs"] = QUEUE_SPECS
-    benchmark.extra_info["max_workers"] = MAX_WORKERS
-    benchmark.extra_info["specs_per_second"] = (
-        QUEUE_SPECS / stats.mean
-    )
-    benchmark.extra_info["scaling_events"] = [
-        (event.action, event.live, event.desired)
-        for event in events
-    ]
+    benchmark.extra_info["workers"] = WORKERS
+    benchmark.extra_info["specs_per_second"] = QUEUE_SPECS / stats.mean
     benchmark.extra_info["workers_spawned"] = (
-        service.controller.supervisor.spawned
+        last["service"].supervisor.spawned
     )
-    if mode == "autoscaled":
-        # the autoscaler must actually have scaled up from zero
-        assert any(
-            event.action == "up" and event.live == 0
-            for event in events
-        ), f"no scale-up from zero recorded: {events}"

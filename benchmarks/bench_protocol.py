@@ -14,7 +14,7 @@ as mysterious fleet idle time.
 import io
 import pickle
 
-from repro.runner.remote import LeaseTable, encode_frame, read_frame
+from repro.runner.remote import DONE, LeaseTable, encode_frame, read_frame
 
 #: sha256-shaped keys, like real cache digests
 KEYS = [f"{i:064x}" for i in range(32)]
@@ -30,7 +30,7 @@ def test_remote_lease_wire_overhead(benchmark):
     def cycle():
         table = LeaseTable(KEYS, ttl=60.0, clock=lambda: 1000.0)
         frames = 0
-        while not table.done():
+        while table.counts()[DONE] < len(KEYS):
             for key in table.lease("w", 4):
                 frame = encode_frame({
                     "type": "result",
@@ -67,13 +67,14 @@ def test_fair_share_lease_overhead(benchmark):
         for g, (grid, keys) in enumerate(grids.items()):
             table.extend(keys, group=grid, priority=1 + g % 2)
         granted = 0
-        while not table.done():
+        total = sum(len(k) for k in grids.values())
+        while table.counts()[DONE] < total:
             batch = table.lease("w", 4)
             assert batch
             for key in batch:
                 assert table.complete(key)
             granted += len(batch)
-        assert granted == sum(len(k) for k in grids.values())
+        assert granted == total
 
     benchmark.pedantic(cycle, rounds=5, iterations=1, warmup_rounds=1)
     benchmark.extra_info["tenant_grids"] = len(grids)

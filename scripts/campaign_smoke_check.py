@@ -53,9 +53,6 @@ def _start_serve(cache_dir: Path):
             sys.executable, "-m", "repro.experiments.cli", "serve",
             "--listen", "127.0.0.1:0",
             "--cache-dir", str(cache_dir),
-            "--max-workers", "1",
-            "--cooldown", "0.2",
-            "--scale-interval", "0.05",
             "--lease-ttl", "10",
             "--grids", "2",
             "--auth-token", AUTH_TOKEN,

@@ -3,9 +3,9 @@
 End-to-end, through the real CLI entry points:
 
 1. resolve a small grid with the inline backend (the golden bytes);
-2. start ``ltp-repro serve`` as a subprocess (autoscaling from zero,
-   free port, fresh cache, wire auth enabled) and parse the announced
-   address;
+2. start ``ltp-repro serve`` as a subprocess (a fixed pool of
+   ``--jobs 2`` workers, free port, fresh cache, wire auth enabled)
+   and parse the announced address;
 3. assert a wrong-token ``ltp-repro submit`` is rejected before any
    dispatch (the broker admits nothing and counts an auth failure);
 4. run two *concurrent* authenticated ``ltp-repro submit`` clients —
@@ -13,20 +13,19 @@ End-to-end, through the real CLI entry points:
    served entirely from the service's cache, exercising the
    cross-grid amortization serve mode exists for;
 5. poll the service's observability endpoint (``--metrics-port 0``)
-   throughout: ``/healthz`` must expose a frame taken *mid-drain*
-   (a worker draining, or the drain counted while work is still
-   queued), and a live ``/metrics`` scrape must show tenant/lease
+   throughout: a mid-run ``/healthz`` fleet section must show the
+   whole pool live (``desired == live == 2``, 2 spawned, not
+   halted), a frame of the service's own shutdown (``closing``) must
+   be observed, and a live ``/metrics`` scrape must show tenant/lease
    counters consistent with the exit summary the service prints;
 6. assert every report the service published is byte-identical to the
-   golden bytes, that the autoscaler scaled up from zero, and that it
-   scaled *down* mid-queue by draining a worker (protocol v3: the
-   ``fleet_events.jsonl`` log records a ``down`` with a non-empty
-   queue, and the serve summary counts at least one drain), and that
-   no ``*.claim`` or ``*.done`` coordination file landed in the cache;
+   golden bytes, that the exit summary reports the 2 spawned workers,
+   and that no ``*.claim`` or ``*.done`` coordination file landed in
+   the cache;
 7. run ``report --html`` against the smoke cache and assert the
-   rendered site covers the fleet's scale-up, the per-holder
-   throughput table (from the index) and the submitted experiments
-   (CI uploads the site directory as an artifact).
+   rendered site covers the Fleet KPIs, the per-holder throughput
+   table (from the index) and the submitted experiments (CI uploads
+   the site directory as an artifact).
 
 Run as ``PYTHONPATH=src python scripts/serve_smoke_check.py [DIR]``;
 exits non-zero on any divergence.
@@ -52,6 +51,8 @@ SIZE = "tiny"
 #: submissions admit disjoint spec sets into the shared lease table
 WORKLOADS = ("em3d", "tomcatv")
 AUTH_TOKEN = "serve-smoke-token"
+#: the fixed pool size the service runs with
+POOL = 2
 
 
 def _grid(workload):
@@ -69,14 +70,7 @@ def _start_serve(cache_dir: Path):
             sys.executable, "-m", "repro.experiments.cli", "serve",
             "--listen", "127.0.0.1:0",
             "--cache-dir", str(cache_dir),
-            "--max-workers", "2",
-            # 3 specs/worker means the controller wants a single
-            # worker as soon as the 6-spec tenant wave is half done —
-            # a wide window for the mid-queue scale-down this script
-            # asserts on (retirement drains, so nothing strands)
-            "--specs-per-worker", "3",
-            "--cooldown", "0.2",
-            "--scale-interval", "0.05",
+            "--jobs", str(POOL),
             "--lease-ttl", "10",
             "--grids", "3",
             "--auth-token", AUTH_TOKEN,
@@ -174,10 +168,10 @@ def main(argv) -> int:
             )
 
             # two tenants submit concurrently; the fair-share broker
-            # serves both grids from the same autoscaled fleet —
-            # while a background poller watches /healthz the way an
-            # external monitor would, from first submit all the way
-            # through the service's own shutdown drain
+            # serves both grids from the same worker pool — while a
+            # background poller watches /healthz the way an external
+            # monitor would, from first submit all the way through
+            # the service's own shutdown
             def poll_health():
                 while not stop_polling.is_set():
                     try:
@@ -211,12 +205,15 @@ def main(argv) -> int:
             # tenant grids' traffic must already be on the wire
             specs_total = sum(len(_grid(w)) for w in WORKLOADS)
             health = json.loads(_fetch(metrics_base, "/healthz"))
-            assert health["fleet"]["policy"], (
-                "fleet section missing from /healthz"
+            fleet = health["fleet"]
+            assert fleet["desired"] == fleet["live"] == POOL, (
+                f"pool not at its size mid-run: {fleet}"
             )
-            scraped_drains = health["stats"]["drains"]
+            assert fleet["spawned"] == POOL, (
+                f"pool respawned a worker mid-run: {fleet}"
+            )
+            assert fleet["halted"] is False, f"pool halted: {fleet}"
             scraped_auth = health["stats"]["auth_failures"]
-            assert scraped_drains >= 1, "drain missing from /healthz"
             assert scraped_auth >= 1, (
                 "auth failure missing from /healthz"
             )
@@ -246,26 +243,12 @@ def main(argv) -> int:
             stop_polling.set()
             poller.join(timeout=5)
 
-            # the drain phases were observable over HTTP while in
-            # flight: a worker mid drain-handshake, the drain counted
-            # with work still outstanding, or the service's own
-            # shutdown drain (``closing`` stays scrapeable until the
-            # fleet has wound down)
-            mid_drain = [
-                doc for doc in health_frames
-                if any(
-                    w.get("draining")
-                    for w in doc.get("workers", {}).values()
-                )
-                or doc.get("closing")
-                or (
-                    doc.get("stats", {}).get("drains", 0) > 0
-                    and doc.get("queue_depth", 0) + doc.get("leased", 0)
-                    > 0
-                )
-            ]
-            assert mid_drain, (
-                f"no mid-drain /healthz frame in "
+            # the service's own shutdown was observable over HTTP:
+            # ``closing`` stays scrapeable until the pool has wound
+            # down
+            closing = [doc for doc in health_frames if doc.get("closing")]
+            assert closing, (
+                f"no closing /healthz frame in "
                 f"{len(health_frames)} polled frame(s)"
             )
         finally:
@@ -287,55 +270,32 @@ def main(argv) -> int:
                 f"{spec.label()} diverged from the inline backend"
             )
 
-        # the broker counted the rejected client, and retirement went
-        # through the drain handshake (summary prints only when the
-        # counters are non-zero)
+        # the broker counted the rejected client (the summary line
+        # prints only when the counter is non-zero)
         summary = [line for line in lines if "auth failure" in line]
         assert summary, (
             "serve summary recorded no auth failures:\n"
             + "\n".join(lines)
         )
-        summary_drains = int(
-            re.search(r"(\d+) drain", summary[0]).group(1)
-        )
         summary_auth = int(
             re.search(r"(\d+) auth failure", summary[0]).group(1)
         )
-        assert summary_drains >= 1, (
-            f"no worker was drained: {summary[0]}"
-        )
         # the live scrape and the exit summary told the same story:
         # no auth failure happened after the scrape (the warm grid
-        # authenticates), and drains only accumulate
+        # authenticates)
         assert summary_auth == scraped_auth, (
             f"scraped {scraped_auth} auth failure(s), summary says "
             f"{summary_auth}"
         )
-        assert summary_drains >= scraped_drains, (
-            f"scraped {scraped_drains} drain(s), summary says "
-            f"{summary_drains}"
-        )
-
-        # the autoscaler did its job, in both directions: a scale-up
-        # from zero, and a mid-queue scale-down (allowed since
-        # protocol v3 — retirement drains instead of terminating)
-        from repro.telemetry import read_jsonl
-
-        events = list(
-            read_jsonl(cache_dir / "claims" / "fleet_events.jsonl")
-        )
-        ups = [e for e in events if e["action"] == "up"]
-        assert ups, f"no scale-up event recorded: {events}"
-        assert ups[0]["live"] == 0, (
-            f"first scale-up did not start from zero: {ups[0]}"
-        )
-        downs = [e for e in events if e["action"] == "down"]
-        assert downs, f"no scale-down event recorded: {events}"
-        mid_queue_downs = [
-            e for e in downs if e["queue_depth"] > 0
+        # the pool was forked once and never refilled
+        spawned = [
+            int(match.group(1))
+            for match in map(re.compile(r"(\d+) spawned").search, lines)
+            if match
         ]
-        assert mid_queue_downs, (
-            f"every scale-down waited for an empty queue: {downs}"
+        assert spawned == [POOL], (
+            f"exit summary does not report {POOL} spawned:\n"
+            + "\n".join(lines)
         )
         # the broker is the only coordinator: nothing wrote per-spec
         # claim files or per-worker counter files into the cache
@@ -347,9 +307,9 @@ def main(argv) -> int:
         assert not strays, f"coordination files in the cache: {strays}"
 
         # the reporting pipeline runs against the same cache: the
-        # smoke fleet's published results + scaling events must
-        # render as a self-contained static site (uploaded as a CI
-        # artifact by the serve-smoke job)
+        # smoke pool's status + published results must render as a
+        # self-contained static site (uploaded as a CI artifact by
+        # the serve-smoke job)
         site_dir = work_dir / "site"
         rc = cli_main([
             "report", "--html", str(site_dir),
@@ -358,9 +318,10 @@ def main(argv) -> int:
         assert rc == 0, f"report --html exited {rc}"
         index_html = (site_dir / "index.html").read_text()
         assert "Fleet" in index_html, "fleet section missing"
-        assert ">up<" in index_html or ">up" in index_html, (
-            "scale-up event missing from the rendered timeline"
-        )
+        for kpi in ("live workers", "desired", "state"):
+            assert f'<div class="label">{kpi}</div>' in index_html, (
+                f"fleet KPI {kpi!r} missing from the site"
+            )
         assert "Per-holder throughput" in index_html, (
             "per-holder throughput missing: the broker's publishes "
             "should carry worker holders into the index"
@@ -375,12 +336,10 @@ def main(argv) -> int:
     print(
         "serve smoke OK: 2 concurrent tenants + 1 warm grid "
         "byte-identical to the inline backend, wrong-token client "
-        f"rejected, fleet scaled up from zero ({len(ups)} up "
-        f"event(s)) and drained down mid-queue "
-        f"({len(mid_queue_downs)} of {len(downs)} down event(s)), "
-        f"drain observed live over /healthz ({len(mid_drain)} "
-        f"frame(s)), /metrics scrape consistent with the exit "
-        f"summary, report site rendered "
+        f"rejected, pool of {POOL} held its size, shutdown observed "
+        f"live over /healthz ({len(closing)} closing frame(s)), "
+        f"/metrics scrape consistent with the exit summary, report "
+        f"site rendered "
         f"({1 + len(experiment_pages)} page(s))"
     )
     return 0

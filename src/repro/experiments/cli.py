@@ -9,7 +9,7 @@ Examples::
     ltp-repro run-all --backend remote --listen 0.0.0.0:7463 \
         --remote-workers 0            # broker; attach workers below
     ltp-repro worker --connect broker-host:7463
-    ltp-repro serve --listen 0.0.0.0:7463 --max-workers 4
+    ltp-repro serve --listen 0.0.0.0:7463 --jobs 4
     ltp-repro submit fig9 --size small --connect serve-host:7463
     ltp-repro run-all --attach serve-host:7463   # whole grid, served
     ltp-repro cache stats --watch 2
@@ -28,12 +28,12 @@ default): ``--backend remote`` starts a TCP broker
 defaults to persisting built workload traces under
 ``<cache-dir>/traces`` so repeat runs skip ``ProgramSet`` synthesis.
 
-``serve`` keeps one broker alive *across* grids with an autoscaled
-local worker fleet (:mod:`repro.fleet`): ``submit`` (or ``run-all
---attach``) enqueues an experiment's JobSpecs into the live lease
-table and streams the reports back — repeats arrive straight from the
-service's result cache, cold specs scale workers up from zero and the
-fleet drains back down when the queue empties.
+``serve`` keeps one broker alive *across* grids with a fixed pool of
+``--jobs N`` supervised local workers (:mod:`repro.fleet`): ``submit``
+(or ``run-all --attach``) enqueues an experiment's JobSpecs into the
+live lease table and streams the reports back — repeats arrive
+straight from the service's result cache, cold specs run on the pool,
+and a worker that exits is replaced.
 """
 
 from __future__ import annotations
@@ -49,13 +49,7 @@ from typing import List, Optional
 from repro._version import __version__
 from repro.codecs import CODEC_NAMES, codec_census
 from repro.experiments import EXPERIMENTS, report
-from repro.fleet import (
-    CLAIMS_DIRNAME,
-    FLEET_STATUS_NAME,
-    FleetService,
-    POLICY_NAMES,
-    make_policy,
-)
+from repro.fleet import CLAIMS_DIRNAME, FLEET_STATUS_NAME, FleetService
 from repro.runner import (
     GridClient,
     ResultCache,
@@ -333,49 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_auth_token_arg(p)
     p = sub.add_parser(
         "serve",
-        help="run a persistent broker with an autoscaled local "
-             "worker fleet; `ltp-repro submit` enqueues grids into it",
+        help="run a persistent broker with a fixed pool of --jobs "
+             "local workers; `ltp-repro submit` enqueues grids into it",
     )
     p.add_argument(
         "--listen", type=_parse_address, default=("127.0.0.1", 0),
         metavar="HOST:PORT",
         help="broker bind address (default 127.0.0.1:0 — a free "
              "port, printed at startup)",
-    )
-    p.add_argument(
-        "--policy", choices=POLICY_NAMES, default="queue",
-        help="scaling policy: 'queue' sizes the fleet to the backlog "
-             "(one worker per --specs-per-worker queued specs), "
-             "'throughput' sizes it to drain the backlog within "
-             "--drain-target seconds at the observed jobs/min "
-             "(default: queue)",
-    )
-    p.add_argument(
-        "--min-workers", type=int, default=0, metavar="N",
-        help="never scale below N local workers (default: 0 — an "
-             "idle service runs none)",
-    )
-    p.add_argument(
-        "--max-workers", type=int, default=4, metavar="N",
-        help="never scale above N local workers (default: 4)",
-    )
-    p.add_argument(
-        "--specs-per-worker", type=int, default=None, metavar="N",
-        help="queue policy: queued specs per worker (default: 4)",
-    )
-    p.add_argument(
-        "--drain-target", type=float, default=None, metavar="SECS",
-        help="throughput policy: drain the backlog within SECS "
-             "(default: 60)",
-    )
-    p.add_argument(
-        "--cooldown", type=float, default=10.0, metavar="SECS",
-        help="minimum seconds between fleet size changes "
-             "(default: 10)",
-    )
-    p.add_argument(
-        "--scale-interval", type=float, default=1.0, metavar="SECS",
-        help="seconds between autoscaler control ticks (default: 1)",
     )
     p.add_argument(
         "--batch", type=int, default=1, metavar="N",
@@ -403,12 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-client quota: reject (with a retry-after) submit "
              "frames that would put a client over N outstanding "
              "specs (default: unlimited)",
-    )
-    p.add_argument(
-        "--drain-grace", type=float, default=None, metavar="SECS",
-        help="seconds a drained worker may keep running before "
-             "scale-down escalates to terminate (default: "
-             "max(--lease-ttl, 5))",
     )
     p.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
@@ -542,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--html", metavar="DIR", default=None,
         help="instead of the markdown evaluation, generate the "
              "static HTML dashboard (experiment tables + figures, "
-             "fleet scaling timeline, bench trends) into DIR from "
+             "fleet status, bench trends) into DIR from "
              "the --cache-dir result index — runs no simulations",
     )
     p.add_argument(
@@ -988,18 +941,14 @@ def _codec_suffix(paths) -> str:
 
 
 def _print_fleet_status(cache_root) -> None:
-    """The serve-mode autoscaler's view: desired vs live workers and
-    recent scaling events, read from the controller's fleet.json
-    mirror."""
+    """The serve pool's view: desired vs live workers and the crash
+    breaker, read from the service's fleet.json mirror."""
     path = Path(cache_root) / CLAIMS_DIRNAME / FLEET_STATUS_NAME
     try:
         data = json.loads(path.read_text())
         live = int(data["live"])
         desired = int(data["desired"])
         age = max(0.0, time.time() - float(data.get("updated", 0.0)))
-        events = data.get("events") or []
-        if not isinstance(events, list):
-            events = []
     except (OSError, ValueError, KeyError, TypeError):
         # the status file is advisory; anything unreadable — torn,
         # foreign, or oddly typed — must not break `cache stats`
@@ -1008,19 +957,8 @@ def _print_fleet_status(cache_root) -> None:
     stale = " (stale)" if age > 60 else ""
     print(
         f"  serve    {live} live / {desired} desired workers "
-        f"(policy {data.get('policy', '?')}, "
-        f"queue {data.get('queue_depth', '?')}, "
-        f"updated {_fmt_age(age)} ago){flags}{stale}"
+        f"(updated {_fmt_age(age)} ago){flags}{stale}"
     )
-    for event in events[-3:]:
-        try:
-            print(
-                f"             {event['action']:<4} "
-                f"{event['live']} -> {event['desired']} "
-                f"({event['reason']})"
-            )
-        except (KeyError, TypeError):
-            continue
 
 
 def _cache_command(args) -> int:
@@ -1328,39 +1266,24 @@ def _serve_command(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.jobs != 1:
+    if args.jobs < 1:
         print(
-            "serve: --jobs has no effect here — the fleet size is "
-            "governed by --min-workers/--max-workers and the scaling "
-            "policy",
+            f"serve: --jobs must be at least 1, got {args.jobs}",
             file=sys.stderr,
         )
-        return 2
-    try:
-        policy = make_policy(
-            args.policy,
-            min_workers=args.min_workers,
-            max_workers=args.max_workers,
-            cooldown=args.cooldown,
-            specs_per_worker=args.specs_per_worker,
-            drain_target=args.drain_target,
-        )
-    except Exception as exc:
-        print(f"serve: {exc}", file=sys.stderr)
         return 2
     cache = ResultCache(args.cache_dir, codec=args.codec)
     _configure_telemetry(args.cache_dir)
     trace_dir = args.trace_cache or str(Path(args.cache_dir) / "traces")
     service = FleetService(
         cache=cache,
+        workers=args.jobs,
         listen=args.listen,
         trace_cache=TraceCache(trace_dir, codec=args.codec),
-        policy=policy,
         lease_ttl=args.lease_ttl,
         batch=max(1, args.batch),
         codec=args.codec,
         ship_traces=args.ship_traces,
-        scale_interval=args.scale_interval,
         announce=lambda address: print(
             f"[serve] broker listening on {address} — submit grids "
             f"with: ltp-repro submit <experiment> --connect {address}",
@@ -1368,20 +1291,15 @@ def _serve_command(args) -> int:
         ),
         auth_token=args.auth_token,
         max_pending_per_client=args.max_pending_per_client,
-        drain_grace=args.drain_grace,
         metrics_port=args.metrics_port,
     )
     try:
         service.start()
     except OSError as exc:
         # by far the likeliest bind failure is the metrics port (the
-        # broker defaults to an ephemeral port and binds first); tear
-        # down whatever did start, and name the port so the operator
-        # knows which flag to change
-        try:
-            service.stop(drain_timeout=0.0)
-        except Exception:
-            pass
+        # broker defaults to an ephemeral port and binds first);
+        # start() has already torn down whatever it started, so name
+        # the port and the operator knows which flag to change
         print(
             f"serve: could not bind the observability endpoint on "
             f"port {args.metrics_port}: {exc} — pick another "
@@ -1400,32 +1318,26 @@ def _serve_command(args) -> int:
             flush=True,
         )
     print(
-        f"[serve] policy={policy.name} workers "
-        f"{policy.min_workers}..{policy.max_workers}, cooldown "
-        f"{policy.cooldown:g}s, cache={cache.root}",
+        f"[serve] {args.jobs} worker(s), cache={cache.root}",
         flush=True,
     )
     try:
         done = service.serve(max_grids=args.grids)
     except KeyboardInterrupt:
         done = service.broker.stats.grids_done
-        print("\n[serve] interrupted — draining fleet", flush=True)
+        print("\n[serve] interrupted — stopping workers", flush=True)
     finally:
         service.stop()
     stats = service.broker.stats
-    controller = service.controller
     print(
         f"[serve] {done} grid(s) served this session "
         f"({stats.results} results, {stats.duplicates} duplicates, "
         f"{len(stats.workers)} worker(s) seen); "
-        f"{controller.supervisor.spawned} spawned, "
-        f"{controller.supervisor.retired} retired, "
-        f"{len(controller.events)} scaling events"
+        f"{service.supervisor.spawned} spawned"
     )
-    if stats.drains or stats.rejected_submits or stats.auth_failures:
+    if stats.rejected_submits or stats.auth_failures:
         print(
-            f"[serve] {stats.drains} drain(s), "
-            f"{stats.rejected_submits} over-quota submit(s), "
+            f"[serve] {stats.rejected_submits} over-quota submit(s), "
             f"{stats.auth_failures} auth failure(s)"
         )
     return 0

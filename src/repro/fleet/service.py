@@ -1,115 +1,89 @@
-"""``repro serve``: the persistent, self-sizing execution service.
+"""``repro serve``: a persistent broker with a fixed worker pool.
 
 A :class:`FleetService` composes the serve-mode pieces into the
 long-running daemon the CLI starts::
 
-    FleetService
+    FleetService                  supervision step once a second
     ├── Broker                    lease table + submit/grid frames,
     │                             publishes into the ResultCache
-    ├── WorkerSupervisor          forks/retires `run_worker` processes
-    │                             pointed at the broker's address
-    └── FleetController           queue-depth / throughput autoscaling,
-                                  scaling-event log, fleet.json mirror
+    └── WorkerSupervisor          forks/reaps `run_worker` processes
+                                  pointed at the broker's address
 
 The broker stays alive across grids: every ``repro submit`` (or
 ``RemoteBackend(attach=...)`` run) enqueues its JobSpecs into the live
-lease table, repeat submissions are served straight from the result
-cache, and the controller scales the local worker fleet up from
-``min_workers`` (default 0 — an idle service runs no workers) as
-queues form and back down as they drain. External ``repro worker
---connect`` fleets can join at any time, exactly as with ``run-all``'s
-broker.
+lease table, and repeat submissions are served straight from the
+result cache. :meth:`start` forks ``workers`` local workers, and
+:meth:`step` keeps the pool at that size: it reaps workers, refills
+after an unsolicited exit, and stops refilling once ``max_crashes``
+consecutive crashes latch the crash breaker (so a worker that dies on
+startup cannot fork-bomb the host; :meth:`reset_crashes` re-arms it).
+Each step also mirrors the pool into ``claims/fleet.json`` under the
+cache root and reclaims the grids of vanished clients. External
+``repro worker --connect`` fleets can join at any time, exactly as with
+``run-all``'s broker.
 
-Shutdown order matters and :meth:`stop` encodes it: halt the control
-loop, flip the broker's ``closing`` flag so idle workers' next lease
-poll tells them to exit, give them a moment to drain, then terminate
-stragglers and close the socket.
+Shutdown order matters and :meth:`stop` encodes it: halt the
+supervision loop, flip the broker's ``closing`` flag so idle workers'
+next lease poll tells them to exit, give them a moment to leave, then
+terminate stragglers and close the socket.
 """
 
 from __future__ import annotations
 
+import json
+import threading
 import time
-from typing import Callable, Optional, Tuple
+import traceback
+from typing import Callable, List, Optional, Tuple
 
-from collections import deque
-from typing import Deque
-
+import repro.telemetry as _tm
+from repro._fsutil import atomic_write_bytes
 from repro.errors import ConfigurationError
-from repro.fleet.controller import FleetController
-from repro.fleet.policy import QueueDepthPolicy, ScalingPolicy
-from repro.fleet.supervisor import WorkerSupervisor
+from repro.fleet.supervisor import WorkerExit, WorkerSupervisor
 from repro.runner.cache import ResultCache
 from repro.runner.remote import DEFAULT_LEASE_TTL, Broker
 from repro.telemetry import MetricsServer
 from repro.workloads import TraceCache
 
 #: subdirectory of the cache root holding the fleet's status mirror
-#: and scaling-event log
 CLAIMS_DIRNAME = "claims"
 
-#: filename of the controller's status mirror, inside CLAIMS_DIRNAME
+#: filename of the pool's status mirror, inside CLAIMS_DIRNAME
 FLEET_STATUS_NAME = "fleet.json"
 
-#: filename of the durable scaling-event log, inside CLAIMS_DIRNAME
-FLEET_EVENTS_NAME = "fleet_events.jsonl"
+#: seconds between supervision steps
+STEP_INTERVAL = 1.0
 
-
-class ThroughputWindow:
-    """Windowed fleet completion rate from a cumulative result count.
-
-    A lifetime *average* dilutes toward zero on a service that has
-    been up for days — the scaling signal must reflect what the fleet
-    does *now*. This tracker samples the broker's cumulative count of
-    first publications each observation and reports the delta over a
-    sliding ``window`` as jobs/min.
-    """
-
-    def __init__(self, window: float = 120.0) -> None:
-        self.window = window
-        self._samples: Deque = deque()  # (when, cumulative total)
-
-    def observe(self, total: int, now: float) -> float:
-        """Record one sample, return the current jobs/min rate."""
-        self._samples.append((now, total))
-        cutoff = now - self.window
-        while len(self._samples) > 1 and self._samples[0][0] < cutoff:
-            self._samples.popleft()
-        first_t, first_total = self._samples[0]
-        elapsed = now - first_t
-        if elapsed <= 0:
-            return 0.0
-        return (total - first_total) * 60.0 / elapsed
+_G_LIVE = _tm.gauge("repro_fleet_live_workers")
+_G_DESIRED = _tm.gauge("repro_fleet_desired_workers")
+_G_HALTED = _tm.gauge("repro_fleet_halted")
 
 
 class FleetService:
-    """A persistent broker plus an autoscaled local worker fleet.
+    """A persistent broker plus a fixed pool of local workers.
 
     Args:
         cache: the result cache every submitted grid publishes into
             (required — the cache is what makes the service amortize
             work across grids and restarts).
+        workers: local worker processes to keep alive (at least 1).
         listen: broker bind address; port 0 picks a free one.
         trace_cache: persistent trace build cache shared with the
             forked workers.
-        policy: scaling policy; default ``QueueDepthPolicy()``.
         lease_ttl: worker heartbeat ttl for the lease table.
         batch: specs per worker lease request.
         poll: idle-worker wait between lease polls.
         max_attempts: attempts per spec before permanent failure.
         codec: wire/cache codec name.
         ship_traces: broker-side trace builds + wire shipping.
-        scale_interval: seconds between controller ticks.
-        throughput_window: how far back published results count
-            toward the throughput signal.
         announce: callback receiving the bound ``host:port`` string.
         auth_token: shared wire-auth secret (protocol v3). ``None``
             keeps the broker open (localhost-trust).
         max_pending_per_client: outstanding-spec quota per submit
             client; over-quota submissions get a ``busy`` retry-after
             reply. ``None`` = unlimited.
-        drain_grace: seconds a drained worker may run before the
-            supervisor escalates to terminate; default
-            ``max(lease_ttl, 5.0)``.
+        max_crashes: consecutive crash exits before the pool stops
+            refilling (the crash breaker).
         metrics_port: when set, :meth:`start` also binds a plain-HTTP
             observability endpoint on this port (0 picks a free one):
             ``GET /metrics`` serves Prometheus text (broker series
@@ -124,21 +98,19 @@ class FleetService:
     def __init__(
         self,
         cache: ResultCache,
+        workers: int = 1,
         listen: Tuple[str, int] = ("127.0.0.1", 0),
         trace_cache: Optional[TraceCache] = None,
-        policy: Optional[ScalingPolicy] = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         batch: int = 1,
         poll: float = 0.1,
         max_attempts: int = 3,
         codec: str = "none",
         ship_traces: bool = False,
-        scale_interval: float = 1.0,
-        throughput_window: float = 120.0,
         announce: Optional[Callable[[str], None]] = None,
         auth_token: Optional[str] = None,
         max_pending_per_client: Optional[int] = None,
-        drain_grace: Optional[float] = None,
+        max_crashes: int = 5,
         metrics_port: Optional[int] = None,
         metrics_host: str = "127.0.0.1",
     ) -> None:
@@ -147,12 +119,13 @@ class FleetService:
                 "serve mode requires a result cache: submitted grids "
                 "publish into it and repeats are served from it"
             )
+        if workers < 1:
+            raise ConfigurationError(
+                f"serve needs at least one worker, got {workers}"
+            )
         self.cache = cache
+        self.workers = workers
         self.trace_cache = trace_cache
-        self.policy = policy or QueueDepthPolicy()
-        self.throughput_window = throughput_window
-        self._throughput = ThroughputWindow(window=throughput_window)
-        self.scale_interval = scale_interval
         self.announce = announce
         self.broker = Broker(
             cache=cache,
@@ -169,108 +142,137 @@ class FleetService:
         self.batch = batch
         self.codec = codec
         self.auth_token = auth_token
-        self.drain_grace = (
-            max(lease_ttl, 5.0) if drain_grace is None
-            else max(0.0, float(drain_grace))
-        )
+        self.max_crashes = max_crashes
+        self.halted = False
+        self._crashes = 0
         self.metrics_port = metrics_port
         self.metrics_host = metrics_host
         self.metrics_server: Optional[MetricsServer] = None
         self.metrics_address: Optional[Tuple[str, int]] = None
         self.supervisor: Optional[WorkerSupervisor] = None
-        self.controller: Optional[FleetController] = None
         self.address: Optional[Tuple[str, int]] = None
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
 
-    # -- signals -------------------------------------------------------
+    # -- supervision ---------------------------------------------------
 
-    def _signals(self) -> Tuple[int, float]:
-        # piggyback housekeeping on the control loop: vanished
-        # clients' grid state must be reclaimed even when no new
-        # submission ever arrives to trigger the lazy sweep
+    def step(self) -> List[WorkerExit]:
+        """One supervision step (see module doc); returns the exits
+        it reaped."""
+        exits = self.supervisor.reap()
+        for worker_exit in exits:
+            if worker_exit.crashed:
+                self._crashes += 1
+            elif not self.halted:
+                # a clean exit re-arms the breaker — unless it has
+                # already latched: a latched halt releases only via
+                # reset_crashes(), so the HALTED status and the
+                # stopped refilling can never disagree
+                self._crashes = 0
+        if self._crashes >= self.max_crashes:
+            self.halted = True
+        if not self.halted:
+            self.supervisor.refill()
+        live = self.supervisor.live()
+        _G_LIVE.set(live)
+        _G_DESIRED.set(self.workers)
+        _G_HALTED.set(1 if self.halted else 0)
+        self._write_status(live)
+        # vanished clients' grid state must be reclaimed even when no
+        # new submission ever arrives to trigger the lazy sweep
         self.broker.reap_grids()
-        # the broker counts every first publication in memory, so the
-        # signal needs no disk reads and survives REPRO_TELEMETRY=off
-        return (
-            self.broker.queue_depth(),
-            self._throughput.observe(
-                self.broker.stats.results, time.time()
-            ),
-        )
+        return exits
+
+    def reset_crashes(self) -> None:
+        """Re-arm a halted pool (operator action)."""
+        self._crashes = 0
+        self.halted = False
+
+    def _write_status(self, live: int) -> None:
+        payload = {
+            "updated": time.time(),
+            "live": live,
+            "desired": self.workers,
+            "halted": self.halted,
+        }
+        try:
+            atomic_write_bytes(
+                self.cache.root / CLAIMS_DIRNAME / FLEET_STATUS_NAME,
+                json.dumps(payload).encode("utf-8"),
+            )
+        except OSError:
+            pass  # status is advisory; never fail the supervision loop
+
+    def _run(self) -> None:
+        while not self._stop.wait(STEP_INTERVAL):
+            try:
+                self.step()
+            except Exception:
+                # a failed step must not kill the loop: report it on
+                # the service log and let the next step retry
+                traceback.print_exc()
 
     # -- observability -------------------------------------------------
 
     def health(self) -> dict:
-        """The ``/healthz`` document: broker health plus the fleet
-        layer the broker cannot see — desired-vs-live workers, the
-        crash-breaker state, and supervisor lifetime totals."""
+        """The ``/healthz`` document: broker health plus the pool the
+        broker cannot see — desired vs live workers, the crash-breaker
+        state, and how many workers were ever forked."""
         doc = self.broker.health()
-        fleet = {
-            "policy": self.policy.name,
-            "desired": (
-                self.controller.desired if self.controller else 0
-            ),
-            "halted": (
-                self.controller.halted if self.controller else False
-            ),
+        doc["fleet"] = {
+            "desired": self.workers,
+            "halted": self.halted,
+            "live": self.supervisor.live(),
+            "spawned": self.supervisor.spawned,
         }
-        if self.supervisor is not None:
-            fleet.update(
-                live=self.supervisor.live(),
-                draining=self.supervisor.pending_retirement(),
-                spawned=self.supervisor.spawned,
-                retired=self.supervisor.retired,
-            )
-        doc["fleet"] = fleet
         return doc
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
-        """Bind + serve the broker, start the autoscaling loop.
+        """Bind the broker (and the metrics endpoint), fork the pool,
+        start the supervision loop.
 
         Returns the bound address (workers and submitters connect
-        here).
+        here). The metrics endpoint binds before any worker is forked,
+        and a failure at any point stops whatever already started
+        before the exception propagates — a port conflict leaves no
+        socket, thread or worker behind.
         """
-        self.address = self.broker.start()
-        host, port = self.address
-        if self.announce is not None:
-            self.announce(f"{host}:{port}")
-        self.supervisor = WorkerSupervisor(
-            self.address,
-            batch=self.batch,
-            trace_root=(
-                str(self.trace_cache.root) if self.trace_cache else None
-            ),
-            trace_codec=self.codec,
-            name_prefix="serve",
-            drain=self.broker.drain_worker,
-            drain_grace=self.drain_grace,
-            auth_token=self.auth_token,
-        )
-        self.controller = FleetController(
-            self.supervisor,
-            self.policy,
-            signals=self._signals,
-            interval=self.scale_interval,
-            status_path=(
-                self.cache.root / CLAIMS_DIRNAME / FLEET_STATUS_NAME
-            ),
-            events_path=(
-                self.cache.root / CLAIMS_DIRNAME / FLEET_EVENTS_NAME
-            ),
-        )
-        self.controller.start()
-        if self.metrics_port is not None:
-            # bind after the broker so a metrics-port conflict fails
-            # the whole startup before any worker is forked; the
-            # OSError propagates with the colliding port in its text
-            self.metrics_server = MetricsServer(
-                metrics_fn=self.broker.render_metrics,
-                health_fn=self.health,
-                host=self.metrics_host,
-                port=self.metrics_port,
+        try:
+            self.address = self.broker.start()
+            self.supervisor = WorkerSupervisor(
+                self.address,
+                workers=self.workers,
+                batch=self.batch,
+                trace_root=(
+                    str(self.trace_cache.root) if self.trace_cache
+                    else None
+                ),
+                trace_codec=self.codec,
+                name_prefix="serve",
+                auth_token=self.auth_token,
             )
-            self.metrics_address = self.metrics_server.start()
+            if self.metrics_port is not None:
+                self.metrics_server = MetricsServer(
+                    metrics_fn=self.broker.render_metrics,
+                    health_fn=self.health,
+                    host=self.metrics_host,
+                    port=self.metrics_port,
+                )
+                self.metrics_address = self.metrics_server.start()
+            self.step()  # forks the pool and writes the first status
+            self._stop.clear()
+            self._thread = threading.Thread(
+                target=self._run, name="fleet-supervisor", daemon=True
+            )
+            self._thread.start()
+            if self.announce is not None:
+                host, port = self.address
+                self.announce(f"{host}:{port}")
+        except BaseException:
+            self.stop(drain_timeout=0.0)
+            raise
         return self.address
 
     def serve(
@@ -299,9 +301,11 @@ class FleetService:
             time.sleep(poll)
 
     def stop(self, drain_timeout: float = 5.0) -> None:
-        """Shut the service down in drain order (see module doc)."""
-        if self.controller is not None:
-            self.controller.stop()
+        """Shut the service down in order (see module doc)."""
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join(timeout=10)
+            self._thread = None
         self.broker.begin_shutdown()
         if self.supervisor is not None:
             deadline = time.monotonic() + drain_timeout
@@ -311,9 +315,9 @@ class FleetService:
             ):
                 time.sleep(0.05)
             self.supervisor.stop()
-        # the scrape endpoint outlives the drain window above so an
-        # operator (or the smoke check) can watch /healthz flip to
-        # closing and the worker table empty out
+        # the scrape endpoint outlives the wait above so an operator
+        # (or the smoke check) can watch /healthz flip to closing and
+        # the worker table empty out
         if self.metrics_server is not None:
             self.metrics_server.stop()
             self.metrics_server = None

@@ -20,12 +20,11 @@ persistent connection. Messages: ``hello``/``welcome``,
 ``lease``/``specs``, ``result``, ``error``, ``heartbeat``, ``bye``,
 the v2 grid frames ``submit``/``grid-poll``/``grid-results``/
 ``grid-done``, the multi-tenant v3 frames ``auth``/``challenge``
-(HMAC handshake), ``drain`` (graceful worker retirement), and
-``busy`` (per-client quota backpressure), and — when trace shipping
-is on — ``trace-fetch``/``trace``. Workers execute leased specs with
-:func:`repro.runner.runner.execute_spec` plus their local trace cache,
-and stream pickled reports back for the broker to publish. Report
-payloads travel through the broker-advertised codec
+(HMAC handshake) and ``busy`` (per-client quota backpressure), and —
+when trace shipping is on — ``trace-fetch``/``trace``. Workers execute
+leased specs with :func:`repro.runner.runner.execute_spec` plus their
+local trace cache, and stream pickled reports back for the broker to
+publish. Report payloads travel through the broker-advertised codec
 (:mod:`repro.codecs`), so ``paper``-size reports ship compressed.
 
 **Trace distribution** (``ship_traces=True`` / ``run-all
@@ -113,8 +112,8 @@ from repro.workloads import TraceCache, cached_build, get_workload, trace_key
 MAGIC = b"LTPW"
 #: the only version either side emits or accepts; v2 added the
 #: grid frames (submit / grid-poll / grid-results / grid-done); v3
-#: added the multi-tenant frames (auth / challenge handshake, drain,
-#: busy) plus the optional submit ``priority`` key
+#: added the multi-tenant frames (auth / challenge handshake, busy)
+#: plus the optional submit ``priority`` key
 PROTOCOL_VERSION = 3
 _HEADER = struct.Struct("!4sBI")
 
@@ -185,7 +184,6 @@ _M_RESULTS = _tm.counter("repro_broker_results_total")
 _M_RESULT_BYTES = _tm.counter("repro_broker_result_bytes_total")
 _M_SUBMITS = _tm.counter("repro_broker_submits_total")
 _M_AUTH_FAILURES = _tm.counter("repro_broker_auth_failures_total")
-_M_DRAINS = _tm.counter("repro_broker_drains_total")
 _M_TRACE_FETCHES = _tm.counter("repro_broker_trace_fetches_total")
 _M_LEASE_TO_PUBLISH = _tm.histogram(
     "repro_broker_lease_to_publish_seconds"
@@ -386,8 +384,6 @@ class LeaseTable:
         self._state: Dict[str, str] = {key: PENDING for key in keys}
         self._leases: Dict[str, LeaseInfo] = {}
         self._attempts: Dict[str, int] = {}
-        #: key -> last error message, for keys that exhausted attempts
-        self.errors: Dict[str, str] = {}
         #: expired leases reclaimed for reassignment, cumulative
         self.reclaimed = 0
         #: admission-ordered group -> priority (weight per rotation)
@@ -434,7 +430,6 @@ class LeaseTable:
             return False
         self._state[key] = PENDING
         self._attempts.pop(key, None)
-        self.errors.pop(key, None)
         return True
 
     def rearm(self, key: str) -> bool:
@@ -537,10 +532,9 @@ class LeaseTable:
             return False
         self._state[key] = DONE
         self._leases.pop(key, None)
-        self.errors.pop(key, None)
         return True
 
-    def fail(self, key: str, owner: str, message: str) -> bool:
+    def fail(self, key: str, owner: str) -> bool:
         """Record a failed attempt; True once permanently failed.
 
         Like :meth:`heartbeat` and :meth:`release`, owner-checked —
@@ -568,7 +562,6 @@ class LeaseTable:
         self._attempts[key] = attempts
         if attempts >= self.max_attempts:
             self._state[key] = FAILED
-            self.errors[key] = message
             return True
         self._state[key] = PENDING
         return False
@@ -584,11 +577,6 @@ class LeaseTable:
                     self._state[key] = PENDING
                     returned.append(key)
         return returned
-
-    def done(self) -> bool:
-        return all(
-            state in (DONE, FAILED) for state in self._state.values()
-        )
 
     def counts(self) -> Dict[str, int]:
         out = {PENDING: 0, LEASED: 0, DONE: 0, FAILED: 0}
@@ -629,8 +617,6 @@ class BrokerStats:
     rejected_submits: int = 0
     #: connections that failed (or never attempted) the auth handshake
     auth_failures: int = 0
-    #: drain requests accepted for workers
-    drains: int = 0
     workers: Set[str] = field(default_factory=set)
 
 
@@ -715,10 +701,6 @@ class Broker:
         #: ``busy`` frame carrying a retry-after instead of admitting
         #: unbounded work. None = no quota.
         self.max_pending_per_client = max_pending_per_client
-        #: worker names marked for graceful retirement: their next
-        #: lease poll answers done+drain instead of granting, so the
-        #: worker finishes its in-flight batch, says bye, and exits
-        self._draining: Set[str] = set()
         #: cap on raw-report bytes held in self.results — older
         #: entries are evicted once they are safely in the cache, so a
         #: long-lived service cannot grow without bound
@@ -809,13 +791,6 @@ class Broker:
         self._trace_specs.setdefault(tkey, spec)
         self._trace_locks.setdefault(tkey, threading.Lock())
 
-    def queue_depth(self) -> int:
-        """Specs not yet resolved (pending + leased) — the scaling
-        signal a :class:`~repro.fleet.FleetController` samples."""
-        with self._lock:
-            counts = self.table.counts()
-        return counts[PENDING] + counts[LEASED]
-
     # -- lifecycle -----------------------------------------------------
 
     def bind(self) -> Tuple[str, int]:
@@ -903,8 +878,8 @@ class Broker:
         Workers polling an empty table are normally told
         ``done: False`` so they wait for the next submitted grid; once
         ``closing`` is set they get ``done: True`` and exit cleanly —
-        call this before :meth:`stop` so a fleet drains instead of
-        being cut off mid-poll.
+        call this before :meth:`stop` so idle workers leave cleanly
+        instead of being cut off mid-poll.
         """
         self.closing = True
 
@@ -1003,25 +978,6 @@ class Broker:
             False, None, True,
         )
 
-    def drain_worker(self, name: str) -> bool:
-        """Mark ``name`` for graceful retirement.
-
-        Its next lease poll gets ``done: True, drain: True`` instead
-        of a grant — the worker finishes whatever batch it is
-        executing, reports every result, releases, and exits with
-        zero stranded leases. The supervisor prefers this over
-        ``terminate()`` when scaling down mid-queue. Idempotent;
-        False only for an empty name.
-        """
-        if not name:
-            return False
-        with self._lock:
-            if name not in self._draining:
-                self._draining.add(name)
-                self.stats.drains += 1
-                _M_DRAINS.inc()
-        return True
-
     # -- observability ---------------------------------------------------
 
     def worker_snapshots(self) -> Dict[str, dict]:
@@ -1071,7 +1027,6 @@ class Broker:
                     "rtt_s": health.get("rtt"),
                     "keys": health.get("keys", 0),
                     "live": fresh,
-                    "draining": name in self._draining,
                 }
             grids_pending = {
                 gid: len(grid.outstanding)
@@ -1087,7 +1042,6 @@ class Broker:
                 "grids_done": self.stats.grids_done,
                 "rejected_submits": self.stats.rejected_submits,
                 "auth_failures": self.stats.auth_failures,
-                "drains": self.stats.drains,
             }
         return {
             "queue_depth": depth,
@@ -1095,9 +1049,6 @@ class Broker:
             "live_workers": live,
             "workers": workers,
             "grids_pending": grids_pending,
-            "draining": len(
-                [w for w in workers.values() if w["draining"]]
-            ),
             "closing": self.closing,
             "stats": stats,
         }
@@ -1113,13 +1064,6 @@ class Broker:
             # open broker (or an already-authenticated connection):
             # acknowledge so token-configured clients interoperate
             return {"type": "ok", "authenticated": True}
-        if mtype == "drain":
-            return {
-                "type": "ok",
-                "draining": self.drain_worker(
-                    str(message.get("target", ""))
-                ),
-            }
         if mtype == "hello":
             with self._lock:
                 self.stats.workers.add(worker)
@@ -1192,19 +1136,6 @@ class Broker:
 
     def _handle_lease(self, worker: str, max_n: int) -> dict:
         with self._lock:
-            if worker in self._draining:
-                # graceful retirement: no grant, finish-and-exit. The
-                # worker polls only between batches, so it holds no
-                # leases here — release() is a defensive no-op that
-                # guarantees zero stranded leases regardless.
-                self._draining.discard(worker)
-                self.table.release(worker)
-                return {
-                    "type": "specs",
-                    "leases": [],
-                    "done": True,
-                    "drain": True,
-                }
             # lease() reclaims expired leases first, so a dead
             # worker's specs are regranted right here
             keys = self.table.lease(worker, max(1, max_n))
@@ -1725,7 +1656,7 @@ class Broker:
         _M_RESULTS.inc(outcome="error")
         with self._lock:
             self.stats.errors += 1
-            final = self.table.fail(key, worker, message)
+            final = self.table.fail(key, worker)
             if final:
                 # a permanently failed key will never produce a
                 # result: deliver the failure to its waiting grids
@@ -1840,9 +1771,6 @@ class WorkerStats:
     trace_fallbacks: int = 0
     #: packed trace bytes received over the wire
     trace_bytes: int = 0
-    #: True when the broker retired this worker with a drain frame
-    #: (graceful scale-down) rather than the grid/service finishing
-    drained: bool = False
 
 
 def _verify_trace_blob(key: str, reply: Any) -> Optional[ProgramSet]:
@@ -1944,11 +1872,10 @@ def run_worker(
     fetched as verified compressed blobs instead of rebuilt locally.
     With ``auth_token`` set, both connections run the v3 HMAC
     handshake before any other frame (required against an
-    authenticated broker; harmless against an open one). A broker
-    drain retires the worker cleanly between batches
-    (``stats.drained``). Raises :class:`ProtocolError`/``OSError``
-    when the broker vanishes, and ``OSError`` when it stops answering
-    for :data:`REQUEST_TIMEOUT` seconds.
+    authenticated broker; harmless against an open one). Raises
+    :class:`ProtocolError`/``OSError`` when the broker vanishes, and
+    ``OSError`` when it stops answering for :data:`REQUEST_TIMEOUT`
+    seconds.
     """
     worker_name = name or f"{socket.gethostname()}-{os.getpid()}"
     stats = WorkerStats(name=worker_name)
@@ -2041,7 +1968,6 @@ def run_worker(
             leases = reply.get("leases", [])
             if not leases:
                 if reply.get("done"):
-                    stats.drained = bool(reply.get("drain"))
                     break
                 time.sleep(float(reply.get("wait", 0.5)))
                 continue

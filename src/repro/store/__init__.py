@@ -13,7 +13,7 @@ Three modules over one database (``<cache-root>/index.sqlite``):
     ``cache reindex`` (rebuild the index from blobs on disk).
 ``report``
     the ``repro report`` static HTML site generator — experiment
-    tables + SVG figures, fleet scaling timelines, bench trends.
+    tables + SVG figures, the serve pool's status, bench trends.
 """
 
 from repro.store.index import (

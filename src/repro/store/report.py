@@ -6,9 +6,8 @@ assets. :func:`generate_report` reads three sources:
 * the sqlite :class:`~repro.store.index.ResultIndex` (experiment
   metric tables + inline SVG figures, one page per experiment, and
   per-holder throughput from each row's ``holder``/``created``);
-* the fleet observability files under ``<cache>/claims/`` —
-  ``fleet.json`` (current status) and ``fleet_events.jsonl`` (the
-  durable scaling-event log the controller appends);
+* the serve pool's status mirror ``<cache>/claims/fleet.json``
+  (live and desired workers, the crash breaker);
 * ``BENCH_*.json`` micro-benchmark records (the
   ``ltp-repro-bench/1`` schema the benchmark suite emits) for trend
   charts.
@@ -22,7 +21,7 @@ in a fixed slot order (never cycled), light and dark palettes are
 separate steps of the same ramps selected via CSS custom properties,
 text always wears ink tokens (never a series color), every chart is
 paired with a plain table of the same numbers, and the reserved
-status red marks only halts.
+status red marks only campaign discoveries.
 """
 
 from __future__ import annotations
@@ -48,9 +47,8 @@ SERIES_COLORS = (
     ("#e34948", "#e66767"),  # red
 )
 
-#: reserved status hue (fleet halts) — never used for a series
+#: reserved status hue (campaign discoveries) — never used for a series
 STATUS_CRITICAL = "#d03b3b"
-STATUS_SERIOUS = "#ec835a"
 
 _CSS = """
 :root {
@@ -276,11 +274,10 @@ def line_chart_svg(
     xs: Sequence[float],
     series: Sequence[Tuple[str, Sequence[Optional[float]]]],
     x_labels: Optional[Sequence[str]] = None,
-    step: bool = False,
     markers: Sequence[Tuple[float, float, str, str]] = (),
 ) -> str:
-    """Line (or step) chart over numeric x; 2px strokes, fixed-slot
-    hues, optional status ``markers`` as ``(x, y, color, label)``."""
+    """Line chart over numeric x; 2px strokes, fixed-slot hues,
+    optional status ``markers`` as ``(x, y, color, label)``."""
     values = [
         v for _, vals in series for v in vals if v is not None
     ]
@@ -311,11 +308,8 @@ def line_chart_svg(
         if not points:
             continue
         d = f"M{points[0][0]:.1f} {points[0][1]:.1f}"
-        for (px, py), (qx, qy) in zip(points, points[1:]):
-            if step:
-                d += f" H{qx:.1f} V{qy:.1f}"
-            else:
-                d += f" L{qx:.1f} {qy:.1f}"
+        for qx, qy in points[1:]:
+            d += f" L{qx:.1f} {qy:.1f}"
         parts.append(
             f'<path d="{d}" fill="none" stroke="{color}" '
             'stroke-width="2" stroke-linejoin="round" '
@@ -526,49 +520,29 @@ def holder_throughput(
 def load_fleet(
     cache_root, rows: Sequence[Dict[str, Any]] = ()
 ) -> Dict[str, Any]:
-    """Status + full event history from the claims directory, plus
-    per-holder throughput from the index ``rows``.
+    """The pool status from the claims directory, plus per-holder
+    throughput from the index ``rows``."""
+    from repro.fleet import CLAIMS_DIRNAME, FLEET_STATUS_NAME
 
-    The controller size-rotates its event log (``fleet_events.jsonl``
-    plus ``.1``..``.N`` backups); the rotated segments are read
-    oldest-first so the timeline stays chronological across rotation.
-    """
-    from repro.fleet import (
-        CLAIMS_DIRNAME,
-        FLEET_EVENTS_NAME,
-        FLEET_STATUS_NAME,
-    )
-    from repro.telemetry.sink import read_jsonl
-
-    claims = Path(cache_root) / CLAIMS_DIRNAME
     status: Dict[str, Any] = {}
     try:
         status = json.loads(
-            (claims / FLEET_STATUS_NAME).read_text(encoding="utf-8")
+            (Path(cache_root) / CLAIMS_DIRNAME / FLEET_STATUS_NAME)
+            .read_text(encoding="utf-8")
         )
     except (OSError, ValueError):
         pass
-    events: List[Dict[str, Any]] = list(
-        read_jsonl(claims / FLEET_EVENTS_NAME)
-    )
-    if not events:
-        events = list(status.get("events", []))
-    return {
-        "status": status,
-        "events": events,
-        "holders": holder_throughput(rows),
-    }
+    return {"status": status, "holders": holder_throughput(rows)}
 
 
 def _fleet_section(fleet: Dict[str, Any]) -> str:
     status = fleet["status"]
-    events = fleet["events"]
     holders = fleet["holders"]
-    if not status and not events and not holders:
+    if not status and not holders:
         return (
             '<section class="card"><h2>Fleet</h2>'
             "<p>No fleet activity recorded (no "
-            "<code>claims/fleet.json</code> or scaling-event log in "
+            "<code>claims/fleet.json</code> or worker publishes in "
             "this cache).</p></section>"
         )
     kpis = ""
@@ -580,59 +554,9 @@ def _fleet_section(fleet: Dict[str, Any]) -> str:
             for k, v in (
                 ("live workers", status.get("live", "-")),
                 ("desired", status.get("desired", "-")),
-                ("queue depth", status.get("queue_depth", "-")),
-                (
-                    "throughput (jobs/min)",
-                    f"{status.get('throughput', 0.0):.1f}",
-                ),
-                ("policy", status.get("policy", "-")),
                 ("state", "HALTED" if halted else "ok"),
             )
         ) + "</div>"
-    timeline = ""
-    if events:
-        xs = [e["when"] for e in events]
-        live = [e["live"] for e in events]
-        markers = [
-            (
-                e["when"],
-                e["live"],
-                STATUS_CRITICAL if e["action"] == "halt"
-                else STATUS_SERIOUS,
-                e["action"],
-            )
-            for e in events
-            if e["action"] in ("halt", "exit")
-        ]
-        timeline = (
-            "<h3>Scaling timeline (live workers)</h3>"
-            + line_chart_svg(
-                xs,
-                [("live workers", live)],
-                x_labels=[_fmt_ts(x) for x in xs],
-                step=True,
-                markers=markers,
-            )
-        )
-        recent = events[-12:]
-        rows = "".join(
-            "<tr>"
-            f"<td>{_fmt_ts(e['when'])}</td>"
-            f"<td>{_esc(e['action'])}</td>"
-            f'<td class="num">{_esc(e["live"])}</td>'
-            f'<td class="num">{_esc(e["desired"])}</td>'
-            f'<td class="num">{_esc(e["queue_depth"])}</td>'
-            f"<td>{_esc(e['reason'])}</td>"
-            "</tr>"
-            for e in recent
-        )
-        timeline += (
-            f"<h3>Last {len(recent)} of {len(events)} event(s)</h3>"
-            "<table><thead><tr><th>when</th><th>action</th>"
-            '<th class="num">live</th><th class="num">desired</th>'
-            '<th class="num">queue</th><th>reason</th></tr></thead>'
-            f"<tbody>{rows}</tbody></table>"
-        )
     holder_table = ""
     if holders:
         rows = "".join(
@@ -655,7 +579,7 @@ def _fleet_section(fleet: Dict[str, Any]) -> str:
         )
     return (
         f'<section class="card"><h2>Fleet</h2>'
-        f"{kpis}{timeline}{holder_table}</section>"
+        f"{kpis}{holder_table}</section>"
     )
 
 

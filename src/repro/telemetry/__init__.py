@@ -14,7 +14,7 @@ Four pieces:
   propagate over the wire so one spec's lease → execute → publish
   stitches across broker and worker processes;
 * :mod:`repro.telemetry.sink` — the size-capped rotating JSONL writer
-  behind spans and the fleet event log;
+  behind spans;
 * :mod:`repro.telemetry.exposition` / ``server`` — Prometheus text
   rendering and the ``/metrics`` + ``/healthz`` HTTP endpoint the
   serve broker exposes with ``--metrics-port``.

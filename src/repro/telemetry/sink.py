@@ -1,15 +1,14 @@
-"""Size-capped rotating JSONL sinks for spans and event logs.
+"""Size-capped rotating JSONL sinks for span logs.
 
 A :class:`RotatingJsonlWriter` appends JSON lines to ``path``; once
 the file would exceed ``max_bytes`` it rotates ``path -> path.1 ->
 path.2 ...`` keeping ``backups`` old segments, so a long-lived
-``repro serve`` cannot grow its telemetry (or its
-``claims/fleet_events.jsonl``) without bound. Writes are advisory:
-any OSError is swallowed — observability must never take the service
-down with it.
+``repro serve`` cannot grow its telemetry without bound. Writes are
+advisory: any OSError is swallowed — observability must never take
+the service down with it.
 
 Readers use :func:`rotated_segments` to walk the segments oldest
-first, so ``store/report.py`` sees one continuous, ordered event
+first, so :func:`read_jsonl` yields one continuous, ordered record
 stream across rotations.
 """
 

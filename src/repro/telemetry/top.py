@@ -177,19 +177,15 @@ def render_screen(
 
     state = "closing" if health.get("closing") else "serving"
     if fleet.get("halted"):
-        state += " [AUTOSCALER HALTED]"
+        state += " [WORKER POOL HALTED]"
     lines.append(
         f"broker: {state}  queue={health.get('queue_depth', 0)} "
         f"leased={health.get('leased', 0)} "
         f"workers={health.get('live_workers', 0)} live / "
-        f"{fleet.get('desired', 0)} desired "
-        f"({health.get('draining', 0)} draining)"
+        f"{fleet.get('desired', 0)} desired"
     )
     lines.append(
-        f"fleet:  policy={fleet.get('policy', '?')} "
-        f"spawned={fleet.get('spawned', 0)} "
-        f"retired={fleet.get('retired', 0)}  throughput="
-        f"{metric_total(metrics, 'repro_fleet_throughput_jobs_per_min'):.1f}/min"
+        f"fleet:  spawned={fleet.get('spawned', 0)}"
         f"  results={rate('repro_broker_results_total') or 0:.1f}/min"
     )
     lat = "lease->publish: " + "  ".join(
@@ -208,12 +204,7 @@ def render_screen(
         )
         for name in sorted(workers):
             info = workers[name]
-            if info.get("draining"):
-                wstate = "draining"
-            elif info.get("live"):
-                wstate = "live"
-            else:
-                wstate = "stale"
+            wstate = "live" if info.get("live") else "stale"
             ok = metric_total(
                 metrics, "repro_worker_executed_total",
                 worker=name, outcome="ok",
@@ -243,7 +234,6 @@ def render_screen(
         f"totals: {stats.get('results', 0)} results "
         f"({stats.get('duplicates', 0)} dup), "
         f"{stats.get('grids_done', 0)} grids done, "
-        f"{stats.get('drains', 0)} drains, "
         f"{stats.get('auth_failures', 0)} auth failures"
     )
     return "\n".join(lines)

@@ -1,10 +1,9 @@
-"""Integration tests for serve mode, grid submission, and autoscaling.
+"""Integration tests for serve mode, grid submission, and the pool.
 
 The headline scenario from the acceptance criteria: one persistent
-broker accepts two submitted grids back-to-back without restart, the
-controller scales the worker fleet up from zero on queue depth and
-back down to zero on drain (asserted via the scaling-event log), and
-every streamed result is byte-identical to the inline backend.
+broker with a fixed pool of two workers accepts two submitted grids
+back-to-back without restart, every unique spec runs exactly once,
+and every streamed result is byte-identical to the inline backend.
 
 Plus the protocol-level seams: the rejection of every other wire
 version, submitted-grid failure delivery, the
@@ -21,7 +20,7 @@ import time
 import pytest
 
 from repro.experiments.cli import build_parser, main, _runner_from_args
-from repro.fleet import FleetService, QueueDepthPolicy
+from repro.fleet import FleetService, WorkerSupervisor
 from repro.runner import (
     Broker,
     GridClient,
@@ -74,11 +73,7 @@ def golden():
 def _service(tmp_path, **kwargs):
     defaults = dict(
         cache=ResultCache(tmp_path / "serve-cache"),
-        policy=QueueDepthPolicy(
-            specs_per_worker=2, min_workers=0, max_workers=2,
-            cooldown=0.2,
-        ),
-        scale_interval=0.05,
+        workers=2,
         lease_ttl=10.0,
         poll=0.02,
     )
@@ -87,9 +82,11 @@ def _service(tmp_path, **kwargs):
 
 
 class TestServeMode:
-    def test_two_grids_autoscale_up_then_down(self, tmp_path, golden):
+    def test_two_grids_on_a_fixed_pool(self, tmp_path, golden):
         """The acceptance scenario, end to end in one process."""
         with _service(tmp_path) as service:
+            # start() forked the whole pool before any grid arrived
+            assert service.supervisor.spawned == 2
             client = GridClient(service.address, name="it-client")
             try:
                 first = client.submit(_grid_a())
@@ -126,28 +123,10 @@ class TestServeMode:
             assert service.broker.stats.results == unique
             assert second["cached"] >= 1
 
-            # scaled up from zero on queue depth...
-            events = list(service.controller.events)
-            assert events and events[0].action == "up"
-            assert events[0].live == 0
-            assert events[0].desired > 0
-            assert events[0].queue_depth > 0
-
-            # ...and back down to zero on drain
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if service.supervisor.live() == 0 and any(
-                    e.action == "down" and e.desired == 0
-                    for e in service.controller.events
-                ):
-                    break
-                time.sleep(0.05)
-            downs = [
-                e for e in service.controller.events
-                if e.action == "down"
-            ]
-            assert downs and downs[-1].desired == 0
-            assert service.supervisor.live() == 0
+            # the pool held its size: nothing crashed, nothing was
+            # respawned
+            assert service.supervisor.live() == 2
+            assert service.supervisor.spawned == 2
 
             # the status mirror landed at its documented path, and
             # nothing wrote per-spec claim or per-worker counter files
@@ -158,6 +137,94 @@ class TestServeMode:
             root = service.cache.root
             assert list(root.rglob("*.claim")) == []
             assert list(root.rglob("*.done")) == []
+
+    def test_failed_start_leaves_nothing_running(self, tmp_path):
+        """A metrics port already in use fails start() before any
+        worker is forked, and start() stops what it had started: the
+        broker port refuses connections afterwards and no thread is
+        left behind (the autouse leak fixture checks the threads)."""
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            service = _service(
+                tmp_path, metrics_port=taken.getsockname()[1]
+            )
+            with pytest.raises(OSError):
+                with service:
+                    pass
+        assert service.supervisor.spawned == 0
+        with pytest.raises(OSError):
+            socket.create_connection(service.address, timeout=2).close()
+
+    def test_busy_broker_port_fails_start_before_any_fork(
+        self, tmp_path
+    ):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            service = _service(tmp_path, listen=taken.getsockname())
+            with pytest.raises(OSError):
+                service.start()
+        assert service.supervisor is None  # nothing was forked
+        assert not (
+            service.cache.root / "claims" / "fleet.json"
+        ).exists()
+
+    def test_failed_first_step_stops_broker_and_metrics(
+        self, tmp_path, monkeypatch
+    ):
+        """Any exception in start(), not only a bind error, tears
+        down what was started: here the first refill raises after the
+        broker and the metrics endpoint are both up."""
+
+        def refill(self):
+            raise RuntimeError("cannot fork")
+
+        monkeypatch.setattr(WorkerSupervisor, "refill", refill)
+        service = _service(tmp_path, metrics_port=0)
+        with pytest.raises(RuntimeError, match="cannot fork"):
+            service.start()
+        assert service.metrics_server is None
+        for address in (service.address, service.metrics_address):
+            with pytest.raises(OSError):
+                socket.create_connection(address, timeout=2).close()
+
+    def test_failed_announce_stops_the_forked_pool(
+        self, tmp_path, monkeypatch
+    ):
+        spawned = []
+
+        class Proc:
+            exitcode = None
+
+            def __init__(self):
+                self.alive = True
+
+            def is_alive(self):
+                return self.alive
+
+            def terminate(self):
+                self.alive = False
+
+            def join(self, timeout=None):
+                pass
+
+        def spawn(self, name, address):
+            spawned.append(Proc())
+            return spawned[-1]
+
+        def announce(address):
+            raise RuntimeError("announce failed")
+
+        monkeypatch.setattr(WorkerSupervisor, "_spawn_process", spawn)
+        service = _service(tmp_path, announce=announce)
+        with pytest.raises(RuntimeError, match="announce failed"):
+            service.start()
+        assert len(spawned) == 2
+        assert not any(proc.alive for proc in spawned)
+        assert service.supervisor.live() == 0
+        with pytest.raises(OSError):
+            socket.create_connection(service.address, timeout=2).close()
 
     def test_resubmitted_grid_is_fully_cached(self, tmp_path):
         with _service(tmp_path) as service:
@@ -446,13 +513,13 @@ class TestServeMode:
 
         table = LeaseTable(["k"], ttl=10.0, max_attempts=2)
         [key] = table.lease("w", 1)
-        assert table.fail(key, "w", "transient") is False
+        assert table.fail(key, "w") is False
         [key] = table.lease("w", 1)
         table.complete(key)  # succeeded with 1 attempt burned
         assert table.requeue(key) is True
         [key] = table.lease("w", 1)
         # fresh budget: the first new error is not final
-        assert table.fail(key, "w", "transient again") is False
+        assert table.fail(key, "w") is False
 
     def test_stream_timeout_applies_even_while_results_trickle(
         self, tmp_path, monkeypatch
@@ -630,86 +697,6 @@ class TestFairShare:
                     )
                 remaining[group] -= 1
                 previous = group
-
-
-class TestGracefulDrain:
-    def test_drained_worker_exits_clean_with_zero_stranded_leases(
-        self, tmp_path
-    ):
-        """A worker drained mid-queue finishes its in-flight batch,
-        exits 0 holding no leases, and the queue still drains."""
-        import threading
-
-        specs = _grid_a()
-        broker = Broker(cache=ResultCache(tmp_path), poll=0.02)
-        address = broker.start()
-        stats_box = {}
-
-        def run(name):
-            stats_box[name] = run_worker(address=address, name=name)
-
-        victim = threading.Thread(
-            target=run, args=("victim",), daemon=True
-        )
-        try:
-            with GridClient(address) as client:
-                client.submit(specs)
-                victim.start()
-                # let the victim get at least one spec done so the
-                # drain lands mid-queue, not pre-first-lease
-                deadline = time.monotonic() + 240
-                while (
-                    time.monotonic() < deadline
-                    and broker.stats.results < 1
-                ):
-                    time.sleep(0.01)
-                assert broker.stats.results >= 1
-                assert broker.drain_worker("victim") is True
-                victim.join(timeout=240)
-                assert not victim.is_alive()
-                assert stats_box["victim"].drained
-                assert broker.stats.drains == 1
-                # zero stranded leases: nothing in the table still
-                # names the drained worker as owner
-                with broker._lock:
-                    owners = {
-                        info.owner
-                        for info in broker.table._leases.values()
-                    }
-                assert "victim" not in owners
-                # the rest of the queue drains via a relief worker
-                relief = threading.Thread(
-                    target=run, args=("relief",), daemon=True
-                )
-                relief.start()
-                results = dict(client.stream(timeout=240))
-            assert len(results) == len(specs)
-            # drained + relief executions cover the grid exactly once
-            assert broker.stats.results == len(specs)
-            # the idle relief worker leaves once the service closes
-            broker.begin_shutdown()
-            relief.join(timeout=30)
-            assert not relief.is_alive()
-        finally:
-            broker.stop()
-
-    def test_drain_frame_on_the_wire(self, tmp_path):
-        """The v3 `drain` frame marks a named worker for retirement
-        (idempotently) without touching anything else."""
-        broker = Broker(cache=ResultCache(tmp_path), poll=0.02)
-        address = broker.start()
-        try:
-            raw = _RawClient(address)
-            reply = raw.request({"type": "drain", "target": "w1"})
-            assert reply == {"type": "ok", "draining": True}
-            again = raw.request({"type": "drain", "target": "w1"})
-            assert again["draining"] is True
-            assert broker.stats.drains == 1  # idempotent
-            bad = raw.request({"type": "drain", "target": ""})
-            assert bad["draining"] is False
-            raw.close()
-        finally:
-            broker.stop()
 
 
 class TestWireAuth:
@@ -908,6 +895,25 @@ class TestWireCompat:
     def test_current_version_is_v3(self):
         assert remote_mod.PROTOCOL_VERSION == 3
 
+    def test_drain_frame_is_an_unknown_message_type(self):
+        """Worker drain is gone without a version bump: a ``drain``
+        frame gets the generic unknown-type error and the connection
+        keeps serving."""
+        broker = Broker()
+        address = broker.start()
+        client = _RawClient(address)
+        try:
+            reply = client.request({"type": "drain", "worker": "w-1"})
+            assert reply == {
+                "type": "error",
+                "message": "unknown message type 'drain'",
+            }
+            welcome = client.request({"type": "hello", "worker": "w-1"})
+            assert welcome["protocol"] == 3
+        finally:
+            client.close()
+            broker.stop()
+
 
 class TestWaitWorkersTimeout:
     def test_zero_worker_broker_fails_fast_instead_of_hanging(
@@ -961,9 +967,7 @@ class TestWaitWorkersTimeout:
 class TestCliPlumbing:
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.policy == "queue"
-        assert args.min_workers == 0
-        assert args.max_workers == 4
+        assert args.jobs == 1
         assert args.cache_dir == ".repro-cache"
         assert args.grids is None
 
@@ -1038,20 +1042,41 @@ class TestCliPlumbing:
         assert code == 2
         assert "result cache" in capsys.readouterr().err
 
-    def test_serve_rejects_inert_jobs_flag(self, capsys, tmp_path):
+    def test_serve_rejects_an_empty_pool(self, capsys, tmp_path):
         code = main([
-            "serve", "--cache-dir", str(tmp_path), "--jobs", "8",
+            "serve", "--cache-dir", str(tmp_path), "--jobs", "0",
         ])
         assert code == 2
-        assert "no effect" in capsys.readouterr().err
+        assert "at least 1" in capsys.readouterr().err
 
-    def test_serve_rejects_bad_policy_bounds(self, capsys, tmp_path):
+    def test_serve_rejects_a_negative_pool(self, capsys, tmp_path):
         code = main([
-            "serve", "--cache-dir", str(tmp_path),
-            "--min-workers", "5", "--max-workers", "2",
+            "serve", "--cache-dir", str(tmp_path), "--jobs", "-3",
         ])
         assert code == 2
-        assert "max_workers" in capsys.readouterr().err
+        assert "got -3" in capsys.readouterr().err
+
+    def test_serve_sizes_its_pool_with_jobs(self):
+        args = build_parser().parse_args(["serve", "--jobs", "4"])
+        assert args.jobs == 4
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--policy", "queue"),
+        ("--min-workers", "1"),
+        ("--max-workers", "2"),
+        ("--specs-per-worker", "3"),
+        ("--drain-target", "1"),
+        ("--cooldown", "0.2"),
+        ("--scale-interval", "0.05"),
+        ("--drain-grace", "5"),
+    ])
+    def test_serve_rejects_the_removed_scaling_flags(
+        self, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", flag, value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSubmitCli:

@@ -304,13 +304,13 @@ class TestRemoteFailures:
         assert table.lease("A", 1) == ["k"]
         now[0] += 11.0
         assert table.lease("B", 1) == ["k"]  # reassigned after expiry
-        assert table.fail("k", "A", "stale boom") is False
+        assert table.fail("k", "A") is False
         assert table.states()["k"] == LEASED
         assert table.owner_of("k") == "B"
         # B's own failures still count, and only they reach the cap
-        assert table.fail("k", "B", "boom 1") is False
+        assert table.fail("k", "B") is False
         assert table.lease("B", 1) == ["k"]
-        assert table.fail("k", "B", "boom 2") is True
+        assert table.fail("k", "B") is True
 
 
 def _worker_cli(address, out_path):

@@ -1,147 +1,195 @@
-"""Property-based model check of the scaling-policy contract.
+"""Property-based model check of the fixed pool's supervision step.
 
-Random sequences of observed queue depths, throughputs, and clock
-advances drive a policy through ``decide()`` with the fleet faithfully
-following every decision (``live`` = the previous answer — what a
-controller whose supervisor always succeeds would see). The contract:
+Random schedules of worker exits (and operator re-arms) drive
+``FleetService.step`` over a real :class:`WorkerSupervisor` whose
+processes are fakes, so nothing forks or binds. The properties:
 
-* the decision never leaves ``[min_workers, max_workers]``;
-* two fleet-size *changes* are never closer than ``cooldown`` seconds;
-* once the queue stays empty and the cooldown has passed, the fleet
-  converges to ``min_workers`` and stays there.
+* ``halted`` follows a model of the crash breaker fed the exits each
+  step reports: it latches once ``max_crashes`` consecutive crashes
+  were reaped, a clean exit re-arms only an un-latched breaker, and
+  only ``reset_crashes`` releases a latched one;
+* the pool never holds more than ``workers`` live workers, holds
+  exactly ``workers`` after every step that ends un-halted, and forks
+  nothing in a step that ends halted;
+* every forked worker is either live or reported by exactly one step,
+  and the reported exits are exactly the injected ones;
+* worker names stay within the pool's ``workers`` slots;
+* ``claims/fleet.json`` and ``health()["fleet"]`` mirror the pool.
 """
 
-import math
+import json
+import os
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet import QueueDepthPolicy, ThroughputPolicy, FleetSignals
+from repro.fleet import FleetService, WorkerSupervisor
+from repro.runner import ResultCache
 
 
-class SteppedClock:
-    def __init__(self, now=1_000.0):
-        self.now = now
+class FakeProc:
+    def __init__(self):
+        self.alive = True
+        self.exitcode = None
 
-    def __call__(self):
-        return self.now
+    def is_alive(self):
+        return self.alive
+
+    def terminate(self):
+        self.alive = False
+
+    def join(self, timeout=None):
+        pass
 
 
-#: one observation: (queue_depth, throughput jobs/min, dt seconds)
-observations = st.lists(
+#: per step: exits for some live workers — (pick index, exit code) —
+#: and whether the operator calls reset_crashes() before the step
+schedules = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=500),
-        st.floats(
-            min_value=0.0, max_value=1e4,
-            allow_nan=False, allow_infinity=False,
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=7),
+                st.sampled_from([0, 1, -9, -15]),
+            ),
+            max_size=4,
         ),
-        st.floats(
-            min_value=0.0, max_value=30.0,
-            allow_nan=False, allow_infinity=False,
-        ),
+        st.booleans(),
     ),
     min_size=1,
-    max_size=60,
+    max_size=25,
 )
 
-policy_configs = st.tuples(
-    st.sampled_from(["queue", "throughput"]),
-    st.integers(min_value=0, max_value=3),    # min_workers
-    st.integers(min_value=1, max_value=16),   # max extra over min
-    st.floats(min_value=0.0, max_value=20.0,  # cooldown
-              allow_nan=False, allow_infinity=False),
-    st.integers(min_value=1, max_value=8),    # specs_per_worker
+pools = dict(
+    workers=st.integers(min_value=1, max_value=4),
+    max_crashes=st.integers(min_value=1, max_value=4),
+    schedule=schedules,
 )
 
 
-def _build(config, clock):
-    kind, min_w, extra, cooldown, chunk = config
-    bounds = dict(
-        min_workers=min_w,
-        max_workers=max(1, min_w) + extra,
-        cooldown=cooldown,
-        clock=clock,
-    )
-    if kind == "queue":
-        return QueueDepthPolicy(specs_per_worker=chunk, **bounds)
-    return ThroughputPolicy(
-        drain_target=30.0 * chunk, assumed_rate=6.0, **bounds
-    )
+def _drive(workers, max_crashes, schedule):
+    """Run ``schedule`` against a fresh service; returns one record
+    per step (the first is the step :meth:`FleetService.start` runs)
+    plus every injected exit and every forked worker name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ResultCache(Path(tmp) / "cache")
+        service = FleetService(
+            cache=cache, workers=workers, max_crashes=max_crashes
+        )
+        current = {}  # slot name -> the process now filling it
+        forked = []
+
+        def spawn(name, address):
+            current[name] = FakeProc()
+            forked.append(name)
+            return current[name]
+
+        service.supervisor = WorkerSupervisor(
+            ("127.0.0.1", 1),
+            workers=workers,
+            name_prefix="serve",
+            spawn=spawn,
+        )
+        status_path = cache.root / "claims" / "fleet.json"
+        injected, records = [], []
+        for kills, reset in [([], False)] + list(schedule):
+            live_names = [n for n, p in current.items() if p.alive]
+            for index, code in kills:
+                if not live_names:
+                    break
+                name = live_names.pop(index % len(live_names))
+                current[name].alive = False
+                current[name].exitcode = code
+                injected.append((name, code))
+            if reset:
+                service.reset_crashes()
+            exits = service.step()
+            records.append(dict(
+                reset=reset,
+                exits=exits,
+                halted=service.halted,
+                live=service.supervisor.live(),
+                spawned=service.supervisor.spawned,
+                status=json.loads(status_path.read_text()),
+                health=service.health()["fleet"],
+            ))
+        return records, injected, forked
 
 
-@settings(max_examples=200, deadline=None)
-@given(config=policy_configs, steps=observations)
-def test_policy_contract(config, steps):
-    clock = SteppedClock()
-    policy = _build(config, clock)
-    live = policy.min_workers
-    last_change_at = None
-    for queue_depth, throughput, dt in steps:
-        clock.now += dt
-        decided = policy.decide(FleetSignals(
-            queue_depth=queue_depth,
-            live_workers=live,
-            throughput=throughput,
-        ))
-        # bounds hold on every single decision
-        assert policy.min_workers <= decided <= policy.max_workers
-        if decided != live:
-            # changes respect the cooldown between one another
-            if last_change_at is not None:
-                assert (
-                    clock.now - last_change_at >= policy.cooldown
-                ), (
-                    f"change at {clock.now} only "
-                    f"{clock.now - last_change_at}s after the last "
-                    f"(cooldown {policy.cooldown})"
-                )
-            last_change_at = clock.now
-        live = decided
+@settings(max_examples=60, deadline=None)
+@given(**pools)
+def test_breaker_latches_as_modelled(workers, max_crashes, schedule):
+    records, _, _ = _drive(workers, max_crashes, schedule)
+    crashes, halted = 0, False
+    for record in records:
+        if record["reset"]:
+            crashes, halted = 0, False
+        for worker_exit in record["exits"]:
+            if worker_exit.crashed:
+                crashes += 1
+            elif not halted:
+                crashes = 0
+        halted = halted or crashes >= max_crashes
+        assert record["halted"] is halted
 
 
-@settings(max_examples=200, deadline=None)
-@given(config=policy_configs, steps=observations)
-def test_policy_converges_to_min_on_empty_queue(config, steps):
-    """After any history, an empty queue drains the fleet to
-    min_workers within one post-cooldown decision, and it stays
-    there."""
-    clock = SteppedClock()
-    policy = _build(config, clock)
-    live = policy.min_workers
-    for queue_depth, throughput, dt in steps:
-        clock.now += dt
-        live = policy.decide(FleetSignals(
-            queue_depth=queue_depth,
-            live_workers=live,
-            throughput=throughput,
-        ))
-    # the queue empties for good; step past any cooldown remnant
-    clock.now += policy.cooldown + 1.0
-    live = policy.decide(FleetSignals(
-        queue_depth=0, live_workers=live, throughput=0.0
-    ))
-    assert live == policy.min_workers
-    for _ in range(3):
-        clock.now += 1.0
-        live = policy.decide(FleetSignals(
-            queue_depth=0, live_workers=live, throughput=0.0
-        ))
-        assert live == policy.min_workers
+@settings(max_examples=60, deadline=None)
+@given(**pools)
+def test_pool_is_refilled_exactly_while_armed(
+    workers, max_crashes, schedule
+):
+    records, _, _ = _drive(workers, max_crashes, schedule)
+    spawned = 0
+    for record in records:
+        assert record["live"] <= workers
+        if record["halted"]:
+            # a step that ends halted forks nothing
+            assert record["spawned"] == spawned
+        else:
+            assert record["live"] == workers
+        spawned = record["spawned"]
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    config=policy_configs,
-    depth=st.integers(min_value=1, max_value=10_000),
-)
-def test_policy_never_exceeds_max_on_any_backlog(config, depth):
-    clock = SteppedClock()
-    policy = _build(config, clock)
-    decided = policy.decide(FleetSignals(
-        queue_depth=depth, live_workers=0, throughput=0.0
-    ))
-    assert decided <= policy.max_workers
-    # and the raw heuristic is what the clamp protects against
-    assert policy.target(FleetSignals(
-        queue_depth=depth, live_workers=0, throughput=0.0
-    )) >= math.ceil(depth / max(depth, 1))  # sanity: >= 1 worker
+@settings(max_examples=60, deadline=None)
+@given(**pools)
+def test_every_fork_is_live_or_reaped_once(
+    workers, max_crashes, schedule
+):
+    records, injected, forked = _drive(workers, max_crashes, schedule)
+    reported = []
+    for record in records:
+        reported.extend((e.name, e.exitcode) for e in record["exits"])
+        assert record["spawned"] == record["live"] + len(reported)
+    assert sorted(reported) == sorted(injected)
+    assert records[-1]["spawned"] == len(forked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**pools)
+def test_names_stay_within_the_slots(workers, max_crashes, schedule):
+    _, _, forked = _drive(workers, max_crashes, schedule)
+    slots = {f"serve-{n}-{os.getpid()}" for n in range(1, workers + 1)}
+    assert set(forked) <= slots
+
+
+@settings(max_examples=60, deadline=None)
+@given(**pools)
+def test_status_and_health_mirror_the_pool(
+    workers, max_crashes, schedule
+):
+    records, _, _ = _drive(workers, max_crashes, schedule)
+    for record in records:
+        status = dict(record["status"])
+        assert isinstance(status.pop("updated"), float)
+        assert status == {
+            "live": record["live"],
+            "desired": workers,
+            "halted": record["halted"],
+        }
+        assert record["health"] == {
+            "desired": workers,
+            "halted": record["halted"],
+            "live": record["live"],
+            "spawned": record["spawned"],
+        }

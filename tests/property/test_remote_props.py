@@ -208,7 +208,7 @@ class LeaseMachine(RuleBasedStateMachine):
         key=st.sampled_from(KEYS), owner=st.sampled_from(OWNERS)
     )
     def fail(self, key, owner):
-        final = self.table.fail(key, owner, "boom")
+        final = self.table.fail(key, owner)
         state, key_owner, expires, attempts = self.model[key]
         if (
             state != LEASED
@@ -354,7 +354,7 @@ def test_stale_worker_error_burns_no_attempt_budget():
     now[0] += TTL + 1.0  # w1 went silent past the ttl
     # the resurrected w1 reports an error on its long-dead lease:
     # with max_attempts=1 the old code FAILED the key permanently
-    assert table.fail(key, "w1", "stale boom") is False
+    assert table.fail(key, "w1") is False
     assert table.states()[key] == LEASED  # left for expire()
     # the key is still grantable with its budget intact
     assert key in table.lease("w2", len(KEYS))
@@ -369,7 +369,7 @@ def test_reassigned_key_ignores_previous_owners_error():
     (key,) = table.lease("w1", 1)
     now[0] += TTL + 1.0
     assert key in table.lease("w2", len(KEYS))  # reassigned
-    assert table.fail(key, "w1", "stale boom") is False
+    assert table.fail(key, "w1") is False
     assert table.owner_of(key) == "w2"
 
 
@@ -381,7 +381,7 @@ def test_failed_key_is_never_resurrected_by_expire():
         ("k1",), ttl=TTL, clock=lambda: now[0], max_attempts=1
     )
     (key,) = table.lease("w1", 1)
-    assert table.fail(key, "w1", "boom") is True  # live lease: final
+    assert table.fail(key, "w1") is True  # live lease: final
     assert table.states()[key] == FAILED
     assert table.owner_of(key) is None
     now[0] += 2 * TTL

@@ -408,20 +408,42 @@ class TestCodecBreakdown:
             "updated": time.time(),
             "live": 2,
             "desired": 3,
-            "queue_depth": 9,
-            "throughput": 12.0,
-            "policy": "queue",
             "halted": False,
-            "events": [{
-                "when": time.time(), "action": "up", "live": 0,
-                "desired": 2, "queue_depth": 9, "throughput": 0.0,
-                "reason": "queue=9",
-            }],
         }))
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "2 live / 3 desired workers" in out
-        assert "up" in out
+        assert "HALTED" not in out
+        assert "(stale)" not in out
+
+    @pytest.mark.parametrize("halted, age, marks", [
+        (True, 0.0, ["HALTED"]),
+        (False, 120.0, ["(stale)"]),
+        (True, 120.0, ["HALTED", "(stale)"]),
+    ], ids=["halted", "stale", "halted-and-stale"])
+    def test_stats_cli_flags_the_pool_state(
+        self, tmp_path, capsys, halted, age, marks
+    ):
+        import json as json_mod
+
+        from repro.fleet import FLEET_STATUS_NAME
+
+        claims = tmp_path / "claims"
+        claims.mkdir(parents=True)
+        (claims / FLEET_STATUS_NAME).write_text(json_mod.dumps({
+            "updated": time.time() - age,
+            "live": 1,
+            "desired": 2,
+            "halted": halted,
+        }))
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if "desired workers" in line
+        )
+        assert "1 live / 2 desired workers" in line
+        for mark in marks:
+            assert mark in line
 
     def test_stats_cli_ignores_corrupt_fleet_file(
         self, tmp_path, capsys

@@ -79,24 +79,9 @@ def build_site(tmp_path):
         cache.put(spec, execute_spec(spec), holder="host-7")
     claims = tmp_path / "cache" / "claims"
     claims.mkdir(parents=True, exist_ok=True)
-    events = [
-        {"when": FIXED_NOW - 240 + i * 60, "action": action,
-         "live": live, "desired": desired, "queue_depth": queue,
-         "throughput": rate, "reason": "policy=queue"}
-        for i, (action, live, desired, queue, rate) in enumerate([
-            ("up", 0, 2, 8, 0.0),
-            ("up", 2, 4, 16, 10.0),
-            ("exit", 4, 4, 9, 12.0),
-            ("down", 4, 1, 1, 14.0),
-        ])
-    ]
-    with open(claims / "fleet_events.jsonl", "w") as log:
-        for event in events:
-            log.write(json.dumps(event) + "\n")
     (claims / "fleet.json").write_text(json.dumps({
-        "updated": FIXED_NOW, "live": 1, "desired": 1,
-        "queue_depth": 0, "throughput": 14.0, "policy": "queue",
-        "halted": False, "events": events[-2:],
+        "updated": FIXED_NOW, "live": 1, "desired": 2,
+        "halted": False,
     }))
     bench = tmp_path / "bench"
     bench.mkdir()
@@ -176,6 +161,36 @@ class TestReportGolden:
         assert "No indexed experiment results" in text
         assert "No fleet activity" in text
         assert "No <code>BENCH_*.json</code> records" in text
+
+    def test_fleet_kpis_show_a_halted_pool(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        claims = tmp_path / "cache" / "claims"
+        claims.mkdir(parents=True)
+        (claims / "fleet.json").write_text(json.dumps({
+            "updated": FIXED_NOW, "live": 1, "desired": 3,
+            "halted": True,
+        }))
+        text = generate_report(
+            cache, tmp_path / "site", now=FIXED_NOW
+        ).read_text()
+        fleet = text[text.index("<h2>Fleet</h2>"):]
+        fleet = fleet[:fleet.index("</section>")]
+        for value, label in (
+            ("1", "live workers"), ("3", "desired"), ("HALTED", "state"),
+        ):
+            assert (
+                f'<div class="value">{value}</div>'
+                f'<div class="label">{label}</div>'
+            ) in fleet
+        assert "Per-holder throughput" not in fleet  # no publishes
+
+    def test_torn_fleet_status_reads_as_no_activity(self, tmp_path):
+        from repro.store.report import load_fleet
+
+        claims = tmp_path / "claims"
+        claims.mkdir()
+        (claims / "fleet.json").write_text('{"live": 1, "desi')
+        assert load_fleet(tmp_path) == {"status": {}, "holders": []}
 
 
 if __name__ == "__main__":  # regenerate the golden skeleton

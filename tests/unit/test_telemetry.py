@@ -205,15 +205,37 @@ class TestTopConsumer:
                 "workers": {
                     "w-1": {
                         "age_s": 0.5, "rtt_s": 0.01,
-                        "keys": 1, "live": True, "draining": False,
+                        "keys": 1, "live": True,
                     }
                 },
-                "fleet": {"policy": "queue", "halted": True},
+                "fleet": {"desired": 2, "halted": True},
             },
             {},
         )
-        assert "AUTOSCALER HALTED" in frame
+        assert "WORKER POOL HALTED" in frame
         assert "w-1" in frame
+
+    def test_render_screen_shows_the_pool_and_the_results_rate(self):
+        def samples(results):
+            reg = MetricsRegistry()
+            reg.counter("repro_broker_results_total").inc(results)
+            return parse_prometheus(render_prometheus(reg.snapshot()))
+
+        health = {
+            "live_workers": 2,
+            "fleet": {
+                "desired": 2, "halted": False, "live": 2, "spawned": 3,
+            },
+        }
+        first = render_screen(health, samples(10))
+        assert "workers=2 live / 2 desired" in first
+        assert "spawned=3" in first
+        assert "results=0.0/min" in first  # no rate before a delta
+        assert "HALTED" not in first
+        frame = render_screen(
+            health, samples(40), previous=samples(10), elapsed=30.0
+        )
+        assert "results=60.0/min" in frame
 
 
 class TestRotatingSink:
@@ -319,26 +341,3 @@ class TestResultPathIsolation:
         # and the instrumented run really did record something
         tm.set_enabled(True)
         assert list(tm.read_spans(tmp_path / "telemetry"))
-
-
-class TestFleetEventLogReaders:
-    def test_load_fleet_reads_rotated_segments_in_order(self, tmp_path):
-        from repro.fleet import CLAIMS_DIRNAME
-        from repro.store.report import load_fleet
-
-        claims = tmp_path / CLAIMS_DIRNAME
-        claims.mkdir()
-        writer = RotatingJsonlWriter(
-            claims / "fleet_events.jsonl", max_bytes=300, backups=3
-        )
-        for i in range(30):
-            writer.write({
-                "when": float(i), "action": "up", "live": i,
-                "desired": i, "queue_depth": 0, "throughput": 0.0,
-                "reason": "grow",
-            })
-        fleet = load_fleet(tmp_path)
-        whens = [event["when"] for event in fleet["events"]]
-        assert whens == sorted(whens)
-        assert whens[-1] == 29.0
-        assert len(rotated_segments(claims / "fleet_events.jsonl")) > 1
