@@ -104,10 +104,6 @@ class CounterTable:
         self._max_value = config.max_value
         self._bounded = max_entries is not None
 
-    def _touch(self, key: Hashable) -> None:
-        if self._bounded:
-            self._counters.move_to_end(key)
-
     def _make_room(self) -> None:
         if self.max_entries is None:
             return

@@ -28,8 +28,7 @@ from repro.core import (
 from repro.dsi import DSIPolicy
 from repro.errors import ConfigurationError
 from repro.runner import Runner
-from repro.trace.program import ProgramSet
-from repro.workloads import WORKLOAD_NAMES, build_program_set
+from repro.workloads import WORKLOAD_NAMES
 
 PolicyFactory = Callable[[int], SelfInvalidationPolicy]
 
@@ -70,14 +69,6 @@ def make_policy_factory(
     raise ConfigurationError(
         f"unknown policy {name!r}; choose from {POLICIES}"
     )
-
-
-def build_workload(
-    name: str, size: str, cache=None, **overrides
-) -> ProgramSet:
-    """Build a workload's trace; pass a
-    :class:`~repro.workloads.TraceCache` to reuse persisted builds."""
-    return build_program_set(name, size, cache=cache, **overrides)
 
 
 def workload_list(workloads: Optional[Iterable[str]]) -> List[str]:

@@ -16,8 +16,8 @@ The classification follows Figure 6's semantics exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.storage import AggregateStorage
 
@@ -68,26 +68,4 @@ class AccuracyReport:
             f"predicted={self.predicted_fraction:6.1%} "
             f"not={self.not_predicted_fraction:6.1%} "
             f"mispredicted={self.mispredicted_fraction:6.1%}"
-        )
-
-
-@dataclass
-class AccuracySweep:
-    """A collection of reports (e.g. one per workload) for one policy."""
-
-    policy: str
-    reports: List[AccuracyReport] = field(default_factory=list)
-
-    def mean_predicted_fraction(self) -> float:
-        if not self.reports:
-            return 0.0
-        return sum(r.predicted_fraction for r in self.reports) / len(
-            self.reports
-        )
-
-    def mean_mispredicted_fraction(self) -> float:
-        if not self.reports:
-            return 0.0
-        return sum(r.mispredicted_fraction for r in self.reports) / len(
-            self.reports
         )

@@ -211,21 +211,6 @@ class Histogram:
                 for key, counts in self._counts.items()
             }
 
-    def quantile(self, q: float, **labels: str) -> Optional[float]:
-        """Approximate quantile from the bucket counts (upper bound of
-        the bucket the q-th observation falls in) — what ``repro top``
-        prints as p50/p99. None with no observations."""
-        data = self.collect().get(_label_key(labels))
-        if not data or not data["count"]:
-            return None
-        rank = q * data["count"]
-        seen = 0
-        for bound, count in zip(data["buckets"], data["counts"]):
-            seen += count
-            if seen >= rank:
-                return bound
-        return data["buckets"][-1] if data["buckets"] else None
-
 
 class MetricsRegistry:
     """Named instruments, get-or-create, one shared namespace.

@@ -93,10 +93,8 @@ def histogram_quantile(
     """A quantile estimate from ``<name>_bucket`` cumulative counts.
 
     Returns the upper bound of the first bucket covering the ``q``
-    rank (the same bucket-resolution estimate the in-process
-    :meth:`~repro.telemetry.metrics.Histogram.quantile` gives), or
-    ``None`` when the histogram has no observations. Buckets from
-    multiple label sets (e.g. several workers) are merged first.
+    rank, or ``None`` when the histogram has no observations. Buckets
+    from multiple label sets (e.g. several workers) are merged first.
     """
     merged: Dict[float, float] = {}
     for labels, value in samples.get(name + "_bucket", ()):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 from repro.errors import WorkloadError
 from repro.trace.program import Program, ProgramSet
@@ -140,10 +140,3 @@ class Workload:
             ranges.append(range(start, start + size))
             start += size
         return ranges
-
-    def barrier_ids(self) -> Iterator[int]:
-        """A fresh monotone stream of static barrier-site ids."""
-        counter = 0
-        while True:
-            counter += 1
-            yield counter
