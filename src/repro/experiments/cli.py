@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -161,35 +162,40 @@ def _parse_address(text: str):
 
 
 def _parse_age(text: str) -> float:
-    """'90', '90s', '30m', '36h', '7d' -> seconds."""
+    """'90', '90s', '30m', '36h', '7d' -> seconds (finite, >= 0)."""
     units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
     text = text.strip().lower()
     factor = units.get(text[-1:], None)
     if factor is not None:
         text = text[:-1]
     try:
-        value = float(text)
+        value = float(text) * (factor or 1.0)
     except ValueError:
+        value = math.nan
+    # NaN fails both comparisons, so it is rejected with the rest
+    if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(
             f"invalid age {text!r}; use e.g. 90s, 30m, 36h, 7d"
         )
-    return value * (factor or 1.0)
+    return value
 
 
 def _parse_bytes(text: str) -> float:
-    """'1048576', '500K', '500M', '2G' -> bytes."""
+    """'1048576', '500K', '500M', '2G' -> bytes (finite, >= 0)."""
     units = {"k": 2**10, "m": 2**20, "g": 2**30, "t": 2**40}
     text = text.strip().lower().rstrip("ib")
     factor = units.get(text[-1:], None)
     if factor is not None:
         text = text[:-1]
     try:
-        value = float(text)
+        value = float(text) * (factor or 1)
     except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(
             f"invalid size {text!r}; use e.g. 1048576, 500M, 2G"
         )
-    return value * (factor or 1)
+    return value
 
 
 def _fmt_bytes(n: float) -> str:

@@ -111,6 +111,31 @@ class TestCacheCli:
         ]) == 0
         assert cache.entries() == 0
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-bytes", "nan"),
+        ("--max-bytes", "-1"),
+        ("--max-bytes", "inf"),
+        ("--max-age", "-5"),
+        ("--max-age", "nan"),
+        ("--max-age", "inf"),
+    ])
+    def test_prune_rejects_bad_retention_values(
+        self, tmp_path, capsys, flag, value
+    ):
+        """A negative or non-finite bound is refused with exit 2
+        before the sweep runs, instead of deleting every entry (or,
+        for a NaN age, silently nothing)."""
+        cache = ResultCache(tmp_path)
+        _populate(cache, ("em3d", "tomcatv", "moldyn"))
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "cache", "prune", "--cache-dir", str(tmp_path),
+                flag, value,
+            ])
+        assert exit_info.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+        assert cache.entries() == 3
+
     def test_prune_max_bytes_budget_spans_results_and_traces(
         self, tmp_path
     ):
