@@ -796,6 +796,13 @@ def _print_progress(done: int, total: int, spec, source: str) -> None:
 
 
 def _run_all(args) -> int:
+    if args.remote_workers is not None and args.remote_workers < 0:
+        print(
+            "run-all: --remote-workers must be at least 0, got "
+            f"{args.remote_workers}",
+            file=sys.stderr,
+        )
+        return 2
     if args.ship_traces and args.backend != "remote":
         print(
             "run-all: --ship-traces requires --backend remote "

@@ -418,6 +418,26 @@ class TestCliPlumbing:
                 ["run-all", "--listen", "no-port-here"]
             )
 
+    def test_negative_remote_workers_exit_before_any_bind(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A negative worker count forks nothing and would wait
+        forever; it is refused before a broker binds (a bind here
+        fails the test instead of hanging it)."""
+        def no_bind(self):
+            raise AssertionError("the broker must not bind")
+
+        monkeypatch.setattr(Broker, "bind", no_bind)
+        code = main([
+            "run-all", "--backend", "remote", "--remote-workers", "-1",
+            "--size", SIZE, "--workloads", "em3d",
+            "--cache-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert "--remote-workers must be at least 0, got -1" in (
+            capsys.readouterr().err
+        )
+
 
 class TestBrokerStop:
     def test_stop_cuts_off_connected_workers(self, tmp_path):
