@@ -1,16 +1,15 @@
 """End-to-end remote-backend transport throughput micro-benches.
 
-Three gauges for the trace distribution & compression subsystem:
+Three gauges for the wire and the compression codecs:
 
 * fleet throughput — a cold 2-worker remote run over localhost
-  (broker + forked ``run_worker`` processes, trace shipping on),
-  measured once per codec so the BENCH records expose specs/second
-  compressed vs uncompressed;
+  (broker + forked ``run_worker`` processes, each building the traces
+  it needs), measured once per codec so the BENCH records expose
+  specs/second compressed vs uncompressed;
 * wire-frame size for a ``paper``-size report, compressed vs raw —
   the worker->broker result frame must shrink under zlib;
-* packed-blob size for a ``paper``-size ``ProgramSet`` trace — the
-  payload trace shipping amortizes across the fleet (~80x under
-  zlib).
+* packed-entry size for a ``paper``-size ``ProgramSet`` trace — what
+  a ``--codec zlib`` trace cache stores (~80x smaller).
 
 The two size checks assert strict inequality (compressed < raw), so a
 codec regression that stops compressing fails the bench smoke job
@@ -56,13 +55,12 @@ def test_remote_fleet_throughput(benchmark, tmp_path, codec):
     last = {}
 
     def fleet():
-        # a fresh cache per round: every spec and trace must travel
-        # the wire; no runner trace cache, so cold workers either
-        # fetch blobs (ship_traces) or would rebuild locally
+        # a fresh cache per round: every spec and report travels the
+        # wire; no runner trace cache, so cold workers build locally
         root = tmp_path / f"{codec}-{next(rounds)}"
         backend = RemoteBackend(
             workers=WORKERS, batch=2, lease_ttl=20.0, poll=0.02,
-            timeout=240, ship_traces=True, codec=codec,
+            timeout=240, codec=codec,
         )
         runner = Runner(
             cache=ResultCache(root, codec=codec), backend=backend
@@ -79,9 +77,7 @@ def test_remote_fleet_throughput(benchmark, tmp_path, codec):
     benchmark.extra_info["workers"] = WORKERS
     benchmark.extra_info["specs"] = len(grid)
     benchmark.extra_info["specs_per_second"] = len(grid) / stats.mean
-    benchmark.extra_info["trace_bytes_on_wire"] = broker.trace_bytes
     benchmark.extra_info["report_bytes_on_wire"] = broker.result_bytes
-    benchmark.extra_info["broker_trace_builds"] = broker.trace_builds
 
 
 def test_paper_report_frame_compression(benchmark):
@@ -114,9 +110,9 @@ def test_paper_report_frame_compression(benchmark):
 
 
 def test_paper_trace_blob_compression(benchmark):
-    """Packing a ``paper``-size ProgramSet trace: the blob the broker
-    ships must compress far below the raw pickle (and the bench
-    measures the pack cost the broker pays once per fingerprint)."""
+    """Packing a ``paper``-size ProgramSet trace: the entry a zlib
+    trace cache writes must compress far below the raw pickle (and the
+    bench measures the pack cost paid once per build)."""
     programs = get_workload("em3d", "paper").build()
     raw = pickle.dumps(programs, protocol=pickle.HIGHEST_PROTOCOL)
 

@@ -1,8 +1,8 @@
 """Pluggable compression codecs for cache entries and wire payloads.
 
 Every persistent byte store in the runner stack — the result cache,
-the trace build cache, and the remote wire frames that carry reports
-and shipped traces — compresses through this one registry, so a codec
+the trace build cache, and the remote wire frames that carry
+reports — compresses through this one registry, so a codec
 choice is a single ``--codec`` knob rather than N format forks.
 
 Blob container format::

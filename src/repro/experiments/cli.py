@@ -277,12 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
              f"(default: {DEFAULT_LEASE_TTL:g})",
     )
     p.add_argument(
-        "--ship-traces", action="store_true",
-        help="remote backend: build each unique workload trace once "
-             "broker-side and ship the (--codec compressed) blob to "
-             "cold workers instead of letting each rebuild it",
-    )
-    p.add_argument(
         "--wait-workers-timeout", type=float, default=None,
         metavar="SECS",
         help="remote backend with --remote-workers 0: fail if no "
@@ -321,11 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: <hostname>-<pid>)",
     )
     p.add_argument(
-        "--no-fetch-traces", action="store_true",
-        help="always build traces locally, even when the broker "
-             "offers compressed trace blobs over the wire",
-    )
-    p.add_argument(
         "--codec", choices=CODEC_NAMES, default="none",
         help="compression codec for this worker's local trace-cache "
              "writes (reads decode any codec; default: none)",
@@ -351,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECS",
         help="seconds without a worker heartbeat before its leased "
              f"specs are reassigned (default: {DEFAULT_LEASE_TTL:g})",
-    )
-    p.add_argument(
-        "--ship-traces", action="store_true",
-        help="build each unique workload trace once broker-side and "
-             "ship the compressed blob to cold workers",
     )
     p.add_argument(
         "--grids", type=int, default=None, metavar="N",
@@ -742,7 +726,6 @@ def _backend_from_args(args):
         listen=getattr(args, "listen", ("127.0.0.1", 0)),
         workers=max(1, jobs) if workers is None else workers,
         lease_ttl=getattr(args, "lease_ttl", DEFAULT_LEASE_TTL),
-        ship_traces=getattr(args, "ship_traces", False),
         codec=getattr(args, "codec", "none"),
         wait_workers_timeout=getattr(
             args, "wait_workers_timeout", None
@@ -803,26 +786,12 @@ def _run_all(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.ship_traces and args.backend != "remote":
-        print(
-            "run-all: --ship-traces requires --backend remote "
-            "(traces ship over the broker's wire protocol)",
-            file=sys.stderr,
-        )
-        return 2
     if args.attach is not None and args.backend not in (
         "auto", "remote"
     ):
         print(
             f"run-all: --attach conflicts with "
             f"--backend {args.backend}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.attach is not None and args.ship_traces:
-        print(
-            "run-all: --attach submits to a serve broker, which owns "
-            "its own fleet — drop --ship-traces",
             file=sys.stderr,
         )
         return 2
@@ -877,15 +846,6 @@ def _run_all(args) -> int:
             f"[run-all] trace cache {tc.root}: {tc.hits} hits, "
             f"{tc.builds} builds this process, "
             f"{tc.entries()} traces on disk"
-        )
-    broker = getattr(runner.backend, "broker", None)
-    if broker is not None and broker.ship_traces:
-        bs = broker.stats
-        print(
-            f"[run-all] trace shipping: {bs.trace_builds} broker "
-            f"builds, {bs.trace_fetches} fetches served, "
-            f"{_fmt_bytes(bs.trace_bytes)} shipped "
-            f"({_fmt_bytes(bs.result_bytes)} of reports received)"
         )
     return 0
 
@@ -1296,7 +1256,6 @@ def _serve_command(args) -> int:
         lease_ttl=args.lease_ttl,
         batch=max(1, args.batch),
         codec=args.codec,
-        ship_traces=args.ship_traces,
         announce=lambda address: print(
             f"[serve] broker listening on {address} — submit grids "
             f"with: ltp-repro submit <experiment> --connect {address}",
@@ -1450,7 +1409,6 @@ def _worker_command(args) -> int:
             batch=max(1, args.batch),
             trace_root=args.trace_cache,
             name=args.name,
-            fetch_traces=not args.no_fetch_traces,
             trace_codec=args.codec,
             auth_token=args.auth_token,
         )
@@ -1460,15 +1418,9 @@ def _worker_command(args) -> int:
             file=sys.stderr,
         )
         return 1
-    shipped = (
-        f", {stats.traces_fetched} traces fetched "
-        f"({_fmt_bytes(stats.trace_bytes)} on the wire, "
-        f"{stats.trace_fallbacks} fallbacks)"
-        if stats.traces_fetched or stats.trace_fallbacks else ""
-    )
     print(
         f"[worker {stats.name}] grid done: {stats.executed} executed, "
-        f"{stats.failed} failed, {stats.leased} leased{shipped}"
+        f"{stats.failed} failed, {stats.leased} leased"
     )
     return 0
 

@@ -75,7 +75,6 @@ class FleetService:
         poll: idle-worker wait between lease polls.
         max_attempts: attempts per spec before permanent failure.
         codec: wire/cache codec name.
-        ship_traces: broker-side trace builds + wire shipping.
         announce: callback receiving the bound ``host:port`` string.
         auth_token: shared wire-auth secret (protocol v3). ``None``
             keeps the broker open (localhost-trust).
@@ -106,7 +105,6 @@ class FleetService:
         poll: float = 0.1,
         max_attempts: int = 3,
         codec: str = "none",
-        ship_traces: bool = False,
         announce: Optional[Callable[[str], None]] = None,
         auth_token: Optional[str] = None,
         max_pending_per_client: Optional[int] = None,
@@ -134,8 +132,6 @@ class FleetService:
             poll=poll,
             max_attempts=max_attempts,
             codec=codec,
-            ship_traces=ship_traces,
-            trace_cache=trace_cache,
             auth_token=auth_token,
             max_pending_per_client=max_pending_per_client,
         )

@@ -19,31 +19,15 @@ payload length, then the pickled message dict — request/reply over a
 persistent connection. Messages: ``hello``/``welcome``,
 ``lease``/``specs``, ``result``, ``error``, ``heartbeat``, ``bye``,
 the v2 grid frames ``submit``/``grid-poll``/``grid-results``/
-``grid-done``, the multi-tenant v3 frames ``auth``/``challenge``
-(HMAC handshake) and ``busy`` (per-client quota backpressure), and —
-when trace shipping is on — ``trace-fetch``/``trace``. Workers execute
-leased specs with :func:`repro.runner.runner.execute_spec` plus their
-local trace cache, and stream pickled reports back for the broker to
-publish. Report payloads travel through the broker-advertised codec
+``grid-done``, and the multi-tenant v3 frames ``auth``/``challenge``
+(HMAC handshake) and ``busy`` (per-client quota backpressure). Workers
+execute leased specs with :func:`repro.runner.runner.execute_spec`
+and stream pickled reports back for the broker to publish. A worker
+takes each trace from its per-process memo, from the trace cache it
+was started with (forked workers share the runner's
+``<cache-dir>/traces``), or from a local build; traces never cross the
+wire. Report payloads travel through the broker-advertised codec
 (:mod:`repro.codecs`), so ``paper``-size reports ship compressed.
-
-**Trace distribution** (``ship_traces=True`` / ``run-all
---ship-traces``): re-synthesizing a multi-megabyte ``ProgramSet`` on
-every cold worker is the dominant fleet start-up cost, so the broker
-becomes the single build site. The ``welcome`` frame advertises
-``ship_traces`` and the wire ``codec``; each lease grant carries
-*trace offers* — the :func:`~repro.workloads.trace_cache.trace_key`
-content addresses (sha256 of ``Workload.fingerprint()``) of the
-granted specs' traces. A worker that has neither the trace memoized
-nor in its local trace cache sends ``trace-fetch`` with the key; the
-broker builds (or loads from its own trace cache) the ``ProgramSet``
-**once fleet-wide**, packs it through the codec, and replies with the
-blob plus a sha256 digest of the raw pickle. The worker verifies the
-reply addresses the key it derived from the spec itself, that the
-payload decodes and matches the digest, and that it unpickles to a
-``ProgramSet`` — any failure (corrupt, truncated, digest mismatch,
-unknown codec) falls back to a local build without failing the spec.
-Cold-fleet trace cost drops from O(workers x builds) to O(builds).
 
 Lease lifecycle::
 
@@ -101,12 +85,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import repro.runner.runner as _execution
 import repro.telemetry as _tm
-from repro.codecs import CodecError, blob_codec, get_codec, pack, unpack
+from repro.codecs import get_codec, pack, unpack
 from repro.runner.backends import ExecutionBackend, _trace_codec, _trace_root
 from repro.runner.cache import ResultCache
 from repro.runner.spec import JobSpec
-from repro.trace.program import ProgramSet
-from repro.workloads import TraceCache, cached_build, get_workload, trace_key
+from repro.workloads import TraceCache
 
 #: frame header: magic, protocol version, payload length
 MAGIC = b"LTPW"
@@ -127,12 +110,6 @@ MAX_FRAME = 512 * 1024 * 1024
 #: connection with no attempt counted (the spec would then cycle
 #: lease -> expire -> reassign forever)
 _REPORT_BUDGET = MAX_FRAME - 65536
-
-#: largest packed trace blob the broker will ship; a bigger one is
-#: answered ``blob: None`` (worker builds locally) because the
-#: oversized frame would be rejected *worker*-side, killing the
-#: worker's connection instead of degrading gracefully
-_TRACE_BUDGET = MAX_FRAME - 65536
 
 #: seconds without a heartbeat before a worker's lease is reassigned
 DEFAULT_LEASE_TTL = 30.0
@@ -184,7 +161,6 @@ _M_RESULTS = _tm.counter("repro_broker_results_total")
 _M_RESULT_BYTES = _tm.counter("repro_broker_result_bytes_total")
 _M_SUBMITS = _tm.counter("repro_broker_submits_total")
 _M_AUTH_FAILURES = _tm.counter("repro_broker_auth_failures_total")
-_M_TRACE_FETCHES = _tm.counter("repro_broker_trace_fetches_total")
 _M_LEASE_TO_PUBLISH = _tm.histogram(
     "repro_broker_lease_to_publish_seconds"
 )
@@ -603,12 +579,6 @@ class BrokerStats:
     leases: int = 0
     #: packed report bytes received on result frames
     result_bytes: int = 0
-    #: trace blobs served to workers over the wire
-    trace_fetches: int = 0
-    #: packed trace bytes shipped to workers
-    trace_bytes: int = 0
-    #: broker-side trace builds — at most one per unique fingerprint
-    trace_builds: int = 0
     #: grids admitted (``submit`` frames and :meth:`Broker.submit`)
     grids: int = 0
     #: grids fully streamed back to their client
@@ -679,9 +649,7 @@ class Broker:
         poll: float = 0.1,
         max_attempts: int = 3,
         clock: Callable[[], float] = time.time,
-        ship_traces: bool = False,
         codec="none",
-        trace_cache: Optional[TraceCache] = None,
         results_budget: int = 256 * 1024 * 1024,
         grid_idle_timeout: float = 3600.0,
         auth_token: Optional[str] = None,
@@ -691,8 +659,6 @@ class Broker:
         self.lease_ttl = lease_ttl
         self.poll = poll
         self.codec = get_codec(codec)
-        self.ship_traces = ship_traces
-        self.trace_cache = trace_cache
         #: shared wire-auth secret; None = open broker (no handshake
         #: required, auth frames acknowledged as already-authenticated)
         self.auth_token = auth_token
@@ -712,21 +678,6 @@ class Broker:
         #: their next lease poll and exit cleanly
         self.closing = False
         self._by_key: Dict[str, JobSpec] = {}
-        #: lease key -> trace content address (ship_traces only)
-        self._trace_of: Dict[str, str] = {}
-        #: trace content address -> a spec that needs that trace
-        self._trace_specs: Dict[str, JobSpec] = {}
-        #: trace content address -> (packed blob, raw-pickle digest),
-        #: or None for a blob too big to ship; populated only when no
-        #: trace-cache file can serve later fetches (RAM bound)
-        self._trace_blobs: Dict[str, Optional[Tuple[bytes, str]]] = {}
-        #: trace content address -> raw-pickle digest of the
-        #: cache-file blob (avoids re-hashing per fetch)
-        self._trace_digests: Dict[str, str] = {}
-        #: one lock per trace key, so two workers racing on the same
-        #: trace build it once while builds of *different* traces
-        #: proceed concurrently
-        self._trace_locks: Dict[str, threading.Lock] = {}
         #: submitted-grid namespaces and per-key grid subscriptions
         self._grids: Dict[str, GridState] = {}
         self._subscribers: Dict[str, List[GridState]] = {}
@@ -775,21 +726,6 @@ class Broker:
             return self.cache.key(spec)
         payload = f"repro-remote/{spec.canonical()}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    @staticmethod
-    def _workload_of(spec: JobSpec):
-        return get_workload(
-            spec.workload, spec.size, **dict(spec.overrides)
-        )
-
-    def _register_trace(self, key: str, spec: JobSpec) -> None:
-        """Track a spec's trace content address for trace shipping."""
-        if not self.ship_traces:
-            return
-        tkey = trace_key(self._workload_of(spec))
-        self._trace_of[key] = tkey
-        self._trace_specs.setdefault(tkey, spec)
-        self._trace_locks.setdefault(tkey, threading.Lock())
 
     # -- lifecycle -----------------------------------------------------
 
@@ -1073,7 +1009,6 @@ class Broker:
                 "lease_ttl": self.lease_ttl,
                 "poll": self.poll,
                 "specs": self.stats.specs,
-                "ship_traces": self.ship_traces,
                 "codec": self.codec.name,
             }
         if mtype == "lease":
@@ -1090,8 +1025,6 @@ class Broker:
             return self._handle_grid_poll(
                 str(message.get("grid", "")), int(message.get("max", 32))
             )
-        if mtype == "trace-fetch":
-            return self._handle_trace_fetch(str(message.get("key", "")))
         if mtype == "result":
             return self._handle_result(
                 worker, message.get("key"), message.get("report")
@@ -1165,7 +1098,7 @@ class Broker:
             }
         with _tm.span("broker.lease", worker=worker, keys=len(keys)):
             _M_LEASES.inc(len(keys), worker=worker)
-            reply = {
+            return {
                 "type": "specs",
                 "leases": [(key, self._by_key[key]) for key in keys],
                 "done": False,
@@ -1173,13 +1106,6 @@ class Broker:
                 # execution so its spans join this broker's trace
                 "traces": traces,
             }
-            if self.ship_traces:
-                # trace-offer: advertise the content addresses of the
-                # granted specs' traces as fetchable from this broker
-                reply["trace_offers"] = sorted(
-                    {self._trace_of[key] for key in keys}
-                )
-            return reply
 
     def submit(self, specs: Iterable[JobSpec]) -> str:
         """Admit a grid in-process, exactly as a ``submit`` frame
@@ -1331,7 +1257,6 @@ class Broker:
                     self._subscribers.setdefault(key, []).append(grid)
                     if key not in self._by_key:
                         self._by_key[key] = spec
-                        self._register_trace(key, spec)
                         new_keys.append(key)
                     else:
                         # a key that already failed permanently gets a
@@ -1468,97 +1393,6 @@ class Broker:
                     else:
                         del self._subscribers[key]
         return len(stale)
-
-    def _handle_trace_fetch(self, key: str) -> dict:
-        """Serve one packed trace blob (a ``trace-offer`` fulfilment).
-
-        The first fetch of a key loads the blob from the broker's own
-        trace cache (when its on-disk codec matches the wire codec the
-        file bytes ship as-is — no unpickle/re-compress) or builds the
-        trace once and packs it, so however many cold workers ask, the
-        fleet pays for exactly one build per unique workload
-        fingerprint. An unknown key, shipping disabled, or a blob past
-        the wire budget answers ``blob: None`` and the worker builds
-        locally.
-        """
-        if not self.ship_traces or key not in self._trace_specs:
-            return {"type": "trace", "key": key, "blob": None}
-        with self._trace_locks[key]:
-            entry = self._trace_entry(key)
-        if entry is None:
-            return {"type": "trace", "key": key, "blob": None}
-        blob, digest = entry
-        with self._lock:
-            self.stats.trace_fetches += 1
-            self.stats.trace_bytes += len(blob)
-        _M_TRACE_FETCHES.inc()
-        return {
-            "type": "trace",
-            "key": key,
-            "blob": blob,
-            "digest": digest,
-            "codec": self.codec.name,
-        }
-
-    def _trace_entry(self, key: str) -> Optional[Tuple[bytes, str]]:
-        """``(packed blob, digest)`` for a known trace key, building
-        at most once; ``None`` marks an unshippable (oversized) trace.
-        Caller holds the key's lock."""
-        if key in self._trace_blobs:  # memoized blob or refusal
-            return self._trace_blobs[key]
-        cache = self.trace_cache
-        workload = self._workload_of(self._trace_specs[key])
-        if cache is not None:
-            blob = cache.load_blob(workload)
-            if blob is not None:
-                # serve the stored file bytes as-is; hash the raw
-                # pickle once, then only re-read the (page-cached)
-                # file per fetch instead of holding blobs in RAM.
-                # A torn header or corrupt payload falls through to
-                # cached_build, whose read path repairs the entry.
-                try:
-                    digest = None
-                    if blob_codec(blob) == self.codec.name:
-                        digest = self._trace_digests.get(key)
-                        if digest is None:
-                            digest = hashlib.sha256(
-                                unpack(blob)
-                            ).hexdigest()
-                except CodecError:
-                    digest = None
-                if digest is not None:
-                    if len(blob) > _TRACE_BUDGET:
-                        self._trace_blobs[key] = None
-                        return None
-                    self._trace_digests[key] = digest
-                    return blob, digest
-        before = cache.builds if cache is not None else 0
-        programs = cached_build(workload, cache)
-        built = cache is None or cache.builds > before
-        with self._lock:
-            self.stats.trace_builds += int(built)
-        raw = pickle.dumps(programs, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = pack(raw, self.codec)
-        if len(blob) > _TRACE_BUDGET:
-            # shipping it would tear down the worker connection on
-            # the oversized frame; refuse once, workers build locally
-            self._trace_blobs[key] = None
-            return None
-        entry = (blob, hashlib.sha256(raw).hexdigest())
-        if (
-            built
-            and cache is not None
-            and cache.codec.name == self.codec.name
-        ):
-            # cached_build just wrote the entry in the wire codec, so
-            # the load_blob fast path serves every later fetch
-            self._trace_digests[key] = entry[1]
-        else:
-            # no cache file in the wire codec can serve later
-            # fetches (no cache, codec mismatch, or a pre-existing
-            # file in another codec) — keep the packed blob in memory
-            self._trace_blobs[key] = entry
-        return entry
 
     def _handle_result(self, worker: str, key, data) -> dict:
         if key not in self._by_key:
@@ -1765,89 +1599,6 @@ class WorkerStats:
     leased: int = 0
     executed: int = 0
     failed: int = 0
-    #: trace blobs fetched from the broker instead of built locally
-    traces_fetched: int = 0
-    #: fetched blobs rejected by verification -> local build fallback
-    trace_fallbacks: int = 0
-    #: packed trace bytes received over the wire
-    trace_bytes: int = 0
-
-
-def _verify_trace_blob(key: str, reply: Any) -> Optional[ProgramSet]:
-    """Decode and verify one fetched trace blob.
-
-    Checks, in order: the reply is a ``trace`` frame addressing the
-    key the worker derived from its *own* spec (the content address —
-    sha256 of ``Workload.fingerprint()``), the blob decodes under a
-    known codec, the decompressed payload matches the shipped sha256
-    digest (catching truncation and corruption), and the payload
-    unpickles to a :class:`ProgramSet`. Any failure returns ``None``
-    and the caller falls back to a local build — a bad blob never
-    fails the spec.
-    """
-    if not isinstance(reply, dict) or reply.get("type") != "trace":
-        return None
-    if reply.get("key") != key:
-        return None
-    blob = reply.get("blob")
-    if not isinstance(blob, (bytes, bytearray)):
-        return None
-    try:
-        raw = unpack(bytes(blob))
-    except CodecError:
-        return None
-    if reply.get("digest") != hashlib.sha256(raw).hexdigest():
-        return None
-    try:
-        programs = pickle.loads(raw)
-    except Exception:
-        return None
-    if not isinstance(programs, ProgramSet):
-        return None
-    return programs
-
-
-def _prefetch_traces(
-    stream,
-    worker: str,
-    leases,
-    offers,
-    stats: WorkerStats,
-    cache: Optional[TraceCache],
-) -> None:
-    """Fetch offered trace blobs this worker cannot serve locally.
-
-    For each leased spec whose trace is neither in the per-process
-    memo nor in the local trace cache, request the broker's blob and
-    — after verification — install it in the memo (and persist the
-    packed blob locally) so :func:`execute_spec` never rebuilds it.
-    Verification failures count as fallbacks; the later local build
-    happens inside the normal execution path.
-    """
-    for key, spec in leases:
-        mkey = (spec.workload, spec.size, spec.overrides)
-        if mkey in _execution._PROGRAMS:
-            continue
-        workload = get_workload(
-            spec.workload, spec.size, **dict(spec.overrides)
-        )
-        tkey = trace_key(workload)
-        if tkey not in offers:
-            continue
-        if cache is not None and cache.path(workload).exists():
-            continue  # local trace cache already holds it
-        reply = _request(stream, {
-            "type": "trace-fetch", "worker": worker, "key": tkey,
-        })
-        programs = _verify_trace_blob(tkey, reply)
-        if programs is None:
-            stats.trace_fallbacks += 1
-            continue
-        stats.traces_fetched += 1
-        stats.trace_bytes += len(reply["blob"])
-        _execution._PROGRAMS[mkey] = programs
-        if cache is not None:
-            cache.put_blob(workload, bytes(reply["blob"]))
 
 
 def run_worker(
@@ -1855,7 +1606,6 @@ def run_worker(
     batch: int = 1,
     trace_root: Optional[str] = None,
     name: Optional[str] = None,
-    fetch_traces: bool = True,
     trace_codec: str = "none",
     auth_token: Optional[str] = None,
 ) -> WorkerStats:
@@ -1867,10 +1617,9 @@ def run_worker(
     ``trace_root``, if given), reports each pickled result — packed
     through the broker-advertised codec — and heartbeats its
     outstanding leases every ``ttl / 4`` seconds on a second
-    connection so long simulations stay leased. When the broker offers
-    trace shipping (and ``fetch_traces`` is left on), cold traces are
-    fetched as verified compressed blobs instead of rebuilt locally.
-    With ``auth_token`` set, both connections run the v3 HMAC
+    connection so long simulations stay leased. A trace missing from
+    the per-process memo and the trace cache is built locally. With
+    ``auth_token`` set, both connections run the v3 HMAC
     handshake before any other frame (required against an
     authenticated broker; harmless against an open one). Raises
     :class:`ProtocolError`/``OSError`` when the broker vanishes, and
@@ -1879,10 +1628,9 @@ def run_worker(
     """
     worker_name = name or f"{socket.gethostname()}-{os.getpid()}"
     stats = WorkerStats(name=worker_name)
-    local_traces = (
+    previous = _execution._swap_trace_cache(
         TraceCache(trace_root, codec=trace_codec) if trace_root else None
     )
-    previous = _execution._swap_trace_cache(local_traces)
     sock = None
     stream = None
     beat: Optional[threading.Thread] = None
@@ -1955,7 +1703,6 @@ def run_worker(
                 f"{welcome.get('message', welcome)!r}"
             )
         ttl = float(welcome.get("lease_ttl", DEFAULT_LEASE_TTL))
-        ship = fetch_traces and bool(welcome.get("ship_traces"))
         wire_codec = get_codec(welcome.get("codec", "none"))
         beat = threading.Thread(
             target=heartbeats, name="worker-heartbeat", daemon=True
@@ -1974,13 +1721,6 @@ def run_worker(
             with held_lock:
                 held.update(key for key, _ in leases)
             stats.leased += len(leases)
-            if ship:
-                offers = set(reply.get("trace_offers", ()))
-                if offers:
-                    _prefetch_traces(
-                        stream, worker_name, leases, offers,
-                        stats, local_traces,
-                    )
             lease_traces = reply.get("traces") or {}
             for key, spec in leases:
                 try:
@@ -2261,9 +2001,7 @@ class RemoteBackend(ExecutionBackend):
         poll: seconds idle workers wait between lease retries.
         max_attempts: execution attempts per spec before giving up.
         timeout: overall safety limit for one grid, ``None`` = wait.
-        ship_traces: build each unique trace once broker-side and
-            offer the packed blob to cold workers over the wire.
-        codec: wire/trace compression codec name (``none``/``zlib``).
+        codec: wire compression codec name (``none``/``zlib``).
         announce: callback receiving the bound ``host:port`` string.
         wait_workers_timeout: with ``workers == 0``, how long to wait
             for the first external worker before failing the run
@@ -2287,7 +2025,6 @@ class RemoteBackend(ExecutionBackend):
     poll: float = 0.1
     max_attempts: int = 3
     timeout: Optional[float] = None
-    ship_traces: bool = False
     codec: str = "none"
     wait_workers_timeout: Optional[float] = None
     attach: Optional[Tuple[str, int]] = None
@@ -2322,9 +2059,7 @@ class RemoteBackend(ExecutionBackend):
             listen=self.listen,
             poll=self.poll,
             max_attempts=self.max_attempts,
-            ship_traces=self.ship_traces,
             codec=self.codec,
-            trace_cache=runner.trace_cache,
             auth_token=self.auth_token,
         )
         self.broker = broker

@@ -26,10 +26,7 @@ Entries are written through a pluggable codec (``none`` keeps the
 legacy raw-pickle format; ``zlib`` shrinks ``paper``-size traces about
 80x). Reads are codec-transparent: whatever codec wrote an entry —
 including the pre-codec format — any ``TraceCache`` decodes it, and
-:meth:`migrate` re-encodes a directory in place. The raw packed blob
-is also addressable (:meth:`load_blob` / :meth:`put_blob`) so the
-remote broker can ship a compressed trace over the wire and a worker
-can persist it without a decompress/recompress round trip.
+:meth:`migrate` re-encodes a directory in place.
 """
 
 from __future__ import annotations
@@ -52,8 +49,7 @@ TRACE_SCHEMA = 1
 def trace_key(workload: Workload) -> str:
     """Content address of a workload's built trace: the sha256 of its
     :meth:`~repro.workloads.base.Workload.fingerprint`. Equal keys
-    mean byte-identical builds — this is the digest the remote trace
-    shipping protocol addresses blobs by."""
+    mean byte-identical builds."""
     payload = f"repro-trace/{TRACE_SCHEMA}/{workload.fingerprint()}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -121,21 +117,6 @@ class TraceCache:
         return atomic_write_bytes(
             self.path(workload), pack(raw, self.codec)
         )
-
-    # -- packed-blob access (remote trace shipping) --------------------
-
-    def load_blob(self, workload: Workload) -> Optional[bytes]:
-        """The on-disk entry bytes exactly as stored (any codec), or
-        ``None`` — what a broker puts on the wire without re-packing."""
-        try:
-            return self.path(workload).read_bytes()
-        except OSError:
-            return None
-
-    def put_blob(self, workload: Workload, blob: bytes) -> Path:
-        """Store an already-packed entry (e.g. fetched over the wire
-        after digest verification) without decode/re-encode."""
-        return atomic_write_bytes(self.path(workload), blob)
 
     # -- accounting ----------------------------------------------------
 

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.codecs import blob_codec
 from repro.experiments.cli import build_parser, main, _runner_from_args
 from repro.fleet import FleetService, WorkerSupervisor
 from repro.runner import (
@@ -35,7 +36,9 @@ from repro.runner import (
     timing_job,
 )
 from repro.runner import remote as remote_mod
+from repro.runner import runner as runner_module
 from repro.runner.remote import _request
+from repro.workloads import TraceCache, get_workload, trace_key
 
 SIZE = "tiny"
 
@@ -137,6 +140,31 @@ class TestServeMode:
             root = service.cache.root
             assert list(root.rglob("*.claim")) == []
             assert list(root.rglob("*.done")) == []
+
+    def test_pool_fills_the_service_trace_cache(
+        self, tmp_path, golden, monkeypatch
+    ):
+        """Traces never cross the wire: the pool's workers build each
+        missing trace into the service's trace cache, in its codec."""
+        # forked workers inherit this process's memo; start them empty
+        monkeypatch.setattr(runner_module, "_PROGRAMS", {})
+        traces = TraceCache(tmp_path / "traces", codec="zlib")
+        with _service(
+            tmp_path, trace_cache=traces, codec="zlib"
+        ) as service:
+            with GridClient(service.address, name="it-client") as client:
+                client.submit(_grid_a() + _grid_b())
+                got = {
+                    spec.canonical(): _digest(value)
+                    for spec, value in client.stream(timeout=240)
+                }
+        assert got == golden
+        entries = list(traces.entry_paths())
+        assert sorted(p.stem for p in entries) == sorted(
+            trace_key(get_workload(name, SIZE))
+            for name in ("em3d", "tomcatv")
+        )
+        assert {blob_codec(p.read_bytes()) for p in entries} == {"zlib"}
 
     def test_failed_start_leaves_nothing_running(self, tmp_path):
         """A metrics port already in use fails start() before any
@@ -914,6 +942,35 @@ class TestWireCompat:
             client.close()
             broker.stop()
 
+    def test_trace_fetch_frame_is_an_unknown_message_type(self):
+        """Trace shipping is gone without a version bump: the welcome
+        no longer advertises it, a lease grant offers no traces, and
+        a ``trace-fetch`` frame gets the generic unknown-type error."""
+        broker = Broker()
+        broker.submit([census_job("em3d", SIZE)])
+        address = broker.start()
+        client = _RawClient(address)
+        try:
+            welcome = client.request({"type": "hello", "worker": "w-1"})
+            assert welcome["type"] == "welcome"
+            assert welcome["protocol"] == 3
+            assert "ship_traces" not in welcome
+            grant = client.request(
+                {"type": "lease", "worker": "w-1", "max": 1}
+            )
+            assert len(grant["leases"]) == 1
+            assert "trace_offers" not in grant
+            reply = client.request({
+                "type": "trace-fetch", "worker": "w-1", "key": "f" * 64,
+            })
+            assert reply == {
+                "type": "error",
+                "message": "unknown message type 'trace-fetch'",
+            }
+        finally:
+            client.close()
+            broker.stop()
+
 
 class TestWaitWorkersTimeout:
     def test_zero_worker_broker_fails_fast_instead_of_hanging(
@@ -1000,15 +1057,6 @@ class TestCliPlumbing:
         ])
         assert code == 2
         assert "conflicts" in capsys.readouterr().err
-
-    def test_attach_conflicts_with_ship_traces(self, capsys):
-        code = main([
-            "run-all", "--attach", "127.0.0.1:7463",
-            "--backend", "remote", "--ship-traces",
-            "--cache-dir", "/tmp/x",
-        ])
-        assert code == 2
-        assert "serve broker" in capsys.readouterr().err
 
     def test_attach_rejects_broker_only_flags(self, capsys):
         """Broker-side flags silently doing nothing under --attach

@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+from repro.codecs import blob_codec
 from repro.experiments.cli import build_parser, main, _runner_from_args
 from repro.runner import (
     Broker,
@@ -37,7 +38,15 @@ from repro.runner import (
     run_worker,
     timing_job,
 )
+from repro.runner import runner as runner_module
 from repro.runner.remote import _request, encode_frame, read_frame
+from repro.workloads import (
+    TraceCache,
+    Workload,
+    cached_build,
+    get_workload,
+    trace_key,
+)
 
 SIZE = "tiny"
 
@@ -313,12 +322,13 @@ class TestRemoteFailures:
         assert table.fail("k", "B") is True
 
 
-def _worker_cli(address, out_path):
+def _worker_cli(address, out_path, *extra):
     code = main([
         "worker",
         "--connect", f"{address[0]}:{address[1]}",
         "--batch", "2",
         "--name", "cli-worker",
+        *extra,
     ])
     with open(out_path, "w") as handle:
         handle.write(str(code))
@@ -351,14 +361,49 @@ class TestWorkerCli:
         assert streamed == serial_golden
         assert broker.stats.workers == {"cli-worker"}
 
+    def test_cli_worker_builds_into_its_own_trace_cache(
+        self, tmp_path, serial_golden, monkeypatch
+    ):
+        """An external worker gets no traces from the broker: it
+        builds each one into its --trace-cache, in its --codec."""
+        # the forked worker inherits this process's memo
+        monkeypatch.setattr(runner_module, "_PROGRAMS", {})
+        traces = tmp_path / "worker-traces"
+        broker = Broker(cache=ResultCache(tmp_path / "cache"), poll=0.05)
+        gid = broker.submit(_grid())
+        address = broker.start()
+        out = tmp_path / "exit-code"
+        proc = multiprocessing.get_context("fork").Process(
+            target=_worker_cli,
+            args=(
+                address, str(out),
+                "--trace-cache", str(traces), "--codec", "zlib",
+            ),
+        )
+        proc.start()
+        try:
+            streamed = {
+                spec.canonical(): _digest(value)
+                for spec, value in broker.stream(gid, timeout=120)
+            }
+        finally:
+            broker.begin_shutdown()
+            proc.join(timeout=60)
+            broker.stop()
+        assert out.read_text() == "0"
+        assert streamed == serial_golden
+        entries = list(TraceCache(traces).entry_paths())
+        assert sorted(p.stem for p in entries) == sorted(
+            {trace_key(get_workload(s.workload, SIZE)) for s in _grid()}
+        )
+        assert {blob_codec(p.read_bytes()) for p in entries} == {"zlib"}
+
     def test_failed_connect_restores_trace_cache_global(
         self, tmp_path
     ):
         """run_worker must undo its process-global trace-cache swap
         even when the broker is unreachable (in-process callers would
         otherwise silently keep the worker's cache installed)."""
-        from repro.runner import runner as runner_module
-
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -380,6 +425,42 @@ class TestWorkerCli:
         code = main(["worker", "--connect", f"127.0.0.1:{port}"])
         assert code == 1
         assert "lost broker" in capsys.readouterr().err
+
+
+class TestWorkerTraceSource:
+    def test_warm_worker_builds_nothing(
+        self, tmp_path, worker_thread, serial_golden, monkeypatch
+    ):
+        """Traces never cross the wire: a worker started on a warm
+        trace cache reads every trace from it and builds none."""
+        traces = TraceCache(tmp_path / "traces")
+        for name in {spec.workload for spec in _grid()}:
+            cached_build(get_workload(name, SIZE), traces)
+
+        def refuse(self):
+            raise AssertionError("a warm worker must not build")
+
+        monkeypatch.setattr(Workload, "build", refuse)
+        # the in-thread worker shares this process's memo
+        monkeypatch.setattr(runner_module, "_PROGRAMS", {})
+        broker = Broker(
+            cache=ResultCache(tmp_path / "cache"),
+            lease_ttl=20.0, poll=0.02,
+        )
+        gid = broker.submit(_grid())
+        broker.start()
+        try:
+            with worker_thread(
+                broker, batch=2, name="w", trace_root=str(traces.root)
+            ) as worker:
+                results = dict(broker.stream(gid, timeout=120))
+        finally:
+            broker.stop()
+        assert worker["stats"].executed == len(_grid())
+        assert {
+            spec.canonical(): _digest(value)
+            for spec, value in results.items()
+        } == serial_golden
 
 
 class TestCliPlumbing:

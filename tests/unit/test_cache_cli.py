@@ -118,6 +118,7 @@ class TestCacheCli:
         ("--max-age", "-5"),
         ("--max-age", "nan"),
         ("--max-age", "inf"),
+        ("--max-age", "1e306d"),
     ])
     def test_prune_rejects_bad_retention_values(
         self, tmp_path, capsys, flag, value
@@ -338,26 +339,27 @@ class TestCodecFlagPlumbing:
         ])
         assert _runner_from_args(args).cache.codec.name == "zlib"
 
-    def test_ship_traces_flag_builds_shipping_backend(self, tmp_path):
+    def test_codec_flag_sets_the_remote_wire_codec(self, tmp_path):
         args = build_parser().parse_args([
-            "run-all", "--backend", "remote", "--ship-traces",
+            "run-all", "--backend", "remote",
             "--codec", "zlib", "--cache-dir", str(tmp_path),
         ])
         backend = _runner_from_args(args).backend
         assert backend.name == "remote"
-        assert backend.ship_traces is True
         assert backend.codec == "zlib"
 
-    def test_ship_traces_requires_remote_backend(self, capsys):
-        code = main(["run-all", "--ship-traces"])
-        assert code == 2
-        assert "--ship-traces requires" in capsys.readouterr().err
-
-    def test_worker_fetch_traces_flag(self):
-        args = build_parser().parse_args([
-            "worker", "--connect", "127.0.0.1:1", "--no-fetch-traces",
-        ])
-        assert args.no_fetch_traces
+    @pytest.mark.parametrize("argv", [
+        ["run-all", "--backend", "remote", "--ship-traces"],
+        ["serve", "--ship-traces"],
+        ["worker", "--connect", "127.0.0.1:1", "--no-fetch-traces"],
+    ], ids=["run-all", "serve", "worker"])
+    def test_removed_trace_shipping_flags_exit_2(self, capsys, argv):
+        """Traces never cross the wire, so the shipping flags are
+        gone and argparse refuses them before anything starts."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_worker_codec_flag_parses(self):
         args = build_parser().parse_args([

@@ -187,20 +187,6 @@ class TestTraceCacheCodecs:
         assert hit
         assert pickle.dumps(got, pickle.HIGHEST_PROTOCOL) == raw
 
-    def test_blob_access_round_trip(self, tmp_path):
-        workload = get_workload("em3d", SIZE)
-        writer = TraceCache(tmp_path / "a", codec="zlib")
-        cached_build(workload, writer)
-        blob = writer.load_blob(workload)
-        assert blob is not None and blob_codec(blob) == "zlib"
-
-        receiver = TraceCache(tmp_path / "b")
-        assert receiver.load_blob(workload) is None
-        receiver.put_blob(workload, blob)
-        hit, got = receiver.get(workload)
-        assert hit
-        assert pickle.dumps(got) == pickle.dumps(workload.build())
-
 
 def test_migrate_files_accounting(tmp_path):
     paths = []

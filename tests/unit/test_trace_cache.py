@@ -6,9 +6,15 @@ warm cache skip every build in a fresh process."""
 import dataclasses
 import pickle
 
+import pytest
+
+from repro.codecs import blob_codec
 from repro.runner import runner as runner_module
 from repro.runner import (
+    InlineBackend,
     PolicySpec,
+    PoolBackend,
+    RemoteBackend,
     Runner,
     accuracy_job,
     census_job,
@@ -19,6 +25,7 @@ from repro.workloads import (
     build_program_set,
     cached_build,
     get_workload,
+    trace_key,
 )
 
 WORKLOAD = "em3d"
@@ -117,14 +124,27 @@ class TestInvalidation:
 
 
 class TestRobustness:
-    def test_corrupt_entry_is_rebuilt(self, tmp_path):
-        cache = TraceCache(tmp_path)
+    @pytest.mark.parametrize("codec, damage", [
+        ("none", lambda blob: b"not a pickle"),
+        ("zlib", lambda blob: blob[:7]),
+        ("zlib", lambda blob: blob[: len(blob) // 2]),
+        ("zlib", lambda blob: blob[:-16] + b"\x00" * 16),
+        ("zlib", lambda blob: b"LTPZ" + bytes([3]) + b"lz9" + blob[9:]),
+    ], ids=[
+        "garbage", "torn-header", "truncated", "corrupted", "unknown-codec",
+    ])
+    def test_corrupt_entry_is_rebuilt(self, tmp_path, codec, damage):
+        """A bad entry reads as a miss, and the next build rewrites a
+        healthy one — it never fails the caller."""
+        cache = TraceCache(tmp_path, codec=codec)
         workload = get_workload(WORKLOAD, SIZE)
         cached_build(workload, cache)
-        cache.path(workload).write_bytes(b"not a pickle")
+        path = cache.path(workload)
+        path.write_bytes(damage(path.read_bytes()))
         rebuilt = cached_build(get_workload(WORKLOAD, SIZE), cache)
         assert cache.builds == 2 and cache.hits == 0
         assert_event_identical(rebuilt, workload.build())
+        assert TraceCache(tmp_path).get(workload)[0]
 
     def test_wrong_type_entry_is_rebuilt(self, tmp_path):
         cache = TraceCache(tmp_path)
@@ -157,14 +177,35 @@ class TestRunnerIntegration:
             census_job("tomcatv", SIZE),
         ]
 
-    def test_warm_trace_cache_skips_all_builds(self, tmp_path):
+    @pytest.mark.parametrize("make_backend", [
+        InlineBackend,
+        lambda: PoolBackend(jobs=2),
+        lambda: RemoteBackend(
+            workers=2, lease_ttl=20.0, poll=0.02, timeout=240
+        ),
+    ], ids=["inline", "pool", "remote"])
+    def test_warm_trace_cache_skips_all_builds(
+        self, tmp_path, make_backend
+    ):
+        """Whichever backend runs the cold grid, its processes build
+        into the runner's one trace cache — no trace crosses a wire —
+        so a warm rerun builds nothing."""
         grid = self._grid()
         workloads = {(s.workload, s.size, s.overrides) for s in grid}
 
-        cold = TraceCache(tmp_path / "traces")
+        cold = TraceCache(tmp_path / "traces", codec="zlib")
         runner_module._PROGRAMS.clear()
-        first = Runner(trace_cache=cold).run(grid)
-        assert cold.builds == len(workloads) and cold.hits == 0
+        first = Runner(trace_cache=cold, backend=make_backend()).run(grid)
+        # pool and remote builds happen in forked workers, so the
+        # cache's files, not this process's counters, are the record:
+        # exactly one entry per unique workload fingerprint, written
+        # in the runner's codec
+        entries = list(cold.entry_paths())
+        assert sorted(p.stem for p in entries) == sorted(
+            trace_key(get_workload(name, size, **dict(overrides)))
+            for name, size, overrides in workloads
+        )
+        assert {blob_codec(p.read_bytes()) for p in entries} == {"zlib"}
 
         # a fresh process has an empty per-process memo; clearing it
         # simulates worker start-up on the same machine
