@@ -462,6 +462,89 @@ class TestWorkerTraceSource:
             for spec, value in results.items()
         } == serial_golden
 
+    def _run_counting_builds(self, tmp_path, grid, traces, monkeypatch,
+                             worker_thread):
+        """Stream ``grid`` through one in-thread worker started on
+        ``traces``; returns the results and the workload names the
+        worker built, in order."""
+        built = []
+        original = Workload.build
+
+        def counted(self):
+            built.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(Workload, "build", counted)
+        # the in-thread worker shares this process's memo
+        monkeypatch.setattr(runner_module, "_PROGRAMS", {})
+        broker = Broker(
+            cache=ResultCache(tmp_path / "cache"),
+            lease_ttl=20.0, poll=0.02,
+        )
+        gid = broker.submit(grid)
+        broker.start()
+        try:
+            with worker_thread(
+                broker, batch=2, name="w", trace_root=str(traces.root),
+                trace_codec="zlib",
+            ) as worker:
+                results = dict(broker.stream(gid, timeout=120))
+        finally:
+            broker.stop()
+        assert worker["stats"].executed == len(grid)
+        return results, built
+
+    @pytest.mark.parametrize(
+        "grid",
+        [_grid(), _grid()[:4]],
+        ids=["two-fingerprints", "one-fingerprint"],
+    )
+    def test_cold_worker_builds_each_trace_once(
+        self, tmp_path, worker_thread, serial_golden, monkeypatch, grid
+    ):
+        """A worker on an empty trace cache builds each unique
+        fingerprint once, however many specs share it, and persists
+        every build into its cache in its codec."""
+        names = sorted({spec.workload for spec in grid})
+        traces = TraceCache(tmp_path / "traces")
+        results, built = self._run_counting_builds(
+            tmp_path, grid, traces, monkeypatch, worker_thread
+        )
+        assert sorted(built) == names
+        entries = list(traces.entry_paths())
+        assert sorted(p.stem for p in entries) == sorted(
+            trace_key(get_workload(name, SIZE)) for name in names
+        )
+        assert {blob_codec(p.read_bytes()) for p in entries} == {"zlib"}
+        assert {
+            spec.canonical(): _digest(value)
+            for spec, value in results.items()
+        } == {
+            spec.canonical(): serial_golden[spec.canonical()]
+            for spec in grid
+        }
+
+    def test_corrupt_trace_entry_is_rebuilt_by_the_worker(
+        self, tmp_path, worker_thread, serial_golden, monkeypatch
+    ):
+        """A damaged entry in the worker's trace cache fails no spec:
+        the worker rebuilds that one trace, rewrites a healthy entry,
+        and reads the intact one."""
+        traces = TraceCache(tmp_path / "traces", codec="zlib")
+        for name in ("em3d", "tomcatv"):
+            cached_build(get_workload(name, SIZE), traces)
+        damaged = traces.path(get_workload("em3d", SIZE))
+        damaged.write_bytes(damaged.read_bytes()[:7])  # torn header
+        results, built = self._run_counting_builds(
+            tmp_path, _grid(), traces, monkeypatch, worker_thread
+        )
+        assert built == ["em3d"]
+        assert TraceCache(traces.root).get(get_workload("em3d", SIZE))[0]
+        assert {
+            spec.canonical(): _digest(value)
+            for spec, value in results.items()
+        } == serial_golden
+
 
 class TestCliPlumbing:
     def test_remote_flags_build_a_remote_backend(self, tmp_path):
