@@ -1,14 +1,18 @@
-"""The reference timing core, kept as the test oracle.
+"""The reference simulators, kept as test oracles.
 
 :class:`ReferenceTimingSimulator` is a readable implementation of the
 timing model: one closure per scheduled event over dict-keyed cache and
-directory state. The package ships only the optimized
-:class:`repro.timing.TimingSimulator`; the conformance suite, the
-equivalence property and ``benchmarks/bench_engines.py`` run both and
-require byte-identical :class:`~repro.timing.stats.TimingReport`
-pickles.
+directory state. :class:`ReferenceAccuracySimulator` is the readable
+accuracy simulator: one :class:`~tests.oracle.coherence.CoherenceEngine`
+access per stream event over dict-keyed caches and directory entries.
+The package ships only the optimized :class:`repro.timing.TimingSimulator`
+and :class:`repro.sim.AccuracySimulator`; the conformance suite, the
+equivalence properties and ``benchmarks/bench_engines.py`` run both and
+require byte-identical :class:`~repro.timing.stats.TimingReport` pickles
+and equal :class:`~repro.sim.results.AccuracyReport` digests.
 """
 
+from tests.oracle.functional import ReferenceAccuracySimulator
 from tests.oracle.timing_engine import ReferenceTimingSimulator
 
-__all__ = ["ReferenceTimingSimulator"]
+__all__ = ["ReferenceAccuracySimulator", "ReferenceTimingSimulator"]
