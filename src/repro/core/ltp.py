@@ -22,7 +22,6 @@ counter (Section 4).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Optional
 
 from repro.core.base import (
@@ -56,9 +55,6 @@ class _TwoLevelPredictor(SelfInvalidationPolicy):
         self._pending: Dict[int, int] = {}
         #: blocks whose traces have ever completed (actively shared)
         self._active_blocks: set = set()
-        # statistics
-        self.predictions_fired = 0
-        self.traces_learned = 0
 
     # -- table access points differ between organizations ---------------
 
@@ -97,7 +93,6 @@ class _TwoLevelPredictor(SelfInvalidationPolicy):
             self._current.pop(block, None)
             self._pending[block] = sig
             self._active_blocks.add(block)
-            self.predictions_fired += 1
             return DECISION_FIRE
         self._current[block] = sig
         return DECISION_KEEP
@@ -108,7 +103,6 @@ class _TwoLevelPredictor(SelfInvalidationPolicy):
             return
         self._learn_table_for(block).learn(sig)
         self._active_blocks.add(block)
-        self.traces_learned += 1
 
     def on_verified_correct(self, block: int) -> None:
         sig = self._pending.pop(block, None)
@@ -139,10 +133,8 @@ class PerBlockLTP(_TwoLevelPredictor):
 
     Capacity modelling (Section 3.3's finite direct-mapped /
     set-associative structures): ``entries_per_block`` caps each block's
-    table (LRU within the table) and ``max_blocks`` caps how many blocks
-    the predictor tracks at once (LRU across block tables; evicting a
-    block forgets its signatures, exactly like losing its L2 tag). Both
-    default to unbounded — the configuration Table 3 measures.
+    table (LRU within the table). It defaults to unbounded — the
+    configuration Table 3 measures.
     """
 
     name = "ltp"
@@ -152,37 +144,20 @@ class PerBlockLTP(_TwoLevelPredictor):
         encoder: Optional[SignatureEncoder] = None,
         confidence: Optional[ConfidenceConfig] = None,
         entries_per_block: Optional[int] = None,
-        max_blocks: Optional[int] = None,
     ) -> None:
         super().__init__(encoder, confidence)
         self.entries_per_block = entries_per_block
-        self.max_blocks = max_blocks
-        self._tables: "OrderedDict[int, CounterTable]" = OrderedDict()
-        self.block_evictions = 0
+        self._tables: Dict[int, CounterTable] = {}
 
     def _table_for(self, block: int) -> Optional[CounterTable]:
-        table = self._tables.get(block)
-        # recency order across block tables only matters when max_blocks
-        # can evict; the unbounded (Table 3) setup skips the bookkeeping
-        if table is not None and self.max_blocks is not None:
-            self._tables.move_to_end(block)
-        return table
+        return self._tables.get(block)
 
     def _learn_table_for(self, block: int) -> CounterTable:
         table = self._tables.get(block)
         if table is None:
-            if (
-                self.max_blocks is not None
-                and len(self._tables) >= self.max_blocks
-            ):
-                self._tables.popitem(last=False)
-                self.block_evictions += 1
-            table = CounterTable(
+            table = self._tables[block] = CounterTable(
                 self.confidence, max_entries=self.entries_per_block
             )
-            self._tables[block] = table
-        elif self.max_blocks is not None:
-            self._tables.move_to_end(block)
         return table
 
     def storage_report(self) -> StorageReport:
@@ -215,10 +190,9 @@ class GlobalLTP(_TwoLevelPredictor):
         self,
         encoder: Optional[SignatureEncoder] = None,
         confidence: Optional[ConfidenceConfig] = None,
-        max_entries: Optional[int] = None,
     ) -> None:
         super().__init__(encoder, confidence)
-        self._table = CounterTable(self.confidence, max_entries=max_entries)
+        self._table = CounterTable(self.confidence)
 
     def _table_for(self, block: int) -> CounterTable:
         return self._table

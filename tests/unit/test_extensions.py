@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import NullPolicy, PerBlockLTP
 from repro.core.confidence import ConfidenceConfig, CounterTable
-from repro.core.ltp import GlobalLTP
 from repro.errors import ConfigurationError
 from repro.ext.sharing import ConsumerPredictor, ForwardingStats
 from repro.protocol.coherence import CoherenceEngine
@@ -117,24 +116,6 @@ class TestFiniteTables:
             if drive_trace(full, 1, trace) is not None:
                 hits_full += 1
         assert hits_full > hits_capped
-
-    def test_max_blocks_evicts_block_tables(self):
-        from tests.unit.test_ltp import drive_trace
-
-        ltp = PerBlockLTP(confidence=FAST, max_blocks=2)
-        for block in (1, 2, 3):
-            drive_trace(ltp, block, [0x10 * block])
-        assert ltp.block_evictions == 1
-        # block 1 was evicted: no prediction for it anymore
-        assert drive_trace(ltp, 1, [0x10]) is None
-
-    def test_global_table_capacity(self):
-        from tests.unit.test_ltp import drive_trace
-
-        ltp = GlobalLTP(confidence=FAST, max_entries=1)
-        drive_trace(ltp, 1, [0x10])
-        drive_trace(ltp, 2, [0x24])  # evicts the first signature
-        assert drive_trace(ltp, 1, [0x10]) is None
 
 
 class TestConsumerPredictor:

@@ -89,13 +89,6 @@ class TestLearningCycle:
             assert fired == 0
             ltp.on_verified_correct(1)
 
-    def test_statistics_counters(self):
-        ltp = PerBlockLTP(confidence=FAST)
-        drive_trace(ltp, 1, [0x10, 0x20])
-        drive_trace(ltp, 1, [0x10, 0x20], invalidate=False)
-        assert ltp.traces_learned == 1
-        assert ltp.predictions_fired == 1
-
 
 class TestPerBlockIsolation:
     def test_no_cross_block_interference(self):
