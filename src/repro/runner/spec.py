@@ -48,6 +48,9 @@ KINDS = ("accuracy", "timing", "oracle", "census")
 #: canonical policy names (the experiment modules' vocabulary)
 POLICY_NAMES = ("base", "dsi", "last-pc", "ltp", "ltp-global", "hybrid")
 
+#: the policies that build a signature encoder from ``bits``
+_ENCODER_POLICIES = ("ltp", "ltp-global", "last-pc")
+
 #: signature encoders by canonical name
 ENCODERS = ("trunc-add", "xor-rotate")
 
@@ -93,14 +96,31 @@ class PolicySpec:
             raise ConfigurationError(
                 f"unknown encoder {self.encoder!r}; choose from {ENCODERS}"
             )
+        if self.name in _ENCODER_POLICIES and not 1 <= self.bits <= 64:
+            raise ConfigurationError(
+                f"signature width must be in [1, 64], got {self.bits}"
+            )
+        if self.entries_per_block is not None and self.entries_per_block < 1:
+            raise ConfigurationError(
+                f"entries_per_block must be >= 1 or None, got "
+                f"{self.entries_per_block}"
+            )
         object.__setattr__(
             self, "confidence", _freeze_pairs(self.confidence)
         )
+        # the built policies construct the same config; fail here, not
+        # in whichever worker first executes the spec
+        self._confidence_config()
 
     def _confidence_config(self) -> Optional[ConfidenceConfig]:
         if not self.confidence:
             return None
-        return ConfidenceConfig(**dict(self.confidence))
+        try:
+            return ConfidenceConfig(**dict(self.confidence))
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"bad confidence {self.confidence!r}: {exc}"
+            ) from None
 
     def build(self, node: int) -> SelfInvalidationPolicy:
         """The per-node policy factory: instantiate for ``node``."""
@@ -190,7 +210,7 @@ class JobSpec:
     def label(self) -> str:
         """Short human-readable tag for progress lines."""
         parts = [self.kind, self.workload, self.policy.name]
-        if self.policy.name in ("ltp", "ltp-global", "last-pc"):
+        if self.policy.name in _ENCODER_POLICIES:
             parts.append(f"{self.policy.bits}b")
         if self.overrides:
             parts.append(

@@ -80,6 +80,16 @@ class TestJobSpec:
             JobSpec(kind="nonsense", workload=WORKLOAD)
         with pytest.raises(ConfigurationError):
             PolicySpec(name="magic")
+        for bad in (
+            {"bits": 0},
+            {"bits": 65},
+            {"entries_per_block": 0},
+            {"entries_per_block": -3},
+            {"confidence": (("initial", 9),)},
+            {"confidence": (("bogus", 1),)},
+        ):
+            with pytest.raises(ConfigurationError):
+                PolicySpec(name="ltp", **bad)
         with pytest.raises(ConfigurationError):
             timing_job(WORKLOAD, SIZE, PolicySpec(name="ltp"),
                        variant="sideways")
