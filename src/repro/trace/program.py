@@ -17,6 +17,18 @@ from typing import Dict, List, Optional, Union
 from repro.errors import WorkloadError
 
 
+def _reduce_to_fields(step):
+    """Pickle a step as its class and its field tuple.
+
+    The default reduction of a slotted object writes a slot-name dict
+    per object; the constructor arguments alone make trace-cache entries
+    smaller and faster to load. Entries written the default way still
+    load: unpickling them sets the slots directly.
+    """
+    fields = tuple(getattr(step, name) for name in step.__slots__)
+    return step.__class__, fields
+
+
 @dataclass(slots=True)
 class Access:
     """A load (``is_write=False``) or store to ``address`` at ``pc``.
@@ -30,6 +42,8 @@ class Access:
     is_write: bool
     work: int = 0
 
+    __reduce__ = _reduce_to_fields
+
 
 @dataclass(slots=True)
 class Barrier:
@@ -41,6 +55,8 @@ class Barrier:
     """
 
     barrier_id: int
+
+    __reduce__ = _reduce_to_fields
 
 
 @dataclass(slots=True)
@@ -61,6 +77,8 @@ class LockAcquire:
     spin_pc: int
     fixed_spins: Optional[int] = None
 
+    __reduce__ = _reduce_to_fields
+
 
 @dataclass(slots=True)
 class LockRelease:
@@ -69,6 +87,8 @@ class LockRelease:
     lock_id: int
     address: int
     pc: int
+
+    __reduce__ = _reduce_to_fields
 
 
 Step = Union[Access, Barrier, LockAcquire, LockRelease]

@@ -3,7 +3,9 @@ equality of cache hits, invalidation on builder-version/seed/param
 changes, corruption handling, and the runner integration that lets a
 warm cache skip every build in a fresh process."""
 
+import copyreg
 import dataclasses
+import io
 import pickle
 
 import pytest
@@ -20,6 +22,7 @@ from repro.runner import (
     census_job,
     timing_job,
 )
+from repro.trace.program import Access, Barrier, LockAcquire, LockRelease
 from repro.workloads import (
     TraceCache,
     build_program_set,
@@ -77,6 +80,41 @@ class TestGoldenTraces:
             reloaded = cached_build(get_workload(name, SIZE), cache)
             assert_event_identical(fresh, reloaded)
         assert cache.entries() == len(WORKLOAD_NAMES)
+
+    def test_slot_state_entry_still_loads(self, tmp_path):
+        """Steps pickle as their constructor arguments; an entry
+        written with the default per-object slot-state reduction (the
+        earlier format, which ``TRACE_SCHEMA`` did not orphan) must
+        still load and equal a fresh build."""
+        steps = (Access, Barrier, LockAcquire, LockRelease)
+
+        class SlotStatePickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                cls = type(obj)
+                if cls not in steps:
+                    return NotImplemented
+                state = {name: getattr(obj, name) for name in cls.__slots__}
+                return copyreg.__newobj__, (cls,), (None, state)
+
+        workload = get_workload("appbt", SIZE)  # all four step types
+        fresh = workload.build()
+        assert {
+            type(step)
+            for program in fresh.programs.values()
+            for step in program.steps
+        } == set(steps)
+        buf = io.BytesIO()
+        SlotStatePickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(fresh)
+        old = buf.getvalue()
+        assert len(old) > len(pickle.dumps(fresh, pickle.HIGHEST_PROTOCOL))
+        cache = TraceCache(tmp_path)
+        path = cache.path(workload)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(old)
+        hit, loaded = cache.get(workload)
+        assert hit
+        assert_event_identical(fresh, loaded)
+        assert pickle.dumps(loaded) == pickle.dumps(fresh)
 
 
 class TestInvalidation:
