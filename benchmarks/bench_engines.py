@@ -1,9 +1,10 @@
 """Benchmark: the shipped timing engine vs its reference oracle.
 
 Runs the Figure 9 timing grid (3 policies x 9 workloads) through the
-shipped :class:`~repro.timing.TimingSimulator` and the reference core
-in ``tests/oracle/`` on pre-built traces, so the measured ratio is pure
-engine throughput — the conformance suite already proves the two
+shipped :class:`~repro.timing.TimingSimulator` with the package's
+policies and the reference core in ``tests/oracle/`` with the reference
+policies, on pre-built traces, so the measured ratio is pure
+simulation throughput — the conformance suite already proves the two
 byte-identical, this proves the shipped one is actually fast. The
 BENCH record's ``stats_s`` times the shipped engine, with the
 reference time and the speedup in ``extra_info``.
@@ -24,7 +25,7 @@ from repro.experiments import figure9
 from repro.protocol.states import ProtocolVariant
 from repro.timing import TimingSimulator
 from repro.workloads import build_program_set
-from tests.oracle import ReferenceTimingSimulator
+from tests.oracle import ReferenceTimingSimulator, reference_factory
 
 SIZE = "small"
 
@@ -37,8 +38,12 @@ def _timing_specs():
 
 
 def _build_engine(cls, spec):
+    if cls is ReferenceTimingSimulator:
+        factory = reference_factory(spec.policy)
+    else:
+        factory = spec.policy.build
     return cls(
-        spec.policy.build,
+        factory,
         config=spec.config,
         variant=ProtocolVariant[spec.variant.upper()],
         forwarding=spec.forwarding,

@@ -17,7 +17,9 @@ from repro.core import ConfidenceConfig, LastPCPredictor, PerBlockLTP
 from repro.protocol.states import MissKind
 
 LOAD_PC = 0x4A10  # the stencil's single load instruction
-BLOCK = 7
+#: id -> block number table; policies name blocks by id (here 0)
+BLOCKS = [0x80]
+BLOCK = 0
 
 # Train-once confidence so the demonstration is compact.
 FAST = ConfidenceConfig(initial=3, predict_threshold=3)
@@ -33,17 +35,16 @@ def run_phase(policy, label: str) -> None:
     touches = [LOAD_PC, LOAD_PC]
     events = []
     for i, pc in enumerate(touches):
-        decision = policy.on_access(
+        fired = policy.on_access(
             BLOCK, pc,
             trace_start=(i == 0),
             miss_kind=MissKind.READ_FETCH if i == 0 else None,
             version=0 if i == 0 else None,
         )
         events.append(
-            f"touch {i + 1}: "
-            + ("SELF-INVALIDATE" if decision.self_invalidate else "keep")
+            f"touch {i + 1}: " + ("SELF-INVALIDATE" if fired else "keep")
         )
-        if decision.self_invalidate:
+        if fired:
             if i == len(touches) - 1:
                 policy.on_verified_correct(BLOCK)
                 events.append("-> verified CORRECT (timely!)")
@@ -60,6 +61,9 @@ def run_phase(policy, label: str) -> None:
 def main() -> None:
     last_pc = LastPCPredictor(confidence=FAST)
     ltp = PerBlockLTP(confidence=FAST)
+    # a simulator binds its block table before the first event
+    last_pc.bind(BLOCKS)
+    ltp.bind(BLOCKS)
 
     for phase in range(1, 5):
         print(f"phase {phase}:")

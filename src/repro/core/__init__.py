@@ -19,11 +19,7 @@ The Last-PC baseline (Section 5.1) is the same machinery with a history
 of length one: the "signature" is simply the most recent PC.
 """
 
-from repro.core.base import (
-    PolicyDecision,
-    SelfInvalidationPolicy,
-    StorageReport,
-)
+from repro.core.base import SelfInvalidationPolicy, StorageReport
 from repro.core.confidence import ConfidenceConfig, CounterTable
 from repro.core.signature import (
     LastPCEncoder,
@@ -51,7 +47,6 @@ __all__ = [
     "NullPolicy",
     "OraclePolicy",
     "PerBlockLTP",
-    "PolicyDecision",
     "SelfInvalidationPolicy",
     "SignatureEncoder",
     "StorageReport",

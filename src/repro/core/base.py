@@ -6,35 +6,24 @@ interface: it observes the node's memory accesses (with coherence
 metadata), invalidations, synchronization boundaries, and verification
 feedback, and decides when to self-invalidate which blocks.
 
-Access-triggered policies (LTP family) answer through the return value
-of :meth:`SelfInvalidationPolicy.on_access`; synchronization-triggered
-policies (DSI) answer through :meth:`SelfInvalidationPolicy.on_sync`.
+Both simulators keep their state over *dense block ids*
+(``0..len(blocks)-1``), and so do the policies: a simulator hands every
+policy its id -> block number table once through
+:meth:`SelfInvalidationPolicy.bind`, after compiling its input and
+before the first event, and every hook then names blocks by id.
+Access-triggered policies (LTP family) answer with the boolean return
+value of :meth:`SelfInvalidationPolicy.on_access`;
+synchronization-triggered policies (DSI) answer through
+:meth:`SelfInvalidationPolicy.on_sync`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.protocol.states import MissKind
 from repro.trace.events import SyncKind
-
-
-@dataclass(slots=True, frozen=True)
-class PolicyDecision:
-    """Outcome of observing one access.
-
-    ``self_invalidate`` — predict that this access was the last touch to
-    the block; the controller will immediately write the block back.
-    """
-
-    self_invalidate: bool = False
-
-
-#: Shared immutable decisions — ``on_access`` runs once per memory
-#: access, so hot policies return these instead of allocating.
-DECISION_KEEP = PolicyDecision()
-DECISION_FIRE = PolicyDecision(self_invalidate=True)
 
 
 @dataclass
@@ -94,18 +83,25 @@ class SelfInvalidationPolicy:
     #: human-readable policy name for reports
     name: str = "policy"
 
+    def bind(self, blocks: Sequence[int]) -> None:
+        """Receive the simulator's dense id -> block number table (read
+        only). Called once, before the first event; every later hook
+        names blocks by their index in ``blocks``."""
+
     def on_access(
         self,
-        block: int,
+        bid: int,
         pc: int,
         trace_start: bool,
         miss_kind: Optional[MissKind],
         version: Optional[int],
-    ) -> PolicyDecision:
-        """Observe one access by this node to a (shared) block.
+    ) -> bool:
+        """Observe one access by this node to a (shared) block; return
+        True to predict that it was the last touch, so the simulator
+        self-invalidates the block right away.
 
         Args:
-            block: block number touched.
+            bid: dense id of the block touched.
             pc: program counter of the touching instruction.
             trace_start: the block just entered the cache (coherence miss
                 that installs data) — signature registers reset here.
@@ -113,23 +109,24 @@ class SelfInvalidationPolicy:
             version: directory write-version seen at fetch (DSI), None on
                 hits.
         """
-        return DECISION_KEEP
+        return False
 
-    def on_invalidation(self, block: int) -> None:
+    def on_invalidation(self, bid: int) -> None:
         """An external invalidation removed this node's copy: the trace
-        for ``block`` completed — the learning event."""
+        for block ``bid`` completed — the learning event."""
 
     def on_sync(self, kind: SyncKind, sync_id: int) -> List[int]:
-        """This node crossed a synchronization boundary; return blocks to
-        self-invalidate now (DSI's bulk trigger)."""
+        """This node crossed a synchronization boundary; return the ids
+        of blocks to self-invalidate now, in ascending block-number
+        order (DSI's bulk trigger)."""
         return []
 
-    def on_verified_correct(self, block: int) -> None:
-        """Feedback: an earlier self-invalidation of ``block`` proved
+    def on_verified_correct(self, bid: int) -> None:
+        """Feedback: an earlier self-invalidation of block ``bid`` proved
         correct (piggybacked verification bit, Section 4)."""
 
-    def on_premature(self, block: int) -> None:
-        """Feedback: an earlier self-invalidation of ``block`` proved
+    def on_premature(self, bid: int) -> None:
+        """Feedback: an earlier self-invalidation of block ``bid`` proved
         premature — this node needed the block again first."""
 
     def storage_report(self) -> StorageReport:

@@ -115,6 +115,12 @@ class CounterTable:
     def __len__(self) -> int:
         return len(self._counters)
 
+    @property
+    def counters(self) -> "OrderedDict[Hashable, int]":
+        """The live key -> counter map, read only: a hot caller of an
+        unbounded table may inline :meth:`confident` over it."""
+        return self._counters
+
     def __contains__(self, key: Hashable) -> bool:
         return key in self._counters
 

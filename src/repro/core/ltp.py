@@ -18,26 +18,33 @@ in the table. Prediction: once a signature is present and confident, a
 matching current signature fires a self-invalidation; directory
 verification feedback then strengthens or weakens the fired signature's
 counter (Section 4).
+
+Per-block state lives in lists over the dense block ids the simulator
+binds (see :mod:`repro.core.base`), so the per-access fire test is a
+list index and one counter-map lookup.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import List, Optional, Sequence
 
-from repro.core.base import (
-    DECISION_FIRE,
-    DECISION_KEEP,
-    PolicyDecision,
-    SelfInvalidationPolicy,
-    StorageReport,
-)
+from repro.core.base import SelfInvalidationPolicy, StorageReport
 from repro.core.confidence import ConfidenceConfig, CounterTable
 from repro.core.signature import SignatureEncoder, TruncatedAddEncoder
 from repro.protocol.states import MissKind
 
 
 class _TwoLevelPredictor(SelfInvalidationPolicy):
-    """Shared machinery of the two organizations and Last-PC."""
+    """Shared machinery of the two organizations and Last-PC.
+
+    After :meth:`bind`, four lists over the dense block ids hold the
+    first level and the link to the second: the running signature of
+    each block's in-flight trace, the fired signature awaiting
+    verification, whether the block is actively shared, and the
+    signature -> counter map of the table that predicts for the block
+    (``None`` while there is none). The organizations differ only in
+    which :class:`CounterTable` a block's map belongs to.
+    """
 
     def __init__(
         self,
@@ -46,22 +53,33 @@ class _TwoLevelPredictor(SelfInvalidationPolicy):
     ) -> None:
         self.encoder = encoder or TruncatedAddEncoder()
         self.confidence = confidence or ConfidenceConfig()
-        # bound encoder hooks — on_access runs once per memory access
+        # bound encoder hooks and the fire threshold — on_access runs
+        # once per memory access
         self._enc_init = self.encoder.init
         self._enc_update = self.encoder.update
-        #: block -> running signature of the in-flight trace
-        self._current: Dict[int, int] = {}
-        #: block -> fired signature awaiting directory verification
-        self._pending: Dict[int, int] = {}
-        #: blocks whose traces have ever completed (actively shared)
-        self._active_blocks: set = set()
+        self._threshold = self.confidence.predict_threshold
+        #: the fire test goes through CounterTable.confident, which
+        #: keeps a bounded table's LRU order
+        self._bounded = False
+
+    def bind(self, blocks: Sequence[int]) -> None:
+        n = len(blocks)
+        #: id -> running signature of the in-flight trace, or None
+        self._current: List[Optional[int]] = [None] * n
+        #: id -> fired signature awaiting directory verification, or None
+        self._pending: List[Optional[int]] = [None] * n
+        #: id -> 1 once a trace of the block completed or a prediction
+        #: fired for it (actively shared)
+        self._active = bytearray(n)
+        #: id -> counters of the table predicting for the block, or None
+        self._counters: List[Optional[dict]] = [None] * n
 
     # -- table access points differ between organizations ---------------
 
-    def _table_for(self, block: int) -> CounterTable:
+    def _table_for(self, bid: int) -> Optional[CounterTable]:
         raise NotImplementedError
 
-    def _learn_table_for(self, block: int) -> CounterTable:
+    def _learn_table_for(self, bid: int) -> CounterTable:
         """Table used when inserting a completed trace (may create)."""
         raise NotImplementedError
 
@@ -69,16 +87,16 @@ class _TwoLevelPredictor(SelfInvalidationPolicy):
 
     def on_access(
         self,
-        block: int,
+        bid: int,
         pc: int,
         trace_start: bool,
         miss_kind: Optional[MissKind],
         version: Optional[int],
-    ) -> PolicyDecision:
+    ) -> bool:
         if trace_start:
             sig = self._enc_init(pc)
         else:
-            prev = self._current.get(block)
+            prev = self._current[bid]
             # A block can be resident from before this policy attached;
             # treat the first sighting as the trace start.
             sig = (
@@ -86,55 +104,69 @@ class _TwoLevelPredictor(SelfInvalidationPolicy):
                 if prev is None
                 else self._enc_update(prev, pc)
             )
-        table = self._table_for(block)
-        if table is not None and table.confident(sig):
+        counters = self._counters[bid]
+        if counters is None:
+            fire = False
+        elif self._bounded:
+            fire = self._table_for(bid).confident(sig)
+        else:
+            # CounterTable.confident, minus the LRU bookkeeping an
+            # unbounded table does not need (thresholds are >= 0, so
+            # an unknown signature never fires)
+            fire = counters.get(sig, -1) >= self._threshold
+        if fire:
             # Predicted last touch: the controller will self-invalidate,
             # ending the in-flight trace here.
-            self._current.pop(block, None)
-            self._pending[block] = sig
-            self._active_blocks.add(block)
-            return DECISION_FIRE
-        self._current[block] = sig
-        return DECISION_KEEP
+            self._current[bid] = None
+            self._pending[bid] = sig
+            self._active[bid] = 1
+            return True
+        self._current[bid] = sig
+        return False
 
-    def on_invalidation(self, block: int) -> None:
-        sig = self._current.pop(block, None)
+    def on_invalidation(self, bid: int) -> None:
+        sig = self._current[bid]
         if sig is None:
             return
-        self._learn_table_for(block).learn(sig)
-        self._active_blocks.add(block)
+        self._current[bid] = None
+        self._learn_table_for(bid).learn(sig)
+        self._active[bid] = 1
 
-    def on_verified_correct(self, block: int) -> None:
-        sig = self._pending.pop(block, None)
+    def on_verified_correct(self, bid: int) -> None:
+        sig = self._pending[bid]
         if sig is not None:
-            self._learn_table_for(block).strengthen(sig)
+            self._pending[bid] = None
+            self._learn_table_for(bid).strengthen(sig)
 
-    def on_premature(self, block: int) -> None:
-        sig = self._pending.pop(block, None)
+    def on_premature(self, bid: int) -> None:
+        sig = self._pending[bid]
         if sig is not None:
-            self._learn_table_for(block).weaken(sig)
+            self._pending[bid] = None
+            self._learn_table_for(bid).weaken(sig)
 
-    def covers_block(self, block: int) -> bool:
+    def covers_block(self, bid: int) -> bool:
         """True when this predictor holds at least one *confident*
-        signature for ``block`` — i.e. it can be expected to handle the
-        block's self-invalidation itself. Hybrid policies use this to
-        decide where a fallback mechanism should step in."""
-        table = self._table_for(block)
-        if table is None:
+        signature for block ``bid`` — i.e. it can be expected to handle
+        the block's self-invalidation itself. Hybrid policies use this
+        to decide where a fallback mechanism should step in."""
+        counters = self._counters[bid]
+        if counters is None:
             return False
         return any(
-            value >= self.confidence.predict_threshold
-            for _sig, value in table.items()
+            value >= self._threshold for value in counters.values()
         )
 
 
 class PerBlockLTP(_TwoLevelPredictor):
     """PAp-like LTP: a last-touch signature table per block.
 
+    A block's :class:`CounterTable` is created when its first trace is
+    learned; until then its counter map is ``None`` and it never fires.
     Capacity modelling (Section 3.3's finite direct-mapped /
     set-associative structures): ``entries_per_block`` caps each block's
-    table (LRU within the table). It defaults to unbounded — the
-    configuration Table 3 measures.
+    table (LRU within the table), and the fire test then goes through
+    :meth:`CounterTable.confident` to keep the LRU order. It defaults to
+    unbounded — the configuration Table 3 measures.
     """
 
     name = "ltp"
@@ -147,30 +179,37 @@ class PerBlockLTP(_TwoLevelPredictor):
     ) -> None:
         super().__init__(encoder, confidence)
         self.entries_per_block = entries_per_block
-        self._tables: Dict[int, CounterTable] = {}
+        self._bounded = entries_per_block is not None
 
-    def _table_for(self, block: int) -> Optional[CounterTable]:
-        return self._tables.get(block)
+    def bind(self, blocks: Sequence[int]) -> None:
+        super().bind(blocks)
+        #: id -> the block's signature table, or None
+        self._tables: List[Optional[CounterTable]] = [None] * len(blocks)
+        #: ids in table-creation order, the order storage reports use
+        self._learned: List[int] = []
 
-    def _learn_table_for(self, block: int) -> CounterTable:
-        table = self._tables.get(block)
+    def _table_for(self, bid: int) -> Optional[CounterTable]:
+        return self._tables[bid]
+
+    def _learn_table_for(self, bid: int) -> CounterTable:
+        table = self._tables[bid]
         if table is None:
-            table = self._tables[block] = CounterTable(
+            table = self._tables[bid] = CounterTable(
                 self.confidence, max_entries=self.entries_per_block
             )
+            self._counters[bid] = table.counters
+            self._learned.append(bid)
         return table
 
     def storage_report(self) -> StorageReport:
-        active = self._active_blocks
+        active = self._active
         per_block = [
-            len(table)
-            for block, table in self._tables.items()
-            if block in active
+            len(self._tables[bid]) for bid in self._learned if active[bid]
         ]
         return StorageReport(
             signature_bits=self.encoder.bits,
             counter_bits=self.confidence.bits,
-            tracked_blocks=len(active),
+            tracked_blocks=active.count(1),
             table_entries_total=sum(per_block),
             per_block_entries=per_block,
         )
@@ -179,9 +218,10 @@ class PerBlockLTP(_TwoLevelPredictor):
 class GlobalLTP(_TwoLevelPredictor):
     """PAg-like LTP: one global last-touch signature table.
 
-    All blocks share the table, so a signature learned from one block
-    predicts (and mispredicts) for any other — the cross-block subtrace
-    aliasing of Section 5.3.
+    All blocks share the table — every id's counter map is the one
+    table's — so a signature learned from one block predicts (and
+    mispredicts) for any other: the cross-block subtrace aliasing of
+    Section 5.3.
     """
 
     name = "ltp-global"
@@ -194,16 +234,20 @@ class GlobalLTP(_TwoLevelPredictor):
         super().__init__(encoder, confidence)
         self._table = CounterTable(self.confidence)
 
-    def _table_for(self, block: int) -> CounterTable:
+    def bind(self, blocks: Sequence[int]) -> None:
+        super().bind(blocks)
+        self._counters = [self._table.counters] * len(blocks)
+
+    def _table_for(self, bid: int) -> CounterTable:
         return self._table
 
-    def _learn_table_for(self, block: int) -> CounterTable:
+    def _learn_table_for(self, bid: int) -> CounterTable:
         return self._table
 
     def storage_report(self) -> StorageReport:
         return StorageReport(
             signature_bits=self.encoder.bits,
             counter_bits=self.confidence.bits,
-            tracked_blocks=len(self._active_blocks),
+            tracked_blocks=self._active.count(1),
             table_entries_total=len(self._table),
         )

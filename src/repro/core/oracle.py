@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from repro.core.base import (
-    DECISION_FIRE,
-    DECISION_KEEP,
-    PolicyDecision,
-    SelfInvalidationPolicy,
-)
+from repro.core.base import SelfInvalidationPolicy
 from repro.protocol.states import MissKind
 
 
@@ -38,12 +33,12 @@ class OraclePolicy(SelfInvalidationPolicy):
 
     def on_access(
         self,
-        block: int,
+        bid: int,
         pc: int,
         trace_start: bool,
         miss_kind: Optional[MissKind],
         version: Optional[int],
-    ) -> PolicyDecision:
+    ) -> bool:
         fire = self._next in self._ordinals
         self._next += 1
-        return DECISION_FIRE if fire else DECISION_KEEP
+        return fire

@@ -11,13 +11,9 @@ filtered (the paper measures 14% mispredicted on average).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set
+from typing import FrozenSet, List, Optional, Sequence, Set
 
-from repro.core.base import (
-    DECISION_KEEP,
-    PolicyDecision,
-    SelfInvalidationPolicy,
-)
+from repro.core.base import SelfInvalidationPolicy
 from repro.dsi.versioning import VersioningSelector
 from repro.protocol.states import MissKind
 from repro.trace.events import SyncKind
@@ -37,36 +33,41 @@ class DSIPolicy(SelfInvalidationPolicy):
     ) -> None:
         self.selector = VersioningSelector()
         self.triggers = triggers
-        #: cached blocks currently marked for self-invalidation
+        #: ids of cached blocks currently marked for self-invalidation
         self._candidates: Set[int] = set()
         self.bulk_invalidations = 0
 
+    def bind(self, blocks: Sequence[int]) -> None:
+        # a burst leaves in ascending block-number order, and ids are
+        # not assigned in that order
+        self._block_of = blocks.__getitem__
+
     def on_access(
         self,
-        block: int,
+        bid: int,
         pc: int,
         trace_start: bool,
         miss_kind: Optional[MissKind],
         version: Optional[int],
-    ) -> PolicyDecision:
+    ) -> bool:
         if miss_kind is not None:
-            if self.selector.observe_fetch(block, miss_kind, version):
-                self._candidates.add(block)
+            if self.selector.observe_fetch(bid, miss_kind, version):
+                self._candidates.add(bid)
             elif miss_kind is MissKind.UPGRADE:
                 # The migratory read-modify-write exclusion: upgrading a
                 # read copy revokes any candidacy from its read fetch
                 # (spin locks and RMW data never self-invalidate in DSI).
-                self._candidates.discard(block)
-        return DECISION_KEEP
+                self._candidates.discard(bid)
+        return False
 
-    def on_invalidation(self, block: int) -> None:
+    def on_invalidation(self, bid: int) -> None:
         # The copy is gone; nothing left to self-invalidate.
-        self._candidates.discard(block)
+        self._candidates.discard(bid)
 
     def on_sync(self, kind: SyncKind, sync_id: int) -> List[int]:
         if kind not in self.triggers or not self._candidates:
             return []
-        burst = sorted(self._candidates)
+        burst = sorted(self._candidates, key=self._block_of)
         self._candidates.clear()
         self.bulk_invalidations += len(burst)
         return burst

@@ -27,7 +27,8 @@ class VersioningSelector:
     """Node-side version bookkeeping and candidate selection."""
 
     def __init__(self) -> None:
-        #: block -> version this node's previous copy carried
+        #: block (the policies pass dense ids) -> version this node's
+        #: previous copy carried
         self._last_seen: Dict[int, int] = {}
         self.candidates_selected = 0
 

@@ -17,9 +17,9 @@ LTP-covered blocks are vetoed).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from repro.core.base import PolicyDecision, SelfInvalidationPolicy
+from repro.core.base import SelfInvalidationPolicy
 from repro.core.confidence import ConfidenceConfig
 from repro.core.ltp import PerBlockLTP
 from repro.core.signature import SignatureEncoder
@@ -52,47 +52,49 @@ class HybridPolicy(SelfInvalidationPolicy):
         self.ltp = PerBlockLTP(encoder, confidence)
         self.dsi = DSIPolicy()
         self.min_training = min_training
-        #: completed (externally invalidated) traces per block
-        self._completed: dict = {}
         #: bursts vetoed because the LTP covers or is still training
         self.vetoed = 0
 
+    def bind(self, blocks: Sequence[int]) -> None:
+        self.ltp.bind(blocks)
+        self.dsi.bind(blocks)
+        #: id -> completed (externally invalidated) traces of the block
+        self._completed = [0] * len(blocks)
+
     def on_access(
         self,
-        block: int,
+        bid: int,
         pc: int,
         trace_start: bool,
         miss_kind: Optional[MissKind],
         version: Optional[int],
-    ) -> PolicyDecision:
-        self.dsi.on_access(block, pc, trace_start, miss_kind, version)
-        return self.ltp.on_access(
-            block, pc, trace_start, miss_kind, version
-        )
+    ) -> bool:
+        self.dsi.on_access(bid, pc, trace_start, miss_kind, version)
+        return self.ltp.on_access(bid, pc, trace_start, miss_kind, version)
 
     def on_sync(self, kind: SyncKind, sync_id: int) -> List[int]:
         burst = self.dsi.on_sync(kind, sync_id)
         allowed = []
-        for block in burst:
-            trained = self._completed.get(block, 0) >= self.min_training
-            if not trained or self.ltp.covers_block(block):
+        for bid in burst:
+            trained = self._completed[bid] >= self.min_training
+            if not trained or self.ltp.covers_block(bid):
                 self.vetoed += 1
             else:
-                allowed.append(block)
+                allowed.append(bid)
         return allowed
 
-    def on_invalidation(self, block: int) -> None:
-        self._completed[block] = self._completed.get(block, 0) + 1
-        self.ltp.on_invalidation(block)
-        self.dsi.on_invalidation(block)
+    def on_invalidation(self, bid: int) -> None:
+        self._completed[bid] += 1
+        self.ltp.on_invalidation(bid)
+        self.dsi.on_invalidation(bid)
 
-    def on_verified_correct(self, block: int) -> None:
+    def on_verified_correct(self, bid: int) -> None:
         # Only the LTP half keeps per-prediction feedback state; DSI is
         # feedback-free (as in the paper).
-        self.ltp.on_verified_correct(block)
+        self.ltp.on_verified_correct(bid)
 
-    def on_premature(self, block: int) -> None:
-        self.ltp.on_premature(block)
+    def on_premature(self, bid: int) -> None:
+        self.ltp.on_premature(bid)
 
     def storage_report(self):
         return self.ltp.storage_report()

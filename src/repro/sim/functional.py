@@ -242,6 +242,8 @@ class AccuracySimulator:
 
     def _replay(self, stream: CompiledStream) -> AccuracyReport:
         policies = [self._factory(node) for node in range(stream.num_nodes)]
+        for policy in policies:
+            policy.bind(stream.blocks)
         engine = CoherenceEngine(
             stream.num_nodes, block_shift=stream.block_shift,
             variant=self._variant, blocks=stream.blocks,
@@ -254,8 +256,7 @@ class AccuracySimulator:
         states = engine.states
         miss = engine.miss
         drop = engine.self_invalidate_id
-        block_ids = engine.ids
-        blocks, pcs, syncs = stream.blocks, stream.pcs, stream.syncs
+        pcs, syncs = stream.pcs, stream.syncs
         node_mask = (1 << stream.node_bits) - 1
         pc_shift, pc_mask = stream.pc_shift, (1 << stream.pc_bits) - 1
         top = stream.top_shift
@@ -267,9 +268,8 @@ class AccuracySimulator:
             node = (code >> 2) & node_mask
             if op == _SYNC:
                 kind, sync_id = syncs[code >> top]
-                for block in on_sync[node](kind, sync_id):
-                    bid = block_ids.get(block)
-                    if bid is not None and states[node][bid]:
+                for bid in on_sync[node](kind, sync_id):
+                    if states[node][bid]:
                         drop(node, bid)
                         fired += 1
                 continue
@@ -277,31 +277,26 @@ class AccuracySimulator:
             pc = pcs[(code >> pc_shift) & pc_mask]
             if states[node][bid] > op:
                 # plain hit: no directory action, nothing to verify
-                if on_access[node](
-                    blocks[bid], pc, False, None, None
-                ).self_invalidate:
+                if on_access[node](bid, pc, False, None, None):
                     drop(node, bid)
                     fired += 1
                 continue
             misses += 1
             premature, verified, victims, kind, version = miss(node, bid, op)
-            block = blocks[bid]
             # Verification outcomes precede the requester's own
             # bookkeeping.
             if premature:
                 mispredicted += 1
-                on_premature[node](block)
+                on_premature[node](bid)
             if verified:
                 predicted += len(verified)
                 for other in verified:
-                    on_verified[other](block)
+                    on_verified[other](bid)
             if victims:
                 not_predicted += len(victims)
                 for victim in victims:
-                    on_invalidation[victim](block)
-            if on_access[node](
-                block, pc, kind is not upgrade, kind, version
-            ).self_invalidate:
+                    on_invalidation[victim](bid)
+            if on_access[node](bid, pc, kind is not upgrade, kind, version):
                 drop(node, bid)
                 fired += 1
 

@@ -21,7 +21,9 @@ The simulation is structured for speed:
 * **Dense block ids** — every address in the program set is interned to
   a dense ``bid`` at compile time; per-node cache state and fire epochs
   are flat arrays indexed ``[node][bid]``, directory state is parallel
-  lists indexed ``[bid]``. No dict-of-dataclass lookups on the hot path.
+  lists indexed ``[bid]``, and every policy is bound to the id -> block
+  table and called with ids. No dict-of-dataclass lookups on the hot
+  path.
 * **Interned transitions** — protocol message types, cache states and
   directory states are small ints; messages are 5-slot lists, not
   dataclasses; programs are compiled to tuples before the run.
@@ -173,7 +175,7 @@ class TimingSimulator:
 
     def _compile(self, programs: ProgramSet) -> List[List[tuple]]:
         shift = self._cfg.block_shift
-        bid_of = self._bid_of
+        bid_of: Dict[int, int] = {}
         block_of = self._block_of
         home_of = self._home_of
         n = self._cfg.num_nodes
@@ -241,7 +243,6 @@ class TimingSimulator:
         self._programs = programs
         n = cfg.num_nodes
 
-        self._bid_of: Dict[int, int] = {}
         self._block_of: List[int] = []
         self._home_of: List[int] = []
         self._steps = self._compile(programs)
@@ -254,6 +255,8 @@ class TimingSimulator:
 
         # node state (parallel arrays)
         self._policies = [self._factory(node) for node in range(n)]
+        for policy in self._policies:
+            policy.bind(self._block_of)
         self._status = [_RUNNING] * n
         self._step_index = [0] * n
         self._injected: List[deque] = [deque() for _ in range(n)]
@@ -703,10 +706,7 @@ class TimingSimulator:
             if bid in forwarded:
                 forwarded.discard(bid)
                 self._fwd_useful += 1
-            decision = self._policies[node].on_access(
-                self._block_of[bid], pc, False, None, None
-            )
-            if decision.self_invalidate:
+            if self._policies[node].on_access(bid, pc, False, None, None):
                 self._fire_si(node, bid, t_done)
             return t_done
         self._n_misses += 1
@@ -804,12 +804,8 @@ class TimingSimulator:
     def _fire_sync(
         self, node: int, kind: SyncKind, sync_id: int, t: int
     ) -> None:
-        blocks = self._policies[node].on_sync(kind, sync_id)
-        bid_of = self._bid_of
-        for block in blocks:
-            bid = bid_of.get(block)
-            if bid is not None:
-                self._fire_si(node, bid, t)
+        for bid in self._policies[node].on_sync(kind, sync_id):
+            self._fire_si(node, bid, t)
 
     # ------------------------------------------------------------------
     # messaging
@@ -929,11 +925,10 @@ class TimingSimulator:
         mask = self._dir_mask[bid]
         if not mask:
             return
-        block = self._block_of[bid]
         if requester in mask:
             del mask[requester]
             self._si_premature += 1
-            self._policies[requester].on_premature(block)
+            self._policies[requester].on_premature(bid)
         confirmed = [
             node
             for node, held in mask.items()
@@ -942,7 +937,7 @@ class TimingSimulator:
         for node in confirmed:
             del mask[node]
             self._si_timely += 1
-            self._policies[node].on_verified_correct(block)
+            self._policies[node].on_verified_correct(bid)
 
     def _grant(
         self, bid: int, requester: int, is_write: bool, t: int
@@ -1024,9 +1019,7 @@ class TimingSimulator:
             # Overtaken: correct but late.
             self._si_inflight[node].discard(bid)
             self._si_late += 1
-            self._policies[node].on_verified_correct(
-                self._block_of[bid]
-            )
+            self._policies[node].on_verified_correct(bid)
 
     # ------------------------------------------------------------------
     # node-bound message handling
@@ -1054,10 +1047,9 @@ class TimingSimulator:
             C_EXCLUSIVE if is_write else C_SHARED
         )
         t_done = t + self._reply_overhead
-        decision = self._policies[node].on_access(
-            self._block_of[bid], pc, trace_start, miss_kind, version
-        )
-        if decision.self_invalidate:
+        if self._policies[node].on_access(
+            bid, pc, trace_start, miss_kind, version
+        ):
             self._fire_si(node, bid, t_done)
         injected = self._injected[node]
         if injected:
@@ -1076,9 +1068,7 @@ class TimingSimulator:
                 forwarded.discard(bid)
                 self._fwd_wasted += 1
             else:
-                self._policies[node].on_invalidation(
-                    self._block_of[bid]
-                )
+                self._policies[node].on_invalidation(bid)
             self._n_ext_inval += 1
         elif bid not in self._si_inflight[node] and not (
             self._is_fetching(node, bid)
@@ -1098,7 +1088,7 @@ class TimingSimulator:
         if cached:
             self._cache[node][bid] = C_NONE
             self._epochs[node][bid] += 1
-            self._policies[node].on_invalidation(self._block_of[bid])
+            self._policies[node].on_invalidation(bid)
             self._n_ext_inval += 1
         elif bid not in self._si_inflight[node]:
             raise ProtocolError(

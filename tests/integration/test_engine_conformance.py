@@ -1,9 +1,10 @@
 """Byte-identical conformance of the timing engine to its oracle.
 
 The readable reference core in ``tests/oracle/``
-(:class:`ReferenceTimingSimulator`) is the oracle; the shipped engine
-(:class:`TimingSimulator`) must reproduce its :class:`TimingReport`
-pickle byte for byte across the behavioral surface the paper grid
+(:class:`ReferenceTimingSimulator`, driving the reference policies) is
+the oracle; the shipped engine (:class:`TimingSimulator`, driving the
+package's policies) must reproduce its :class:`TimingReport` pickle
+byte for byte across the behavioral surface the paper grid
 exercises: every policy, both protocol variants, forwarding on and
 off, prompt and delayed self-invalidation, real registry workloads and
 the synthetic sharing patterns, and the runner's path from a
@@ -26,18 +27,23 @@ from repro.workloads.registry import (
     get_workload,
 )
 from tests.conftest import migratory_rmw, producer_consumer
-from tests.oracle import ReferenceTimingSimulator
+from tests.oracle import ReferenceTimingSimulator, reference_factory
 
-CORES = (ReferenceTimingSimulator, TimingSimulator)
+
+def _cores(spec):
+    """(core, policy factory) pairs for ``spec``, reference first."""
+    return (
+        (ReferenceTimingSimulator, reference_factory(spec)),
+        (TimingSimulator, spec.build),
+    )
 
 
 def _reports(programs, policy="ltp", **kwargs):
     """One TimingReport pickle per core (reference first), same
     configuration."""
-    spec = PolicySpec(name=policy)
     return [
-        pickle.dumps(core(spec.build, **kwargs).run(programs))
-        for core in CORES
+        pickle.dumps(core(factory, **kwargs).run(programs))
+        for core, factory in _cores(PolicySpec(name=policy))
     ]
 
 
@@ -118,11 +124,10 @@ class TestEventCountParity:
     @pytest.mark.parametrize("si_fire_delay", [0, 150])
     def test_counts_match_exactly(self, si_fire_delay):
         programs = build_program_set("em3d", "tiny")
-        spec = PolicySpec(name="ltp")
         counts = []
-        for core in CORES:
+        for core, factory in _cores(PolicySpec(name="ltp")):
             engine = core(
-                spec.build,
+                factory,
                 forwarding=True,
                 si_fire_delay=si_fire_delay,
             )
@@ -159,7 +164,7 @@ class TestRunnerPath:
                 spec.workload, spec.size, **dict(spec.overrides)
             ).build()
             oracle = ReferenceTimingSimulator(
-                spec.policy.build,
+                reference_factory(spec.policy),
                 config=spec.config,
                 variant=ProtocolVariant[spec.variant.upper()],
                 forwarding=spec.forwarding,

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.core.base import SelfInvalidationPolicy, StorageReport
-from repro.core.oracle import OraclePolicy
+from repro.core.base import StorageReport
 from repro.core.storage import aggregate_reports
 from repro.protocol.states import ProtocolVariant
 from repro.sim.results import AccuracyReport
@@ -31,6 +30,7 @@ from repro.trace.program import ProgramSet
 from repro.trace.scheduler import interleave
 from tests.oracle.coherence import CoherenceEngine
 from tests.oracle.last_touch import compute_last_touch_ordinals
+from tests.oracle.policies import OraclePolicy, SelfInvalidationPolicy
 
 PolicyFactory = Callable[[int], SelfInvalidationPolicy]
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
-from repro.core.base import SelfInvalidationPolicy
+from tests.oracle.policies import SelfInvalidationPolicy
 
 
 class NodeStatus(enum.Enum):

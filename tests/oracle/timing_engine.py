@@ -56,7 +56,6 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.base import SelfInvalidationPolicy
 from repro.core.storage import aggregate_reports
 from repro.errors import ProtocolError, SimulationError
 from repro.ext.sharing import ConsumerPredictor, ForwardingStats
@@ -95,6 +94,7 @@ from tests.oracle.directory_engine import DirectoryEngine
 from tests.oracle.messages import Message, MsgType
 from tests.oracle.network import Network
 from tests.oracle.node import InjectedAccess, NodeContext, NodeStatus
+from tests.oracle.policies import SelfInvalidationPolicy
 
 PolicyFactory = Callable[[int], SelfInvalidationPolicy]
 

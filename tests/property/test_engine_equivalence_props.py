@@ -2,7 +2,8 @@
 
 Hypothesis drives random (legal) small ProgramSets — plain accesses,
 barriers, and contended locks — through the reference core in
-``tests/oracle/`` and the shipped engine under randomly drawn protocol
+``tests/oracle/`` with the reference policies and the shipped engine
+with the package's, under randomly drawn protocol
 variants, forwarding, and ``si_fire_delay`` settings, and asserts the
 resulting ``TimingReport``s pickle byte-identically. The parametrized
 conformance suite proves the paper grid; this proves the long tail of
@@ -25,7 +26,7 @@ from repro.trace.program import (
     Program,
     ProgramSet,
 )
-from tests.oracle import ReferenceTimingSimulator
+from tests.oracle import ReferenceTimingSimulator, reference_factory
 
 
 @st.composite
@@ -89,11 +90,9 @@ POLICIES = st.sampled_from(("base", "dsi", "last-pc", "ltp", "hybrid"))
 def test_cores_byte_identical(ps, knobs, policy):
     spec = PolicySpec(name=policy)
     cfg = SystemConfig(num_nodes=ps.num_nodes)
-    reports = [
-        pickle.dumps(core(spec.build, cfg, **knobs).run(ps))
-        for core in (ReferenceTimingSimulator, TimingSimulator)
-    ]
-    assert reports[0] == reports[1]
+    ref = ReferenceTimingSimulator(reference_factory(spec), cfg, **knobs)
+    fast = TimingSimulator(spec.build, cfg, **knobs)
+    assert pickle.dumps(fast.run(ps)) == pickle.dumps(ref.run(ps))
 
 
 @given(mixed_programs(), st.sampled_from([0, 90, 400]))

@@ -4,6 +4,7 @@ from repro.dsi.predictor import DSIPolicy
 from repro.dsi.versioning import VersioningSelector
 from repro.protocol.states import MissKind
 from repro.trace.events import SyncKind
+from tests.unit.test_ltp import bound
 
 
 class TestVersioningSelector:
@@ -54,32 +55,31 @@ class TestDSIPolicy:
         dsi.on_access(block, 0x10, True, kind, version)
 
     def test_no_per_access_firing(self):
-        dsi = DSIPolicy()
-        d = dsi.on_access(1, 0x10, True, MissKind.READ_FETCH, 0)
-        assert not d.self_invalidate
+        dsi = bound(DSIPolicy())
+        assert not dsi.on_access(1, 0x10, True, MissKind.READ_FETCH, 0)
 
     def test_bulk_self_invalidation_at_barrier(self):
-        dsi = DSIPolicy()
+        dsi = bound(DSIPolicy())
         self._fetch(dsi, 1, MissKind.READ_FETCH, 0)
         self._fetch(dsi, 1, MissKind.READ_FETCH, 2)  # candidate
         burst = dsi.on_sync(SyncKind.BARRIER, 1)
         assert burst == [1]
 
     def test_candidates_cleared_after_burst(self):
-        dsi = DSIPolicy()
+        dsi = bound(DSIPolicy())
         self._fetch(dsi, 1, MissKind.READ_FETCH, 0)
         self._fetch(dsi, 1, MissKind.READ_FETCH, 2)
         dsi.on_sync(SyncKind.BARRIER, 1)
         assert dsi.on_sync(SyncKind.BARRIER, 2) == []
 
     def test_lock_release_triggers(self):
-        dsi = DSIPolicy()
+        dsi = bound(DSIPolicy())
         self._fetch(dsi, 1, MissKind.READ_FETCH, 0)
         self._fetch(dsi, 1, MissKind.READ_FETCH, 2)
         assert dsi.on_sync(SyncKind.LOCK_RELEASE, 9) == [1]
 
     def test_lock_acquire_not_a_trigger_by_default(self):
-        dsi = DSIPolicy()
+        dsi = bound(DSIPolicy())
         self._fetch(dsi, 1, MissKind.READ_FETCH, 0)
         self._fetch(dsi, 1, MissKind.READ_FETCH, 2)
         assert dsi.on_sync(SyncKind.LOCK_ACQUIRE, 9) == []
@@ -87,21 +87,21 @@ class TestDSIPolicy:
     def test_upgrade_revokes_candidacy(self):
         """Taking a candidate block exclusive (spin-lock test&set, RMW
         data) removes it from the burst."""
-        dsi = DSIPolicy()
+        dsi = bound(DSIPolicy())
         self._fetch(dsi, 1, MissKind.READ_FETCH, 0)
         self._fetch(dsi, 1, MissKind.READ_FETCH, 2)  # candidate
         self._fetch(dsi, 1, MissKind.UPGRADE, 2)
         assert dsi.on_sync(SyncKind.BARRIER, 1) == []
 
     def test_external_invalidation_revokes_candidacy(self):
-        dsi = DSIPolicy()
+        dsi = bound(DSIPolicy())
         self._fetch(dsi, 1, MissKind.READ_FETCH, 0)
         self._fetch(dsi, 1, MissKind.READ_FETCH, 2)
         dsi.on_invalidation(1)
         assert dsi.on_sync(SyncKind.BARRIER, 1) == []
 
     def test_burst_is_sorted_and_counted(self):
-        dsi = DSIPolicy()
+        dsi = bound(DSIPolicy())
         for block in (9, 3, 7):
             self._fetch(dsi, block, MissKind.READ_FETCH, 0)
             self._fetch(dsi, block, MissKind.READ_FETCH, 2)
@@ -109,10 +109,20 @@ class TestDSIPolicy:
         assert burst == [3, 7, 9]
         assert dsi.bulk_invalidations == 3
 
+    def test_burst_follows_block_numbers_not_ids(self):
+        """Ids are assigned in first-touch order; a burst still leaves
+        in ascending block-number order, as the timing engine sends it."""
+        dsi = DSIPolicy()
+        dsi.bind([0x90, 0x30, 0x70])
+        for bid in (0, 1, 2):
+            self._fetch(dsi, bid, MissKind.READ_FETCH, 0)
+            self._fetch(dsi, bid, MissKind.READ_FETCH, 2)
+        assert dsi.on_sync(SyncKind.BARRIER, 1) == [1, 2, 0]
+
     def test_no_feedback_adaptation(self):
         """DSI is a heuristic: premature feedback does not stop it from
         re-selecting the block (the paper's 14% misprediction rate)."""
-        dsi = DSIPolicy()
+        dsi = bound(DSIPolicy())
         self._fetch(dsi, 1, MissKind.READ_FETCH, 0)
         self._fetch(dsi, 1, MissKind.READ_FETCH, 2)
         dsi.on_sync(SyncKind.BARRIER, 1)

@@ -13,9 +13,18 @@ from repro.trace.program import (
     Program,
     ProgramSet,
 )
-from tests.oracle import ReferenceTimingSimulator
+from tests.oracle import ReferenceTimingSimulator, reference_factory
 
 CORES = (ReferenceTimingSimulator, TimingSimulator)
+
+
+def base_policies(core):
+    """The base policy factory ``core`` drives: the reference policy
+    for the reference core, the package's for the shipped one."""
+    spec = PolicySpec(name="base")
+    if core is ReferenceTimingSimulator:
+        return reference_factory(spec)
+    return spec.build
 
 
 def deadlocked_programs() -> ProgramSet:
@@ -40,7 +49,7 @@ def deadlocked_programs() -> ProgramSet:
 class TestStallDiagnostics:
     @pytest.mark.parametrize("core", CORES)
     def test_deadlock_reports_time_and_node_status(self, core):
-        engine = core(PolicySpec(name="base").build)
+        engine = core(base_policies(core))
         with pytest.raises(SimulationError) as exc:
             engine.run(deadlocked_programs())
         message = str(exc.value)
@@ -55,4 +64,4 @@ class TestStallDiagnostics:
     @pytest.mark.parametrize("core", CORES)
     def test_negative_delay_rejected(self, core):
         with pytest.raises(SimulationError):
-            core(PolicySpec(name="base").build, si_fire_delay=-1)
+            core(base_policies(core), si_fire_delay=-1)

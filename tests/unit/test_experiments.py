@@ -201,7 +201,7 @@ class TestProfileAndEngineCli:
 
         from repro.protocol.states import ProtocolVariant
         from repro.workloads import get_workload
-        from tests.oracle import ReferenceTimingSimulator
+        from tests.oracle import ReferenceTimingSimulator, reference_factory
 
         out = tmp_path / "BENCH_profile_fig9.json"
         code = main([
@@ -215,7 +215,7 @@ class TestProfileAndEngineCli:
         )
         for spec in specs:
             oracle = ReferenceTimingSimulator(
-                spec.policy.build,
+                reference_factory(spec.policy),
                 config=spec.config,
                 variant=ProtocolVariant[spec.variant.upper()],
                 forwarding=spec.forwarding,

@@ -100,13 +100,26 @@ class TestFiniteTables:
         with pytest.raises(ConfigurationError):
             CounterTable(ConfidenceConfig(), max_entries=0)
 
+    def test_lookup_refreshes_a_capped_table(self):
+        """A capped table is LRU over lookups too: finding a signature
+        on an access keeps it, so the next insert evicts the other."""
+        from tests.unit.test_ltp import bound, drive_trace
+
+        ltp = bound(PerBlockLTP(entries_per_block=2))  # learn 2, fire 3
+        drive_trace(ltp, 1, [0x10])  # learns A = 0x10
+        drive_trace(ltp, 1, [0x24])  # learns B = 0x24
+        # looks A up at the miss, then learns 0x14, evicting B (not A)
+        drive_trace(ltp, 1, [0x10, 0x04])
+        drive_trace(ltp, 1, [0x10])  # A confirmed again: confident
+        assert drive_trace(ltp, 1, [0x10]) == 0
+
     def test_per_block_entry_cap_thrashes_multi_signature_blocks(self):
         """A block alternating between two traces needs two entries; a
         1-entry table forgets one each time."""
-        from tests.unit.test_ltp import drive_trace
+        from tests.unit.test_ltp import bound, drive_trace
 
-        capped = PerBlockLTP(confidence=FAST, entries_per_block=1)
-        full = PerBlockLTP(confidence=FAST)
+        capped = bound(PerBlockLTP(confidence=FAST, entries_per_block=1))
+        full = bound(PerBlockLTP(confidence=FAST))
         traces = [[0x10, 0x24], [0x38]]
         hits_capped = hits_full = 0
         for i in range(10):

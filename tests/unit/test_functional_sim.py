@@ -12,7 +12,6 @@ from repro.core import (
     PerBlockLTP,
     SelfInvalidationPolicy,
 )
-from repro.core.base import DECISION_FIRE, DECISION_KEEP
 from repro.dsi import DSIPolicy
 from repro.errors import ConfigurationError
 from repro.protocol.states import MissKind
@@ -259,19 +258,19 @@ class _Recorder(SelfInvalidationPolicy):
         self.node, self.fire_at, self.log = node, fire_at, log
         self.ordinal = 0
 
-    def on_access(self, block, pc, trace_start, miss_kind, version):
+    def on_access(self, bid, pc, trace_start, miss_kind, version):
         self.log.append((self.node, "access", trace_start, miss_kind))
         fire = self.ordinal in self.fire_at
         self.ordinal += 1
-        return DECISION_FIRE if fire else DECISION_KEEP
+        return fire
 
-    def on_invalidation(self, block):
+    def on_invalidation(self, bid):
         self.log.append((self.node, "invalidation"))
 
-    def on_verified_correct(self, block):
+    def on_verified_correct(self, bid):
         self.log.append((self.node, "verified"))
 
-    def on_premature(self, block):
+    def on_premature(self, bid):
         self.log.append((self.node, "premature"))
 
 

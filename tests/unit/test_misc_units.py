@@ -150,14 +150,16 @@ class TestOracle:
 
     def test_policy_fires_at_ordinals(self):
         policy = OraclePolicy({1})
-        assert not policy.on_access(9, 0x1, True, None, None).self_invalidate
-        assert policy.on_access(9, 0x2, False, None, None).self_invalidate
+        policy.bind([0x40])
+        assert policy.on_access(0, 0x1, True, None, None) is False
+        assert policy.on_access(0, 0x2, False, None, None) is True
 
 
 class TestNullPolicy:
     def test_all_hooks_are_noops(self):
         p = NullPolicy()
-        assert not p.on_access(1, 0x1, True, None, 0).self_invalidate
+        p.bind([0x40, 0x80])
+        assert p.on_access(1, 0x1, True, None, 0) is False
         p.on_invalidation(1)
         p.on_verified_correct(1)
         p.on_premature(1)

@@ -5,17 +5,15 @@ import pickle
 import pytest
 
 from repro.core import NullPolicy, PerBlockLTP
-from repro.core.base import (
-    DECISION_FIRE,
-    DECISION_KEEP,
-    SelfInvalidationPolicy,
-)
+from repro.core.base import SelfInvalidationPolicy
 from repro.core.confidence import ConfidenceConfig
 from repro.errors import SimulationError
+from repro.runner.spec import NULL_POLICY
 from repro.timing import SystemConfig, TimingSimulator
 from repro.trace.program import Access, Barrier, Program, ProgramSet
 from tests.conftest import addr, producer_consumer
-from tests.oracle import ReferenceTimingSimulator
+from tests.oracle import ReferenceTimingSimulator, reference_factory
+from tests.oracle import policies as reference
 
 FAST = ConfidenceConfig(initial=3, predict_threshold=3)
 
@@ -71,11 +69,24 @@ class FireOnce(SelfInvalidationPolicy):
     def __init__(self):
         self.fired = False
 
+    def on_access(self, bid, pc, trace_start, miss_kind, version):
+        fire = not self.fired
+        self.fired = True
+        return fire
+
+
+class ReferenceFireOnce(reference.SelfInvalidationPolicy):
+    """:class:`FireOnce` for the reference core."""
+
+    name = "fire-once"
+
+    def __init__(self):
+        self.fired = False
+
     def on_access(self, block, pc, trace_start, miss_kind, version):
-        if not self.fired:
-            self.fired = True
-            return DECISION_FIRE
-        return DECISION_KEEP
+        fire = not self.fired
+        self.fired = True
+        return reference.DECISION_FIRE if fire else reference.DECISION_KEEP
 
 
 def refetch_race_programs() -> ProgramSet:
@@ -108,15 +119,21 @@ class TestFireEpochRace:
 
     DELAY = 15_000
 
-    def _factory(self, node):
-        return FireOnce() if node == 0 else NullPolicy()
+    @staticmethod
+    def _factory(core):
+        """Node 0 fires once, the rest never: the reference policies
+        for the reference core, the package's for the shipped one."""
+        if core is ReferenceTimingSimulator:
+            base = reference_factory(NULL_POLICY)
+            return lambda n: ReferenceFireOnce() if n == 0 else base(n)
+        return lambda n: FireOnce() if n == 0 else NullPolicy()
 
     @pytest.mark.parametrize(
         "core", [ReferenceTimingSimulator, TimingSimulator]
     )
     def test_stale_fire_spares_the_refetched_copy(self, core):
         rep = core(
-            self._factory,
+            self._factory(core),
             SystemConfig(num_nodes=2),
             si_fire_delay=self.DELAY,
         ).run(refetch_race_programs())
@@ -132,7 +149,7 @@ class TestFireEpochRace:
         reports = [
             pickle.dumps(
                 core(
-                    self._factory,
+                    self._factory(core),
                     SystemConfig(num_nodes=2),
                     si_fire_delay=self.DELAY,
                 ).run(refetch_race_programs())
@@ -145,6 +162,8 @@ class TestFireEpochRace:
         """Without a delay window there is no race: the fire lands
         synchronously on the copy the policy decided for."""
         rep = TimingSimulator(
-            self._factory, SystemConfig(num_nodes=2), si_fire_delay=0
+            self._factory(TimingSimulator),
+            SystemConfig(num_nodes=2),
+            si_fire_delay=0,
         ).run(refetch_race_programs())
         assert rep.selfinval.fired == 1
