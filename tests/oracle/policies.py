@@ -1,8 +1,7 @@
 """The reference self-invalidation policies: the readable predictors.
 
-These are the policies as they read before the package's were flattened
-onto dense block ids: every hook names a block by its number, state
-lives in dicts keyed by block, and ``on_access`` answers with a
+Every hook names a block by its number, per-block state lives in dicts
+keyed by block, and ``on_access`` answers with a
 :class:`PolicyDecision`. The reference simulators in ``tests/oracle/``
 drive them; the shipped simulators drive the package's policies, and
 the conformance suite and the equivalence properties require equal
