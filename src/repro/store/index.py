@@ -23,11 +23,20 @@ Every publish path — the Runner's own ``cache.put`` and the remote
 broker — funnels through :meth:`repro.runner.cache.ResultCache.put`,
 which upserts the row here. Concurrent publishers are the normal
 case (independent runners and brokers sharing one cache), so the
-database
-runs in WAL mode with a generous busy timeout, every write is an
-idempotent ``INSERT .. ON CONFLICT`` keyed by digest, and each
-operation opens its own short-lived connection (the broker publishes
-from handler threads; sqlite connections are not thread-safe).
+database runs in WAL mode with a generous busy timeout, and every
+write is an idempotent ``INSERT .. ON CONFLICT`` keyed by digest.
+
+Each :class:`ResultIndex` keeps one connection per process, opened on
+first use and shared by every read and write behind a lock (the
+broker publishes from its handler threads). A connection per
+operation would cost several times the upsert itself: closing the last
+connection to a WAL database checkpoints it and deletes its
+``-wal``/``-shm`` files. So while a process holds the index, those two
+files stay beside ``index.sqlite`` — sqlite's auto-checkpoint bounds
+the WAL, and the last close folds it in. SQLite forbids a forked child
+to use or close a connection it inherited: a child opens its own and
+leaves the inherited one referenced and unclosed (the package's forked
+workers exit through ``os._exit``, so no finalizer closes it either).
 The index is advisory on the write path: a failure to record never
 fails the publish — ``cache reindex`` rebuilds it from the blobs.
 """
@@ -36,11 +45,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sqlite3
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.runner.spec import JobSpec
 
@@ -56,6 +68,11 @@ BUSY_TIMEOUT = 30.0
 
 #: attempts per write before the (advisory) operation is abandoned
 WRITE_RETRIES = 5
+
+#: connections a forked child inherited: sqlite forbids the child to
+#: use or close them, so they stay referenced here and are never
+#: garbage-collected (which would close them)
+_INHERITED: List[sqlite3.Connection] = []
 
 _TABLES = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -241,20 +258,49 @@ class ResultIndex:
     def __init__(self, root, db_name: str = INDEX_DB_NAME) -> None:
         self.root = Path(root)
         self.path = self.root / db_name
+        self._lock = threading.Lock()
+        self._conn: Optional[sqlite3.Connection] = None
+        #: pid of the process that opened ``_conn``
+        self._pid: Optional[int] = None
 
     # -- connections ---------------------------------------------------
 
-    def _connect(self) -> sqlite3.Connection:
+    def _connection(self) -> sqlite3.Connection:
+        """This process's connection, opened and set up on first use.
+        Caller holds ``_lock``."""
+        if self._conn is not None:
+            if self._pid == os.getpid():
+                return self._conn
+            _INHERITED.append(self._conn)  # forked: never touch it
+            self._conn = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(str(self.path), timeout=BUSY_TIMEOUT)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.executescript(_TABLES)
-        conn.execute(
-            "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-            ("schema", str(INDEX_SCHEMA)),
+        conn = sqlite3.connect(
+            str(self.path), timeout=BUSY_TIMEOUT, check_same_thread=False
         )
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.executescript(_TABLES)
+            with conn:
+                conn.execute(
+                    "INSERT OR IGNORE INTO meta (key, value) "
+                    "VALUES (?, ?)",
+                    ("schema", str(INDEX_SCHEMA)),
+                )
+        except sqlite3.Error:
+            conn.close()
+            raise
+        self._conn, self._pid = conn, os.getpid()
         return conn
+
+    @contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """Hold the lock and yield the connection inside one
+        transaction (committed on success, rolled back on error)."""
+        with self._lock:
+            conn = self._connection()
+            with conn:
+                yield conn
 
     def exists(self) -> bool:
         return self.path.is_file()
@@ -309,7 +355,7 @@ class ResultIndex:
         )
         for attempt in range(WRITE_RETRIES):
             try:
-                with self._connect() as conn:
+                with self._transaction() as conn:
                     conn.execute(sql, tuple(columns.values()))
                     conn.executemany(
                         "INSERT INTO metrics (digest, name, value) "
@@ -322,18 +368,13 @@ class ResultIndex:
                 if attempt == WRITE_RETRIES - 1:
                     return  # advisory: never fail the publish
                 time.sleep(0.05 * (attempt + 1))
-            finally:
-                try:
-                    conn.close()
-                except UnboundLocalError:
-                    pass
 
     def replace_experiments(
         self, mapping: Dict[str, Set[str]]
     ) -> int:
         """Replace the experiment-membership table for the digests
         present in the index; returns the number of tagged rows."""
-        with self._connect() as conn:
+        with self._transaction() as conn:
             present = {
                 row[0]
                 for row in conn.execute("SELECT digest FROM results")
@@ -350,7 +391,6 @@ class ResultIndex:
                 "(digest, experiment) VALUES (?, ?)",
                 rows,
             )
-        conn.close()
         return len(rows)
 
     def tag_campaign(
@@ -368,7 +408,7 @@ class ResultIndex:
             return 0
         for attempt in range(WRITE_RETRIES):
             try:
-                with self._connect() as conn:
+                with self._transaction() as conn:
                     conn.executemany(
                         "INSERT OR IGNORE INTO campaigns "
                         "(digest, campaign) VALUES (?, ?)",
@@ -379,17 +419,12 @@ class ResultIndex:
                 if attempt == WRITE_RETRIES - 1:
                     return 0
                 time.sleep(0.05 * (attempt + 1))
-            finally:
-                try:
-                    conn.close()
-                except UnboundLocalError:
-                    pass
         return 0
 
     def delete_missing(self, keep_digests: Iterable[str]) -> int:
         """Drop rows whose blobs vanished (pruned); returns count."""
         keep = set(keep_digests)
-        with self._connect() as conn:
+        with self._transaction() as conn:
             stale = [
                 row[0]
                 for row in conn.execute("SELECT digest FROM results")
@@ -411,7 +446,6 @@ class ResultIndex:
                 "DELETE FROM campaigns WHERE digest = ?",
                 [(d,) for d in stale],
             )
-        conn.close()
         return len(stale)
 
     # -- reads ---------------------------------------------------------
@@ -422,11 +456,10 @@ class ResultIndex:
         effect)."""
         if not self.exists():
             return None
-        with self._connect() as conn:
+        with self._transaction() as conn:
             (count,) = conn.execute(
                 "SELECT COUNT(*) FROM results"
             ).fetchone()
-        conn.close()
         return count
 
     def status(self, entries: int) -> IndexStatus:
@@ -435,12 +468,11 @@ class ResultIndex:
     def digests(self) -> Set[str]:
         if not self.exists():
             return set()
-        with self._connect() as conn:
+        with self._transaction() as conn:
             digests = {
                 row[0]
                 for row in conn.execute("SELECT digest FROM results")
             }
-        conn.close()
         return digests
 
     def distinct(self, column: str) -> List[Any]:
@@ -448,7 +480,7 @@ class ResultIndex:
             raise ValueError(f"unknown column {column!r}")
         if not self.exists():
             return []
-        with self._connect() as conn:
+        with self._transaction() as conn:
             values = [
                 row[0]
                 for row in conn.execute(
@@ -456,14 +488,13 @@ class ResultIndex:
                     f"WHERE {column} IS NOT NULL ORDER BY 1"
                 )
             ]
-        conn.close()
         return values
 
     def experiments(self) -> List[str]:
         """Experiment names with at least one tagged row."""
         if not self.exists():
             return []
-        with self._connect() as conn:
+        with self._transaction() as conn:
             names = [
                 row[0]
                 for row in conn.execute(
@@ -471,21 +502,19 @@ class ResultIndex:
                     "ORDER BY 1"
                 )
             ]
-        conn.close()
         return names
 
     def campaigns(self) -> List[str]:
         """Campaign names with at least one tagged discovery."""
         if not self.exists():
             return []
-        with self._connect() as conn:
+        with self._transaction() as conn:
             names = [
                 row[0]
                 for row in conn.execute(
                     "SELECT DISTINCT campaign FROM campaigns ORDER BY 1"
                 )
             ]
-        conn.close()
         return names
 
     def select(
@@ -508,9 +537,12 @@ class ResultIndex:
         )
         if limit is not None:
             query += f" LIMIT {int(limit)}"
-        with self._connect() as conn:
-            conn.row_factory = sqlite3.Row
-            rows = [dict(r) for r in conn.execute(query, params)]
+        with self._transaction() as conn:
+            # the row factory goes on this cursor only: the shared
+            # connection keeps returning plain tuples to count() & co.
+            cursor = conn.cursor()
+            cursor.row_factory = sqlite3.Row
+            rows = [dict(r) for r in cursor.execute(query, params)]
             digests = [r["digest"] for r in rows]
             metrics: Dict[str, Dict[str, float]] = {
                 d: {} for d in digests
@@ -542,7 +574,6 @@ class ResultIndex:
                     chunk,
                 ):
                     campaigns[digest].append(campaign)
-        conn.close()
         for row in rows:
             row["metrics"] = metrics[row["digest"]]
             row["experiments"] = experiments[row["digest"]]

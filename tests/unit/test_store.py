@@ -3,7 +3,11 @@ the query predicate language, reindexing, and the `repro query` /
 `cache reindex` / `cache stats` hint CLI surfaces."""
 
 import json
+import multiprocessing
 import sqlite3
+import sys
+import threading
+import time
 
 import pytest
 
@@ -328,6 +332,94 @@ class TestStoreCli:
         assert ResultIndex(tmp_path).count() == 0
 
 
+def _record_in_child(index, digest):
+    """Forked child: record into the parent's index; exit 1 unless
+    the row reads back through a connection of the child's own."""
+    inherited = index._conn
+    index.record(digest, None)
+    own = index._conn is not None and index._conn is not inherited
+    sys.exit(0 if own and digest in index.digests() else 1)
+
+
+class TestSharedConnection:
+    def test_many_records_open_one_connection(self, tmp_path, monkeypatch):
+        opened = []
+        real_connect = sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            opened.append(args[0])
+            return real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        index = ResultIndex(tmp_path)
+        for n in range(25):
+            index.record(f"digest-{n}", None, holder="h")
+        assert index.count() == 25
+        assert opened == [str(index.path)]
+
+    def test_forked_child_records_through_its_own_connection(
+        self, tmp_path
+    ):
+        index = ResultIndex(tmp_path)
+        index.record("parent-before", None)
+        child = multiprocessing.get_context("fork").Process(
+            target=_record_in_child, args=(index, "child")
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        # the parent's connection survived the child's exit
+        index.record("parent-after", None)
+        assert index.digests() == {
+            "parent-before", "child", "parent-after"
+        }
+        check = sqlite3.connect(str(index.path))
+        try:
+            assert check.execute(
+                "PRAGMA integrity_check"
+            ).fetchall() == [("ok",)]
+        finally:
+            check.close()
+
+    def test_threads_take_turns_on_the_connection(self, tmp_path):
+        """A transaction that fails rolls back only its own write: a
+        record() another thread makes meanwhile waits its turn instead
+        of joining (and committing) the open transaction."""
+        index = ResultIndex(tmp_path)
+        index.record("seed", None)
+        started = threading.Event()
+
+        def record_other():
+            started.set()
+            index.record("other", None)
+
+        other = threading.Thread(target=record_other)
+        with pytest.raises(RuntimeError):
+            with index._transaction() as conn:
+                conn.execute("INSERT INTO results (digest) VALUES ('x')")
+                other.start()
+                assert started.wait(timeout=30)
+                # room for an unserialized record() to slip in here
+                time.sleep(0.2)
+                raise RuntimeError("abort the transaction")
+        other.join(timeout=30)
+        assert not other.is_alive()
+        assert index.digests() == {"seed", "other"}
+
+    def test_select_leaves_the_connection_on_tuples(self, tmp_path):
+        index = ResultIndex(tmp_path)
+        index.record("digest-a", None, holder="h")
+        assert [row["holder"] for row in index.select("", ())] == ["h"]
+        count = index.count()
+        assert isinstance(count, int) and count == 1
+        digests = index.digests()
+        assert digests == {"digest-a"}
+        assert all(isinstance(d, str) for d in digests)
+        with index._transaction() as conn:
+            row = conn.execute("SELECT digest FROM results").fetchone()
+        assert type(row) is tuple
+
+
 class TestSpecDigest:
     def test_matches_cache_key(self, tmp_path):
         cache = ResultCache(tmp_path, salt="s1")
@@ -477,14 +569,13 @@ class TestNumericAffinity:
         index = ResultIndex(tmp_path)
         # text storage survived (no affinity coercion): the bug's
         # precondition holds in this database
-        with index._connect() as raw:
+        with index._transaction() as raw:
             stored = [
                 row[0]
                 for row in raw.execute(
                     "SELECT si_fire_delay FROM results"
                 )
             ]
-        raw.close()
         assert all(isinstance(v, str) for v in stored)
         # failing-before: every text value compared greater than the
         # numeric parameter, so `< 10` matched nothing at all
