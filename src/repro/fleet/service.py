@@ -72,7 +72,7 @@ class FleetService:
             forked workers.
         lease_ttl: worker heartbeat ttl for the lease table.
         batch: specs per worker lease request.
-        poll: idle-worker wait between lease polls.
+        poll: seconds the broker holds an idle worker's lease poll.
         max_attempts: attempts per spec before permanent failure.
         codec: wire/cache codec name.
         announce: callback receiving the bound ``host:port`` string.

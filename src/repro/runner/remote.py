@@ -56,13 +56,15 @@ work one grid at a time — ``submit`` over the wire, or
 fleet-wide deduplicated key space; its results fan out to it as they
 publish, and its client reads them back (``grid-poll`` →
 ``grid-results`` batches, then one ``grid-done`` carrying any
-permanent failures; :meth:`Broker.stream` in-process). Idle workers
-are told to keep waiting rather than exit, until
-:meth:`Broker.begin_shutdown`. ``RemoteBackend`` runs its own broker
-for one ``run-all`` grid; :class:`repro.fleet.FleetService` (``repro
-serve``) keeps one up across grids. :class:`GridClient` is the wire
-client; ``RemoteBackend(attach=...)`` adapts it to the backend
-contract so a whole ``run-all`` can ride an already-running service.
+permanent failures; :meth:`Broker.stream` in-process). An idle
+worker's lease poll is held at the broker until work arrives or
+``poll`` seconds pass, and idle workers are told to keep polling
+rather than exit, until :meth:`Broker.begin_shutdown`.
+``RemoteBackend`` runs its own broker for one ``run-all`` grid;
+:class:`repro.fleet.FleetService` (``repro serve``) keeps one up across
+grids. :class:`GridClient` is the wire client;
+``RemoteBackend(attach=...)`` adapts it to the backend contract so a
+whole ``run-all`` can ride an already-running service.
 """
 
 from __future__ import annotations
@@ -708,6 +710,12 @@ class Broker:
         #: notified (under self._lock) whenever a result or permanent
         #: failure fans out to grids, waking in-process stream() readers
         self._fanout = threading.Condition(self._lock)
+        #: notified (under self._lock) whenever keys become leasable or
+        #: the broker begins closing or stops, waking the idle lease
+        #: polls held in _handle_lease
+        self._work = threading.Condition(self._lock)
+        #: set by stop(): idle lease polls are answered at once
+        self._stopping = False
         self._listen = listen
         self._server = None
         self._thread: Optional[threading.Thread] = None
@@ -813,11 +821,14 @@ class Broker:
 
         Workers polling an empty table are normally told
         ``done: False`` so they wait for the next submitted grid; once
-        ``closing`` is set they get ``done: True`` and exit cleanly —
-        call this before :meth:`stop` so idle workers leave cleanly
+        ``closing`` is set they get ``done: True`` and exit cleanly,
+        and the polls the broker is holding are answered at once.
+        Call this before :meth:`stop` so idle workers leave cleanly
         instead of being cut off mid-poll.
         """
-        self.closing = True
+        with self._lock:
+            self.closing = True
+            self._work.notify_all()
 
     def stop(self) -> None:
         """Stop accepting, then cut every connected peer off.
@@ -841,6 +852,10 @@ class Broker:
         if self._server is not None:
             self._server.server_close()
             self._server = None
+        with self._lock:
+            # release the held lease polls so their handlers can end
+            self._stopping = True
+            self._work.notify_all()
         with self._connections_lock:
             connections = dict(self._connections)
         for sock in connections:
@@ -1061,6 +1076,8 @@ class Broker:
             with self._lock:
                 returned = self.table.release(worker)
                 self._worker_health.pop(worker, None)
+                if returned:
+                    self._work.notify_all()
             _M_HB_RTT.remove(worker=worker)
             return {"type": "ok", "returned": len(returned)}
         return {
@@ -1072,6 +1089,12 @@ class Broker:
             # lease() reclaims expired leases first, so a dead
             # worker's specs are regranted right here
             keys = self.table.lease(worker, max(1, max_n))
+            if not keys and not self.closing and not self._stopping:
+                # hold the idle poll here until work arrives, the
+                # broker closes, or `poll` seconds pass — then lease
+                # again, which also reclaims leases expired meanwhile
+                self._work.wait(self.poll)
+                keys = self.table.lease(worker, max(1, max_n))
             self.stats.leases += len(keys)
             now = time.time()
             traces = {}
@@ -1086,15 +1109,16 @@ class Broker:
                     self._lease_started[key] = now
                 traces[key] = tid
         if not keys:
-            # nothing to grant is idle, not finished: workers wait for
-            # the next admitted grid until the broker begins shutting
-            # down. Idle polls leave no span (the frame counter still
-            # counts them) — only grants carry signal.
+            # nothing to grant is idle, not finished: the worker polls
+            # again at once (the broker did the waiting) until the
+            # broker begins shutting down. Idle polls leave no span
+            # (the frame counter still counts them) — only grants
+            # carry signal.
             return {
                 "type": "specs",
                 "leases": [],
                 "done": self.closing,
-                "wait": self.poll,
+                "wait": 0,
             }
         with _tm.span("broker.lease", worker=worker, keys=len(keys)):
             _M_LEASES.inc(len(keys), worker=worker)
@@ -1271,6 +1295,8 @@ class Broker:
                         # re-run is byte-identical
                         self.table.requeue(key)
             self.table.extend(new_keys, group=gid, priority=priority)
+            if grid.outstanding:
+                self._work.notify_all()
             self.stats.specs += len(new_keys)
             self.stats.grids += 1
             self._grids[gid] = grid
@@ -1436,9 +1462,26 @@ class Broker:
         # not serialize the whole fleet's traffic
         spec = self._by_key[key]
         if self.cache is not None:
-            # the worker name lands in the result index as the entry's
-            # holder — the source of per-holder throughput reports
-            self.cache.put(spec, value, holder=worker)
+            try:
+                # the worker name lands in the result index as the
+                # entry's holder — the source of per-holder reports
+                self.cache.put(spec, value, holder=worker)
+            except Exception as exc:
+                # e.g. a full or read-only cache disk: the report
+                # never reached the cache, so its grids fail this spec
+                # instead of waiting forever (the key stays DONE, and
+                # a resubmission requeues it: its value is in neither
+                # the result map nor the cache)
+                message = (
+                    "publishing the report failed: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+                with self._lock:
+                    self._fail_subscribers(key, message)
+                return {
+                    "type": "error",
+                    "message": f"{spec.label()}: {message}",
+                }
         self.results[key] = value
         # size the grid-results entry from the raw pickle already in
         # hand (plus spec slack) — never pickle under the lock
@@ -1494,12 +1537,19 @@ class Broker:
             if final:
                 # a permanently failed key will never produce a
                 # result: deliver the failure to its waiting grids
-                label = self._by_key[key].label()
-                for grid in self._subscribers.pop(key, ()):
-                    grid.outstanding.discard(key)
-                    grid.failures[label] = message
-                self._fanout.notify_all()
+                self._fail_subscribers(key, message)
+            else:
+                self._work.notify_all()  # a retry is pending again
         return {"type": "ok", "final": final}
+
+    def _fail_subscribers(self, key: str, message: str) -> None:
+        """Deliver ``key``'s failure to every grid waiting on it.
+        Caller holds the broker lock."""
+        label = self._by_key[key].label()
+        for grid in self._subscribers.pop(key, ()):
+            grid.outstanding.discard(key)
+            grid.failures[label] = message
+        self._fanout.notify_all()
 
     # -- result streaming ----------------------------------------------
 
@@ -1750,14 +1800,20 @@ def run_worker(
                             f"exceeds the {_REPORT_BUDGET}-byte wire "
                             "budget"
                         )
-                    _request(stream, {
+                    reply = _request(stream, {
                         "type": "result",
                         "worker": worker_name,
                         "key": key,
                         "report": data,
                     })
-                    stats.executed += 1
-                    _W_EXECUTED.inc(outcome="ok")
+                    if reply.get("type") == "error":
+                        # the broker refused the result (it could not
+                        # publish it): the spec failed, not executed
+                        stats.failed += 1
+                        _W_EXECUTED.inc(outcome="failed")
+                    else:
+                        stats.executed += 1
+                        _W_EXECUTED.inc(outcome="ok")
                 except (OSError, ProtocolError):
                     raise  # lost the broker: nothing left to report to
                 except Exception:
@@ -1998,7 +2054,7 @@ class RemoteBackend(ExecutionBackend):
         lease_ttl: seconds without a heartbeat before a lease is
             reassigned.
         batch: specs granted per worker lease request.
-        poll: seconds idle workers wait between lease retries.
+        poll: seconds the broker holds an idle worker's lease poll.
         max_attempts: execution attempts per spec before giving up.
         timeout: overall safety limit for one grid, ``None`` = wait.
         codec: wire compression codec name (``none``/``zlib``).

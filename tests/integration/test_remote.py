@@ -241,6 +241,36 @@ class TestRemoteFailures:
         assert worker["stats"].executed == 0
         assert worker["stats"].failed == 2  # retried, then gave up
 
+    def test_failed_cache_write_fails_spec_instead_of_hanging(
+        self, tmp_path, worker_thread
+    ):
+        """A result the broker cannot publish (a full or read-only
+        cache disk) fails its spec in every waiting grid at once,
+        instead of leaving the grid waiting on a key already marked
+        done; the worker counts the refused result as failed."""
+
+        class FullDiskCache(ResultCache):
+            def put(self, spec, value, holder=None):
+                raise OSError(28, "No space left on device")
+
+        spec = census_job("em3d", SIZE)
+        broker = Broker(
+            cache=FullDiskCache(tmp_path), lease_ttl=20.0, poll=0.02
+        )
+        gid = broker.submit([spec])
+        broker.start()
+        try:
+            with worker_thread(broker, name="w") as worker:
+                with pytest.raises(
+                    RemoteExecutionError, match="OSError.*No space left"
+                ):
+                    # the timeout is only a safety net
+                    list(broker.stream(gid, timeout=30))
+        finally:
+            broker.stop()
+        assert worker["stats"].executed == 0
+        assert worker["stats"].failed == 1
+
     def test_expired_leases_are_reclaimed_by_the_next_lease(
         self, tmp_path
     ):
@@ -674,6 +704,81 @@ class TestBrokerStop:
             socket.create_connection(
                 backend.broker.address, timeout=1
             ).close()
+
+
+class TestHeldLeasePoll:
+    """An idle lease poll waits at the broker instead of sending the
+    worker to sleep, and the events that end idleness answer it at
+    once — long before its ``poll`` of 30 s runs out."""
+
+    def _held_poll(self, broker, monkeypatch):
+        """Send one idle lease request on a thread; returns once the
+        broker holds it, with the event set on the reply and the box
+        the reply lands in."""
+        held = threading.Event()
+        real_wait = broker._work.wait
+
+        def wait(timeout=None):
+            held.set()
+            return real_wait(timeout)
+
+        monkeypatch.setattr(broker._work, "wait", wait)
+        peer = _DoomedWorker(broker.address)
+        _request(peer.stream, {"type": "hello", "worker": "w"})
+        replied = threading.Event()
+        box = {}
+
+        def poll():
+            box["reply"] = _request(
+                peer.stream, {"type": "lease", "worker": "w", "max": 2}
+            )
+            replied.set()
+
+        thread = threading.Thread(target=poll, daemon=True)
+        thread.start()
+        assert held.wait(timeout=30)
+        assert not replied.is_set()
+        return peer, thread, replied, box
+
+    def test_begin_shutdown_answers_a_held_poll(
+        self, tmp_path, monkeypatch
+    ):
+        broker = Broker(cache=ResultCache(tmp_path), poll=30.0)
+        broker.start()
+        try:
+            peer, thread, replied, box = self._held_poll(
+                broker, monkeypatch
+            )
+            broker.begin_shutdown()
+            assert replied.wait(timeout=10)
+            assert box["reply"]["leases"] == []
+            assert box["reply"]["done"] is True
+            peer.crash()
+        finally:
+            broker.stop()
+        thread.join(timeout=10)  # safety net: the reply already came
+        assert not thread.is_alive()
+
+    def test_submit_answers_a_held_poll_with_leases(
+        self, tmp_path, monkeypatch
+    ):
+        broker = Broker(cache=ResultCache(tmp_path), poll=30.0)
+        broker.start()
+        try:
+            peer, thread, replied, box = self._held_poll(
+                broker, monkeypatch
+            )
+            broker.submit(
+                [census_job("em3d", SIZE), census_job("tomcatv", SIZE)]
+            )
+            assert replied.wait(timeout=10)
+            assert len(box["reply"]["leases"]) == 2
+            assert box["reply"]["done"] is False
+            peer.crash()
+        finally:
+            broker.stop()
+        thread.join(timeout=10)  # safety net: the reply already came
+        assert not thread.is_alive()
 
 
 class TestLeaseSpans:
