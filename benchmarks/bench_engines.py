@@ -9,12 +9,18 @@ byte-identical, this proves the shipped one is actually fast. The
 BENCH record's ``stats_s`` times the shipped engine, with the
 reference time and the speedup in ``extra_info``.
 
-The same grid also gates the telemetry layer's overhead budget: the
-shipped engine is timed with collection on (the default, and what the
-``stats_s`` measurement runs under) and fully disabled, and the ratio
-must stay under 5% — the engine hot loop is not instrumented
-per-event, so anything larger means an instrument crept onto the hot
-path (see ``docs/observability.md``).
+The same grid also gates the telemetry layer's overhead budget on the
+path that records: :func:`~repro.runner.execute_spec`, which with
+collection on opens the execute span, folds the engine's event counters
+and observes the runner's execute histogram. Each spec runs
+``OVERHEAD_ROUNDS`` times with collection on and as often fully
+disabled, the two modes back to back in alternating order, and the
+grid's summed per-spec minimums must differ by under 5% — the engine
+hot loop is not instrumented per-event, so anything larger means an
+instrument crept onto the hot path (see ``docs/observability.md``).
+Back to back and minimums, because on a shared host the speed of a
+whole grid run drifts by more than the budget; two runs of one spec a
+fraction of a second apart see the same host.
 """
 
 import time
@@ -23,11 +29,16 @@ import repro.telemetry as telemetry
 from benchmarks.conftest import save_rendered
 from repro.experiments import figure9
 from repro.protocol.states import ProtocolVariant
+from repro.runner import execute_spec
+from repro.runner import runner as runner_module
 from repro.timing import TimingSimulator
 from repro.workloads import build_program_set
 from tests.oracle import ReferenceTimingSimulator, reference_factory
 
 SIZE = "small"
+
+#: telemetry on/off alternations of the overhead gate
+OVERHEAD_ROUNDS = 5
 
 
 def _timing_specs():
@@ -51,8 +62,10 @@ def _build_engine(cls, spec):
     )
 
 
-def test_engine_cores(benchmark):
+def test_engine_cores(benchmark, monkeypatch):
     specs = _timing_specs()
+    # keyed like the runner's ProgramSet memo, which the overhead gate
+    # swaps for this dict so execute_spec builds no trace while timed
     programs = {}
     for spec in specs:
         key = (spec.workload, spec.size, spec.overrides)
@@ -81,21 +94,27 @@ def test_engine_cores(benchmark):
         stats = getattr(benchmark.stats, "stats", benchmark.stats)
         fast_s = stats.mean
 
-        # overhead gate: the same grid with instruments collecting
-        # vs short-circuited, interleaved and min-of-two per mode so
-        # single-run jitter (easily a few percent on shared runners)
-        # can't drown the signal being gated
-        samples = {True: [fast_s], False: []}
-        for enabled in (False, True, False):
-            telemetry.set_enabled(enabled)
-            start = time.perf_counter()
-            grid(TimingSimulator)
-            samples[enabled].append(time.perf_counter() - start)
+        # overhead gate: each spec through execute_spec with
+        # instruments collecting and short-circuited back to back,
+        # alternating which goes first, keeping the minimum per spec
+        # and mode
+        monkeypatch.setattr(runner_module, "_PROGRAMS", programs)
+        best = {mode: [float("inf")] * len(specs) for mode in (True, False)}
+        for round_no in range(OVERHEAD_ROUNDS):
+            order = (True, False) if round_no % 2 == 0 else (False, True)
+            for i, spec in enumerate(specs):
+                for enabled in order:
+                    telemetry.set_enabled(enabled)
+                    start = time.perf_counter()
+                    execute_spec(spec)
+                    best[enabled][i] = min(
+                        best[enabled][i], time.perf_counter() - start
+                    )
     finally:
         telemetry.set_enabled(was_enabled)
 
-    fast_on_s = min(samples[True])
-    fast_off_s = min(samples[False])
+    fast_on_s = sum(best[True])
+    fast_off_s = sum(best[False])
     speedup = reference_s / fast_s
     overhead = fast_on_s / fast_off_s - 1.0
     benchmark.extra_info["specs"] = len(specs)
@@ -120,13 +139,14 @@ def test_engine_cores(benchmark):
         f"({len(specs) / fast_s:5.2f} specs/s)\n"
         f"  speedup    {speedup:6.2f}x\n"
         f"  telemetry  {overhead:+7.1%} "
-        f"(on: {fast_on_s:.2f}s, off: {fast_off_s:.2f}s)",
+        f"(execute_spec, summed per-spec min of {OVERHEAD_ROUNDS}: "
+        f"on {fast_on_s:.2f}s, off {fast_off_s:.2f}s)",
     )
     # the point of shipping the optimized engine; measured ~2.1x,
     # gated loosely so shared-runner noise can't flake the job
     assert speedup >= 1.6, f"engine only {speedup:.2f}x the reference"
-    # telemetry folds engine counters once per spec, never per event;
-    # the budget is mostly noise allowance for grid-length timings
+    # telemetry folds engine counters and observes the histogram once
+    # per spec, never per event; the budget is mostly noise allowance
     assert overhead < 0.05, (
         f"telemetry overhead {overhead:.1%} (on {fast_on_s:.2f}s vs "
         f"off {fast_off_s:.2f}s)"
