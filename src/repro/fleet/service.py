@@ -23,9 +23,9 @@ cache root and reclaims the grids of vanished clients. External
 ``run-all``'s broker.
 
 Shutdown order matters and :meth:`stop` encodes it: halt the
-supervision loop, flip the broker's ``closing`` flag so idle workers'
-next lease poll tells them to exit, give them a moment to leave, then
-terminate stragglers and close the socket.
+supervision loop, flip the broker's ``closing`` flag so the lease
+polls it holds for idle workers tell them to exit, give them a moment
+to leave, then terminate stragglers and close the socket.
 """
 
 from __future__ import annotations
