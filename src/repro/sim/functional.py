@@ -20,12 +20,12 @@ process and compiled into a :class:`CompiledStream` — one packed
 integer per event over dense block ids — which every run, and both
 passes of the oracle, replay. The compiled stream is memoized on the
 ProgramSet object's identity and dropped when that object is
-garbage-collected.
+garbage-collected (:func:`repro.trace.program.compiled_once`, the memo
+the timing engine compiles through too).
 """
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Set, Tuple
@@ -38,7 +38,7 @@ from repro.protocol.coherence import CoherenceEngine
 from repro.protocol.states import MissKind, ProtocolVariant
 from repro.sim.results import AccuracyReport
 from repro.trace.events import MemoryAccess, SyncBoundary, SyncKind
-from repro.trace.program import ProgramSet
+from repro.trace.program import ProgramSet, compiled_once
 from repro.trace.scheduler import interleave
 
 PolicyFactory = Callable[[int], SelfInvalidationPolicy]
@@ -169,31 +169,22 @@ def _widen(codes: array, top: int, new_top: int) -> array:
     return array("I", wide)
 
 
-#: id(ProgramSet) -> {(quantum, block_shift): CompiledStream}
-_COMPILED: Dict[int, Dict[Tuple[int, int], CompiledStream]] = {}
-
-
 def compiled_stream(
     programs: ProgramSet, quantum: int, block_shift: int
 ) -> CompiledStream:
     """``programs`` interleaved (and validated) once per process per
     ``(quantum, block_shift)``, and compiled; the entry lives as long
-    as the ProgramSet object does. A ProgramSet is not to be mutated
-    after its first run — the runner's build memo assumes the same."""
-    per_set = _COMPILED.get(id(programs))
-    if per_set is None:
-        per_set = _COMPILED[id(programs)] = {}
-        weakref.finalize(programs, _COMPILED.pop, id(programs), None)
-    key = (quantum, block_shift)
-    stream = per_set.get(key)
-    if stream is None:
-        stream = per_set[key] = compile_stream(
+    as the ProgramSet object does (:func:`compiled_once`)."""
+    return compiled_once(
+        programs,
+        ("accuracy", quantum, block_shift),
+        lambda: compile_stream(
             interleave(programs, quantum=quantum),
             programs.num_nodes,
             block_shift,
             name=programs.name,
-        )
-    return stream
+        ),
+    )
 
 
 class AccuracySimulator:

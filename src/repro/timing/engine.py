@@ -26,7 +26,15 @@ The simulation is structured for speed:
   path.
 * **Interned transitions** — protocol message types, cache states and
   directory states are small ints; messages are 5-slot lists, not
-  dataclasses; programs are compiled to tuples before the run.
+  dataclasses.
+* **Compiled once** — :func:`compile_programs` validates a ProgramSet
+  and compiles its steps to tuples over dense block ids, holding each
+  distinct step tuple once. The compile is memoized per process on the
+  ProgramSet object and block size
+  (:func:`~repro.trace.program.compiled_once`, the memo the accuracy
+  stream uses), so every later run on the same trace reuses it. A run
+  treats the compiled lists and the block and home tables as
+  read-only; policies bind to the shared block table.
 
 Correctness contract: for any program the :class:`TimingReport` pickle
 must be **byte-identical** to the one the readable reference core in
@@ -63,6 +71,7 @@ from repro.trace.program import (
     LockAcquire,
     LockRelease,
     ProgramSet,
+    compiled_once,
 )
 from repro.timing.locks import LockManager
 
@@ -138,6 +147,68 @@ _RUNNING, _BLOCKED_MISS, _BLOCKED_BARRIER, _BLOCKED_LOCK, _FINISHED = range(
 )
 
 
+def compile_programs(
+    programs: ProgramSet, block_shift: int, num_nodes: int
+) -> Tuple[List[List[tuple]], List[int], List[int]]:
+    """Validate ``programs`` and compile it for the engine.
+
+    Returns each node's steps as opcode tuples over dense block ids
+    (see the ``OP_*`` layouts), the id -> block number table and the
+    id -> home node table. Ids are assigned in order of first touch,
+    node by node. Equal step tuples are one object, whether or not the
+    ProgramSet's own steps are shared, so a memoized compile holds each
+    distinct step once.
+    """
+    programs.validate()
+    bid_of: Dict[int, int] = {}
+    block_of: List[int] = []
+    home_of: List[int] = []
+
+    def intern(address: int) -> int:
+        block = address >> block_shift
+        bid = bid_of.get(block)
+        if bid is None:
+            bid = len(block_of)
+            bid_of[block] = bid
+            block_of.append(block)
+            home_of.append(block % num_nodes)
+        return bid
+
+    first: Dict[tuple, tuple] = {}
+    share = first.setdefault
+    compiled: List[List[tuple]] = []
+    for node in range(num_nodes):
+        steps: List[tuple] = []
+        for step in programs.programs[node].steps:
+            cls = step.__class__
+            if cls is Access:
+                op = (
+                    OP_ACCESS,
+                    step.pc,
+                    intern(step.address),
+                    step.is_write,
+                    step.work,
+                )
+            elif cls is Barrier:
+                op = (OP_BARRIER, step.barrier_id)
+            elif cls is LockAcquire:
+                op = (
+                    OP_ACQUIRE,
+                    step.lock_id,
+                    intern(step.address),
+                    step.pc,
+                    step.spin_pc,
+                    -1 if step.fixed_spins is None else step.fixed_spins,
+                )
+            elif cls is LockRelease:
+                op = (OP_RELEASE, step.lock_id, intern(step.address), step.pc)
+            else:  # pragma: no cover - step types are closed
+                raise SimulationError(f"unknown step {step!r}")
+            steps.append(share(op, op))
+        compiled.append(steps)
+    return compiled, block_of, home_of
+
+
 class TimingSimulator:
     """Runs one (workload, policy) pair on the timing model.
 
@@ -170,72 +241,10 @@ class TimingSimulator:
         self.event_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    # program compilation: intern every touched block to a dense bid
-    # ------------------------------------------------------------------
-
-    def _compile(self, programs: ProgramSet) -> List[List[tuple]]:
-        shift = self._cfg.block_shift
-        bid_of: Dict[int, int] = {}
-        block_of = self._block_of
-        home_of = self._home_of
-        n = self._cfg.num_nodes
-
-        def intern(address: int) -> int:
-            block = address >> shift
-            bid = bid_of.get(block)
-            if bid is None:
-                bid = len(block_of)
-                bid_of[block] = bid
-                block_of.append(block)
-                home_of.append(block % n)
-            return bid
-
-        compiled: List[List[tuple]] = []
-        for node in range(n):
-            steps: List[tuple] = []
-            for step in programs.programs[node].steps:
-                cls = step.__class__
-                if cls is Access:
-                    steps.append(
-                        (
-                            OP_ACCESS,
-                            step.pc,
-                            intern(step.address),
-                            step.is_write,
-                            step.work,
-                        )
-                    )
-                elif cls is Barrier:
-                    steps.append((OP_BARRIER, step.barrier_id))
-                elif cls is LockAcquire:
-                    steps.append(
-                        (
-                            OP_ACQUIRE,
-                            step.lock_id,
-                            intern(step.address),
-                            step.pc,
-                            step.spin_pc,
-                            -1
-                            if step.fixed_spins is None
-                            else step.fixed_spins,
-                        )
-                    )
-                elif cls is LockRelease:
-                    steps.append(
-                        (OP_RELEASE, step.lock_id, intern(step.address),
-                         step.pc)
-                    )
-                else:  # pragma: no cover - step types are closed
-                    raise SimulationError(f"unknown step {step!r}")
-            compiled.append(steps)
-        return compiled
-
-    # ------------------------------------------------------------------
     # top level
     # ------------------------------------------------------------------
 
     def run(self, programs: ProgramSet) -> TimingReport:
-        programs.validate()
         cfg = self._base_config
         if cfg.num_nodes != programs.num_nodes:
             cfg = replace(cfg, num_nodes=programs.num_nodes)
@@ -243,9 +252,12 @@ class TimingSimulator:
         self._programs = programs
         n = cfg.num_nodes
 
-        self._block_of: List[int] = []
-        self._home_of: List[int] = []
-        self._steps = self._compile(programs)
+        # shared with every other run on this ProgramSet: read-only
+        self._steps, self._block_of, self._home_of = compiled_once(
+            programs,
+            ("timing", cfg.block_shift, n),
+            lambda: compile_programs(programs, cfg.block_shift, n),
+        )
         nblocks = len(self._block_of)
 
         self._timeheap: List[int] = []

@@ -7,14 +7,27 @@ barriers). Workload generators build one program per node; the
 functional scheduler (:mod:`repro.trace.scheduler`) and the timing
 simulator (:mod:`repro.timing`) both execute the same programs, so
 accuracy and timing experiments see identical instruction streams.
+
+A built :class:`ProgramSet` and its steps are never mutated. Workload
+builds share one step object between all equal steps
+(:func:`share_equal_steps`), and both simulators compile a ProgramSet
+once per process (:func:`compiled_once`) and reuse that compile for as
+long as the object lives; neither would be sound if a step or a
+program changed after its build. The step classes stay mutable
+dataclasses only because constructing frozen ones is about three times
+slower.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from operator import attrgetter
+from typing import Callable, Dict, Hashable, List, Optional, TypeVar, Union
 
 from repro.errors import WorkloadError
+
+T = TypeVar("T")
 
 
 def _reduce_to_fields(step):
@@ -176,3 +189,52 @@ class ProgramSet:
 
     def total_steps(self) -> int:
         return sum(len(p) for p in self.programs.values())
+
+
+#: step class -> its field values, in constructor order
+_FIELDS = {
+    cls: attrgetter(*cls.__slots__)
+    for cls in (Access, Barrier, LockAcquire, LockRelease)
+}
+
+
+def share_equal_steps(programs: ProgramSet) -> None:
+    """Replace every step with the first equal step of ``programs``.
+
+    Equal steps then share one object — a workload's steps repeat from
+    one iteration to the next — and pickle's memo keeps that sharing
+    in a trace-cache entry. The table lives for one call only.
+    """
+    fields = _FIELDS
+    first: Dict[tuple, Step] = {}
+    share = first.setdefault
+    for program in programs.programs.values():
+        program.steps = [
+            share((step.__class__, fields[step.__class__](step)), step)
+            for step in program.steps
+        ]
+
+
+#: id(ProgramSet) -> {key: compiled form}; see :func:`compiled_once`
+_COMPILED: Dict[int, Dict[Hashable, object]] = {}
+
+
+def compiled_once(
+    programs: ProgramSet, key: Hashable, compile: Callable[[], T]
+) -> T:
+    """``compile()``, run once per process per ``programs`` object and
+    ``key`` and kept as long as that object lives.
+
+    The memo both simulators compile through: the entry is keyed on the
+    ProgramSet's identity and dropped when the object is
+    garbage-collected. Callers fold into ``key`` every parameter their
+    compile depends on, and treat the value as read-only.
+    """
+    per_set = _COMPILED.get(id(programs))
+    if per_set is None:
+        per_set = _COMPILED[id(programs)] = {}
+        weakref.finalize(programs, _COMPILED.pop, id(programs), None)
+    value = per_set.get(key)
+    if value is None:
+        value = per_set[key] = compile()
+    return value

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict, List
 
 from repro.errors import WorkloadError
-from repro.trace.program import Program, ProgramSet
+from repro.trace.program import Program, ProgramSet, share_equal_steps
 from repro.workloads.address_space import AddressSpace, CodeMap
 
 #: Size presets scale iteration counts and data dimensions. "tiny" keeps
@@ -105,7 +105,12 @@ class Workload:
         )
 
     def build(self) -> ProgramSet:
-        """Generate the per-node programs for this parameterization."""
+        """Generate the per-node programs for this parameterization.
+
+        Equal steps of the build share one object (see
+        :func:`~repro.trace.program.share_equal_steps`), so the returned
+        ProgramSet and its steps are never to be mutated.
+        """
         n = self.params.num_nodes
         programs = {node: Program(node) for node in range(n)}
         space = AddressSpace()
@@ -114,6 +119,7 @@ class Workload:
         self._generate(programs, space, code, rng)
         program_set = ProgramSet(self.name, n, programs)
         program_set.validate()
+        share_equal_steps(program_set)
         return program_set
 
     def _generate(

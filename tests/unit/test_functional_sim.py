@@ -19,6 +19,7 @@ from repro.sim import AccuracySimulator
 from repro.sim import functional
 from repro.sim.functional import compile_stream
 from repro.trace.events import MemoryAccess, SyncBoundary, SyncKind
+from repro.trace import program as program_mod
 from repro.trace.io import parse_stream
 from repro.trace.program import Access, Barrier, Program, ProgramSet
 from tests.conftest import migratory_rmw, producer_consumer
@@ -167,11 +168,11 @@ class TestCompiledStreamMemo:
         ps = producer_consumer(iterations=3)
         AccuracySimulator(lambda n: NullPolicy()).run(ps)
         key, alive = id(ps), weakref.ref(ps)
-        assert key in functional._COMPILED
+        assert key in program_mod._COMPILED
         del ps
         gc.collect()
         assert alive() is None
-        assert key not in functional._COMPILED
+        assert key not in program_mod._COMPILED
 
     def test_memoized_replay_matches_a_fresh_compile(self, pc_workload):
         from repro.trace.scheduler import interleave

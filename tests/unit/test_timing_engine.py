@@ -1,10 +1,18 @@
 """Unit tests for the end-to-end timing simulator (repro.timing.engine)."""
 
+import copy
+import gc
+import pickle
+import weakref
+from collections import Counter
+
 import pytest
 
 from repro.core import NullPolicy, PerBlockLTP
 from repro.core.confidence import ConfidenceConfig
 from repro.timing import SystemConfig, TimingSimulator
+from repro.timing import engine as engine_mod
+from repro.trace import program as program_mod
 from repro.trace.program import (
     Access,
     Barrier,
@@ -13,6 +21,7 @@ from repro.trace.program import (
     Program,
     ProgramSet,
 )
+from tests.conftest import producer_consumer
 
 FAST = ConfidenceConfig(initial=3, predict_threshold=3)
 CFG = SystemConfig(num_nodes=2)
@@ -179,3 +188,80 @@ class TestNodeCountAdaptation:
         rep = TimingSimulator(lambda n: NullPolicy()).run(_ps([p0, p1]))
         assert rep.policy == "base"
         assert rep.summary()
+
+
+class TestCompileMemo:
+    """One validate and compile per (ProgramSet, block size) per
+    process, living exactly as long as the ProgramSet object."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """Record every validate and timing compile, against a fresh
+        runner ProgramSet memo."""
+        from repro.runner import runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "_PROGRAMS", {})
+        calls = {"validate": [], "compile": []}
+        validate = ProgramSet.validate
+        compile_programs = engine_mod.compile_programs
+
+        def counting_validate(programs):
+            calls["validate"].append(programs)
+            validate(programs)
+
+        def counting_compile(programs, block_shift, num_nodes):
+            calls["compile"].append((programs, block_shift))
+            return compile_programs(programs, block_shift, num_nodes)
+
+        monkeypatch.setattr(ProgramSet, "validate", counting_validate)
+        monkeypatch.setattr(engine_mod, "compile_programs", counting_compile)
+        return calls
+
+    def test_fig9_and_si_delay_compile_each_trace_once(self, compiles):
+        from repro.experiments import figure9, si_delay
+        from repro.runner import Runner
+        from repro.runner.runner import _programs_for
+
+        specs = figure9.jobs(size="tiny") + si_delay.jobs(size="tiny")
+        traces = {id(p): p for p in map(_programs_for, specs)}
+        assert len(set(specs)) > len(traces)
+        compiles["validate"].clear()  # the builds validate too
+        Runner().run(specs)
+        once = {key: 1 for key in traces}
+        assert Counter(id(p) for p in compiles["validate"]) == once
+        assert Counter(id(p) for p, _ in compiles["compile"]) == once
+
+    def test_another_block_shift_compiles_its_own(self, compiles):
+        ps = producer_consumer(iterations=3)
+        wide = SystemConfig(num_nodes=2, block_shift=6)
+        for cfg in (CFG, wide, CFG):
+            run_base(ps, cfg)
+        # the last run is served by the first run's compile
+        assert [shift for _, shift in compiles["compile"]] == [5, 6]
+        assert len(compiles["validate"]) == 2
+
+    def test_entry_dropped_when_programs_are_collected(self):
+        ps = producer_consumer(iterations=3)
+        run_base(ps)
+        key, alive = id(ps), weakref.ref(ps)
+        assert ("timing", 5, 2) in program_mod._COMPILED[key]
+        del ps
+        gc.collect()
+        assert alive() is None
+        assert key not in program_mod._COMPILED
+
+    def test_memoized_runs_match_a_fresh_compile(self):
+        ps = producer_consumer(iterations=6)
+        sim = TimingSimulator(lambda n: PerBlockLTP(confidence=FAST), CFG)
+        first, again = sim.run(ps), sim.run(ps)
+        fresh = sim.run(copy.deepcopy(ps))
+        assert pickle.dumps(first) == pickle.dumps(again)
+        assert pickle.dumps(again) == pickle.dumps(fresh)
+
+    def test_equal_step_tuples_are_one_object(self):
+        ps = producer_consumer(iterations=4)
+        steps, _, _ = engine_mod.compile_programs(ps, 5, 2)
+        consumer = steps[1]
+        reads = [op for op in consumer if op[0] == engine_mod.OP_ACCESS]
+        assert len(reads) == 4
+        assert all(op is reads[0] for op in reads)

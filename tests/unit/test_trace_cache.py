@@ -3,6 +3,7 @@ equality of cache hits, invalidation on builder-version/seed/param
 changes, corruption handling, and the runner integration that lets a
 warm cache skip every build in a fresh process."""
 
+import copy
 import copyreg
 import dataclasses
 import io
@@ -11,6 +12,10 @@ import pickle
 import pytest
 
 from repro.codecs import blob_codec
+from repro.core import PerBlockLTP
+from repro.sim import AccuracySimulator
+from repro.timing import TimingSimulator
+from repro.trace import program as program_mod
 from repro.runner import runner as runner_module
 from repro.runner import (
     InlineBackend,
@@ -22,8 +27,16 @@ from repro.runner import (
     census_job,
     timing_job,
 )
-from repro.trace.program import Access, Barrier, LockAcquire, LockRelease
+from repro.trace.program import (
+    Access,
+    Barrier,
+    LockAcquire,
+    LockRelease,
+    Program,
+    ProgramSet,
+)
 from repro.workloads import (
+    WORKLOAD_NAMES,
     TraceCache,
     build_program_set,
     cached_build,
@@ -115,6 +128,73 @@ class TestGoldenTraces:
         assert hit
         assert_event_identical(fresh, loaded)
         assert pickle.dumps(loaded) == pickle.dumps(fresh)
+
+
+def step_counts(programs):
+    """``(steps, step objects, distinct step values)`` of a ProgramSet."""
+    steps = [s for p in programs.programs.values() for s in p.steps]
+    values = {(type(s), dataclasses.astuple(s)) for s in steps}
+    return len(steps), len({id(s) for s in steps}), len(values)
+
+
+def timing_memo_objects(programs):
+    """Distinct step tuples in the timing compile memoized for
+    ``programs`` at the default block size."""
+    steps, _, _ = program_mod._COMPILED[id(programs)][
+        ("timing", 5, programs.num_nodes)
+    ]
+    return len({id(op) for node_steps in steps for op in node_steps})
+
+
+class TestSharedSteps:
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_equal_steps_are_one_object(self, tmp_path, name):
+        """A build shares one object between equal steps, and a trace
+        cache round trip keeps that sharing."""
+        cache = TraceCache(tmp_path)
+        built = cached_build(get_workload(name, SIZE), cache)
+        hit, loaded = cache.get(get_workload(name, SIZE))
+        assert hit
+        for programs in (built, loaded):
+            steps, objects, values = step_counts(programs)
+            assert objects == values < steps
+
+    def test_unshared_entry_still_serves(self, tmp_path):
+        """An entry whose steps are all separate objects (every entry
+        written before builds shared equal steps; ``TRACE_SCHEMA`` did
+        not orphan them) loads as a hit, equals a fresh build, gives
+        identical reports, and compiles no larger than a shared build."""
+        workload = get_workload("appbt", SIZE)  # all four step types
+        fresh = workload.build()
+        unshared = ProgramSet(
+            fresh.name,
+            fresh.num_nodes,
+            {
+                node: Program(node, [copy.copy(s) for s in prog.steps])
+                for node, prog in fresh.programs.items()
+            },
+            fresh.shared_blocks,
+        )
+        steps, objects, _ = step_counts(unshared)
+        assert objects == steps
+        cache = TraceCache(tmp_path)
+        path = cache.path(workload)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(
+            pickle.dumps(unshared, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        hit, loaded = cache.get(workload)
+        assert hit
+        assert step_counts(loaded) == step_counts(unshared)
+        assert_event_identical(fresh, loaded)
+        for sim in (
+            AccuracySimulator(lambda n: PerBlockLTP()),
+            TimingSimulator(lambda n: PerBlockLTP()),
+        ):
+            assert pickle.dumps(sim.run(loaded)) == pickle.dumps(
+                sim.run(fresh)
+            )
+        assert timing_memo_objects(loaded) <= timing_memo_objects(fresh)
 
 
 class TestInvalidation:
