@@ -1435,8 +1435,6 @@ class Broker:
         with self._lock:
             first = self.table.complete(key)
             if first:
-                self.stats.results += 1
-                self.stats.result_bytes += len(data)
                 leased_at = self._lease_started.pop(key, None)
                 trace_id = self._trace_ids.get(key)
             else:
@@ -1444,14 +1442,26 @@ class Broker:
         if not first:
             _M_RESULTS.inc(outcome="duplicate")
             return {"type": "ok", "duplicate": True}
-        _M_RESULTS.inc(outcome="first")
-        _M_RESULT_BYTES.inc(len(data))
-        if leased_at is not None:
-            _M_LEASE_TO_PUBLISH.observe(max(0.0, time.time() - leased_at))
+        arrived = time.time()
         with _tm.bind_trace(trace_id), _tm.span(
             "broker.publish", worker=worker, key=key
         ):
-            return self._publish_result(worker, key, raw, value)
+            reply = self._publish_result(worker, key, raw, value)
+        # a result counts once it is published; a refused publish
+        # counts as an error, as a worker-reported failure does
+        if reply["type"] != "ok":
+            _M_RESULTS.inc(outcome="error")
+            with self._lock:
+                self.stats.errors += 1
+            return reply
+        with self._lock:
+            self.stats.results += 1
+            self.stats.result_bytes += len(data)
+        _M_RESULTS.inc(outcome="first")
+        _M_RESULT_BYTES.inc(len(data))
+        if leased_at is not None:
+            _M_LEASE_TO_PUBLISH.observe(max(0.0, arrived - leased_at))
+        return reply
 
     def _publish_result(
         self, worker: str, key: str, raw, value

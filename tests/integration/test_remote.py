@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+import repro.telemetry as tm
 from repro.codecs import blob_codec
 from repro.experiments.cli import build_parser, main, _runner_from_args
 from repro.runner import (
@@ -38,6 +39,7 @@ from repro.runner import (
     run_worker,
     timing_job,
 )
+from repro.runner import remote as remote_module
 from repro.runner import runner as runner_module
 from repro.runner.remote import _request, encode_frame, read_frame
 from repro.workloads import (
@@ -253,11 +255,23 @@ class TestRemoteFailures:
             def put(self, spec, value, holder=None):
                 raise OSError(28, "No space left on device")
 
+        def counts():
+            return (
+                remote_module._M_RESULTS.value(outcome="first"),
+                remote_module._M_RESULTS.value(outcome="error"),
+                remote_module._M_RESULT_BYTES.value(),
+                remote_module._M_LEASE_TO_PUBLISH.collect()
+                .get("", {}).get("count", 0),
+            )
+
         spec = census_job("em3d", SIZE)
         broker = Broker(
             cache=FullDiskCache(tmp_path), lease_ttl=20.0, poll=0.02
         )
         gid = broker.submit([spec])
+        was = tm.enabled()
+        tm.set_enabled(True)
+        before = counts()
         broker.start()
         try:
             with worker_thread(broker, name="w") as worker:
@@ -268,8 +282,15 @@ class TestRemoteFailures:
                     list(broker.stream(gid, timeout=30))
         finally:
             broker.stop()
+            tm.set_enabled(was)
         assert worker["stats"].executed == 0
         assert worker["stats"].failed == 1
+        # the refused report counts as an error, never as a result
+        assert broker.stats.results == 0
+        assert broker.stats.result_bytes == 0
+        assert broker.stats.errors == 1
+        first, errors, result_bytes, published = before
+        assert counts() == (first, errors + 1, result_bytes, published)
 
     def test_expired_leases_are_reclaimed_by_the_next_lease(
         self, tmp_path
