@@ -63,7 +63,8 @@ class NullCodec(Codec):
 
 
 class ZlibCodec(Codec):
-    """stdlib ``zlib`` at a mid level: ~80x on ProgramSet pickles."""
+    """stdlib ``zlib`` at a mid level: 33.5x on a paper-size em3d
+    ProgramSet pickle."""
 
     name = "zlib"
 

@@ -22,11 +22,18 @@ trace cache can safely live inside a shared result-cache directory —
 processes on large grids then deserialize traces instead of
 re-synthesizing them at start-up.
 
+A build shares one object between equal steps, and pickle's memo keeps
+that sharing in the entry, so an entry holds each distinct step once
+(the nine ``small`` traces pickle to 1.7 MB and load in about 0.01 s).
+Entries written before builds shared their steps hold one object per
+step; they load as they were written, with equal values, and stay
+unshared until rebuilt.
+
 Entries are written through a pluggable codec (``none`` keeps the
-legacy raw-pickle format; ``zlib`` shrinks ``paper``-size traces about
-80x). Reads are codec-transparent: whatever codec wrote an entry —
-including the pre-codec format — any ``TraceCache`` decodes it, and
-:meth:`migrate` re-encodes a directory in place.
+legacy raw-pickle format; ``zlib`` shrinks a ``paper``-size ``em3d``
+trace 33.5x). Reads are codec-transparent: whatever codec wrote an
+entry — including the pre-codec format — any ``TraceCache`` decodes
+it, and :meth:`migrate` re-encodes a directory in place.
 """
 
 from __future__ import annotations
