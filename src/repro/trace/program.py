@@ -220,9 +220,9 @@ _COMPILED: Dict[int, Dict[Hashable, object]] = {}
 
 
 def compiled_once(
-    programs: ProgramSet, key: Hashable, compile: Callable[[], T]
+    programs: ProgramSet, key: Hashable, build: Callable[[], T]
 ) -> T:
-    """``compile()``, run once per process per ``programs`` object and
+    """``build()``, run once per process per ``programs`` object and
     ``key`` and kept as long as that object lives.
 
     The memo both simulators compile through: the entry is keyed on the
@@ -236,5 +236,5 @@ def compiled_once(
         weakref.finalize(programs, _COMPILED.pop, id(programs), None)
     value = per_set.get(key)
     if value is None:
-        value = per_set[key] = compile()
+        value = per_set[key] = build()
     return value
