@@ -24,7 +24,8 @@ re-synthesizing them at start-up.
 
 A build shares one object between equal steps, and pickle's memo keeps
 that sharing in the entry, so an entry holds each distinct step once
-(the nine ``small`` traces pickle to 1.7 MB and load in about 0.01 s).
+(the nine ``small`` traces pickle to 1.7 MB and load in about 0.01 s
+on a 2-vCPU host).
 Entries written before builds shared their steps hold one object per
 step; they load as they were written, with equal values, and stay
 unshared until rebuilt.
