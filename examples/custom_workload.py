@@ -6,6 +6,12 @@ stage i+1 each iteration, with a token lock), registers nothing —
 workloads are just objects — and runs the full accuracy + timing
 pipeline on it.
 
+``_generate`` writes each node's steps through that node's
+``ProgramBuilder``: ``access``, ``barrier``, ``acquire`` and
+``release`` construct a step the first time the build sees it and
+append that same object every time it recurs, so the iterations after
+the first cost a table lookup per step, not a new object.
+
 Use this as the template for studying your own sharing patterns.
 
 Run:  python examples/custom_workload.py
@@ -18,7 +24,7 @@ from typing import Dict
 from repro.core import NullPolicy, PerBlockLTP
 from repro.sim import AccuracySimulator
 from repro.timing import TimingSimulator
-from repro.trace.program import Access, Barrier, Program
+from repro.trace.program import ProgramBuilder
 from repro.workloads.address_space import AddressSpace, CodeMap
 from repro.workloads.base import Workload, WorkloadParams
 
@@ -42,7 +48,7 @@ class Pipeline(Workload):
 
     def _generate(
         self,
-        programs: Dict[int, Program],
+        programs: Dict[int, ProgramBuilder],
         space: AddressSpace,
         code: CodeMap,
         rng: random.Random,
@@ -62,14 +68,12 @@ class Pipeline(Workload):
                 upstream = (cpu - 1) % n
                 prog = programs[cpu]
                 for i in range(p.batch):
-                    prog.append(Access(ld, addr(upstream, i), False,
-                                       work=p.work))
+                    prog.access(ld, addr(upstream, i), False, work=p.work)
                 for i in range(p.batch):
-                    prog.append(Access(st, addr(cpu, i), True,
-                                       work=p.work))
+                    prog.access(st, addr(cpu, i), True, work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)
 
 
 def main() -> None:

@@ -34,7 +34,7 @@ import json
 import threading
 import time
 import traceback
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import repro.telemetry as _tm
 from repro._fsutil import atomic_write_bytes
@@ -42,8 +42,10 @@ from repro.errors import ConfigurationError
 from repro.fleet.supervisor import WorkerExit, WorkerSupervisor
 from repro.runner.cache import ResultCache
 from repro.runner.remote import DEFAULT_LEASE_TTL, Broker
-from repro.telemetry import MetricsServer
 from repro.workloads import TraceCache
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry.server import MetricsServer
 
 #: subdirectory of the cache root holding the fleet's status mirror
 CLAIMS_DIRNAME = "claims"
@@ -250,6 +252,10 @@ class FleetService:
                 auth_token=self.auth_token,
             )
             if self.metrics_port is not None:
+                # imported here: http.server pulls in http.client, ssl
+                # and email, which no process without an endpoint needs
+                from repro.telemetry.server import MetricsServer
+
                 self.metrics_server = MetricsServer(
                     metrics_fn=self.broker.render_metrics,
                     health_fn=self.health,

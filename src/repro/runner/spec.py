@@ -199,13 +199,31 @@ class JobSpec:
         )
 
     def canonical(self) -> str:
-        """Stable JSON identity — the content-address input."""
-        return json.dumps(
+        """Stable JSON identity — the content-address input.
+
+        Rendered once per instance: the cache, the broker and the index
+        each ask for it several times per spec. The memo lives in the
+        instance dict, outside equality, hashing and the pickled state.
+        It is never shared by value, because equal specs can render
+        differently (an override of ``1`` and one of ``1.0``).
+        """
+        try:
+            return self.__dict__["_canonical"]
+        except KeyError:
+            pass
+        text = self.__dict__["_canonical"] = json.dumps(
             dataclasses.asdict(self),
             sort_keys=True,
             separators=(",", ":"),
             default=str,
         )
+        return text
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_canonical" in state:
+            state = {k: v for k, v in state.items() if k != "_canonical"}
+        return state
 
     def label(self) -> str:
         """Short human-readable tag for progress lines."""

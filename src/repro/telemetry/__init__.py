@@ -15,9 +15,11 @@ Four pieces:
   stitches across broker and worker processes;
 * :mod:`repro.telemetry.sink` — the size-capped rotating JSONL writer
   behind spans;
-* :mod:`repro.telemetry.exposition` / ``server`` — Prometheus text
-  rendering and the ``/metrics`` + ``/healthz`` HTTP endpoint the
-  serve broker exposes with ``--metrics-port``.
+* :mod:`repro.telemetry.exposition` / :mod:`repro.telemetry.server`
+  — Prometheus text rendering and the ``/metrics`` + ``/healthz`` HTTP
+  endpoint the serve broker exposes with ``--metrics-port``. The
+  server is not re-exported here: only the process that binds it
+  imports it, so no other process loads ``http.server``.
 
 See docs/observability.md for the metric catalog and span schema.
 """
@@ -38,7 +40,6 @@ from repro.telemetry.metrics import (
     registry,
     set_enabled,
 )
-from repro.telemetry.server import MetricsServer
 from repro.telemetry.sink import (
     DEFAULT_BACKUPS,
     DEFAULT_MAX_BYTES,
@@ -72,7 +73,6 @@ __all__ = [
     "Histogram",
     "METRICS_SCHEMA",
     "MetricsRegistry",
-    "MetricsServer",
     "REGISTRY",
     "RotatingJsonlWriter",
     "SPANS_NAME",

@@ -9,20 +9,20 @@ simulator (:mod:`repro.timing`) both execute the same programs, so
 accuracy and timing experiments see identical instruction streams.
 
 A built :class:`ProgramSet` and its steps are never mutated. Workload
-builds share one step object between all equal steps
-(:func:`share_equal_steps`), and both simulators compile a ProgramSet
-once per process (:func:`compiled_once`) and reuse that compile for as
-long as the object lives; neither would be sound if a step or a
-program changed after its build. The step classes stay mutable
-dataclasses only because constructing frozen ones is about three times
-slower.
+generators write through one :class:`ProgramBuilder` per node, whose
+constructors make each distinct step once per build and append that
+one object wherever the step recurs, and both simulators compile a
+ProgramSet once per process (:func:`compiled_once`) and reuse that
+compile for as long as the object lives; neither would be sound if a
+step or a program changed after its build. The step classes stay
+mutable dataclasses only because constructing frozen ones is about
+three times slower.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Dict, Hashable, List, Optional, TypeVar, Union
 
 from repro.errors import WorkloadError
@@ -124,6 +124,77 @@ class Program:
         return len(self.steps)
 
 
+class ProgramBuilder:
+    """The steps one node executes, written during a workload build.
+
+    All builders of one build share ``table``, keyed by step class and
+    field values, so each distinct step is constructed once and every
+    equal step of the build is that one object: a workload's steps
+    repeat from one iteration to the next, and pickle's memo keeps the
+    sharing in a trace-cache entry. The typed constructors look a step
+    up before making it, each inline so that a step costs one call;
+    :meth:`append` interns a step made elsewhere.
+    """
+
+    __slots__ = ("node", "steps", "_table")
+
+    def __init__(self, node: int, table: Dict[tuple, Step]) -> None:
+        self.node = node
+        self.steps: List[Step] = []
+        self._table = table
+
+    def access(
+        self, pc: int, address: int, is_write: bool, work: int = 0
+    ) -> None:
+        key = (Access, pc, address, is_write, work)
+        try:
+            step = self._table[key]
+        except KeyError:
+            step = self._table[key] = Access(pc, address, is_write, work)
+        self.steps.append(step)
+
+    def barrier(self, barrier_id: int) -> None:
+        key = (Barrier, barrier_id)
+        try:
+            step = self._table[key]
+        except KeyError:
+            step = self._table[key] = Barrier(barrier_id)
+        self.steps.append(step)
+
+    def acquire(
+        self,
+        lock_id: int,
+        address: int,
+        pc: int,
+        spin_pc: int,
+        fixed_spins: Optional[int] = None,
+    ) -> None:
+        key = (LockAcquire, lock_id, address, pc, spin_pc, fixed_spins)
+        try:
+            step = self._table[key]
+        except KeyError:
+            step = self._table[key] = LockAcquire(
+                lock_id, address, pc, spin_pc, fixed_spins
+            )
+        self.steps.append(step)
+
+    def release(self, lock_id: int, address: int, pc: int) -> None:
+        key = (LockRelease, lock_id, address, pc)
+        try:
+            step = self._table[key]
+        except KeyError:
+            step = self._table[key] = LockRelease(lock_id, address, pc)
+        self.steps.append(step)
+
+    def append(self, step: Step) -> None:
+        cls = step.__class__
+        key = (cls, *[getattr(step, name) for name in cls.__slots__])
+        self.steps.append(self._table.setdefault(key, step))
+
+    def program(self) -> Program:
+        return Program(self.node, self.steps)
+
+
 @dataclass
 class ProgramSet:
     """A complete workload build: one program per node plus metadata.
@@ -189,30 +260,6 @@ class ProgramSet:
 
     def total_steps(self) -> int:
         return sum(len(p) for p in self.programs.values())
-
-
-#: step class -> its field values, in constructor order
-_FIELDS = {
-    cls: attrgetter(*cls.__slots__)
-    for cls in (Access, Barrier, LockAcquire, LockRelease)
-}
-
-
-def share_equal_steps(programs: ProgramSet) -> None:
-    """Replace every step with the first equal step of ``programs``.
-
-    Equal steps then share one object — a workload's steps repeat from
-    one iteration to the next — and pickle's memo keeps that sharing
-    in a trace-cache entry. The table lives for one call only.
-    """
-    fields = _FIELDS
-    first: Dict[tuple, Step] = {}
-    share = first.setdefault
-    for program in programs.programs.values():
-        program.steps = [
-            share((step.__class__, fields[step.__class__](step)), step)
-            for step in program.steps
-        ]
 
 
 #: id(ProgramSet) -> {key: compiled form}; see :func:`compiled_once`

@@ -29,13 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.trace.program import (
-    Access,
-    Barrier,
-    LockAcquire,
-    LockRelease,
-    Program,
-)
+from repro.trace.program import ProgramBuilder
 from repro.workloads.address_space import AddressSpace, CodeMap
 from repro.workloads.base import Workload, WorkloadParams
 
@@ -64,7 +58,7 @@ class Appbt(Workload):
 
     def _generate(
         self,
-        programs: Dict[int, Program],
+        programs: Dict[int, ProgramBuilder],
         space: AddressSpace,
         code: CodeMap,
         rng: random.Random,
@@ -97,21 +91,21 @@ class Appbt(Workload):
 
                 # Consume the upstream face: one load per block.
                 for i in range(p.face_blocks_per_cpu):
-                    prog.append(Access(ld_face, face_addr(upstream, i),
-                                       False, work=p.work))
+                    prog.access(ld_face, face_addr(upstream, i),
+                                False, work=p.work)
                 # Rewrite our face: two stores through distinct unrolled
                 # instructions; the last touch is always st_face_y.
                 for i in range(p.face_blocks_per_cpu):
-                    prog.append(Access(st_face_x, face_addr(cpu, i), True,
-                                       work=p.work))
-                    prog.append(Access(st_face_y, face_addr(cpu, i), True,
-                                       work=p.work))
+                    prog.access(st_face_x, face_addr(cpu, i), True,
+                                work=p.work)
+                    prog.access(st_face_y, face_addr(cpu, i), True,
+                                work=p.work)
                     if i % 2 == 1:
                         # Corner blocks take a third store: even-block
                         # traces become subtraces of odd-block traces
                         # (global-table aliasing, harmless per-block).
-                        prog.append(Access(st_face_y, face_addr(cpu, i),
-                                           True, work=p.work))
+                        prog.access(st_face_y, face_addr(cpu, i),
+                                    True, work=p.work)
 
                 # Gaussian-elimination stage: fixed-spin lock, shared
                 # pivot RMW, release — then the back-substitution touch
@@ -121,24 +115,24 @@ class Appbt(Workload):
                 # are candidates from the *previous* iteration's fetch).
                 stage = cpu % max(1, n // 4)
                 for _sweep in range(2):  # forward + backward elimination
-                    prog.append(LockAcquire(
+                    prog.acquire(
                         lock_id=stage, address=locks.block_addr(stage),
                         pc=lock_pc, spin_pc=spin_pc,
                         fixed_spins=p.lock_spins,
-                    ))
+                    )
                     for j in range(p.pivot_blocks):
-                        prog.append(Access(ld_piv, pivots.block_addr(j),
-                                           False, work=p.work))
-                        prog.append(Access(st_piv, pivots.block_addr(j),
-                                           True, work=p.work))
-                    prog.append(LockRelease(
+                        prog.access(ld_piv, pivots.block_addr(j),
+                                    False, work=p.work)
+                        prog.access(st_piv, pivots.block_addr(j),
+                                    True, work=p.work)
+                    prog.release(
                         lock_id=stage, address=locks.block_addr(stage),
                         pc=unlock_pc,
-                    ))
+                    )
                 # Post-release touch of the upstream face (back-subst).
                 for i in range(p.face_blocks_per_cpu):
-                    prog.append(Access(ld_face_post, face_addr(upstream, i),
-                                       False, work=p.work))
+                    prog.access(ld_face_post, face_addr(upstream, i),
+                                False, work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)

@@ -28,13 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.trace.program import (
-    Access,
-    Barrier,
-    LockAcquire,
-    LockRelease,
-    Program,
-)
+from repro.trace.program import ProgramBuilder
 from repro.workloads.address_space import AddressSpace, CodeMap
 from repro.workloads.base import Workload, WorkloadParams
 
@@ -68,7 +62,7 @@ class Barnes(Workload):
 
     def _generate(
         self,
-        programs: Dict[int, Program],
+        programs: Dict[int, ProgramBuilder],
         space: AddressSpace,
         code: CodeMap,
         rng: random.Random,
@@ -99,10 +93,10 @@ class Barnes(Workload):
             for cpu in range(n):
                 prog = programs[cpu]
                 region = rng.randrange(p.region_locks)
-                prog.append(LockAcquire(
+                prog.acquire(
                     lock_id=region, address=locks.block_addr(region),
                     pc=lock_pc, spin_pc=spin_pc, fixed_spins=None,
-                ))
+                )
                 cells = rng.sample(
                     range(p.tree_blocks),
                     min(p.cells_written_per_cpu, p.tree_blocks),
@@ -111,18 +105,18 @@ class Barnes(Workload):
                     # Tree insertion reads the cell before linking into
                     # it: a read-then-upgrade, so the writer's copy hits
                     # DSI's migratory exclusion.
-                    prog.append(Access(ld_cell_b, tree.block_addr(cell),
-                                       False, work=p.work))
+                    prog.access(ld_cell_b, tree.block_addr(cell),
+                                False, work=p.work)
                     for _s in range(rng.randint(1, 3)):
-                        prog.append(Access(st_cell, tree.block_addr(cell),
-                                           True, work=p.work))
-                prog.append(LockRelease(
+                        prog.access(st_cell, tree.block_addr(cell),
+                                    True, work=p.work)
+                prog.release(
                     lock_id=region, address=locks.block_addr(region),
                     pc=unlock_pc,
-                ))
+                )
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)
 
             # Force phase: read random tree cells (version moved by the
             # build-phase writes -> DSI candidates) and the fixed
@@ -138,22 +132,22 @@ class Barnes(Workload):
                     # touch count per cell changes every iteration, so
                     # trace signatures never stabilize.
                     for _d in range(rng.randint(1, 3)):
-                        prog.append(Access(ld_cell, tree.block_addr(cell),
-                                           False, work=p.work))
+                        prog.access(ld_cell, tree.block_addr(cell),
+                                    False, work=p.work)
                 upstream = (cpu - 1) % n
                 for i in range(p.stable_blocks_per_cpu):
-                    prog.append(Access(ld_part, stable_addr(upstream, i),
-                                       False, work=p.work))
+                    prog.access(ld_part, stable_addr(upstream, i),
+                                False, work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)
 
             # Advance: rewrite own particle blocks (stable pattern).
             for cpu in range(n):
                 prog = programs[cpu]
                 for i in range(p.stable_blocks_per_cpu):
-                    prog.append(Access(st_part, stable_addr(cpu, i), True,
-                                       work=p.work))
+                    prog.access(st_part, stable_addr(cpu, i), True,
+                                work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)

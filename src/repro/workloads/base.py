@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict, List
 
 from repro.errors import WorkloadError
-from repro.trace.program import Program, ProgramSet, share_equal_steps
+from repro.trace.program import ProgramBuilder, ProgramSet, Step
 from repro.workloads.address_space import AddressSpace, CodeMap
 
 #: Size presets scale iteration counts and data dimensions. "tiny" keeps
@@ -47,7 +47,9 @@ class Workload:
     """Base class for the nine benchmark generators.
 
     Subclasses set ``name``, the per-size parameter presets, and
-    implement :meth:`_generate` which fills per-node programs.
+    implement :meth:`_generate`, which writes each node's steps through
+    that node's :class:`~repro.trace.program.ProgramBuilder`
+    (``access``, ``barrier``, ``acquire``, ``release``).
     """
 
     name: str = "workload"
@@ -107,24 +109,31 @@ class Workload:
     def build(self) -> ProgramSet:
         """Generate the per-node programs for this parameterization.
 
-        Equal steps of the build share one object (see
-        :func:`~repro.trace.program.share_equal_steps`), so the returned
-        ProgramSet and its steps are never to be mutated.
+        :meth:`_generate` writes through one
+        :class:`~repro.trace.program.ProgramBuilder` per node, and all of
+        them share one table that lives for this call only: each
+        distinct step is constructed once and equal steps of the build
+        are one object, so the returned ProgramSet and its steps are
+        never to be mutated.
         """
         n = self.params.num_nodes
-        programs = {node: Program(node) for node in range(n)}
+        table: Dict[tuple, Step] = {}
+        builders = {node: ProgramBuilder(node, table) for node in range(n)}
         space = AddressSpace()
         code = CodeMap()
         rng = random.Random(self.params.seed)
-        self._generate(programs, space, code, rng)
-        program_set = ProgramSet(self.name, n, programs)
+        self._generate(builders, space, code, rng)
+        program_set = ProgramSet(
+            self.name,
+            n,
+            {node: builder.program() for node, builder in builders.items()},
+        )
         program_set.validate()
-        share_equal_steps(program_set)
         return program_set
 
     def _generate(
         self,
-        programs: Dict[int, Program],
+        programs: Dict[int, ProgramBuilder],
         space: AddressSpace,
         code: CodeMap,
         rng: random.Random,

@@ -28,13 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.trace.program import (
-    Access,
-    Barrier,
-    LockAcquire,
-    LockRelease,
-    Program,
-)
+from repro.trace.program import ProgramBuilder
 from repro.workloads.address_space import AddressSpace, CodeMap
 from repro.workloads.base import Workload, WorkloadParams
 
@@ -66,7 +60,7 @@ class Dsmc(Workload):
 
     def _generate(
         self,
-        programs: Dict[int, Program],
+        programs: Dict[int, ProgramBuilder],
         space: AddressSpace,
         code: CodeMap,
         rng: random.Random,
@@ -100,24 +94,23 @@ class Dsmc(Workload):
                 prog = programs[cpu]
                 # Move/collide: sweep own cells (read then update).
                 for i in range(p.cells_per_cpu):
-                    prog.append(Access(ld_cell, cell_addr(cpu, i), False,
-                                       work=p.work))
+                    prog.access(ld_cell, cell_addr(cpu, i), False, work=p.work)
                 # Library send to both neighbours: the allocation lock is
                 # the mid-phase synchronization DSI triggers on.
-                prog.append(LockAcquire(
+                prog.acquire(
                     lock_id=cpu, address=locks.block_addr(cpu),
                     pc=lock_pc, spin_pc=spin_pc, fixed_spins=1,
-                ))
+                )
                 for channel in range(2):
                     for i in range(p.buffer_blocks):
-                        prog.append(Access(
+                        prog.access(
                             lib_store, buffer_addr(cpu, channel, i),
                             True, work=p.work,
-                        ))
-                prog.append(LockRelease(
+                        )
+                prog.release(
                     lock_id=cpu, address=locks.block_addr(cpu),
                     pc=unlock_pc,
-                ))
+                )
                 # The library fills the payloads *after* dropping the
                 # allocation lock — message-buffer accesses beyond the
                 # synchronization, DSI's premature trap.
@@ -128,20 +121,19 @@ class Dsmc(Workload):
                         # long-buffer traces through the same library
                         # store — cross-block aliasing for global tables.
                         for _w in range(p.writes_per_buffer - 1 + i):
-                            prog.append(Access(
+                            prog.access(
                                 lib_store, buffer_addr(cpu, channel, i),
                                 True, work=p.work,
-                            ))
+                            )
                 # Post-synchronization accesses to the main structure
                 # through the same cell-scan code: exactly what makes
                 # DSI's lock-release trigger premature, and the repeated
                 # PC that starves Last-PC.
                 for i in range(p.cells_per_cpu):
-                    prog.append(Access(ld_cell, cell_addr(cpu, i),
-                                       False, work=p.work))
+                    prog.access(ld_cell, cell_addr(cpu, i), False, work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)
 
             # Receive: read the buffers our neighbours addressed to us,
             # then update our cells (writes other cpus will re-read).
@@ -152,20 +144,20 @@ class Dsmc(Workload):
                 for sender, channel in ((west, 0), (east, 1)):
                     for i in range(p.buffer_blocks):
                         for _r in range(p.writes_per_buffer):
-                            prog.append(Access(
+                            prog.access(
                                 lib_load,
                                 buffer_addr(sender, channel, i), False,
                                 work=p.work,
-                            ))
+                            )
                 # Deposit arriving particles into the *eastern*
                 # neighbour's cells (two stores per cell through the
                 # deposit loop), moving each cell's write version along.
                 east_cells = (cpu + 1) % n
                 for i in range(p.cells_per_cpu):
                     for _d in range(2):
-                        prog.append(Access(st_cell,
-                                           cell_addr(east_cells, i), True,
-                                           work=p.work))
+                        prog.access(st_cell,
+                                    cell_addr(east_cells, i), True,
+                                    work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)

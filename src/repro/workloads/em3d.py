@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.trace.program import Access, Barrier, Program
+from repro.trace.program import ProgramBuilder
 from repro.workloads.address_space import AddressSpace, CodeMap
 from repro.workloads.base import Workload, WorkloadParams
 
@@ -58,7 +58,7 @@ class Em3d(Workload):
 
     def _generate(
         self,
-        programs: Dict[int, Program],
+        programs: Dict[int, ProgramBuilder],
         space: AddressSpace,
         code: CodeMap,
         rng: random.Random,
@@ -84,26 +84,26 @@ class Em3d(Workload):
                 for d in range(1, degree + 1):
                     src = (cpu - d) % n
                     for i in range(boundary):
-                        prog.append(Access(
+                        prog.access(
                             code.pc(f"compute_e.load_h{d}"),
                             owned(h_edge, src, boundary, i),
                             False, work=p.work,
-                        ))
+                        )
                 for i in range(boundary):
-                    prog.append(Access(
+                    prog.access(
                         code.pc("compute_e.store_e"),
                         owned(e_edge, cpu, boundary, i),
                         True, work=p.work,
-                    ))
+                    )
                 for i in range(p.private_per_cpu):
-                    prog.append(Access(
+                    prog.access(
                         code.pc("compute_e.store_private"),
                         owned(e_priv, cpu, p.private_per_cpu, i),
                         True, work=p.work,
-                    ))
+                    )
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)
 
             # H phase: h = f(remote e), symmetric.
             for cpu in range(n):
@@ -111,23 +111,23 @@ class Em3d(Workload):
                 for d in range(1, degree + 1):
                     src = (cpu + d) % n
                     for i in range(boundary):
-                        prog.append(Access(
+                        prog.access(
                             code.pc(f"compute_h.load_e{d}"),
                             owned(e_edge, src, boundary, i),
                             False, work=p.work,
-                        ))
+                        )
                 for i in range(boundary):
-                    prog.append(Access(
+                    prog.access(
                         code.pc("compute_h.store_h"),
                         owned(h_edge, cpu, boundary, i),
                         True, work=p.work,
-                    ))
+                    )
                 for i in range(p.private_per_cpu):
-                    prog.append(Access(
+                    prog.access(
                         code.pc("compute_h.store_private"),
                         owned(h_priv, cpu, p.private_per_cpu, i),
                         True, work=p.work,
-                    ))
+                    )
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.trace.program import Access, Barrier, Program
+from repro.trace.program import ProgramBuilder
 from repro.workloads.address_space import AddressSpace, CodeMap
 from repro.workloads.base import Workload, WorkloadParams
 
@@ -99,7 +99,7 @@ class Moldyn(Workload):
 
     def _generate(
         self,
-        programs: Dict[int, Program],
+        programs: Dict[int, ProgramBuilder],
         space: AddressSpace,
         code: CodeMap,
         rng: random.Random,
@@ -132,32 +132,32 @@ class Moldyn(Workload):
                     src = (cpu + d) % n
                     particle = src * p.particles_per_cpu
                     for _c in range(2):
-                        prog.append(Access(ld_extra,
-                                           coords.block_addr(particle),
-                                           False, work=p.work))
+                        prog.access(ld_extra,
+                                    coords.block_addr(particle),
+                                    False, work=p.work)
                 for i, j in interactions[cpu]:
                     # Each logical access is a two-component loop (x and
                     # y) through the same instruction — the small-loop
                     # reuse that reduces Last-PC below 3%.
                     for _c in range(2):
-                        prog.append(Access(ld_ci, coords.block_addr(i),
-                                           False, work=p.work))
+                        prog.access(ld_ci, coords.block_addr(i),
+                                    False, work=p.work)
                     for _c in range(2):
-                        prog.append(Access(ld_cj, coords.block_addr(j),
-                                           False, work=p.work))
+                        prog.access(ld_cj, coords.block_addr(j),
+                                    False, work=p.work)
                     for _c in range(2):
-                        prog.append(Access(ld_fi, forces.block_addr(i),
-                                           False, work=p.work))
-                        prog.append(Access(st_fi, forces.block_addr(i),
-                                           True, work=p.work))
+                        prog.access(ld_fi, forces.block_addr(i),
+                                    False, work=p.work)
+                        prog.access(st_fi, forces.block_addr(i),
+                                    True, work=p.work)
                     for _c in range(2):
-                        prog.append(Access(ld_fj, forces.block_addr(j),
-                                           False, work=p.work))
-                        prog.append(Access(st_fj, forces.block_addr(j),
-                                           True, work=p.work))
+                        prog.access(ld_fj, forces.block_addr(j),
+                                    False, work=p.work)
+                        prog.access(st_fj, forces.block_addr(j),
+                                    True, work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)
 
             # Update phase: integrate forces into own coordinates.
             for cpu in range(n):
@@ -165,13 +165,13 @@ class Moldyn(Workload):
                 for k in range(p.particles_per_cpu):
                     particle = cpu * p.particles_per_cpu + k
                     for _c in range(2):
-                        prog.append(Access(ld_f,
-                                           forces.block_addr(particle),
-                                           False, work=p.work))
+                        prog.access(ld_f,
+                                    forces.block_addr(particle),
+                                    False, work=p.work)
                     for _c in range(2):
-                        prog.append(Access(st_c,
-                                           coords.block_addr(particle),
-                                           True, work=p.work))
+                        prog.access(st_c,
+                                    coords.block_addr(particle),
+                                    True, work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)

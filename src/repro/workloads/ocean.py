@@ -32,13 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.trace.program import (
-    Access,
-    Barrier,
-    LockAcquire,
-    LockRelease,
-    Program,
-)
+from repro.trace.program import ProgramBuilder
 from repro.workloads.address_space import AddressSpace, CodeMap
 from repro.workloads.base import Workload, WorkloadParams
 
@@ -69,7 +63,7 @@ class Ocean(Workload):
 
     def _generate(
         self,
-        programs: Dict[int, Program],
+        programs: Dict[int, ProgramBuilder],
         space: AddressSpace,
         code: CodeMap,
         rng: random.Random,
@@ -120,68 +114,68 @@ class Ocean(Workload):
                         # outer-row traces are subtraces of the inner
                         # ones (Section 5.3's global-table aliasing).
                         for _elem in range(1 + (i % 2)):
-                            prog.append(Access(
+                            prog.access(
                                 ld_nbr, bnd_addr(south, 1 - colour, i),
                                 False, work=p.work,
-                            ))
+                            )
                     # RMW our current-colour boundary.
                     for i in range(bb):
-                        prog.append(Access(ld_own,
-                                           bnd_addr(cpu, colour, i),
-                                           False, work=p.work))
-                        prog.append(Access(st_own,
-                                           bnd_addr(cpu, colour, i),
-                                           True, work=p.work))
+                        prog.access(ld_own,
+                                    bnd_addr(cpu, colour, i),
+                                    False, work=p.work)
+                        prog.access(st_own,
+                                    bnd_addr(cpu, colour, i),
+                                    True, work=p.work)
                     # Alternating-length traces (Section 3.1 red/black
                     # example): two touches on red passes, three on
                     # black — the shorter trace is a subtrace of the
                     # longer, so LTP mispredicts one parity forever.
                     for i in range(p.alternating_blocks_per_cpu):
                         touches = 2 if colour == 0 else 3
-                        prog.append(Access(ld_alt, alt_addr(cpu, i),
-                                           False, work=p.work))
+                        prog.access(ld_alt, alt_addr(cpu, i),
+                                    False, work=p.work)
                         for _t in range(touches - 1):
-                            prog.append(Access(st_alt, alt_addr(cpu, i),
-                                               True, work=p.work))
+                            prog.access(st_alt, alt_addr(cpu, i),
+                                        True, work=p.work)
                 bid += 1
                 for cpu in range(n):
-                    programs[cpu].append(Barrier(bid))
+                    programs[cpu].barrier(bid)
 
             # The alternating blocks migrate: the neighbour reads them
             # between iterations, invalidating the owner's copies.
             for cpu in range(n):
                 reader = (cpu + 1) % n
                 for i in range(p.alternating_blocks_per_cpu):
-                    programs[reader].append(Access(
+                    programs[reader].access(
                         code.pc("sor.exchange_alt"), alt_addr(cpu, i),
                         False, work=p.work,
-                    ))
+                    )
 
             # Global-sum critical section: write the partial inside the
             # lock, then read it back after the release — the sharing
             # that spans beyond the critical section.
             for cpu in range(n):
                 prog = programs[cpu]
-                prog.append(LockAcquire(
+                prog.acquire(
                     lock_id=0, address=lock_region.block_addr(0),
                     pc=lock_pc, spin_pc=spin_pc, fixed_spins=None,
-                ))
+                )
                 for field in range(3):
-                    prog.append(Access(st_partial,
-                                       partials.block_addr(cpu * 3 + field),
-                                       True, work=p.work))
-                prog.append(Access(ld_all,
-                                   partials.block_addr(((cpu + 1) % n) * 3),
-                                   False, work=p.work))
-                prog.append(LockRelease(
+                    prog.access(st_partial,
+                                partials.block_addr(cpu * 3 + field),
+                                True, work=p.work)
+                prog.access(ld_all,
+                            partials.block_addr(((cpu + 1) % n) * 3),
+                            False, work=p.work)
+                prog.release(
                     lock_id=0, address=lock_region.block_addr(0),
                     pc=unlock_pc,
-                ))
+                )
                 # Producer reads its own partial in the subsequent phase.
                 for field in range(3):
-                    prog.append(Access(ld_partial_post,
-                                       partials.block_addr(cpu * 3 + field),
-                                       False, work=p.work))
+                    prog.access(ld_partial_post,
+                                partials.block_addr(cpu * 3 + field),
+                                False, work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)

@@ -29,13 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.trace.program import (
-    Access,
-    Barrier,
-    LockAcquire,
-    LockRelease,
-    Program,
-)
+from repro.trace.program import ProgramBuilder
 from repro.workloads.address_space import AddressSpace, CodeMap
 from repro.workloads.base import Workload, WorkloadParams
 
@@ -72,7 +66,7 @@ class Raytrace(Workload):
 
     def _generate(
         self,
-        programs: Dict[int, Program],
+        programs: Dict[int, ProgramBuilder],
         space: AddressSpace,
         code: CodeMap,
         rng: random.Random,
@@ -93,15 +87,15 @@ class Raytrace(Workload):
         spin_pc = code.pc("pool.lock_spin")
         unlock_pc = code.pc("pool.unlock")
 
-        def render(prog: Program, cpu: int, count: int) -> None:
+        def render(prog: ProgramBuilder, cpu: int, count: int) -> None:
             """Private shading loop: cache hits after the first touch,
             but it offsets the cpu's next lock arrival."""
             for r in range(count):
                 block = cpu * p.scene_blocks_per_cpu + (
                     r % p.scene_blocks_per_cpu
                 )
-                prog.append(Access(ld_scene, scene.block_addr(block),
-                                   False, work=p.render_work))
+                prog.access(ld_scene, scene.block_addr(block),
+                            False, work=p.render_work)
 
         # Stagger the first acquisitions so the queue stays shallow and
         # irregular, as in a real self-scheduled workpool.
@@ -114,34 +108,34 @@ class Raytrace(Workload):
             for j in range(p.jobs_per_cpu_per_frame):
                 for cpu in range(n):
                     prog = programs[cpu]
-                    prog.append(LockAcquire(
+                    prog.acquire(
                         lock_id=0, address=lock_region.block_addr(0),
                         pc=lock_pc, spin_pc=spin_pc, fixed_spins=None,
-                    ))
+                    )
                     # Advance the counter (migratory RMW, distinct PCs).
-                    prog.append(Access(ld_ctr, counter.block_addr(0),
-                                       False, work=p.work))
-                    prog.append(Access(st_ctr, counter.block_addr(0),
-                                       True, work=p.work))
+                    prog.access(ld_ctr, counter.block_addr(0),
+                                False, work=p.work)
+                    prog.access(st_ctr, counter.block_addr(0),
+                                True, work=p.work)
                     # Read the assigned job descriptor.
                     slot = slot_cursor % p.descriptor_blocks
                     slot_cursor += 1
-                    prog.append(Access(ld_job,
-                                       descriptors.block_addr(slot),
-                                       False, work=p.work))
-                    prog.append(LockRelease(
+                    prog.access(ld_job,
+                                descriptors.block_addr(slot),
+                                False, work=p.work)
+                    prog.release(
                         lock_id=0, address=lock_region.block_addr(0),
                         pc=unlock_pc,
-                    ))
+                    )
                     # Render: variable-length private computation, then
                     # publish a fresh job with a pure store (the DSI
                     # candidate: its version tag moves every rewrite).
                     render(prog, cpu,
                            rng.randint(p.render_min, p.render_max))
                     refill = (slot + n) % p.descriptor_blocks
-                    prog.append(Access(st_job,
-                                       descriptors.block_addr(refill),
-                                       True, work=p.work))
+                    prog.access(st_job,
+                                descriptors.block_addr(refill),
+                                True, work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.trace.program import Access, Barrier, Program
+from repro.trace.program import ProgramBuilder
 from repro.workloads.address_space import AddressSpace, CodeMap
 from repro.workloads.base import Workload, WorkloadParams
 
@@ -62,7 +62,7 @@ class Tomcatv(Workload):
 
     def _generate(
         self,
-        programs: Dict[int, Program],
+        programs: Dict[int, ProgramBuilder],
         space: AddressSpace,
         code: CodeMap,
         rng: random.Random,
@@ -97,19 +97,19 @@ class Tomcatv(Workload):
                 prog = programs[cpu]
                 south = (cpu + 1) % n
                 for blk in range(rb):
-                    prog.append(Access(
+                    prog.access(
                         code.pc("stencil.load_south"),
                         edge_addr(south, 0, blk), False, work=p.work,
-                    ))
+                    )
                 for blk in range(rb):
                     for _elem in range(ELEMS_PER_BLOCK):
-                        prog.append(Access(
+                        prog.access(
                             code.pc("stencil.load_south"),
                             edge_addr(south, 1, blk), False, work=p.work,
-                        ))
+                        )
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)
 
             # Update phase.
             for cpu in range(n):
@@ -120,55 +120,55 @@ class Tomcatv(Workload):
                 for row in range(2):
                     for blk in range(rb):
                         for _elem in range(ELEMS_PER_BLOCK):
-                            prog.append(Access(
+                            prog.access(
                                 code.pc("update.load_own"),
                                 edge_addr(cpu, row, blk), False,
                                 work=p.work,
-                            ))
-                            prog.append(Access(
+                            )
+                            prog.access(
                                 code.pc("update.store_own"),
                                 edge_addr(cpu, row, blk), True,
                                 work=p.work,
-                            ))
+                            )
 
                 # Private interior sweep (local after first touch).
                 for row in range(p.interior_rows):
                     for blk in range(rb):
-                        prog.append(Access(
+                        prog.access(
                             code.pc("update.load_interior"),
                             interior_addr(cpu, row, blk), False,
                             work=p.work,
-                        ))
-                        prog.append(Access(
+                        )
+                        prog.access(
                             code.pc("update.store_interior"),
                             interior_addr(cpu, row, blk), True,
                             work=p.work,
-                        ))
+                        )
 
                 # Residual reduction: pure stores of this node's
                 # partials (RX, RY, and the relaxation factor).
                 for field in range(3):
-                    prog.append(Access(
+                    prog.access(
                         code.pc("residual.store_partial"),
                         residual.block_addr(cpu * 3 + field), True,
                         work=p.work,
-                    ))
+                    )
 
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)
 
             # Node 0 reduces the residuals and publishes convergence.
             for slot in range(n):
                 if slot == 0:
                     continue
                 for field in range(3):
-                    programs[0].append(Access(
+                    programs[0].access(
                         code.pc("residual.reduce_load"),
                         residual.block_addr(slot * 3 + field), False,
                         work=p.work,
-                    ))
+                    )
 
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)

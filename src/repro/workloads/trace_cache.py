@@ -22,13 +22,14 @@ trace cache can safely live inside a shared result-cache directory —
 processes on large grids then deserialize traces instead of
 re-synthesizing them at start-up.
 
-A build shares one object between equal steps, and pickle's memo keeps
-that sharing in the entry, so an entry holds each distinct step once
-(the nine ``small`` traces pickle to 1.7 MB and load in about 0.01 s
-on a 2-vCPU host).
-Entries written before builds shared their steps hold one object per
-step; they load as they were written, with equal values, and stay
-unshared until rebuilt.
+A build constructs each distinct step once and puts that one object
+wherever the step recurs (:class:`~repro.trace.program.ProgramBuilder`),
+and pickle's memo keeps that sharing in the entry, so an entry holds
+each distinct step once (the nine ``small`` traces pickle to 1.7 MB
+and load in about 0.01 s on a 2-vCPU host). Entries written before
+builds shared their steps held one object per step and loaded 40x
+slower; ``TRACE_SCHEMA`` 2 orphans them, so each is rebuilt once,
+shared.
 
 Entries are written through a pluggable codec (``none`` keeps the
 legacy raw-pickle format; ``zlib`` shrinks a ``paper``-size ``em3d``
@@ -50,8 +51,9 @@ from repro.codecs import BLOB_MAGIC, get_codec, migrate_files, pack, unpack
 from repro.trace.program import ProgramSet
 from repro.workloads.base import Workload
 
-#: bump to orphan every existing trace entry on a layout change
-TRACE_SCHEMA = 1
+#: bump to orphan every existing trace entry on a layout change; 2
+#: orphaned the entries written before builds shared equal steps
+TRACE_SCHEMA = 2
 
 
 def trace_key(workload: Workload) -> str:

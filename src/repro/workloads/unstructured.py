@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.trace.program import Access, Barrier, Program
+from repro.trace.program import ProgramBuilder
 from repro.workloads.address_space import AddressSpace, CodeMap
 from repro.workloads.base import Workload, WorkloadParams
 
@@ -88,7 +88,7 @@ class Unstructured(Workload):
 
     def _generate(
         self,
-        programs: Dict[int, Program],
+        programs: Dict[int, ProgramBuilder],
         space: AddressSpace,
         code: CodeMap,
         rng: random.Random,
@@ -124,17 +124,13 @@ class Unstructured(Workload):
             for cpu in range(n):
                 prog = programs[cpu]
                 for a, b in edges[cpu]:
-                    prog.append(Access(ld_a, data.block_addr(a), False,
-                                       work=p.work))
-                    prog.append(Access(st_a, data.block_addr(a), True,
-                                       work=p.work))
-                    prog.append(Access(ld_b, data.block_addr(b), False,
-                                       work=p.work))
-                    prog.append(Access(st_b, data.block_addr(b), True,
-                                       work=p.work))
+                    prog.access(ld_a, data.block_addr(a), False, work=p.work)
+                    prog.access(st_a, data.block_addr(a), True, work=p.work)
+                    prog.access(ld_b, data.block_addr(b), False, work=p.work)
+                    prog.access(st_b, data.block_addr(b), True, work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)
 
             # Threshold sweep: read-only pass over own points (twice
             # per point through the same load — packed-value reuse),
@@ -145,12 +141,12 @@ class Unstructured(Workload):
                 for i in range(p.points_per_cpu):
                     point = cpu * p.points_per_cpu + i
                     for _ in range(2):
-                        prog.append(Access(ld_t, data.block_addr(point),
-                                           False, work=p.work))
+                        prog.access(ld_t, data.block_addr(point),
+                                    False, work=p.work)
                 for point in gather[cpu]:
                     for _ in range(2):
-                        prog.append(Access(ld_g, data.block_addr(point),
-                                           False, work=p.work))
+                        prog.access(ld_g, data.block_addr(point),
+                                    False, work=p.work)
             bid += 1
             for cpu in range(n):
-                programs[cpu].append(Barrier(bid))
+                programs[cpu].barrier(bid)

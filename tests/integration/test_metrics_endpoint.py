@@ -32,7 +32,7 @@ from repro.runner import (
     run_worker,
 )
 from repro.runner.remote import ProtocolError
-from repro.telemetry import MetricsServer
+from repro.telemetry.server import MetricsServer
 from repro.telemetry.top import (
     metric_total,
     parse_prometheus,

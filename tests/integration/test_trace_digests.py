@@ -29,8 +29,22 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Tuple
+
+import pytest
+
+from repro.experiments import EXPERIMENTS
+from repro.trace.program import (
+    Access,
+    Barrier,
+    LockAcquire,
+    LockRelease,
+    Program,
+    ProgramSet,
+)
+from repro.workloads import WORKLOAD_NAMES, get_workload
 
 DATA = Path(__file__).resolve().parent / "data"
 #: the pinned digests of each grid size
@@ -65,9 +79,6 @@ def digest(programs) -> str:
 
 def grid_workloads(size: str = "tiny") -> List:
     """One workload per unique trace fingerprint of the grid at ``size``."""
-    from repro.experiments import EXPERIMENTS
-    from repro.workloads import get_workload
-
     keys = []
     for module in EXPERIMENTS.values():
         keys.extend(
@@ -113,8 +124,6 @@ def test_builds_match_pinned_digests():
 
 
 def test_rendering_records_sharing():
-    from repro.trace.program import Access, Barrier, Program, ProgramSet
-
     shared = Access(1, 64, False, 2)
     a = ProgramSet("t", 2, {
         0: Program(0, [shared, Barrier(1)]),
@@ -129,6 +138,26 @@ def test_rendering_records_sharing():
         [1, [["Access", [1, 64, False, 2], 0], ["Barrier", [1], 3]]],
     ]
     assert digest(a) != digest(b)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_build_constructs_each_distinct_step_once(monkeypatch, name):
+    """The builders construct each distinct step of a build once,
+    counted per step class."""
+    made: Counter = Counter()
+    for cls in (Access, Barrier, LockAcquire, LockRelease):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            made[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    programs = get_workload(name, "tiny").build()
+    distinct = {
+        (type(step), tuple(getattr(step, f) for f in step.__slots__))
+        for program in programs.programs.values()
+        for step in program.steps
+    }
+    assert made == Counter(cls.__name__ for cls, _ in distinct)
 
 
 def main(argv=None) -> int:

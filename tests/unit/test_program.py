@@ -9,6 +9,7 @@ from repro.trace.program import (
     LockAcquire,
     LockRelease,
     Program,
+    ProgramBuilder,
     ProgramSet,
 )
 
@@ -92,3 +93,48 @@ class TestProgram:
     def test_access_defaults(self):
         a = Access(0x1, 0x20, False)
         assert a.work == 0
+
+
+class TestProgramBuilder:
+    def test_constructors_share_equal_steps_across_nodes(self):
+        table = {}
+        b0, b1 = ProgramBuilder(0, table), ProgramBuilder(1, table)
+        for b in (b0, b1):
+            b.acquire(1, 0x100, 0x10, 0x14, fixed_spins=2)
+            b.access(0x20, 0x200, True, work=4)
+            b.release(1, 0x100, 0x18)
+            b.barrier(7)
+        assert all(x is y for x, y in zip(b0.steps, b1.steps))
+        assert b0.steps == [
+            LockAcquire(1, 0x100, 0x10, 0x14, 2),
+            Access(0x20, 0x200, True, 4),
+            LockRelease(1, 0x100, 0x18),
+            Barrier(7),
+        ]
+        assert len(table) == 4
+
+    def test_differing_fields_make_distinct_steps(self):
+        b = ProgramBuilder(0, {})
+        b.access(0x20, 0x200, True)
+        b.access(0x20, 0x200, True, work=4)
+        b.acquire(1, 0x100, 0x10, 0x14)
+        b.acquire(1, 0x100, 0x10, 0x14, fixed_spins=1)
+        assert len({id(step) for step in b.steps}) == 4
+
+    def test_append_interns_a_step_built_elsewhere(self):
+        table = {}
+        b = ProgramBuilder(0, table)
+        b.access(0x20, 0x200, False)
+        outside = Access(0x20, 0x200, False)
+        b.append(outside)
+        assert b.steps[1] is b.steps[0]
+        fresh = Barrier(3)
+        b.append(fresh)
+        b.barrier(3)
+        assert b.steps[2] is fresh and b.steps[3] is fresh
+
+    def test_program_holds_the_builders_steps(self):
+        b = ProgramBuilder(3, {})
+        b.barrier(1)
+        program = b.program()
+        assert program.node == 3 and program.steps == [Barrier(1)]

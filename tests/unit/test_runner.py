@@ -41,6 +41,47 @@ class TestJobSpec:
         assert a == b and hash(a) == hash(b)
         assert a.canonical() == b.canonical()
 
+    def test_canonical_rendered_once_and_never_pickled(
+        self, monkeypatch
+    ):
+        """A second ``canonical()`` call reuses the first rendering,
+        and the memo stays out of the pickled spec, equality and
+        hashing."""
+        import dataclasses
+
+        spec = timing_job(
+            WORKLOAD, SIZE, PolicySpec(name="ltp"),
+            overrides=(("seed", 3),),
+        )
+        before = pickle.dumps(spec)
+        first = spec.canonical()
+        calls = []
+        real_asdict = dataclasses.asdict
+
+        def counting_asdict(*args, **kwargs):
+            calls.append(args)
+            return real_asdict(*args, **kwargs)
+
+        monkeypatch.setattr(dataclasses, "asdict", counting_asdict)
+        assert spec.canonical() == first
+        assert calls == []
+        assert pickle.dumps(spec) == before
+        twin = timing_job(
+            WORKLOAD, SIZE, PolicySpec(name="ltp"),
+            overrides=(("seed", 3),),
+        )
+        assert spec == twin and hash(spec) == hash(twin)
+        assert pickle.loads(before).canonical() == first
+
+    def test_canonical_is_not_shared_between_equal_specs(self):
+        """Equal specs may render differently, so the memo is per
+        instance, never by value."""
+        whole = census_job(WORKLOAD, SIZE, overrides=(("scale", 1),))
+        real = census_job(WORKLOAD, SIZE, overrides=(("scale", 1.0),))
+        assert whole == real
+        assert whole.canonical() != real.canonical()
+        assert '"scale",1.0' in real.canonical()
+
     def test_dict_overrides_normalise(self):
         a = accuracy_job(
             WORKLOAD, SIZE, PolicySpec(name="ltp"),

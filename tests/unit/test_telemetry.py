@@ -17,7 +17,11 @@ The load-bearing properties:
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -310,8 +314,6 @@ class TestSpans:
     def test_configure_sets_env_for_forked_children(
         self, tmp_path, monkeypatch
     ):
-        import os
-
         monkeypatch.delenv("REPRO_TELEMETRY_DIR", raising=False)
         directory = tm.configure(tmp_path / "telemetry")
         assert os.environ["REPRO_TELEMETRY_DIR"] == str(directory)
@@ -341,3 +343,27 @@ class TestResultPathIsolation:
         # and the instrumented run really did record something
         tm.set_enabled(True)
         assert list(tm.read_spans(tmp_path / "telemetry"))
+
+
+class TestEndpointImport:
+    def test_cli_import_loads_no_http_server(self):
+        """Only ``repro serve --metrics-port`` binds the scrape
+        endpoint, so a fresh process that imports the runner and the
+        CLI (every run-all, pool and fleet worker) loads neither
+        ``http.server`` nor ``ssl``."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, repro.runner, repro.experiments.cli; "
+            "print(sorted({'http.server', 'ssl'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert done.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ warm cache skip every build in a fresh process."""
 import copy
 import copyreg
 import dataclasses
+import hashlib
 import io
 import pickle
 
@@ -97,8 +98,9 @@ class TestGoldenTraces:
     def test_slot_state_entry_still_loads(self, tmp_path):
         """Steps pickle as their constructor arguments; an entry
         written with the default per-object slot-state reduction (the
-        earlier format, which ``TRACE_SCHEMA`` did not orphan) must
-        still load and equal a fresh build."""
+        earlier format) still loads and equals a fresh build when it
+        sits at the current address, so the load path does not depend
+        on the step reduction."""
         steps = (Access, Barrier, LockAcquire, LockRelease)
 
         class SlotStatePickler(pickle.Pickler):
@@ -160,10 +162,12 @@ class TestSharedSteps:
             assert objects == values < steps
 
     def test_unshared_entry_still_serves(self, tmp_path):
-        """An entry whose steps are all separate objects (every entry
-        written before builds shared equal steps; ``TRACE_SCHEMA`` did
-        not orphan them) loads as a hit, equals a fresh build, gives
-        identical reports, and compiles no larger than a shared build."""
+        """An entry whose steps are all separate objects (how entries
+        were written before builds shared equal steps) loads as a hit
+        when it sits at the current address, equals a fresh build,
+        gives identical reports, and compiles no larger than a shared
+        build. ``TRACE_SCHEMA`` 2 keeps the real ones away (see
+        ``test_schema_1_entry_is_rebuilt_shared``)."""
         workload = get_workload("appbt", SIZE)  # all four step types
         fresh = workload.build()
         unshared = ProgramSet(
@@ -195,6 +199,41 @@ class TestSharedSteps:
                 sim.run(fresh)
             )
         assert timing_memo_objects(loaded) <= timing_memo_objects(fresh)
+
+
+    def test_schema_1_entry_is_rebuilt_shared(self, tmp_path):
+        """An unshared entry at its schema-1 address is not served:
+        ``cached_build`` rebuilds it once and writes a shared entry at
+        the current address."""
+        workload = get_workload("appbt", SIZE)
+        fresh = workload.build()
+        unshared = ProgramSet(
+            fresh.name,
+            fresh.num_nodes,
+            {
+                node: Program(node, [copy.copy(s) for s in prog.steps])
+                for node, prog in fresh.programs.items()
+            },
+        )
+        cache = TraceCache(tmp_path)
+        old_key = hashlib.sha256(
+            f"repro-trace/1/{workload.fingerprint()}".encode("utf-8")
+        ).hexdigest()
+        old_path = tmp_path / old_key[:2] / f"{old_key}.pkl"
+        old_path.parent.mkdir(parents=True)
+        old_path.write_bytes(
+            pickle.dumps(unshared, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert cache.path(workload) != old_path
+        assert cache.get(workload) == (False, None)
+        built = cached_build(workload, cache)
+        assert cache.builds == 1 and cache.hits == 0
+        hit, loaded = TraceCache(tmp_path).get(workload)
+        assert hit
+        for programs in (built, loaded):
+            steps, objects, values = step_counts(programs)
+            assert objects == values < steps
+        assert_event_identical(fresh, loaded)
 
 
 class TestInvalidation:
