@@ -16,7 +16,6 @@ The load-bearing properties:
 """
 
 import json
-import math
 import os
 import subprocess
 import sys

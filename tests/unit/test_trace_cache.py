@@ -139,6 +139,20 @@ def step_counts(programs):
     return len(steps), len({id(s) for s in steps}), len(values)
 
 
+def unshared_copy(programs):
+    """``programs`` with every step a separate object, the way entries
+    were written before builds shared equal steps."""
+    return ProgramSet(
+        programs.name,
+        programs.num_nodes,
+        {
+            node: Program(node, [copy.copy(s) for s in prog.steps])
+            for node, prog in programs.programs.items()
+        },
+        programs.shared_blocks,
+    )
+
+
 def timing_memo_objects(programs):
     """Distinct step tuples in the timing compile memoized for
     ``programs`` at the default block size."""
@@ -170,15 +184,7 @@ class TestSharedSteps:
         ``test_schema_1_entry_is_rebuilt_shared``)."""
         workload = get_workload("appbt", SIZE)  # all four step types
         fresh = workload.build()
-        unshared = ProgramSet(
-            fresh.name,
-            fresh.num_nodes,
-            {
-                node: Program(node, [copy.copy(s) for s in prog.steps])
-                for node, prog in fresh.programs.items()
-            },
-            fresh.shared_blocks,
-        )
+        unshared = unshared_copy(fresh)
         steps, objects, _ = step_counts(unshared)
         assert objects == steps
         cache = TraceCache(tmp_path)
@@ -200,21 +206,13 @@ class TestSharedSteps:
             )
         assert timing_memo_objects(loaded) <= timing_memo_objects(fresh)
 
-
     def test_schema_1_entry_is_rebuilt_shared(self, tmp_path):
         """An unshared entry at its schema-1 address is not served:
         ``cached_build`` rebuilds it once and writes a shared entry at
         the current address."""
         workload = get_workload("appbt", SIZE)
         fresh = workload.build()
-        unshared = ProgramSet(
-            fresh.name,
-            fresh.num_nodes,
-            {
-                node: Program(node, [copy.copy(s) for s in prog.steps])
-                for node, prog in fresh.programs.items()
-            },
-        )
+        unshared = unshared_copy(fresh)
         cache = TraceCache(tmp_path)
         old_key = hashlib.sha256(
             f"repro-trace/1/{workload.fingerprint()}".encode("utf-8")
