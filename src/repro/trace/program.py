@@ -136,10 +136,9 @@ class ProgramBuilder:
     :meth:`append` interns a step made elsewhere.
     """
 
-    __slots__ = ("node", "steps", "_table")
+    __slots__ = ("steps", "_table")
 
-    def __init__(self, node: int, table: Dict[tuple, Step]) -> None:
-        self.node = node
+    def __init__(self, table: Dict[tuple, Step]) -> None:
         self.steps: List[Step] = []
         self._table = table
 
@@ -190,9 +189,6 @@ class ProgramBuilder:
         cls = step.__class__
         key = (cls, *[getattr(step, name) for name in cls.__slots__])
         self.steps.append(self._table.setdefault(key, step))
-
-    def program(self) -> Program:
-        return Program(self.node, self.steps)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict, List
 
 from repro.errors import WorkloadError
-from repro.trace.program import ProgramBuilder, ProgramSet, Step
+from repro.trace.program import Program, ProgramBuilder, ProgramSet, Step
 from repro.workloads.address_space import AddressSpace, CodeMap
 
 #: Size presets scale iteration counts and data dimensions. "tiny" keeps
@@ -118,7 +118,7 @@ class Workload:
         """
         n = self.params.num_nodes
         table: Dict[tuple, Step] = {}
-        builders = {node: ProgramBuilder(node, table) for node in range(n)}
+        builders = {node: ProgramBuilder(table) for node in range(n)}
         space = AddressSpace()
         code = CodeMap()
         rng = random.Random(self.params.seed)
@@ -126,7 +126,7 @@ class Workload:
         program_set = ProgramSet(
             self.name,
             n,
-            {node: builder.program() for node, builder in builders.items()},
+            {node: Program(node, b.steps) for node, b in builders.items()},
         )
         program_set.validate()
         return program_set

@@ -98,7 +98,7 @@ class TestProgram:
 class TestProgramBuilder:
     def test_constructors_share_equal_steps_across_nodes(self):
         table = {}
-        b0, b1 = ProgramBuilder(0, table), ProgramBuilder(1, table)
+        b0, b1 = ProgramBuilder(table), ProgramBuilder(table)
         for b in (b0, b1):
             b.acquire(1, 0x100, 0x10, 0x14, fixed_spins=2)
             b.access(0x20, 0x200, True, work=4)
@@ -114,7 +114,7 @@ class TestProgramBuilder:
         assert len(table) == 4
 
     def test_differing_fields_make_distinct_steps(self):
-        b = ProgramBuilder(0, {})
+        b = ProgramBuilder({})
         b.access(0x20, 0x200, True)
         b.access(0x20, 0x200, True, work=4)
         b.acquire(1, 0x100, 0x10, 0x14)
@@ -123,7 +123,7 @@ class TestProgramBuilder:
 
     def test_append_interns_a_step_built_elsewhere(self):
         table = {}
-        b = ProgramBuilder(0, table)
+        b = ProgramBuilder(table)
         b.access(0x20, 0x200, False)
         outside = Access(0x20, 0x200, False)
         b.append(outside)
@@ -132,9 +132,3 @@ class TestProgramBuilder:
         b.append(fresh)
         b.barrier(3)
         assert b.steps[2] is fresh and b.steps[3] is fresh
-
-    def test_program_holds_the_builders_steps(self):
-        b = ProgramBuilder(3, {})
-        b.barrier(1)
-        program = b.program()
-        assert program.node == 3 and program.steps == [Barrier(1)]
