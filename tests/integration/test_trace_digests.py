@@ -179,7 +179,7 @@ def main(argv=None) -> int:
     changed = moved(old, new)
     print(f"{len(changed)} of {len(new)} builds moved")
     for key in changed:
-        print(f"  moved: {labels.get(key, key + ' (no longer in the grid)')}")
+        print(f"  moved: {labels.get(key, 'no longer in the grid')}: {key}")
     return 1 if args.check and changed else 0
 
 
