@@ -1,41 +1,29 @@
 """Micro-benchmarks of the simulation substrates.
 
-These measure the throughput of the hot paths — the interleaving
-scheduler, the one-time stream compile, the accuracy kernel (the
-simulator loop over the dense-id coherence engine) under each
-predictor, and timing-engine events — so regressions in the library's
-own performance are visible alongside the experiment regenerations.
-The accuracy benchmarks compile their workload's stream before timing
-starts, as a grid does once per workload, so they time the kernel
-alone.
+These measure the throughput of the hot paths — the one-time stream
+build (the scheduler writing a ProgramSet's replay-ready stream), the
+accuracy kernel (the simulator loop over the dense-id coherence engine)
+under each predictor, and timing-engine events — so regressions in the
+library's own performance are visible alongside the experiment
+regenerations. The accuracy benchmarks build their workload's stream
+before timing starts, as a grid does once per workload, so they time
+the kernel alone.
 """
 
 from repro.core import GlobalLTP, LastPCPredictor, NullPolicy, PerBlockLTP
 from repro.sim import AccuracySimulator
-from repro.sim.functional import compile_stream
+from repro.sim.functional import DEFAULT_BLOCK_SHIFT
 from repro.timing import SystemConfig, TimingSimulator
-from repro.trace.scheduler import interleave
+from repro.trace.scheduler import schedule
 from repro.workloads import get_workload
 
 PROGRAMS = get_workload("em3d", "small").build()
 
 
-def test_scheduler_throughput(benchmark):
-    def drain():
-        n = 0
-        for _ in interleave(PROGRAMS):
-            n += 1
-        return n
-
-    events = benchmark(drain)
-    assert events > 0
-
-
-def test_stream_compile_throughput(benchmark):
-    events = list(interleave(PROGRAMS))
-
-    stream = benchmark(compile_stream, events, PROGRAMS.num_nodes)
-    assert len(stream.codes) == len(events)
+def test_stream_build_throughput(benchmark):
+    stream = benchmark(schedule, PROGRAMS, 1, DEFAULT_BLOCK_SHIFT)
+    assert stream.accesses > 0
+    assert len(stream.events) == len(stream.ids)
 
 
 def _kernel(factory) -> AccuracySimulator:

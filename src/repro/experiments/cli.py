@@ -863,10 +863,16 @@ def _print_cache_stats(cache, traces) -> None:
         f"{_fmt_bytes(stats.total_bytes)}{ages}"
         f"{_codec_suffix(cache.entry_paths())}"
     )
+    orphans = sum(1 for _ in traces.orphan_paths())
+    orphaned = (
+        f"; {orphans} orphaned ({_fmt_bytes(traces.orphan_bytes())}), "
+        "removed by `cache prune`"
+        if orphans else ""
+    )
     print(
         f"  traces   {traces.entries()} entries, "
         f"{_fmt_bytes(traces.total_bytes())}"
-        f"{_codec_suffix(traces.entry_paths())}"
+        f"{_codec_suffix(traces.entry_paths())}{orphaned}"
     )
     _print_index_status(cache, stats.entries)
     _print_fleet_status(cache.root)
@@ -984,18 +990,16 @@ def _cache_command(args) -> int:
             "`ltp-repro query`"
         )
         return 0
-    # prune: age sweep per store, then one *combined* byte budget over
-    # results + traces, so --max-bytes bounds the directory as a whole
-    def trace_paths():
-        if traces.root.is_dir():
-            yield from traces.root.glob("*/*.pkl")
-
+    # prune: orphaned traces always go; then an age sweep per store and
+    # one *combined* byte budget over results + live traces, so
+    # --max-bytes bounds the directory as a whole
+    removed_orphans = traces.remove_orphans()
     removed_age = (
         cache.prune_by(max_age=args.max_age)
-        + prune_files(trace_paths(), max_age=args.max_age)
+        + prune_files(traces.entry_paths(), max_age=args.max_age)
     )
     removed_budget = prune_files(
-        list(cache.entry_paths()) + list(trace_paths()),
+        list(cache.entry_paths()) + list(traces.entry_paths()),
         max_bytes=args.max_bytes,
     )
     # drop index rows whose blobs the sweep removed, so query results
@@ -1006,8 +1010,9 @@ def _cache_command(args) -> int:
         )
     stats = cache.stats()
     print(
-        f"pruned {removed_age + removed_budget} cached files "
-        f"({removed_age} past --max-age, "
+        f"pruned {removed_orphans + removed_age + removed_budget} cached "
+        f"files ({removed_orphans} orphaned traces, "
+        f"{removed_age} past --max-age, "
         f"{removed_budget} over --max-bytes); "
         f"{stats.entries} results ({_fmt_bytes(stats.total_bytes)}) "
         f"and {traces.entries()} traces "

@@ -14,11 +14,12 @@ performing the paper's Section-4 machinery:
   negative feedback).
 
 Because the stream is a pure function of the workload, every policy in
-an experiment sees the identical access sequence. So the stream is
-interleaved once per ``(ProgramSet, quantum, block_shift)`` in a
-process and compiled into a :class:`CompiledStream` — one packed
-integer per event over dense block ids — which every run, and both
-passes of the oracle, replay. The compiled stream is memoized on the
+an experiment sees the identical access sequence. So the scheduler
+writes it once per ``(ProgramSet, quantum, block_shift)`` in a process,
+straight into a :class:`~repro.trace.scheduler.CompiledStream` (two flat
+arrays: an index into a small ``(op, node, pc)`` table and a dense block
+id per event), which every run, and both passes of the oracle, replay
+with one table lookup per event. The stream is memoized on the
 ProgramSet object's identity and dropped when that object is
 garbage-collected (:func:`repro.trace.program.compiled_once`, the memo
 the timing engine compiles through too).
@@ -26,164 +27,42 @@ the timing engine compiles through too).
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set
 
 from repro.core.base import SelfInvalidationPolicy, StorageReport
 from repro.core.oracle import OraclePolicy
 from repro.core.storage import aggregate_reports
-from repro.errors import ConfigurationError
 from repro.protocol.coherence import CoherenceEngine
 from repro.protocol.states import MissKind, ProtocolVariant
 from repro.sim.results import AccuracyReport
-from repro.trace.events import MemoryAccess, SyncBoundary, SyncKind
 from repro.trace.program import ProgramSet, compiled_once
-from repro.trace.scheduler import interleave
+from repro.trace.scheduler import (
+    SYNC,
+    CompiledStream,
+    compile_stream,
+    schedule,
+)
+
+# Nothing here calls ``interleave``; the name stays bound because the
+# benchmark's layer tracer (perfbench/layers.py) rebinds it in this
+# module and in repro.runner.runner to time interleaving.
+from repro.trace.scheduler import interleave  # noqa: F401
 
 PolicyFactory = Callable[[int], SelfInvalidationPolicy]
 
 DEFAULT_BLOCK_SHIFT = 5
 
-#: event-code opcodes (the low two bits of every code)
-_READ, _WRITE, _SYNC = 0, 1, 2
-
-#: initial width of the pc-index field; widened when a stream has more
-#: distinct PCs
-_PC_BITS = 4
-
-
-@dataclass(frozen=True, eq=False)
-class CompiledStream:
-    """An interleaved event stream packed for replay.
-
-    Each entry of ``codes`` is one event, laid out from the low bits up
-    as: a 2-bit opcode (read, write, sync boundary), the node
-    (``node_bits`` wide), the pc index (``pc_bits`` wide, 0 for sync
-    boundaries), and — from bit ``top_shift`` — the dense block id, or
-    for a sync boundary the index of its ``(kind, sync_id)`` in
-    ``syncs``. A small stream fits 32 bits per event.
-    """
-
-    name: str
-    num_nodes: int
-    #: log2 block size the addresses were mapped with
-    block_shift: int
-    codes: array
-    #: dense block id -> block number
-    blocks: List[int]
-    #: pc index -> pc
-    pcs: List[int]
-    #: interned sync boundaries
-    syncs: List[Tuple[SyncKind, int]]
-    node_bits: int
-    pc_bits: int
-    #: memory accesses in the stream
-    accesses: int
-
-    @property
-    def pc_shift(self) -> int:
-        return 2 + self.node_bits
-
-    @property
-    def top_shift(self) -> int:
-        return 2 + self.node_bits + self.pc_bits
-
-
-def compile_stream(
-    events: Iterable,
-    num_nodes: int,
-    block_shift: int = DEFAULT_BLOCK_SHIFT,
-    name: str = "trace",
-) -> CompiledStream:
-    """Pack an event stream (a scheduler's output or a replayed trace).
-
-    Raises ConfigurationError for an event whose node lies outside
-    ``0..num_nodes-1``. Events that are neither accesses nor sync
-    boundaries carry nothing to replay and are skipped.
-    """
-    node_bits = max(1, (num_nodes - 1).bit_length())
-    pc_shift = 2 + node_bits
-    pc_bits = _PC_BITS
-    top = pc_shift + pc_bits
-    codes = array("I")
-    limit = (1 << (8 * codes.itemsize)) - 1
-    block_ids: Dict[int, int] = {}
-    blocks: List[int] = []
-    pc_ids: Dict[int, int] = {}
-    pcs: List[int] = []
-    sync_ids: Dict[Tuple[SyncKind, int], int] = {}
-    syncs: List[Tuple[SyncKind, int]] = []
-    accesses = 0
-    for ev in events:
-        if isinstance(ev, MemoryAccess):
-            op = _WRITE if ev.is_write else _READ
-            block = ev.address >> block_shift
-            upper = block_ids.get(block)
-            if upper is None:
-                upper = block_ids[block] = len(blocks)
-                blocks.append(block)
-            pc_index = pc_ids.get(ev.pc)
-            if pc_index is None:
-                pc_index = pc_ids[ev.pc] = len(pcs)
-                pcs.append(ev.pc)
-                if pc_index >> pc_bits:
-                    codes = _widen(codes, top, top + pc_bits)
-                    limit = (1 << (8 * codes.itemsize)) - 1
-                    pc_bits *= 2
-                    top = pc_shift + pc_bits
-            accesses += 1
-        elif isinstance(ev, SyncBoundary):
-            op = _SYNC
-            key = (ev.kind, ev.sync_id)
-            upper = sync_ids.get(key)
-            if upper is None:
-                upper = sync_ids[key] = len(syncs)
-                syncs.append(key)
-            pc_index = 0
-        else:
-            continue
-        node = ev.node
-        if not 0 <= node < num_nodes:
-            raise ConfigurationError(
-                f"stream event {ev!r} names node {node}, outside "
-                f"0..{num_nodes - 1}"
-            )
-        code = (upper << top) | (pc_index << pc_shift) | (node << 2) | op
-        if code > limit:
-            codes = array("Q", codes)
-            limit = (1 << (8 * codes.itemsize)) - 1
-        codes.append(code)
-    return CompiledStream(
-        name, num_nodes, block_shift, codes, blocks, pcs, syncs,
-        node_bits, pc_bits, accesses,
-    )
-
-
-def _widen(codes: array, top: int, new_top: int) -> array:
-    """Move every code's upper field from bit ``top`` to ``new_top``."""
-    low = (1 << top) - 1
-    wide = array("Q", ((c >> top) << new_top | (c & low) for c in codes))
-    if max(wide, default=0) >> (8 * array("I").itemsize):
-        return wide
-    return array("I", wide)
-
 
 def compiled_stream(
     programs: ProgramSet, quantum: int, block_shift: int
 ) -> CompiledStream:
-    """``programs`` interleaved (and validated) once per process per
-    ``(quantum, block_shift)``, and compiled; the entry lives as long
-    as the ProgramSet object does (:func:`compiled_once`)."""
+    """``programs`` scheduled (and validated) once per process per
+    ``(quantum, block_shift)``; the entry lives as long as the
+    ProgramSet object does (:func:`compiled_once`)."""
     return compiled_once(
         programs,
         ("accuracy", quantum, block_shift),
-        lambda: compile_stream(
-            interleave(programs, quantum=quantum),
-            programs.num_nodes,
-            block_shift,
-            name=programs.name,
-        ),
+        lambda: schedule(programs, quantum, block_shift),
     )
 
 
@@ -193,7 +72,7 @@ class AccuracySimulator:
     Args:
         policy_factory: called once per node id to build that node's
             policy instance.
-        quantum: scheduler quantum (see InterleavingScheduler).
+        quantum: scheduler quantum (see :func:`repro.trace.scheduler.schedule`).
         block_shift: log2 block size in bytes.
     """
 
@@ -247,25 +126,19 @@ class AccuracySimulator:
         states = engine.states
         miss = engine.miss
         drop = engine.self_invalidate_id
-        pcs, syncs = stream.pcs, stream.syncs
-        node_mask = (1 << stream.node_bits) - 1
-        pc_shift, pc_mask = stream.pc_shift, (1 << stream.pc_bits) - 1
-        top = stream.top_shift
+        table, syncs = stream.table, stream.syncs
         upgrade = MissKind.UPGRADE
         misses = predicted = not_predicted = mispredicted = fired = 0
 
-        for code in stream.codes:
-            op = code & 3
-            node = (code >> 2) & node_mask
-            if op == _SYNC:
-                kind, sync_id = syncs[code >> top]
+        for entry, bid in zip(stream.events, stream.ids):
+            op, node, pc = table[entry]
+            if op == SYNC:
+                kind, sync_id = syncs[bid]
                 for bid in on_sync[node](kind, sync_id):
                     if states[node][bid]:
                         drop(node, bid)
                         fired += 1
                 continue
-            bid = code >> top
-            pc = pcs[(code >> pc_shift) & pc_mask]
             if states[node][bid] > op:
                 # plain hit: no directory action, nothing to verify
                 if on_access[node](bid, pc, False, None, None):
@@ -351,14 +224,11 @@ def _last_touch_ordinals(stream: CompiledStream) -> Dict[int, Set[int]]:
     #: node -> dense block id -> ordinal of the node's latest access
     last_access: List[Dict[int, int]] = [{} for _ in range(num_nodes)]
     result: Dict[int, Set[int]] = {n: set() for n in range(num_nodes)}
-    node_mask = (1 << stream.node_bits) - 1
-    top = stream.top_shift
-    for code in stream.codes:
-        op = code & 3
-        if op == _SYNC:
+    table = stream.table
+    for entry, bid in zip(stream.events, stream.ids):
+        op, node, _ = table[entry]
+        if op == SYNC:
             continue
-        node = (code >> 2) & node_mask
-        bid = code >> top
         if states[node][bid] <= op:
             for victim in engine.miss(node, bid, op)[2]:
                 mark = last_access[victim].get(bid)

@@ -1,7 +1,8 @@
 """Event types flowing between workloads, the protocol, and predictors.
 
 Two kinds of events exist in the global interleaved stream produced by
-the scheduler:
+the scheduler (:func:`repro.trace.scheduler.interleave` decodes them
+from the compiled stream the accuracy simulator replays):
 
 * :class:`MemoryAccess` — one dynamic memory instruction (load or store)
   by one node, identified by its program counter. Addresses are byte
@@ -52,15 +53,12 @@ class MemoryAccess:
             the same static instruction always has the same pc).
         address: byte address touched.
         is_write: True for stores (including atomic read-modify-writes).
-        work: compute cycles the node spends *before* this access; only
-            the timing simulator consumes this.
     """
 
     node: int
     pc: int
     address: int
     is_write: bool
-    work: int = 0
 
 
 @dataclass(slots=True)

@@ -81,7 +81,8 @@ class LockAcquire:
     fixed, repeatable count via ``fixed_spins`` — predictable, like
     appbt's pipelined spin-locks — or one re-read per ownership hand-off
     while queued, which varies with contention like raytrace's workpool
-    lock), followed by the acquiring store at ``pc``.
+    lock), followed by the acquiring store at ``pc``. A fixed count is
+    at least 1 (:meth:`ProgramSet.validate`).
     """
 
     lock_id: int
@@ -219,8 +220,10 @@ class ProgramSet:
             )
 
     def validate(self) -> None:
-        """Check structural sanity: barrier counts match across nodes and
-        every acquired lock is released by the same node.
+        """Check structural sanity: barrier counts match across nodes,
+        every acquired lock is released by the same node, and a fixed
+        spin count is at least 1 (a test&test&set acquire reads the flag
+        at least once, in both engines).
 
         Raises WorkloadError on the first violation found.
         """
@@ -238,6 +241,11 @@ class ProgramSet:
             held: List[int] = []
             for step in prog.steps:
                 if isinstance(step, LockAcquire):
+                    if step.fixed_spins is not None and step.fixed_spins < 1:
+                        raise WorkloadError(
+                            f"node {node} acquires lock {step.lock_id} with "
+                            f"fixed_spins={step.fixed_spins}; need >= 1"
+                        )
                     if step.lock_id in held:
                         raise WorkloadError(
                             f"node {node} re-acquires held lock {step.lock_id}"

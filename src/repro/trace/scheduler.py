@@ -1,10 +1,11 @@
-"""Deterministic interleaving of per-node programs into a global stream.
+"""Deterministic interleaving of per-node programs into one global stream.
 
 The functional coherence simulator needs one global order of memory
-accesses. This scheduler executes the per-node programs round-robin
+accesses. :func:`schedule` executes the per-node programs round-robin
 (``quantum`` steps per node per rotation), honouring barriers (all nodes
-must arrive before any proceeds) and FIFO locks, and yields the resulting
-:class:`~repro.trace.events.MemoryAccess` / SyncBoundary stream.
+must arrive before any proceeds) and FIFO locks, and writes the
+resulting stream of accesses and sync boundaries straight into a
+:class:`CompiledStream`, the form every accuracy run replays.
 
 The interleaving is a pure function of the programs and the quantum, so
 every predictor configuration in an experiment observes the identical
@@ -15,20 +16,45 @@ block, test&test&set style:
 
 * while queued with ``fixed_spins=None``, a node emits one spin read per
   rotation (count varies with contention — raytrace's unpredictable
-  workpool lock);
-* with ``fixed_spins=k`` the node emits exactly ``k`` spin reads per
-  acquisition no matter the contention (repeatable traces — appbt's
-  regular pipelined spin-locks);
+  workpool lock); an uncontended acquire still reads the flag once;
+* with ``fixed_spins=k`` (``k >= 1``) the node emits exactly ``k`` spin
+  reads per acquisition no matter the contention (repeatable traces —
+  appbt's regular pipelined spin-locks);
 * acquisition itself is a store to the lock block, as is the release.
+
+This module owns the stream format. A :class:`CompiledStream` is two
+flat arrays with one entry per event: the index of the event's
+``(op, node, pc)`` in a small per-stream table, and the event's dense
+block id (or, for a sync boundary, the index of its ``(kind, sync_id)``).
+Table entries, block ids and sync indexes are numbered in order of
+first appearance, and each array takes the narrowest typecode its
+largest value fits: the programs repeat, so a small-size stream has a
+few hundred distinct table entries and blocks and takes three bytes per
+event. :func:`compile_stream` writes the same format from an event
+stream (a replayed trace), and :func:`decode_stream` turns a stream
+back into :class:`~repro.trace.events.MemoryAccess` and
+:class:`~repro.trace.events.SyncBoundary` events; :func:`interleave`
+decodes a schedule written with ``block_shift`` 0, so its addresses are
+exact.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Union
+from dataclasses import dataclass
+from typing import (
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.trace.events import MemoryAccess, SyncBoundary, SyncKind
 from repro.trace.program import (
     Access,
@@ -40,198 +66,330 @@ from repro.trace.program import (
 
 StreamEvent = Union[MemoryAccess, SyncBoundary]
 
+#: event opcodes, the first field of every ``CompiledStream.table`` entry
+READ, WRITE, SYNC = 0, 1, 2
 
-@dataclass
-class _LockState:
-    holder: Optional[int] = None
-    queue: Deque[int] = field(default_factory=deque)
+#: the next wider typecode of an array whose new index no longer fits
+_WIDER = {"B": "H", "H": "I", "I": "Q"}
 
-
-@dataclass
-class _NodeState:
-    index: int = 0  # next step to execute
-    at_barrier: bool = False
-    waiting_lock: Optional[int] = None
-    spins_emitted: int = 0  # spin reads emitted for the pending acquire
-    finished: bool = False
+#: scheduler states of a node
+_RUNNING, _AT_BARRIER, _WAITING, _FINISHED = 0, 1, 2, 3
 
 
-class InterleavingScheduler:
-    """Round-robin interleaver over a :class:`ProgramSet`.
+@dataclass(frozen=True, eq=False)
+class CompiledStream:
+    """An interleaved event stream laid out for replay.
 
-    Args:
-        programs: the workload build to execute.
-        quantum: steps a runnable node executes per rotation (>=1).
-            Larger quanta approximate coarser-grained multiprogramming;
-            the default of 1 gives the finest deterministic interleave.
+    Event ``i`` is ``table[events[i]]``, an ``(op, node, pc)`` triple
+    (``pc`` is 0 for a sync boundary), together with ``ids[i]``: the
+    dense block id of an access (its block number is ``blocks[id]``) or
+    the index of a sync boundary's ``(kind, sync_id)`` in ``syncs``.
     """
 
-    def __init__(self, programs: ProgramSet, quantum: int = 1) -> None:
-        if quantum < 1:
-            raise SchedulingError(f"quantum must be >= 1, got {quantum}")
-        programs.validate()
-        self._programs = programs
-        self._quantum = quantum
+    name: str
+    num_nodes: int
+    #: log2 block size the addresses were mapped with
+    block_shift: int
+    #: per event: index into ``table``
+    events: array
+    #: per event: dense block id, or index into ``syncs``
+    ids: array
+    #: distinct ``(op, node, pc)`` triples
+    table: List[Tuple[int, int, int]]
+    #: dense block id -> block number
+    blocks: List[int]
+    #: interned sync boundaries
+    syncs: List[Tuple[SyncKind, int]]
+    #: memory accesses in the stream
+    accesses: int
 
-    def run(self) -> Iterator[StreamEvent]:
-        """Yield the global event stream until every program completes."""
-        progs = self._programs.programs
-        n = self._programs.num_nodes
-        nodes = {i: _NodeState() for i in range(n)}
-        locks: Dict[int, _LockState] = {}
-        barrier_waiters: List[int] = []
 
-        def lock_state(lock_id: int) -> _LockState:
-            return locks.setdefault(lock_id, _LockState())
+class _Writer:
+    """Appends events to a stream's two arrays, numbering table
+    entries, blocks and sync boundaries as they first appear and
+    widening an array when a new index outgrows its typecode (so a
+    caller holding an array's bound ``append`` re-reads it after every
+    call here)."""
 
-        pending = n  # unfinished nodes
-        while pending > 0:
-            progressed = False
-            for node in range(n):
-                st = nodes[node]
-                if st.finished:
-                    continue
-                steps = progs[node].steps
+    __slots__ = (
+        "block_shift", "events", "ids", "table", "blocks", "syncs",
+        "_entries", "_block_ids", "_sync_ids", "_sync_events",
+    )
 
-                if st.at_barrier:
-                    continue  # released collectively below
+    def __init__(self, block_shift: int) -> None:
+        self.block_shift = block_shift
+        self.events = array("B")
+        self.ids = array("B")
+        self.table: List[Tuple[int, int, int]] = []
+        self.blocks: List[int] = []
+        self.syncs: List[Tuple[SyncKind, int]] = []
+        self._entries: Dict[Tuple[int, int, int], int] = {}
+        self._block_ids: Dict[int, int] = {}
+        self._sync_ids: Dict[Tuple[SyncKind, int], int] = {}
+        self._sync_events = 0
 
-                if st.waiting_lock is not None:
-                    step = steps[st.index]
-                    assert isinstance(step, LockAcquire)
-                    ls = lock_state(st.waiting_lock)
-                    if ls.holder is None and ls.queue[0] == node:
-                        ls.queue.popleft()
-                        ls.holder = node
-                        yield from self._emit_acquire(node, step, st)
-                        st.waiting_lock = None
-                        st.index += 1
-                        progressed = True
-                    else:
-                        # Still queued: test&test&set re-read, one per
-                        # rotation, unless the spin count is fixed and
-                        # already exhausted.
-                        if (
-                            step.fixed_spins is None
-                            or st.spins_emitted < step.fixed_spins
-                        ):
-                            st.spins_emitted += 1
-                            yield MemoryAccess(
-                                node, step.spin_pc, step.address, False
-                            )
-                            progressed = True
-                    continue
+    def access(
+        self, op: int, node: int, pc: int, address: int
+    ) -> Tuple[int, int]:
+        """Append one access; return its table index and block id."""
+        entry = self._entry((op, node, pc))
+        block = address >> self.block_shift
+        bid = self._block_ids.get(block)
+        if bid is None:
+            bid = self._block_ids[block] = len(self.blocks)
+            self.blocks.append(block)
+            self._fit_id(bid)
+        self.events.append(entry)
+        self.ids.append(bid)
+        return entry, bid
 
-                executed = 0
-                while executed < self._quantum and not st.finished:
-                    if st.index >= len(steps):
-                        st.finished = True
-                        pending -= 1
-                        progressed = True
-                        break
-                    step = steps[st.index]
-                    if isinstance(step, Access):
-                        yield MemoryAccess(
-                            node, step.pc, step.address, step.is_write,
-                            step.work,
-                        )
-                        st.index += 1
-                        executed += 1
-                        progressed = True
-                    elif isinstance(step, Barrier):
-                        yield SyncBoundary(
-                            node, SyncKind.BARRIER, step.barrier_id
-                        )
-                        st.at_barrier = True
-                        barrier_waiters.append(node)
-                        st.index += 1
-                        progressed = True
-                        break
-                    elif isinstance(step, LockAcquire):
-                        ls = lock_state(step.lock_id)
-                        if ls.holder is None and not ls.queue:
-                            ls.holder = node
-                            st.spins_emitted = 0
-                            yield from self._emit_acquire(node, step, st)
-                            st.index += 1
-                            executed += 1
-                            progressed = True
-                        else:
-                            ls.queue.append(node)
-                            st.waiting_lock = step.lock_id
-                            st.spins_emitted = 1
-                            yield MemoryAccess(
-                                node, step.spin_pc, step.address, False
-                            )
-                            progressed = True
-                            break
-                    elif isinstance(step, LockRelease):
-                        ls = lock_state(step.lock_id)
-                        if ls.holder != node:
-                            raise SchedulingError(
-                                f"node {node} releasing lock {step.lock_id} "
-                                f"held by {ls.holder}"
-                            )
-                        yield MemoryAccess(
-                            node, step.pc, step.address, True
-                        )
-                        ls.holder = None
-                        yield SyncBoundary(
-                            node, SyncKind.LOCK_RELEASE, step.lock_id
-                        )
-                        st.index += 1
-                        executed += 1
-                        progressed = True
-                    else:  # pragma: no cover - step types are closed
-                        raise SchedulingError(f"unknown step {step!r}")
-                    # A node finishing its last step above:
-                    if st.index >= len(steps) and not st.finished and \
-                            st.waiting_lock is None and not st.at_barrier:
-                        st.finished = True
-                        pending -= 1
+    def sync(self, node: int, kind: SyncKind, sync_id: int) -> None:
+        """Append one sync boundary."""
+        entry = self._entry((SYNC, node, 0))
+        key = (kind, sync_id)
+        index = self._sync_ids.get(key)
+        if index is None:
+            index = self._sync_ids[key] = len(self.syncs)
+            self.syncs.append(key)
+            self._fit_id(index)
+        self.events.append(entry)
+        self.ids.append(index)
+        self._sync_events += 1
 
-            # Barrier release: every unfinished node is at the barrier.
-            # Finished nodes have already passed all barriers (the
-            # ProgramSet validated equal barrier counts per node).
-            if barrier_waiters and len(barrier_waiters) == pending:
-                for w in barrier_waiters:
-                    nodes[w].at_barrier = False
-                barrier_waiters.clear()
-                progressed = True
+    def _entry(self, key: Tuple[int, int, int]) -> int:
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = len(self.table)
+            self.table.append(key)
+            if entry >> (8 * self.events.itemsize):
+                self.events = array(_WIDER[self.events.typecode], self.events)
+        return entry
 
-            if not progressed and pending > 0:
-                stuck = {
-                    i: ("barrier" if s.at_barrier else f"lock {s.waiting_lock}")
-                    for i, s in nodes.items()
-                    if not s.finished
-                }
+    def _fit_id(self, value: int) -> None:
+        if value >> (8 * self.ids.itemsize):
+            self.ids = array(_WIDER[self.ids.typecode], self.ids)
+
+    def finish(self, name: str, num_nodes: int) -> CompiledStream:
+        return CompiledStream(
+            name, num_nodes, self.block_shift, self.events, self.ids,
+            self.table, self.blocks, self.syncs,
+            len(self.events) - self._sync_events,
+        )
+
+
+def schedule(
+    programs: ProgramSet, quantum: int, block_shift: int
+) -> CompiledStream:
+    """Validate ``programs``, interleave them and write the stream.
+
+    Raises SchedulingError for a quantum below 1, a deadlock or a
+    release of a lock the node does not hold, and WorkloadError (from
+    :meth:`ProgramSet.validate`) for malformed programs.
+    """
+    if quantum < 1:
+        raise SchedulingError(f"quantum must be >= 1, got {quantum}")
+    programs.validate()
+    n = programs.num_nodes
+    writer = _Writer(block_shift)
+    access, sync = writer.access, writer.sync
+    append_entry, append_id = writer.events.append, writer.ids.append
+    steps_of = [programs.programs[node].steps for node in range(n)]
+    # the next step of each node
+    index = [0] * n
+    state = [_RUNNING] * n
+    # the lock a waiting node is queued on
+    waiting: List[Optional[int]] = [None] * n
+    # spin reads a waiting node has emitted for its pending acquire
+    spins = [0] * n
+    # per node: id(step) -> (table index, block id) of an Access step;
+    # a build shares one object between equal steps, and the steps
+    # live as long as ``programs``, so their ids are stable here
+    memos: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(n)]
+    holder: Dict[int, int] = {}
+    queues: Dict[int, Deque[int]] = {}
+    at_barrier: List[int] = []
+
+    def acquire(node: int, step: LockAcquire, emitted: int) -> None:
+        # top the spin reads up to the fixed count (one read when the
+        # count varies), then the test&set store and the boundary
+        fixed = step.fixed_spins
+        for _ in range((1 if fixed is None else fixed) - emitted):
+            access(READ, node, step.spin_pc, step.address)
+        access(WRITE, node, step.pc, step.address)
+        sync(node, SyncKind.LOCK_ACQUIRE, step.lock_id)
+
+    def sync_step(node: int, step) -> int:
+        """Execute a barrier or lock step; return the node's state."""
+        cls = step.__class__
+        if cls is Barrier:
+            sync(node, SyncKind.BARRIER, step.barrier_id)
+            at_barrier.append(node)
+            state[node] = _AT_BARRIER
+        elif cls is LockAcquire:
+            lock = step.lock_id
+            if holder.get(lock) is None and not queues.get(lock):
+                holder[lock] = node
+                acquire(node, step, 0)
+            else:
+                queues.setdefault(lock, deque()).append(node)
+                waiting[node] = lock
+                spins[node] = 1
+                access(READ, node, step.spin_pc, step.address)
+                state[node] = _WAITING
+        elif cls is LockRelease:
+            lock = step.lock_id
+            if holder.get(lock) != node:
                 raise SchedulingError(
-                    f"scheduler deadlock in {self._programs.name!r}: {stuck}"
+                    f"node {node} releasing lock {lock} "
+                    f"held by {holder.get(lock)}"
                 )
+            access(WRITE, node, step.pc, step.address)
+            holder[lock] = None
+            sync(node, SyncKind.LOCK_RELEASE, lock)
+        else:  # pragma: no cover - step types are closed
+            raise SchedulingError(f"unknown step {step!r}")
+        return state[node]
 
-    def _emit_acquire(
-        self, node: int, step: LockAcquire, st: _NodeState
-    ) -> Iterator[StreamEvent]:
-        """Emit the access sequence completing a successful acquisition.
+    rows = list(zip(range(n), steps_of, map(len, steps_of), memos))
+    pending = n
+    while pending:
+        progressed = False
+        for node, steps, count, memo in rows:
+            status = state[node]
+            if status == _WAITING:
+                step = steps[index[node]]
+                lock = waiting[node]
+                queue = queues[lock]
+                if holder.get(lock) is None and queue[0] == node:
+                    queue.popleft()
+                    holder[lock] = node
+                    acquire(node, step, spins[node])
+                    state[node] = _RUNNING
+                    waiting[node] = None
+                    index[node] += 1
+                    progressed = True
+                elif step.fixed_spins is None or spins[node] < step.fixed_spins:
+                    # still queued: one test&test&set re-read per rotation
+                    spins[node] += 1
+                    access(READ, node, step.spin_pc, step.address)
+                    progressed = True
+                append_entry = writer.events.append
+                append_id = writer.ids.append
+                continue
+            if status:
+                continue
+            i = index[node]
+            progressed = True
+            if i == count:
+                state[node] = _FINISHED
+                pending -= 1
+                continue
+            executed = 0
+            while True:
+                step = steps[i]
+                i += 1
+                if step.__class__ is Access:
+                    pair = memo.get(id(step))
+                    if pair is None:
+                        memo[id(step)] = access(
+                            WRITE if step.is_write else READ,
+                            node, step.pc, step.address,
+                        )
+                        append_entry = writer.events.append
+                        append_id = writer.ids.append
+                    else:
+                        entry, bid = pair
+                        append_entry(entry)
+                        append_id(bid)
+                else:
+                    status = sync_step(node, step)
+                    append_entry = writer.events.append
+                    append_id = writer.ids.append
+                    if status == _WAITING:
+                        i -= 1  # the acquire completes when granted
+                        break
+                    if status == _AT_BARRIER:
+                        break
+                executed += 1
+                if i == count:
+                    state[node] = _FINISHED
+                    pending -= 1
+                    break
+                if executed == quantum:
+                    break
+            index[node] = i
 
-        Tops up fixed spin reads so the per-acquire access count is
-        constant, then emits the test&set store and the ACQUIRE boundary.
-        """
-        if step.fixed_spins is not None:
-            while st.spins_emitted < step.fixed_spins:
-                st.spins_emitted += 1
-                yield MemoryAccess(node, step.spin_pc, step.address, False)
-        elif st.spins_emitted == 0:
-            # Uncontended variable-spin acquire still observes the flag.
-            st.spins_emitted += 1
-            yield MemoryAccess(node, step.spin_pc, step.address, False)
-        yield MemoryAccess(node, step.pc, step.address, True)
-        yield SyncBoundary(node, SyncKind.LOCK_ACQUIRE, step.lock_id)
-        st.spins_emitted = 0
+        # Barrier release: every unfinished node is at the barrier.
+        # Finished nodes have already passed all barriers (the
+        # ProgramSet validated equal barrier counts per node).
+        if at_barrier and len(at_barrier) == pending:
+            for waiter in at_barrier:
+                state[waiter] = _RUNNING
+            at_barrier.clear()
+            progressed = True
+
+        if not progressed and pending:
+            stuck = {
+                i: (
+                    "barrier" if state[i] == _AT_BARRIER
+                    else f"lock {waiting[i]}"
+                )
+                for i in range(n)
+                if state[i] != _FINISHED
+            }
+            raise SchedulingError(
+                f"scheduler deadlock in {programs.name!r}: {stuck}"
+            )
+    return writer.finish(programs.name, n)
+
+
+def compile_stream(
+    events: Iterable, num_nodes: int, block_shift: int, name: str = "trace"
+) -> CompiledStream:
+    """Write an event stream (a replayed trace) in the stream format.
+
+    Raises ConfigurationError for an event whose node lies outside
+    ``0..num_nodes-1``. Events that are neither accesses nor sync
+    boundaries carry nothing to replay and are skipped.
+    """
+    writer = _Writer(block_shift)
+    for ev in events:
+        if isinstance(ev, (MemoryAccess, SyncBoundary)):
+            if not 0 <= ev.node < num_nodes:
+                raise ConfigurationError(
+                    f"stream event {ev!r} names node {ev.node}, outside "
+                    f"0..{num_nodes - 1}"
+                )
+            if isinstance(ev, MemoryAccess):
+                writer.access(
+                    WRITE if ev.is_write else READ, ev.node, ev.pc,
+                    ev.address,
+                )
+            else:
+                writer.sync(ev.node, ev.kind, ev.sync_id)
+    return writer.finish(name, num_nodes)
+
+
+def decode_stream(stream: CompiledStream) -> Iterator[StreamEvent]:
+    """The events of ``stream``, in order; an access's address is its
+    block number shifted back by ``block_shift``."""
+    table, blocks, syncs = stream.table, stream.blocks, stream.syncs
+    shift = stream.block_shift
+    for entry, upper in zip(stream.events, stream.ids):
+        op, node, pc = table[entry]
+        if op == SYNC:
+            kind, sync_id = syncs[upper]
+            yield SyncBoundary(node, kind, sync_id)
+        else:
+            yield MemoryAccess(node, pc, blocks[upper] << shift, op == WRITE)
 
 
 def interleave(
     programs: ProgramSet, quantum: int = 1
 ) -> Iterator[StreamEvent]:
-    """Convenience wrapper: iterate the global stream of ``programs``."""
-    return InterleavingScheduler(programs, quantum=quantum).run()
+    """The global event stream of ``programs``, with exact addresses.
+
+    Scheduling, with its checks, happens in this call; the events are
+    decoded as the caller iterates.
+    """
+    return decode_stream(schedule(programs, quantum, 0))

@@ -11,9 +11,19 @@ a content address under which the built trace can be pickled once and
 reloaded by every later process::
 
     <root>/
-        ab/
-            ab3f...e1.pkl     # pickled ProgramSet (optionally packed
+        v2/                   # TRACE_SCHEMA: the live entries
+            ab/
+                ab3f...e1.pkl # pickled ProgramSet (optionally packed
                               #   through repro.codecs)
+
+Everything else under the root is orphaned: entries of another schema
+(``v1/``, or the unversioned ``<root>/ab/`` layout written before the
+schema got its own directory) that no current key can address.
+:meth:`TraceCache.entries` and :meth:`~TraceCache.total_bytes` count
+the live directory only, :meth:`~TraceCache.orphan_paths` lists the
+rest for ``cache stats``, and ``cache prune`` deletes orphans whatever
+its limits say. A ``builder_version`` bump still orphans entries inside
+the live directory, where they look live until pruned by age or size.
 
 Layout and atomicity mirror :class:`repro.runner.cache.ResultCache`
 (temp file + ``os.replace``; corrupt entries degrade to misses), so a
@@ -29,7 +39,8 @@ each distinct step once (the nine ``small`` traces pickle to 1.7 MB
 and load in about 0.01 s on a 2-vCPU host). Entries written before
 builds shared their steps held one object per step and loaded 40x
 slower; ``TRACE_SCHEMA`` 2 orphans them, so each is rebuilt once,
-shared.
+shared (and entries of the unversioned layout are rebuilt once more
+into ``v2/``).
 
 Entries are written through a pluggable codec (``none`` keeps the
 legacy raw-pickle format; ``zlib`` shrinks a ``paper``-size ``em3d``
@@ -44,7 +55,7 @@ import hashlib
 import mmap
 import pickle
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro._fsutil import atomic_write_bytes
 from repro.codecs import BLOB_MAGIC, get_codec, migrate_files, pack, unpack
@@ -81,9 +92,14 @@ class TraceCache:
     def key(self, workload: Workload) -> str:
         return trace_key(workload)
 
+    @property
+    def live_root(self) -> Path:
+        """The directory of the current schema's entries."""
+        return self.root / f"v{TRACE_SCHEMA}"
+
     def path(self, workload: Workload) -> Path:
         key = self.key(workload)
-        return self.root / key[:2] / f"{key}.pkl"
+        return self.live_root / key[:2] / f"{key}.pkl"
 
     def get(self, workload: Workload) -> Tuple[bool, Optional[ProgramSet]]:
         """Return ``(hit, program_set)``; corrupt entries are misses.
@@ -130,16 +146,34 @@ class TraceCache:
 
     # -- accounting ----------------------------------------------------
 
-    def entry_paths(self):
-        if not self.root.is_dir():
-            return
+    def entry_paths(self) -> Iterator[Path]:
+        """The live entries (the current schema's directory)."""
+        yield from self.live_root.glob("*/*.pkl")
+
+    def orphan_paths(self) -> Iterator[Path]:
+        """Entries no current key addresses: the unversioned layout's
+        ``<root>/ab/*.pkl`` and other schemas' ``<root>/v<N>/``."""
         yield from self.root.glob("*/*.pkl")
+        live = self.live_root
+        for path in self.root.glob("*/*/*.pkl"):
+            if path.parent.parent != live:
+                yield path
 
     def entries(self) -> int:
         return sum(1 for _ in self.entry_paths())
 
     def total_bytes(self) -> int:
         return sum(p.stat().st_size for p in self.entry_paths())
+
+    def orphan_bytes(self) -> int:
+        return sum(p.stat().st_size for p in self.orphan_paths())
+
+    def remove_orphans(self) -> int:
+        """Delete every orphaned entry; returns the number removed."""
+        paths = list(self.orphan_paths())
+        for path in paths:
+            path.unlink(missing_ok=True)
+        return len(paths)
 
     def migrate(self, codec) -> Tuple[int, int, int, int]:
         """Re-encode every entry under ``codec`` in place; returns

@@ -4,9 +4,12 @@
 timing model: one closure per scheduled event over dict-keyed cache and
 directory state. :class:`ReferenceAccuracySimulator` is the readable
 accuracy simulator: one :class:`~tests.oracle.coherence.CoherenceEngine`
-access per stream event over dict-keyed caches and directory entries.
-Both drive the readable policies of :mod:`tests.oracle.policies`, which
-name blocks by number; :func:`reference_factory` builds them for a
+access per stream event over dict-keyed caches and directory entries,
+interleaved by :class:`~tests.oracle.scheduler.InterleavingScheduler`,
+the readable generator the shipped schedule loop is checked against.
+Both simulators drive the readable policies of
+:mod:`tests.oracle.policies`, which name blocks by number;
+:func:`reference_factory` builds them for a
 :class:`~repro.runner.spec.PolicySpec`. The package ships only the
 optimized :class:`repro.timing.TimingSimulator` and
 :class:`repro.sim.AccuracySimulator` and its policies over dense block

@@ -27,10 +27,10 @@ from repro.protocol.states import ProtocolVariant
 from repro.sim.results import AccuracyReport
 from repro.trace.events import MemoryAccess, SyncBoundary
 from repro.trace.program import ProgramSet
-from repro.trace.scheduler import interleave
 from tests.oracle.coherence import CoherenceEngine
 from tests.oracle.last_touch import compute_last_touch_ordinals
 from tests.oracle.policies import OraclePolicy, SelfInvalidationPolicy
+from tests.oracle.scheduler import interleave
 
 PolicyFactory = Callable[[int], SelfInvalidationPolicy]
 

@@ -49,10 +49,11 @@ def mixed_programs(draw):
                         address=0x2000,
                         pc=0x500,
                         spin_pc=0x504,
+                        # validate() rejects a fixed count below 1
                         fixed_spins=draw(
                             st.one_of(
                                 st.none(),
-                                st.integers(min_value=0, max_value=3),
+                                st.integers(min_value=1, max_value=3),
                             )
                         ),
                     )

@@ -1,11 +1,28 @@
-"""Property-based tests for the interleaving scheduler."""
+"""Property-based tests for the interleaving scheduler.
 
+Besides the scheduling invariants, the shipped schedule loop, which
+writes the compiled stream directly, is checked against the readable
+reference generator in ``tests/oracle/scheduler.py``: on random
+programs with locks and barriers, at several quanta and block sizes,
+the shipped stream must equal the event writer's stream over the
+reference's events, array for array and table for table.
+"""
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trace.events import MemoryAccess
 from repro.trace.program import Access, Barrier, Program, ProgramSet
-from repro.trace.scheduler import interleave
+from repro.trace.scheduler import (
+    compile_stream,
+    decode_stream,
+    interleave,
+    schedule,
+)
+from repro.workloads import WORKLOAD_NAMES, get_workload
+from tests.oracle.scheduler import interleave as reference_interleave
+from tests.property.test_engine_equivalence_props import mixed_programs
 
 
 @st.composite
@@ -86,3 +103,39 @@ def test_barrier_phases_do_not_overlap(ps):
             assert phase[ev.node] >= max_started - 1
         else:  # SyncBoundary (barrier arrival)
             phase[ev.node] += 1
+
+
+def _layout(stream):
+    return (
+        stream.name, stream.num_nodes, stream.block_shift,
+        stream.events.typecode, list(stream.events),
+        stream.ids.typecode, list(stream.ids),
+        stream.table, stream.blocks, stream.syncs, stream.accesses,
+    )
+
+
+def _assert_matches_reference(ps, quantum, block_shift):
+    shipped = schedule(ps, quantum, block_shift)
+    reference = compile_stream(
+        reference_interleave(ps, quantum=quantum), ps.num_nodes,
+        block_shift, name=ps.name,
+    )
+    assert list(decode_stream(shipped)) == list(decode_stream(reference))
+    assert _layout(shipped) == _layout(reference)
+
+
+@given(
+    st.one_of(mixed_programs(), barrier_consistent_programs()),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([0, 5]),
+)
+@settings(max_examples=200, deadline=None)
+def test_schedule_matches_the_reference_scheduler(ps, quantum, block_shift):
+    _assert_matches_reference(ps, quantum, block_shift)
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+def test_tiny_workloads_match_the_reference_scheduler(workload):
+    ps = get_workload(workload, "tiny").build()
+    for quantum, block_shift in ((1, 5), (2, 0)):
+        _assert_matches_reference(ps, quantum, block_shift)

@@ -178,6 +178,43 @@ class TestCacheCli:
         ]) == 0
         assert TraceCache(custom).entries() == 0
 
+    def test_orphaned_traces_are_counted_apart_and_always_pruned(
+        self, tmp_path, capsys
+    ):
+        """Entries of an older schema in the unversioned layout are
+        neither live entries nor live bytes, and `cache prune` removes
+        them with no limit given."""
+        import hashlib
+
+        from repro.workloads import (
+            WORKLOAD_NAMES,
+            TraceCache,
+            cached_build,
+            get_workload,
+        )
+
+        traces = TraceCache(tmp_path / "traces")
+        for name in WORKLOAD_NAMES:
+            workload = get_workload(name, SIZE)
+            cached_build(workload, traces)
+            old_key = hashlib.sha256(
+                f"repro-trace/1/{workload.fingerprint()}".encode("utf-8")
+            ).hexdigest()
+            old_path = traces.root / old_key[:2] / f"{old_key}.pkl"
+            old_path.parent.mkdir(exist_ok=True)
+            old_path.write_bytes(traces.path(workload).read_bytes())
+        live_bytes = traces.total_bytes()
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "traces   9 entries" in out
+        assert "9 orphaned" in out
+        assert traces.orphan_bytes() == live_bytes
+        assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 0
+        assert "9 orphaned traces" in capsys.readouterr().out
+        assert traces.entries() == 9
+        assert list(traces.orphan_paths()) == []
+        assert traces.total_bytes() == live_bytes
+
 
 class TestParsers:
     def test_parse_age(self):

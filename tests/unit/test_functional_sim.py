@@ -17,11 +17,16 @@ from repro.errors import ConfigurationError
 from repro.protocol.states import MissKind
 from repro.sim import AccuracySimulator
 from repro.sim import functional
-from repro.sim.functional import compile_stream
 from repro.trace.events import MemoryAccess, SyncBoundary, SyncKind
 from repro.trace import program as program_mod
 from repro.trace.io import parse_stream
 from repro.trace.program import Access, Barrier, Program, ProgramSet
+from repro.trace.scheduler import (
+    compile_stream,
+    decode_stream,
+    interleave,
+    schedule,
+)
 from tests.conftest import migratory_rmw, producer_consumer
 
 
@@ -122,27 +127,27 @@ class TestReportRendering:
 
 
 class TestCompiledStreamMemo:
-    """One interleave per (ProgramSet, quantum, block_shift) per process,
-    living exactly as long as the ProgramSet object."""
+    """One stream build per (ProgramSet, quantum, block_shift) per
+    process, living exactly as long as the ProgramSet object."""
 
     @pytest.fixture
-    def interleaves(self, monkeypatch):
-        """Count calls to the interleaver the simulator compiles from,
-        against a fresh runner ProgramSet memo."""
+    def builds(self, monkeypatch):
+        """Count the schedule loop's stream builds, against a fresh
+        runner ProgramSet memo."""
         from repro.runner import runner as runner_mod
 
         monkeypatch.setattr(runner_mod, "_PROGRAMS", {})
         calls = []
-        real = functional.interleave
+        real = functional.schedule
 
-        def counting(programs, quantum=1):
+        def counting(programs, quantum, block_shift):
             calls.append((programs.name, quantum))
-            return real(programs, quantum=quantum)
+            return real(programs, quantum, block_shift)
 
-        monkeypatch.setattr(functional, "interleave", counting)
+        monkeypatch.setattr(functional, "schedule", counting)
         return calls
 
-    def test_fig6_fig7_and_oracle_share_one_interleave(self, interleaves):
+    def test_fig6_fig7_and_oracle_share_one_interleave(self, builds):
         from repro.experiments import figure6, figure7
         from repro.runner import Runner
         from repro.runner.runner import _programs_for
@@ -151,18 +156,18 @@ class TestCompiledStreamMemo:
         specs += figure7.jobs(size="tiny", workloads=["em3d"])
         assert len(set(specs)) == 6
         Runner().run(specs)
-        assert interleaves == [("em3d", 1)]
+        assert builds == [("em3d", 1)]
 
         programs = _programs_for(specs[0])
         AccuracySimulator(lambda n: NullPolicy()).run_oracle(programs)
-        assert len(interleaves) == 1
+        assert len(builds) == 1
 
-    def test_quantum_and_block_shift_compile_their_own(self, interleaves):
+    def test_quantum_and_block_shift_compile_their_own(self, builds):
         ps = producer_consumer(iterations=3)
         for kwargs in ({}, {"quantum": 2}, {"block_shift": 6}, {}):
             AccuracySimulator(lambda n: NullPolicy(), **kwargs).run(ps)
         # the last run is served by the first run's compile
-        assert [quantum for _, quantum in interleaves] == [1, 2, 1]
+        assert [quantum for _, quantum in builds] == [1, 2, 1]
 
     def test_entry_dropped_when_programs_are_collected(self):
         ps = producer_consumer(iterations=3)
@@ -175,8 +180,6 @@ class TestCompiledStreamMemo:
         assert key not in program_mod._COMPILED
 
     def test_memoized_replay_matches_a_fresh_compile(self, pc_workload):
-        from repro.trace.scheduler import interleave
-
         sim = AccuracySimulator(lambda n: PerBlockLTP())
         first, again = sim.run(pc_workload), sim.run(pc_workload)
         fresh = sim.run_stream(
@@ -213,43 +216,28 @@ class TestReplayedStreamNodes:
         assert rep.not_predicted == 1
 
 
-def _decode(stream, code):
-    """One packed event back as the event it was compiled from."""
-    node = (code >> 2) & ((1 << stream.node_bits) - 1)
-    upper = code >> stream.top_shift
-    if code & 3 == 2:
-        kind, sync_id = stream.syncs[upper]
-        return SyncBoundary(node, kind, sync_id)
-    pc = stream.pcs[(code >> stream.pc_shift) & ((1 << stream.pc_bits) - 1)]
-    address = stream.blocks[upper] << stream.block_shift
-    return MemoryAccess(node, pc, address, bool(code & 1))
-
-
 class TestCompileStream:
-    def test_packing_round_trips_through_field_growth(self):
-        # 300 distinct PCs widen the pc field twice (4 -> 8 -> 16 bits)
-        # and 10,000 blocks then push the codes past 32 bits
+    def test_round_trip_through_widening(self):
+        # 301 distinct (op, node, pc) entries widen the event array to
+        # two bytes, and 70,000 blocks the id array to four
         events = []
-        for i in range(10_000):
+        for i in range(70_000):
             if i % 1000 == 0:
                 events.append(SyncBoundary(1, SyncKind.BARRIER, i))
             events.append(
                 MemoryAccess(i % 3, 0x4000 + 4 * (i % 300), 32 * i, i % 2 == 0)
             )
-        stream = compile_stream(events, 3)
-        assert stream.pc_bits == 16
-        assert stream.codes.typecode == "Q"
-        assert stream.accesses == 10_000
-        assert [_decode(stream, code) for code in stream.codes] == events
+        stream = compile_stream(events, 3, 5)
+        assert len(stream.table) == 301
+        assert stream.events.typecode == "H"
+        assert stream.ids.typecode == "I"
+        assert stream.accesses == 70_000
+        assert list(decode_stream(stream)) == events
 
-    def test_small_stream_packs_four_bytes_per_event(self, pc_workload):
-        from repro.trace.scheduler import interleave
-
-        stream = compile_stream(interleave(pc_workload), pc_workload.num_nodes)
-        assert stream.codes.itemsize == 4
-        assert [
-            _decode(stream, code) for code in stream.codes
-        ] == list(interleave(pc_workload))
+    def test_small_stream_takes_one_byte_per_array(self, pc_workload):
+        stream = schedule(pc_workload, 1, 5)
+        assert stream.events.itemsize == stream.ids.itemsize == 1
+        assert len(stream.events) == len(stream.ids) > stream.accesses > 0
 
 
 class _Recorder(SelfInvalidationPolicy):

@@ -12,6 +12,7 @@ from repro.trace.program import (
     ProgramBuilder,
     ProgramSet,
 )
+from repro.workloads import get_workload
 
 
 def _two_node_set(steps0, steps1):
@@ -76,6 +77,24 @@ class TestProgramSet:
             [],
         )
         ps.validate()
+
+    @pytest.mark.parametrize("spins", [0, -1])
+    def test_fixed_spins_below_one_rejected(self, spins):
+        """A test&test&set acquire reads the flag at least once, so a
+        fixed spin count below 1 would make the engines disagree."""
+        ps = _two_node_set(
+            [
+                LockAcquire(1, 0x100, 0x10, 0x14, fixed_spins=spins),
+                LockRelease(1, 0x100, 0x18),
+            ],
+            [],
+        )
+        with pytest.raises(WorkloadError, match=f"fixed_spins={spins}"):
+            ps.validate()
+
+    def test_zero_lock_spins_fails_at_build(self):
+        with pytest.raises(WorkloadError, match="fixed_spins=0"):
+            get_workload("appbt", "tiny", lock_spins=0).build()
 
     def test_total_steps(self):
         ps = _two_node_set(

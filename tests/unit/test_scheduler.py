@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import NullPolicy
 from repro.errors import SchedulingError
+from repro.timing import SystemConfig, TimingSimulator
 from repro.trace.events import MemoryAccess, SyncBoundary, SyncKind
 from repro.trace.program import (
     Access,
@@ -12,7 +14,7 @@ from repro.trace.program import (
     Program,
     ProgramSet,
 )
-from repro.trace.scheduler import InterleavingScheduler, interleave
+from repro.trace.scheduler import interleave
 
 
 def _ps(progs):
@@ -77,8 +79,8 @@ class TestBasics:
         assert first == second
 
     def test_bad_quantum_rejected(self):
-        with pytest.raises(SchedulingError):
-            InterleavingScheduler(_ps([Program(0), Program(1)]), quantum=0)
+        with pytest.raises(SchedulingError, match="quantum must be >= 1"):
+            interleave(_ps([Program(0), Program(1)]), quantum=0)
 
 
 class TestBarriers:
@@ -139,17 +141,24 @@ class TestLocks:
             assert kinds[i + 1][0] is SyncKind.LOCK_RELEASE
             assert kinds[i][1] == kinds[i + 1][1]
 
-    def test_fixed_spins_constant_access_count(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fixed_spins_constant_access_count(self, k):
         """fixed_spins=k -> exactly k spin reads + 1 write per acquire,
-        regardless of contention (appbt's repeatable lock traces)."""
-        stream = list(interleave(self._lock_ps(fixed_spins=3)))
+        regardless of contention (appbt's repeatable lock traces), and
+        the timing engine executes the same accesses."""
+        ps = self._lock_ps(fixed_spins=k)
+        stream = list(interleave(ps))
         for node in range(3):
             spins = sum(
                 1 for e in stream
                 if isinstance(e, MemoryAccess)
                 and e.node == node and e.pc == 0x14
             )
-            assert spins == 3
+            assert spins == k
+        timing = TimingSimulator(
+            lambda n: NullPolicy(), SystemConfig(num_nodes=3)
+        ).run(ps)
+        assert timing.accesses == len(_accesses(stream)) == 3 * (k + 3)
 
     def test_variable_spins_depend_on_contention(self):
         stream = list(interleave(self._lock_ps(fixed_spins=None)))

@@ -234,6 +234,26 @@ class TestSharedSteps:
         assert_event_identical(fresh, loaded)
 
 
+class TestLayout:
+    def test_entries_live_under_the_schema_directory(self, tmp_path):
+        """Only the current schema's directory holds live entries; an
+        entry under another schema's directory is an orphan."""
+        from repro.workloads.trace_cache import TRACE_SCHEMA
+
+        cache = TraceCache(tmp_path)
+        workload = get_workload(WORKLOAD, SIZE)
+        cached_build(workload, cache)
+        path = cache.path(workload)
+        assert path.parent.parent == tmp_path / f"v{TRACE_SCHEMA}"
+        other = tmp_path / "v1" / path.parent.name / path.name
+        other.parent.mkdir(parents=True)
+        other.write_bytes(path.read_bytes())
+        assert list(cache.entry_paths()) == [path]
+        assert list(cache.orphan_paths()) == [other]
+        assert cache.remove_orphans() == 1
+        assert not other.exists() and cache.get(workload)[0]
+
+
 class TestInvalidation:
     def test_seed_changes_key(self, tmp_path):
         cache = TraceCache(tmp_path)
