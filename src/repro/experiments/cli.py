@@ -945,6 +945,12 @@ def _cache_command(args) -> int:
     traces = TraceCache(
         args.trace_cache or Path(args.cache_dir) / "traces"
     )
+    if traces.root.resolve() == cache.root.resolve():
+        # result entries share the unversioned trace layout, so they
+        # would read as orphaned traces, and prune deletes orphans
+        raise SystemExit(
+            "cache: --trace-cache must not be the --cache-dir itself"
+        )
     if args.cache_command == "stats":
         watch = getattr(args, "watch", None)
         refreshes = getattr(args, "refreshes", None)

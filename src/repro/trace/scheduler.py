@@ -29,8 +29,8 @@ block id (or, for a sync boundary, the index of its ``(kind, sync_id)``).
 Table entries, block ids and sync indexes are numbered in order of
 first appearance, and each array takes the narrowest typecode its
 largest value fits: the programs repeat, so a small-size stream has a
-few hundred distinct table entries and blocks and takes three bytes per
-event. :func:`compile_stream` writes the same format from an event
+few hundred distinct table entries and blocks and takes two or three
+bytes per event. :func:`compile_stream` writes the same format from an event
 stream (a replayed trace), and :func:`decode_stream` turns a stream
 back into :class:`~repro.trace.events.MemoryAccess` and
 :class:`~repro.trace.events.SyncBoundary` events; :func:`interleave`
@@ -353,21 +353,37 @@ def compile_stream(
     boundaries carry nothing to replay and are skipped.
     """
     writer = _Writer(block_shift)
+    append_entry, append_id = writer.events.append, writer.ids.append
+    # (node, pc, address, is_write) -> (table index, block id)
+    seen: Dict[Tuple[int, int, int, bool], Tuple[int, int]] = {}
     for ev in events:
-        if isinstance(ev, (MemoryAccess, SyncBoundary)):
-            if not 0 <= ev.node < num_nodes:
-                raise ConfigurationError(
-                    f"stream event {ev!r} names node {ev.node}, outside "
-                    f"0..{num_nodes - 1}"
-                )
-            if isinstance(ev, MemoryAccess):
-                writer.access(
-                    WRITE if ev.is_write else READ, ev.node, ev.pc,
-                    ev.address,
-                )
-            else:
-                writer.sync(ev.node, ev.kind, ev.sync_id)
+        if isinstance(ev, MemoryAccess):
+            key = (ev.node, ev.pc, ev.address, ev.is_write)
+            pair = seen.get(key)
+            if pair is not None:
+                entry, bid = pair
+                append_entry(entry)
+                append_id(bid)
+                continue
+            _check_node(ev, num_nodes)
+            seen[key] = writer.access(
+                WRITE if ev.is_write else READ, ev.node, ev.pc, ev.address
+            )
+        elif isinstance(ev, SyncBoundary):
+            _check_node(ev, num_nodes)
+            writer.sync(ev.node, ev.kind, ev.sync_id)
+        else:
+            continue
+        append_entry, append_id = writer.events.append, writer.ids.append
     return writer.finish(name, num_nodes)
+
+
+def _check_node(ev: StreamEvent, num_nodes: int) -> None:
+    if not 0 <= ev.node < num_nodes:
+        raise ConfigurationError(
+            f"stream event {ev!r} names node {ev.node}, outside "
+            f"0..{num_nodes - 1}"
+        )
 
 
 def decode_stream(stream: CompiledStream) -> Iterator[StreamEvent]:

@@ -215,6 +215,19 @@ class TestCacheCli:
         assert list(traces.orphan_paths()) == []
         assert traces.total_bytes() == live_bytes
 
+    def test_trace_cache_equal_to_cache_dir_refused(self, tmp_path):
+        """Result entries would read as orphaned traces, which prune
+        deletes unconditionally."""
+        cache = ResultCache(tmp_path)
+        _populate(cache)
+        for command in ("stats", "prune"):
+            with pytest.raises(SystemExit, match="--trace-cache"):
+                main([
+                    "cache", command, "--cache-dir", str(tmp_path),
+                    "--trace-cache", str(tmp_path),
+                ])
+        assert cache.entries() == 2
+
 
 class TestParsers:
     def test_parse_age(self):
