@@ -104,6 +104,14 @@ class CompiledStream:
     accesses: int
 
 
+def _fit(values: array, value: int) -> array:
+    """``values``, or a copy in the next wider typecode when ``value``
+    does not fit its own."""
+    if value >> (8 * values.itemsize):
+        return array(_WIDER[values.typecode], values)
+    return values
+
+
 class _Writer:
     """Appends events to a stream's two arrays, numbering table
     entries, blocks and sync boundaries as they first appear and
@@ -138,7 +146,7 @@ class _Writer:
         if bid is None:
             bid = self._block_ids[block] = len(self.blocks)
             self.blocks.append(block)
-            self._fit_id(bid)
+            self.ids = _fit(self.ids, bid)
         self.events.append(entry)
         self.ids.append(bid)
         return entry, bid
@@ -151,7 +159,7 @@ class _Writer:
         if index is None:
             index = self._sync_ids[key] = len(self.syncs)
             self.syncs.append(key)
-            self._fit_id(index)
+            self.ids = _fit(self.ids, index)
         self.events.append(entry)
         self.ids.append(index)
         self._sync_events += 1
@@ -161,13 +169,8 @@ class _Writer:
         if entry is None:
             entry = self._entries[key] = len(self.table)
             self.table.append(key)
-            if entry >> (8 * self.events.itemsize):
-                self.events = array(_WIDER[self.events.typecode], self.events)
+            self.events = _fit(self.events, entry)
         return entry
-
-    def _fit_id(self, value: int) -> None:
-        if value >> (8 * self.ids.itemsize):
-            self.ids = array(_WIDER[self.ids.typecode], self.ids)
 
     def finish(self, name: str, num_nodes: int) -> CompiledStream:
         return CompiledStream(
