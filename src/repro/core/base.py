@@ -15,12 +15,23 @@ Access-triggered policies (LTP family) answer with the boolean return
 value of :meth:`SelfInvalidationPolicy.on_access`;
 synchronization-triggered policies (DSI) answer through
 :meth:`SelfInvalidationPolicy.on_sync`.
+
+A policy whose state and decisions for a block depend only on its
+node's accesses to that block and the outcomes reported for it, and
+which neither fires nor changes state at a sync boundary, is
+*block-local* and says so through
+:meth:`SelfInvalidationPolicy.block_local_config`: the per-block LTP
+(every encoder, confidence setting and table cap), Last-PC and the
+base policy. DSI (sync bursts), the global LTP (one shared table), the
+hybrid and the oracle (per-node access ordinals) are not. The accuracy
+simulator replays one block per class of equal histories for a run
+whose nodes all return the same configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence
 
 from repro.protocol.states import MissKind
 from repro.trace.events import SyncKind
@@ -129,6 +140,30 @@ class SelfInvalidationPolicy:
         """Feedback: an earlier self-invalidation of block ``bid`` proved
         premature — this node needed the block again first."""
 
-    def storage_report(self) -> StorageReport:
-        """Hardware cost of the predictor state (Table 3)."""
+    def block_local_config(self) -> Optional[Hashable]:
+        """The policy's configuration if it is block-local, else None.
+
+        A policy is *block-local* when its state and decisions for a
+        block depend only on this node's accesses to that block and the
+        outcomes the simulator reports for it, and its :meth:`on_sync`
+        returns no block and changes no state. A block-local policy
+        returns a hashable value that equals another instance's exactly
+        when the two are configured alike. When every node's policy
+        returns the same value, the accuracy simulator replays one
+        block per class of blocks whose histories are equal up to a
+        renaming of nodes and weighs its outcomes by the class's size
+        (:func:`repro.trace.scheduler.fold`). A subclass that breaks
+        the contract returns None.
+        """
+        return None
+
+    def storage_report(
+        self, weights: Optional[Sequence[int]] = None
+    ) -> StorageReport:
+        """Hardware cost of the predictor state (Table 3).
+
+        ``weights``, when given, is the number of blocks each dense id
+        stands for (a folded replay): per-block state then counts that
+        many times.
+        """
         return StorageReport()

@@ -26,7 +26,7 @@ list index and one counter-map lookup.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence
 
 from repro.core.base import SelfInvalidationPolicy, StorageReport
 from repro.core.confidence import ConfidenceConfig, CounterTable
@@ -201,15 +201,27 @@ class PerBlockLTP(_TwoLevelPredictor):
             self._learned.append(bid)
         return table
 
-    def storage_report(self) -> StorageReport:
-        active = self._active
-        per_block = [
-            len(self._tables[bid]) for bid in self._learned if active[bid]
-        ]
+    def block_local_config(self) -> Hashable:
+        return (
+            type(self), self.encoder, self.confidence, self.entries_per_block
+        )
+
+    def storage_report(
+        self, weights: Optional[Sequence[int]] = None
+    ) -> StorageReport:
+        # an actively shared block always has a table, so the tracked
+        # blocks are the learned ones that are active
+        active, tables = self._active, self._tables
+        per_block: List[int] = []
+        for bid in self._learned:
+            if active[bid]:
+                per_block += [len(tables[bid])] * (
+                    1 if weights is None else weights[bid]
+                )
         return StorageReport(
             signature_bits=self.encoder.bits,
             counter_bits=self.confidence.bits,
-            tracked_blocks=active.count(1),
+            tracked_blocks=len(per_block),
             table_entries_total=sum(per_block),
             per_block_entries=per_block,
         )
@@ -244,10 +256,16 @@ class GlobalLTP(_TwoLevelPredictor):
     def _learn_table_for(self, bid: int) -> CounterTable:
         return self._table
 
-    def storage_report(self) -> StorageReport:
+    def storage_report(
+        self, weights: Optional[Sequence[int]] = None
+    ) -> StorageReport:
+        active = self._active
         return StorageReport(
             signature_bits=self.encoder.bits,
             counter_bits=self.confidence.bits,
-            tracked_blocks=self._active.count(1),
+            tracked_blocks=(
+                active.count(1) if weights is None
+                else sum(w for w, on in zip(weights, active) if on)
+            ),
             table_entries_total=len(self._table),
         )

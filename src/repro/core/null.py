@@ -7,6 +7,8 @@ invalidation counts for the accuracy figures.
 
 from __future__ import annotations
 
+from typing import Hashable
+
 from repro.core.base import SelfInvalidationPolicy
 
 
@@ -14,3 +16,6 @@ class NullPolicy(SelfInvalidationPolicy):
     """Predicts nothing; every invalidation is a plain external one."""
 
     name = "base"
+
+    def block_local_config(self) -> Hashable:
+        return (type(self),)

@@ -96,5 +96,5 @@ class HybridPolicy(SelfInvalidationPolicy):
     def on_premature(self, bid: int) -> None:
         self.ltp.on_premature(bid)
 
-    def storage_report(self):
-        return self.ltp.storage_report()
+    def storage_report(self, weights=None):
+        return self.ltp.storage_report(weights)

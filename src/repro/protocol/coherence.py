@@ -35,7 +35,7 @@ intern them and call the dense-id API.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProtocolError
 from repro.protocol.directory import DirectoryEntry
@@ -308,13 +308,22 @@ class CoherenceEngine:
         bid = self.ids.get(block)
         return bid is not None and self.states[node][bid] != NOT_CACHED
 
-    def unresolved_self_invalidations(self) -> int:
+    def unresolved_self_invalidations(
+        self, weights: Optional[Sequence[int]] = None
+    ) -> int:
         """Self-invalidations never verified by the end of the run.
 
         In the base system these copies would simply have stayed cached
         (no invalidation), so they belong to no Figure-6 category.
+        ``weights``, when given, counts each dense id's entries that
+        many times (a folded replay's class sizes).
         """
-        return sum(len(mask) for mask in self._mask if mask)
+        if weights is None:
+            return sum(len(mask) for mask in self._mask if mask)
+        return sum(
+            len(mask) * weight
+            for mask, weight in zip(self._mask, weights) if mask
+        )
 
     # ------------------------------------------------------------------
     # read accessors (tests, diagnostics)

@@ -23,11 +23,26 @@ with one table lookup per event. The stream is memoized on the
 ProgramSet object's identity and dropped when that object is
 garbage-collected (:func:`repro.trace.program.compiled_once`, the memo
 the timing engine compiles through too).
+
+A run whose nodes all run the same block-local policy
+(:meth:`~repro.core.base.SelfInvalidationPolicy.block_local_config`:
+the per-block LTP, Last-PC and the base policy) replays the folded
+stream instead (:func:`repro.trace.scheduler.fold`): one block per
+class of blocks whose histories are equal up to a renaming of nodes,
+each weighted by its class's size. A block's coherence outcomes depend
+only on its own history, and such a policy's decisions only on its
+node's view of that block, so the class's outcomes are the
+representative's times the class's size. ``run`` and ``run_stream``
+build the policies once, ask them, and pick the stream; the folded
+stream is memoized beside the stream it folds, built by the first run
+that needs it. The replay loop is the same for both streams: it
+multiplies every outcome by the block's weight, which is 1 in a full
+stream.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Set
+from typing import Callable, Dict, Iterable, List, Sequence, Set
 
 from repro.core.base import SelfInvalidationPolicy, StorageReport
 from repro.core.oracle import OraclePolicy
@@ -40,6 +55,7 @@ from repro.trace.scheduler import (
     SYNC,
     CompiledStream,
     compile_stream,
+    fold,
     schedule,
 )
 
@@ -64,6 +80,27 @@ def compiled_stream(
         ("accuracy", quantum, block_shift),
         lambda: schedule(programs, quantum, block_shift),
     )
+
+
+def folded_stream(
+    programs: ProgramSet, quantum: int, block_shift: int
+) -> CompiledStream:
+    """:func:`compiled_stream` folded (:func:`repro.trace.scheduler.fold`)
+    once per process per ``(quantum, block_shift)``, memoized beside
+    the stream it folds."""
+    return compiled_once(
+        programs,
+        ("accuracy-folded", quantum, block_shift),
+        lambda: fold(compiled_stream(programs, quantum, block_shift)),
+    )
+
+
+def _folds(policies: List[SelfInvalidationPolicy]) -> bool:
+    """True when a folded stream stands for the full one: every node
+    runs the same block-local configuration, so renaming the nodes of
+    a block's history renames only which node's policy learns what."""
+    configs = {policy.block_local_config() for policy in policies}
+    return len(configs) == 1 and None not in configs
 
 
 class AccuracySimulator:
@@ -97,21 +134,31 @@ class AccuracySimulator:
 
     def run(self, programs: ProgramSet) -> AccuracyReport:
         """Execute the workload and return the accuracy report."""
-        return self._replay(
-            compiled_stream(programs, self._quantum, self._block_shift)
+        policies = self._policies(programs.num_nodes)
+        stream = (folded_stream if _folds(policies) else compiled_stream)(
+            programs, self._quantum, self._block_shift
         )
+        return self._replay(stream, policies)
 
     def run_stream(
         self, events, num_nodes: int, name: str = "trace"
     ) -> AccuracyReport:
         """Run a pre-interleaved event stream (e.g. a replayed trace
         from :mod:`repro.trace.io`) through the coherence engine."""
-        return self._replay(
-            compile_stream(events, num_nodes, self._block_shift, name=name)
+        policies = self._policies(num_nodes)
+        stream = compile_stream(
+            events, num_nodes, self._block_shift, name=name
         )
+        if _folds(policies):
+            stream = fold(stream)
+        return self._replay(stream, policies)
 
-    def _replay(self, stream: CompiledStream) -> AccuracyReport:
-        policies = [self._factory(node) for node in range(stream.num_nodes)]
+    def _policies(self, num_nodes: int) -> List[SelfInvalidationPolicy]:
+        return [self._factory(node) for node in range(num_nodes)]
+
+    def _replay(
+        self, stream: CompiledStream, policies: List[SelfInvalidationPolicy]
+    ) -> AccuracyReport:
         for policy in policies:
             policy.bind(stream.blocks)
         engine = CoherenceEngine(
@@ -127,6 +174,8 @@ class AccuracySimulator:
         miss = engine.miss
         drop = engine.self_invalidate_id
         table, syncs = stream.table, stream.syncs
+        # every outcome of a block counts once per block it stands for
+        weights = stream.weights or [1] * len(stream.blocks)
         upgrade = MissKind.UPGRADE
         misses = predicted = not_predicted = mispredicted = fired = 0
 
@@ -137,32 +186,33 @@ class AccuracySimulator:
                 for bid in on_sync[node](kind, sync_id):
                     if states[node][bid]:
                         drop(node, bid)
-                        fired += 1
+                        fired += weights[bid]
                 continue
             if states[node][bid] > op:
                 # plain hit: no directory action, nothing to verify
                 if on_access[node](bid, pc, False, None, None):
                     drop(node, bid)
-                    fired += 1
+                    fired += weights[bid]
                 continue
-            misses += 1
+            weight = weights[bid]
+            misses += weight
             premature, verified, victims, kind, version = miss(node, bid, op)
             # Verification outcomes precede the requester's own
             # bookkeeping.
             if premature:
-                mispredicted += 1
+                mispredicted += weight
                 on_premature[node](bid)
             if verified:
-                predicted += len(verified)
+                predicted += len(verified) * weight
                 for other in verified:
                     on_verified[other](bid)
             if victims:
-                not_predicted += len(victims)
+                not_predicted += len(victims) * weight
                 for victim in victims:
                     on_invalidation[victim](bid)
             if on_access[node](bid, pc, kind is not upgrade, kind, version):
                 drop(node, bid)
-                fired += 1
+                fired += weight
 
         return AccuracyReport(
             workload=stream.name,
@@ -170,16 +220,20 @@ class AccuracySimulator:
             predicted=predicted,
             not_predicted=not_predicted,
             mispredicted=mispredicted,
-            unresolved=engine.unresolved_self_invalidations(),
+            unresolved=engine.unresolved_self_invalidations(weights),
             accesses=stream.accesses,
             coherence_misses=misses,
             self_invalidations=fired,
-            storage=self._collect_storage(policies),
+            storage=self._collect_storage(policies, weights),
         )
 
     @staticmethod
-    def _collect_storage(policies: List[SelfInvalidationPolicy]):
-        reports: List[StorageReport] = [p.storage_report() for p in policies]
+    def _collect_storage(
+        policies: List[SelfInvalidationPolicy], weights: Sequence[int]
+    ):
+        reports: List[StorageReport] = [
+            p.storage_report(weights) for p in policies
+        ]
         if all(r.tracked_blocks == 0 for r in reports):
             return None
         return aggregate_reports(reports)

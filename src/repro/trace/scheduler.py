@@ -35,7 +35,10 @@ stream (a replayed trace), and :func:`decode_stream` turns a stream
 back into :class:`~repro.trace.events.MemoryAccess` and
 :class:`~repro.trace.events.SyncBoundary` events; :func:`interleave`
 decodes a schedule written with ``block_shift`` 0, so its addresses are
-exact.
+exact. :func:`fold` writes a stream's folded form: one representative
+block per class of blocks whose access histories are equal up to a
+renaming of nodes, weighted by the class's size, which the accuracy
+simulator replays for block-local policies.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import (
     Deque,
     Dict,
@@ -92,16 +96,39 @@ class CompiledStream:
     block_shift: int
     #: per event: index into ``table``
     events: array
-    #: per event: dense block id, or index into ``syncs``
-    ids: array
+    #: per event: dense block id, or index into ``syncs`` (a folded
+    #: stream's are :class:`BlockRuns`)
+    ids: Union[array, "BlockRuns"]
     #: distinct ``(op, node, pc)`` triples
     table: List[Tuple[int, int, int]]
     #: dense block id -> block number
     blocks: List[int]
     #: interned sync boundaries
     syncs: List[Tuple[SyncKind, int]]
-    #: memory accesses in the stream
+    #: memory accesses in the stream (in a folded stream: in the
+    #: stream it folds)
     accesses: int
+    #: dense block id -> the number of blocks it stands for (its
+    #: class's size) in a folded stream (:func:`fold`); None when each
+    #: id stands for itself
+    weights: Optional[List[int]] = None
+
+
+class BlockRuns:
+    """The block ids of a folded stream, whose blocks' events are
+    consecutive: ``0`` repeated ``lengths[0]`` times, then ``1``, and
+    so on. It iterates like the ids array of a full stream and holds
+    one length per block instead of one id per event."""
+
+    __slots__ = ("lengths",)
+
+    def __init__(self, lengths: List[int]) -> None:
+        self.lengths = lengths
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(
+            map(repeat, range(len(self.lengths)), self.lengths)
+        )
 
 
 def _fit(values: array, value: int) -> array:
@@ -379,6 +406,96 @@ def compile_stream(
             continue
         append_entry, append_id = writer.events.append, writer.ids.append
     return writer.finish(name, num_nodes)
+
+
+def fold(stream: CompiledStream) -> CompiledStream:
+    """One representative block per class of equal block histories.
+
+    A block's history is its accesses in stream order, each written as
+    ``(op, pc, node)`` with the nodes renamed in order of first
+    appearance within the block; blocks with equal histories form a
+    class, compared by their exact bytes. The folded stream holds each
+    class's first block, numbered in order of first appearance, with
+    its accesses in stream order, one representative after another; it
+    drops every sync boundary, shares ``stream``'s table, keeps its
+    ``accesses`` count and weighs each representative by its class's
+    size. Replaying it stands for replaying ``stream`` only when every
+    node runs the same block-local policy (see
+    :meth:`repro.core.base.SelfInvalidationPolicy.block_local_config`).
+    """
+    table, typecode = stream.table, stream.events.typecode
+    histories = _histories(stream)
+    codes: Dict[Tuple[int, int], int] = {}
+    code_of = [codes.setdefault((op, pc), len(codes)) for op, _, pc in table]
+    node_of = [node for _, node, _ in table]
+    num_nodes = stream.num_nodes
+    narrow = typecode == "B" and max(len(codes), num_nodes) <= 256
+    if narrow:
+        # entries, codes and nodes all fit a byte: look them up with
+        # bytes.translate, one C pass per block
+        code_bytes = bytes(code_of).ljust(256, b"\0")
+        node_bytes = bytes(node_of).ljust(256, b"\0")
+    else:
+        code_type = _typecode(len(codes))
+        node_type = _typecode(num_nodes)
+        rank = [0] * num_nodes
+    classes: Dict[Tuple[bytes, bytes], int] = {}
+    members: List[int] = []
+    weights: List[int] = []
+    lengths: List[int] = []
+    events = array(typecode)
+    for bid in range(len(histories)):
+        # a history is dropped once filed, so the histories and the
+        # folded events never both hold a block
+        history, histories[bid] = histories[bid], None
+        if narrow:
+            raw = history.tobytes()
+            nodes = raw.translate(node_bytes)
+            rename = bytearray(256)
+            for order, node in enumerate(dict.fromkeys(nodes)):
+                rename[node] = order
+            key = (raw.translate(code_bytes), nodes.translate(rename))
+        else:
+            nodes = array(node_type, map(node_of.__getitem__, history))
+            for order, node in enumerate(dict.fromkeys(nodes)):
+                rank[node] = order
+            key = (
+                array(code_type, map(code_of.__getitem__, history)).tobytes(),
+                array(node_type, map(rank.__getitem__, nodes)).tobytes(),
+            )
+        index = classes.setdefault(key, len(members))
+        if index < len(members):
+            weights[index] += 1
+            continue
+        members.append(bid)
+        weights.append(1)
+        lengths.append(len(history))
+        events.extend(history)
+    return CompiledStream(
+        stream.name, num_nodes, stream.block_shift, events,
+        BlockRuns(lengths), table, [stream.blocks[bid] for bid in members],
+        [], stream.accesses, weights,
+    )
+
+
+def _histories(stream: CompiledStream) -> List[Optional[array]]:
+    """Each block's history: the table entries of its accesses, in
+    stream order, filed in one pass over the events."""
+    histories = [array(stream.events.typecode) for _ in stream.blocks]
+    append = [history.append for history in histories]
+    is_sync = bytes(op == SYNC for op, _, _ in stream.table)
+    for entry, bid in zip(stream.events, stream.ids):
+        if not is_sync[entry]:
+            append[bid](entry)
+    return histories
+
+
+def _typecode(count: int) -> str:
+    """The narrowest array typecode that holds ``0..count-1``."""
+    typecode = "B"
+    while count > 1 << (8 * array(typecode).itemsize):
+        typecode = _WIDER[typecode]
+    return typecode
 
 
 def _check_node(ev: StreamEvent, num_nodes: int) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import Dict, List, Optional, Type
 
 from repro.errors import WorkloadError
 from repro.workloads.appbt import Appbt
@@ -47,6 +47,13 @@ WORKLOAD_NAMES = (
 
 def available_workloads() -> List[str]:
     return list(WORKLOAD_NAMES)
+
+
+def builder_version(name: str) -> Optional[int]:
+    """The registered generator's ``builder_version`` for workload
+    ``name``, or None when the registry does not know the name."""
+    cls = _REGISTRY.get(name)
+    return None if cls is None else cls.builder_version
 
 
 def get_workload(name: str, size: str = "small", **overrides) -> Workload:

@@ -11,19 +11,24 @@ a content address under which the built trace can be pickled once and
 reloaded by every later process::
 
     <root>/
-        v2/                   # TRACE_SCHEMA: the live entries
-            ab/
-                ab3f...e1.pkl # pickled ProgramSet (optionally packed
-                              #   through repro.codecs)
+        v3/                   # TRACE_SCHEMA
+            em3d-b1/          # workload name and builder_version
+                ab/
+                    ab3f...e1.pkl # pickled ProgramSet (optionally
+                                  #   packed through repro.codecs)
 
-Everything else under the root is orphaned: entries of another schema
-(``v1/``, or the unversioned ``<root>/ab/`` layout written before the
-schema got its own directory) that no current key can address.
-:meth:`TraceCache.entries` and :meth:`~TraceCache.total_bytes` count
-the live directory only, :meth:`~TraceCache.orphan_paths` lists the
+An entry is live when it sits in the current schema's directory and
+its workload's directory names the registry's current
+``builder_version`` for that workload (or a workload the registry does
+not know, such as one defined at run time, whose entries stay live).
+Everything else under the root is orphaned: entries a
+``builder_version`` bump left behind, and entries of another schema
+(``v1/``, ``v2/``, or the unversioned ``<root>/ab/`` layout written
+before the schema got its own directory) that no current key can
+address. :meth:`TraceCache.entries` and :meth:`~TraceCache.total_bytes`
+count the live entries only, :meth:`~TraceCache.orphan_paths` lists the
 rest for ``cache stats``, and ``cache prune`` deletes orphans whatever
-its limits say. A ``builder_version`` bump still orphans entries inside
-the live directory, where they look live until pruned by age or size.
+its limits say.
 
 Layout and atomicity mirror :class:`repro.runner.cache.ResultCache`
 (temp file + ``os.replace``; corrupt entries degrade to misses), so a
@@ -38,9 +43,9 @@ and pickle's memo keeps that sharing in the entry, so an entry holds
 each distinct step once (the nine ``small`` traces pickle to 1.7 MB
 and load in about 0.01 s on a 2-vCPU host). Entries written before
 builds shared their steps held one object per step and loaded 40x
-slower; ``TRACE_SCHEMA`` 2 orphans them, so each is rebuilt once,
-shared (and entries of the unversioned layout are rebuilt once more
-into ``v2/``).
+slower; ``TRACE_SCHEMA`` 2 orphaned them, so each was rebuilt once,
+shared. ``TRACE_SCHEMA`` 3 moved every entry into its workload's
+directory, so each entry written before is rebuilt once more.
 
 Entries are written through a pluggable codec (``none`` keeps the
 legacy raw-pickle format; ``zlib`` shrinks a ``paper``-size ``em3d``
@@ -61,10 +66,12 @@ from repro._fsutil import atomic_write_bytes
 from repro.codecs import BLOB_MAGIC, get_codec, migrate_files, pack, unpack
 from repro.trace.program import ProgramSet
 from repro.workloads.base import Workload
+from repro.workloads.registry import builder_version
 
 #: bump to orphan every existing trace entry on a layout change; 2
-#: orphaned the entries written before builds shared equal steps
-TRACE_SCHEMA = 2
+#: orphaned the entries written before builds shared equal steps, 3 the
+#: entries written before each workload and builder got a directory
+TRACE_SCHEMA = 3
 
 
 def trace_key(workload: Workload) -> str:
@@ -99,7 +106,8 @@ class TraceCache:
 
     def path(self, workload: Workload) -> Path:
         key = self.key(workload)
-        return self.live_root / key[:2] / f"{key}.pkl"
+        builder = f"{workload.name}-b{workload.builder_version}"
+        return self.live_root / builder / key[:2] / f"{key}.pkl"
 
     def get(self, workload: Workload) -> Tuple[bool, Optional[ProgramSet]]:
         """Return ``(hit, program_set)``; corrupt entries are misses.
@@ -147,16 +155,23 @@ class TraceCache:
     # -- accounting ----------------------------------------------------
 
     def entry_paths(self) -> Iterator[Path]:
-        """The live entries (the current schema's directory)."""
-        yield from self.live_root.glob("*/*.pkl")
+        """The live entries: the current schema's, by current builders."""
+        for path in self.live_root.glob("*/*/*.pkl"):
+            if _current(path.parent.parent.name):
+                yield path
 
     def orphan_paths(self) -> Iterator[Path]:
         """Entries no current key addresses: the unversioned layout's
-        ``<root>/ab/*.pkl`` and other schemas' ``<root>/v<N>/``."""
+        ``<root>/ab/*.pkl``, the earlier schemas' ``<root>/v<N>/ab/``,
+        and the entries of builders that are no longer current."""
         yield from self.root.glob("*/*.pkl")
         live = self.live_root
         for path in self.root.glob("*/*/*.pkl"):
             if path.parent.parent != live:
+                yield path
+        for path in self.root.glob("*/*/*/*.pkl"):
+            builder = path.parent.parent
+            if builder.parent != live or not _current(builder.name):
                 yield path
 
     def entries(self) -> int:
@@ -179,6 +194,15 @@ class TraceCache:
         """Re-encode every entry under ``codec`` in place; returns
         ``(examined, changed, bytes_before, bytes_after)``."""
         return migrate_files(self.entry_paths(), codec)
+
+
+def _current(builder: str) -> bool:
+    """Whether an entry directory named ``<workload>-b<version>`` holds
+    the registry's current builder for its workload (a workload the
+    registry does not know counts as current)."""
+    name, _, version = builder.rpartition("-b")
+    current = builder_version(name)
+    return current is None or version == str(current)
 
 
 def cached_build(

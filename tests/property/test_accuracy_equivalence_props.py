@@ -12,6 +12,11 @@ policy hook by hook, so knobs the small programs rarely stress (the
 capped tables' LRU order) are compared call by call.
 The tiny-grid digests pin the nine workloads' inputs; this covers the
 interleavings, verification races and sync bursts nobody enumerated.
+A fourth property runs the block-local policies, which replay a folded
+stream, on programs that write one random per-block template onto
+several blocks under random node permutations, so their histories
+fold into classes larger than one (``mixed_programs()`` rarely makes
+any).
 """
 
 import pytest
@@ -22,7 +27,9 @@ from repro.experiments.ablations import VARIANT_POLICIES
 from repro.protocol.states import MissKind, ProtocolVariant
 from repro.runner.spec import POLICY_NAMES, PolicySpec
 from repro.sim import AccuracySimulator
+from repro.sim.functional import DEFAULT_BLOCK_SHIFT, folded_stream
 from repro.trace.events import SyncKind
+from repro.trace.program import Access, Barrier, Program, ProgramSet
 from tests.integration.test_report_digests import digest
 from tests.oracle import ReferenceAccuracySimulator, reference_factory
 from tests.property.test_engine_equivalence_props import mixed_programs
@@ -131,3 +138,70 @@ def test_policy_hooks_match_the_reference(policy, calls, blocks):
                 SyncKind.BARRIER, pc_index
             )
     assert fast.storage_report() == ref.storage_report()
+
+
+#: the specs whose policies are block-local: every encoder, confidence
+#: setting and capped table of ``ltp``, plus ``last-pc`` and ``base``
+BLOCK_LOCAL = [
+    name for name in SPECS if name not in ("dsi", "ltp-global", "hybrid")
+]
+
+#: the pcs a template draws from; SPMD code touches a block at the
+#: same pcs whichever node it runs on
+PCS = st.sampled_from([0x40, 0x44, 0x48, 0x4C])
+
+
+@st.composite
+def templated_programs(draw):
+    """A random per-block template written onto several blocks, each
+    under its own permutation of the nodes, plus random traffic on
+    blocks of their own.
+
+    A template step is one node slot's run of accesses; each step ends
+    with a barrier, so every templated block's history is the template
+    with the slots renamed by its permutation, and all of them fold
+    into one class. The template repeats for a few rounds so the
+    predictors learn, fire and get verified."""
+    num_nodes = draw(st.integers(min_value=2, max_value=4))
+    nodes = range(num_nodes)
+    template = draw(st.lists(
+        st.tuples(
+            st.sampled_from(nodes),
+            st.lists(st.tuples(PCS, st.booleans()), min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=5,
+    ))
+    perms = draw(st.lists(st.permutations(nodes), min_size=2, max_size=4))
+    rounds = draw(st.integers(min_value=1, max_value=4))
+    progs = {node: Program(node) for node in nodes}
+    barrier = 0
+    for _ in range(rounds):
+        for slot, touches in template:
+            for block, perm in enumerate(perms):
+                for pc, write in touches:
+                    progs[perm[slot]].append(
+                        Access(pc, 0x1000 + 32 * block, write)
+                    )
+            for node in nodes:
+                for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                    block = draw(st.integers(min_value=0, max_value=2))
+                    progs[node].append(Access(
+                        draw(PCS), 0x3000 + 32 * block, draw(st.booleans())
+                    ))
+            for prog in progs.values():
+                prog.append(Barrier(barrier))
+            barrier += 1
+    return ProgramSet("templated", num_nodes, progs)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("policy", BLOCK_LOCAL)
+@given(ps=templated_programs())
+@settings(max_examples=20, deadline=None)
+def test_folded_run_matches_the_oracle(ps, policy, variant):
+    spec = SPECS[policy]
+    ref = ReferenceAccuracySimulator(reference_factory(spec), variant=variant)
+    fast = AccuracySimulator(spec.build, variant=variant)
+    assert digest(fast.run(ps)) == digest(ref.run(ps))
+    assert max(folded_stream(ps, 1, DEFAULT_BLOCK_SHIFT).weights) > 1

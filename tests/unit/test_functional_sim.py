@@ -24,10 +24,15 @@ from repro.trace.program import Access, Barrier, Program, ProgramSet
 from repro.trace.scheduler import (
     compile_stream,
     decode_stream,
+    fold,
     interleave,
     schedule,
 )
+from repro.runner.spec import PolicySpec
 from tests.conftest import migratory_rmw, producer_consumer
+from tests.integration.test_report_digests import digest
+from tests.oracle import ReferenceAccuracySimulator, reference_factory
+from tests.oracle import policies as reference
 
 
 class TestBasePolicy:
@@ -300,3 +305,130 @@ class TestCallbackOrder:
             1, 2, 2
         )
         assert rep.self_invalidations == 3 and rep.unresolved == 0
+
+
+def mirrored_pair(rounds=6, first_pc_b=0x100):
+    """Node 0 produces block A for node 1 and node 1 produces block B
+    for node 0, so B's history is A's with the two nodes swapped. The
+    producer writes at a new pc each round (a trace it never sees
+    again) and the consumer always reads at one, so only the consumer
+    learns to predict. B's producer first writes at ``first_pc_b``."""
+    a, b = 0x1000, 0x2000
+    programs = {0: Program(0), 1: Program(1)}
+    for phase in range(rounds):
+        pc = 0x100 + 4 * phase
+        programs[0].append(Access(pc, a, True))
+        programs[1].append(Access(pc if phase else first_pc_b, b, True))
+        for prog in programs.values():
+            prog.append(Barrier(2 * phase))
+        programs[1].append(Access(0x14, a, False))
+        programs[0].append(Access(0x14, b, False))
+        for prog in programs.values():
+            prog.append(Barrier(2 * phase + 1))
+    return ProgramSet("mirrored", 2, programs)
+
+
+class TestFoldedReplay:
+    """Block-local policies replay one block per class of histories
+    equal up to a renaming of nodes, weighted by the class's size."""
+
+    @pytest.fixture
+    def replayed(self, monkeypatch):
+        """The streams AccuracySimulator._replay is handed."""
+        streams = []
+        real = AccuracySimulator._replay
+
+        def spy(self, stream, policies):
+            streams.append(stream)
+            return real(self, stream, policies)
+
+        monkeypatch.setattr(AccuracySimulator, "_replay", spy)
+        return streams
+
+    def test_mirrored_blocks_fold_into_one_of_weight_two(self):
+        full = schedule(mirrored_pair(), 1, 5)
+        folded = fold(full)
+        assert folded.blocks == [0x1000 >> 5]
+        assert folded.weights == [2]
+        assert folded.syncs == []
+        assert folded.accesses == full.accesses == 24
+        assert list(decode_stream(folded)) == [
+            ev for ev in decode_stream(full)
+            if isinstance(ev, MemoryAccess) and ev.address == 0x1000
+        ]
+
+    def test_one_changed_pc_does_not_fold(self):
+        folded = fold(schedule(mirrored_pair(first_pc_b=0x18), 1, 5))
+        assert folded.blocks == [0x1000 >> 5, 0x2000 >> 5]
+        assert folded.weights == [1, 1]
+
+    @pytest.mark.parametrize("num_nodes, pcs", [(2, 300), (300, 1)])
+    def test_wide_tables_and_node_counts_fold_alike(self, num_nodes, pcs):
+        """Past 256 table entries, or past 256 nodes, the histories no
+        longer fit a byte per access; the classes are the same."""
+        last = num_nodes - 1
+        events = [
+            MemoryAccess(0, 0x10, 0x1000, True),
+            MemoryAccess(last, 0x10, 0x2000, True),
+            MemoryAccess(last, 0x14, 0x1000, False),
+            MemoryAccess(0, 0x14, 0x2000, False),
+        ] + [MemoryAccess(0, 0x100 + 4 * i, 0x3000, False) for i in range(pcs)]
+        stream = compile_stream(events, num_nodes, 5)
+        assert stream.events.typecode == "H" or num_nodes > 256
+        folded = fold(stream)
+        assert folded.blocks == [0x1000 >> 5, 0x3000 >> 5]
+        assert folded.weights == [2, 1]
+
+    @pytest.mark.parametrize("name", ["base", "last-pc", "ltp"])
+    def test_block_local_policies_fold(self, replayed, name):
+        spec = PolicySpec(name=name)
+        ps = mirrored_pair()
+        report = AccuracySimulator(spec.build).run(ps)
+        assert [stream.weights for stream in replayed] == [[2]]
+        ref = ReferenceAccuracySimulator(reference_factory(spec)).run(ps)
+        assert digest(report) == digest(ref)
+
+    @pytest.mark.parametrize("name", ["dsi", "ltp-global", "hybrid"])
+    def test_other_policies_never_fold(self, replayed, name):
+        spec = PolicySpec(name=name)
+        assert spec.build(0).block_local_config() is None
+        ps = mirrored_pair()
+        AccuracySimulator(spec.build).run(ps)
+        assert [stream.weights for stream in replayed] == [None]
+        # nor does a process that ran only these fold at all
+        assert ("accuracy-folded", 1, 5) not in program_mod._COMPILED[id(ps)]
+
+    def test_the_oracle_never_folds(self, replayed):
+        AccuracySimulator(lambda n: NullPolicy()).run_oracle(mirrored_pair())
+        assert [stream.weights for stream in replayed] == [None]
+
+    def test_nodes_configured_apart_replay_the_full_stream(self, replayed):
+        """Node 0 fires from its first confirmation on and node 1 only
+        once saturated. Only the consumer learns, and node 1 consumes
+        block A while node 0 consumes block B, so the two blocks part
+        ways although their histories fold."""
+
+        def confidence(node):
+            return ConfidenceConfig(
+                initial=2, predict_threshold=2 if node == 0 else 3
+            )
+
+        ps = mirrored_pair()
+        report = AccuracySimulator(
+            lambda n: PerBlockLTP(confidence=confidence(n))
+        ).run(ps)
+        assert [stream.weights for stream in replayed] == [None]
+        ref = ReferenceAccuracySimulator(
+            lambda n: reference.PerBlockLTP(confidence=confidence(n))
+        ).run(ps)
+        assert digest(report) == digest(ref)
+
+    def test_run_stream_folds(self, replayed):
+        ps = mirrored_pair()
+        events = list(interleave(ps))
+        report = AccuracySimulator(lambda n: PerBlockLTP()).run_stream(
+            events, 2, name=ps.name
+        )
+        assert [stream.weights for stream in replayed] == [[2]]
+        ref = ReferenceAccuracySimulator(lambda n: reference.PerBlockLTP())
+        assert digest(report) == digest(ref.run_stream(events, 2, name=ps.name))

@@ -236,15 +236,19 @@ class TestSharedSteps:
 
 class TestLayout:
     def test_entries_live_under_the_schema_directory(self, tmp_path):
-        """Only the current schema's directory holds live entries; an
-        entry under another schema's directory is an orphan."""
+        """Only the current schema's directory holds live entries, one
+        directory per workload and builder; an entry under another
+        schema's directory is an orphan."""
         from repro.workloads.trace_cache import TRACE_SCHEMA
 
         cache = TraceCache(tmp_path)
         workload = get_workload(WORKLOAD, SIZE)
         cached_build(workload, cache)
         path = cache.path(workload)
-        assert path.parent.parent == tmp_path / f"v{TRACE_SCHEMA}"
+        assert path.parent.parent == (
+            tmp_path / f"v{TRACE_SCHEMA}"
+            / f"{WORKLOAD}-b{workload.builder_version}"
+        )
         other = tmp_path / "v1" / path.parent.name / path.name
         other.parent.mkdir(parents=True)
         other.write_bytes(path.read_bytes())
@@ -280,6 +284,38 @@ class TestInvalidation:
         rebuilt = cached_build(bumped, cache)
         assert cache.builds == 2
         assert_event_identical(rebuilt, workload.build())
+
+    def test_builder_version_bump_orphans_the_old_entry(
+        self, tmp_path, monkeypatch
+    ):
+        """The entry an older builder wrote stops counting as live once
+        the registry's builder moves on, and ``cache prune`` removes
+        it; entries of a workload the registry does not know stay
+        live."""
+        from repro.experiments.cli import main
+
+        cache = TraceCache(tmp_path / "traces")
+        workload = get_workload(WORKLOAD, SIZE)
+        cached_build(workload, cache)
+        old = cache.path(workload)
+        monkeypatch.setattr(
+            type(workload), "builder_version",
+            type(workload).builder_version + 1,
+        )
+        cached_build(get_workload(WORKLOAD, SIZE), cache)
+        assert cache.builds == 2
+        assert cache.entries() == 1
+        assert list(cache.orphan_paths()) == [old]
+        assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 0
+        assert not old.exists()
+        assert cache.entries() == 1
+        assert list(cache.orphan_paths()) == []
+        # a workload defined outside the registry keeps its entries
+        stray = cache.live_root / "custom-b7" / "ab" / "ab.pkl"
+        stray.parent.mkdir(parents=True)
+        stray.write_bytes(old.name.encode())
+        assert cache.entries() == 2
+        assert list(cache.orphan_paths()) == []
 
     def test_size_and_param_overrides_change_key(self, tmp_path):
         cache = TraceCache(tmp_path)
