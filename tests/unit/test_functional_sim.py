@@ -15,6 +15,7 @@ from repro.core import (
 from repro.dsi import DSIPolicy
 from repro.errors import ConfigurationError
 from repro.protocol.states import MissKind
+from repro.runner.spec import PolicySpec
 from repro.sim import AccuracySimulator
 from repro.sim import functional
 from repro.trace.events import MemoryAccess, SyncBoundary, SyncKind
@@ -28,7 +29,6 @@ from repro.trace.scheduler import (
     interleave,
     schedule,
 )
-from repro.runner.spec import PolicySpec
 from tests.conftest import migratory_rmw, producer_consumer
 from tests.integration.test_report_digests import digest
 from tests.oracle import ReferenceAccuracySimulator, reference_factory
