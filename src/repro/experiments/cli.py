@@ -48,7 +48,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro._version import __version__
-from repro.codecs import CODEC_NAMES, codec_census
 from repro.experiments import EXPERIMENTS, report
 from repro.fleet import CLAIMS_DIRNAME, FLEET_STATUS_NAME, FleetService
 from repro.runner import (
@@ -124,12 +123,6 @@ def _add_runner_args(p: argparse.ArgumentParser, cache_default=None):
         "--trace-cache", metavar="PATH", default=None,
         help="persistent ProgramSet build cache directory "
              "(run-all defaults to <cache-dir>/traces)",
-    )
-    p.add_argument(
-        "--codec", choices=CODEC_NAMES, default="none",
-        help="compression codec for result/trace cache entries and "
-             "remote wire payloads (default: none; reads decode any "
-             "codec, so switching never invalidates a cache)",
     )
 
 
@@ -314,11 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker identity shown in broker accounting "
              "(default: <hostname>-<pid>)",
     )
-    p.add_argument(
-        "--codec", choices=CODEC_NAMES, default="none",
-        help="compression codec for this worker's local trace-cache "
-             "writes (reads decode any codec; default: none)",
-    )
     _add_auth_token_arg(p)
     p = sub.add_parser(
         "serve",
@@ -423,13 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     cache_help = {
         "stats": "show result/trace/index accounting",
         "prune": "apply retention limits to results and traces",
-        "migrate": "re-encode existing result/trace entries under a "
-                   "codec (in place, atomic, readable throughout)",
         "reindex": "rebuild the sqlite result index from the blobs "
                    "on disk (backfills pre-index caches; re-tags "
                    "experiment membership)",
     }
-    for cache_cmd in ("stats", "prune", "migrate", "reindex"):
+    for cache_cmd in ("stats", "prune", "reindex"):
         cp = cache_sub.add_parser(cache_cmd, help=cache_help[cache_cmd])
         cp.add_argument(
             "--cache-dir", metavar="PATH", default=DEFAULT_CACHE_DIR,
@@ -462,12 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="SIZE",
                 help="then drop oldest results until under SIZE "
                      "(e.g. 500M, 2G)",
-            )
-        if cache_cmd == "migrate":
-            cp.add_argument(
-                "--codec", choices=CODEC_NAMES, required=True,
-                help="target codec ('none' restores the legacy raw "
-                     "format)",
             )
     p = sub.add_parser(
         "report",
@@ -726,7 +706,6 @@ def _backend_from_args(args):
         listen=getattr(args, "listen", ("127.0.0.1", 0)),
         workers=max(1, jobs) if workers is None else workers,
         lease_ttl=getattr(args, "lease_ttl", DEFAULT_LEASE_TTL),
-        codec=getattr(args, "codec", "none"),
         wait_workers_timeout=getattr(
             args, "wait_workers_timeout", None
         ),
@@ -748,10 +727,9 @@ def _configure_telemetry(cache_dir) -> None:
 
 def _runner_from_args(args, progress=None) -> Runner:
     cache = None
-    codec = getattr(args, "codec", "none")
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir and not getattr(args, "no_cache", False):
-        cache = ResultCache(cache_dir, codec=codec)
+        cache = ResultCache(cache_dir)
         _configure_telemetry(cache_dir)
     # an explicit --trace-cache always wins (even under --no-cache,
     # which disables only the *result* cache); run-all additionally
@@ -761,9 +739,7 @@ def _runner_from_args(args, progress=None) -> Runner:
         getattr(args, "command", None) == "run-all"
     ):
         trace_dir = str(Path(cache_dir) / "traces")
-    trace_cache = (
-        TraceCache(trace_dir, codec=codec) if trace_dir else None
-    )
+    trace_cache = TraceCache(trace_dir) if trace_dir else None
     return Runner(
         jobs=getattr(args, "jobs", 1),
         cache=cache,
@@ -861,7 +837,6 @@ def _print_cache_stats(cache, traces) -> None:
     print(
         f"  results  {stats.entries} entries, "
         f"{_fmt_bytes(stats.total_bytes)}{ages}"
-        f"{_codec_suffix(cache.entry_paths())}"
     )
     orphans = sum(1 for _ in traces.orphan_paths())
     orphaned = (
@@ -871,8 +846,7 @@ def _print_cache_stats(cache, traces) -> None:
     )
     print(
         f"  traces   {traces.entries()} entries, "
-        f"{_fmt_bytes(traces.total_bytes())}"
-        f"{_codec_suffix(traces.entry_paths())}{orphaned}"
+        f"{_fmt_bytes(traces.total_bytes())}{orphaned}"
     )
     _print_index_status(cache, stats.entries)
     _print_fleet_status(cache.root)
@@ -904,19 +878,6 @@ def _print_index_status(cache, entries: int) -> None:
         )
     else:
         print(f"  index    {rows} row(s), in sync")
-
-
-def _codec_suffix(paths) -> str:
-    """Per-codec entry breakdown, e.g. `` [none: 5 (1.2 KiB), zlib:
-    3 (0.4 KiB)]`` — empty for an empty store."""
-    census = codec_census(paths)
-    if not census:
-        return ""
-    parts = ", ".join(
-        f"{name}: {count} ({_fmt_bytes(size)})"
-        for name, (count, size) in sorted(census.items())
-    )
-    return f" [{parts}]"
 
 
 def _print_fleet_status(cache_root) -> None:
@@ -970,17 +931,6 @@ def _cache_command(args) -> int:
                 print()
         except KeyboardInterrupt:
             pass
-        return 0
-    if args.cache_command == "migrate":
-        for label, examined, changed, before, after in (
-            ("results", *cache.migrate(args.codec)),
-            ("traces ", *traces.migrate(args.codec)),
-        ):
-            print(
-                f"{label}  {changed}/{examined} entries re-encoded "
-                f"to {args.codec} "
-                f"({_fmt_bytes(before)} -> {_fmt_bytes(after)})"
-            )
         return 0
     if args.cache_command == "reindex":
         from repro.store import reindex
@@ -1225,7 +1175,7 @@ def _report_html_command(args) -> int:
     from repro.store import generate_report
 
     cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    cache = ResultCache(cache_dir, codec=args.codec)
+    cache = ResultCache(cache_dir)
     if not cache.index.exists() and cache.entries():
         print(
             "[report] no result index yet — building one with "
@@ -1256,17 +1206,16 @@ def _serve_command(args) -> int:
             file=sys.stderr,
         )
         return 2
-    cache = ResultCache(args.cache_dir, codec=args.codec)
+    cache = ResultCache(args.cache_dir)
     _configure_telemetry(args.cache_dir)
     trace_dir = args.trace_cache or str(Path(args.cache_dir) / "traces")
     service = FleetService(
         cache=cache,
         workers=args.jobs,
         listen=args.listen,
-        trace_cache=TraceCache(trace_dir, codec=args.codec),
+        trace_cache=TraceCache(trace_dir),
         lease_ttl=args.lease_ttl,
         batch=max(1, args.batch),
-        codec=args.codec,
         announce=lambda address: print(
             f"[serve] broker listening on {address} — submit grids "
             f"with: ltp-repro submit <experiment> --connect {address}",
@@ -1420,7 +1369,6 @@ def _worker_command(args) -> int:
             batch=max(1, args.batch),
             trace_root=args.trace_cache,
             name=args.name,
-            trace_codec=args.codec,
             auth_token=args.auth_token,
         )
     except (OSError, ProtocolError) as exc:

@@ -76,7 +76,6 @@ class FleetService:
         batch: specs per worker lease request.
         poll: seconds the broker holds an idle worker's lease poll.
         max_attempts: attempts per spec before permanent failure.
-        codec: wire/cache codec name.
         announce: callback receiving the bound ``host:port`` string.
         auth_token: shared wire-auth secret (protocol v3). ``None``
             keeps the broker open (localhost-trust).
@@ -106,7 +105,6 @@ class FleetService:
         batch: int = 1,
         poll: float = 0.1,
         max_attempts: int = 3,
-        codec: str = "none",
         announce: Optional[Callable[[str], None]] = None,
         auth_token: Optional[str] = None,
         max_pending_per_client: Optional[int] = None,
@@ -133,12 +131,10 @@ class FleetService:
             listen=listen,
             poll=poll,
             max_attempts=max_attempts,
-            codec=codec,
             auth_token=auth_token,
             max_pending_per_client=max_pending_per_client,
         )
         self.batch = batch
-        self.codec = codec
         self.auth_token = auth_token
         self.max_crashes = max_crashes
         self.halted = False
@@ -247,7 +243,6 @@ class FleetService:
                     str(self.trace_cache.root) if self.trace_cache
                     else None
                 ),
-                trace_codec=self.codec,
                 name_prefix="serve",
                 auth_token=self.auth_token,
             )

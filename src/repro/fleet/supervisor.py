@@ -61,7 +61,6 @@ class WorkerSupervisor:
         workers: the pool size :meth:`refill` forks up to.
         batch: specs each worker leases per request.
         trace_root: persistent trace-cache directory for workers.
-        trace_codec: codec workers write local trace entries under.
         name_prefix: worker-name prefix (shows up in broker stats and
             ``/healthz``).
         spawn: ``spawn(name, address) -> process-like`` override; the
@@ -78,7 +77,6 @@ class WorkerSupervisor:
         workers: int = 1,
         batch: int = 1,
         trace_root: Optional[str] = None,
-        trace_codec: str = "none",
         name_prefix: str = "fleet",
         spawn: Optional[Callable[[str, Tuple[str, int]], object]] = None,
         auth_token: Optional[str] = None,
@@ -87,7 +85,6 @@ class WorkerSupervisor:
         self.workers = workers
         self.batch = batch
         self.trace_root = trace_root
-        self.trace_codec = trace_codec
         self.name_prefix = name_prefix
         self.spawn = spawn or self._spawn_process
         self.auth_token = auth_token
@@ -116,7 +113,6 @@ class WorkerSupervisor:
                 batch=self.batch,
                 trace_root=self.trace_root,
                 name=name,
-                trace_codec=self.trace_codec,
                 auth_token=self.auth_token,
             ),
             name=name,

@@ -71,11 +71,6 @@ def _trace_root(runner: "Runner") -> Optional[str]:
     return str(runner.trace_cache.root) if runner.trace_cache else None
 
 
-def _trace_codec(runner: "Runner") -> str:
-    """The codec name worker processes should write traces under."""
-    return runner.trace_cache.codec.name if runner.trace_cache else "none"
-
-
 def _grouped(specs: List[JobSpec]) -> List[JobSpec]:
     """Order jobs so specs sharing a ProgramSet sit together and each
     pool worker's per-process memo rebuilds as few workloads as
@@ -118,7 +113,7 @@ class PoolBackend(ExecutionBackend):
         with multiprocessing.Pool(
             processes=min(self.jobs, len(ordered)),
             initializer=_execution._worker_init,
-            initargs=(_trace_root(runner), _trace_codec(runner)),
+            initargs=(_trace_root(runner),),
         ) as pool:
             # ordered imap: results stream back as they finish but
             # pair up with their specs positionally

@@ -23,12 +23,6 @@ Writes are atomic (temp file + ``os.replace``) so concurrent runner
 processes sharing a cache directory never observe torn entries; a
 corrupt or unreadable entry is treated as a miss and deleted.
 
-Entries are written through a pluggable codec (:mod:`repro.codecs`):
-``none`` keeps the legacy raw-pickle format, ``zlib`` compresses.
-Reads are codec-transparent — whatever codec wrote an entry
-(including the pre-codec format) any ``ResultCache`` decodes it, and
-:meth:`ResultCache.migrate` re-encodes a directory in place.
-
 Every :meth:`ResultCache.put` additionally upserts a row into the
 sqlite :class:`repro.store.index.ResultIndex` beside the blobs
 (``<root>/index.sqlite``) so the corpus is queryable without
@@ -47,7 +41,6 @@ from typing import Any, Iterable, Optional, Tuple
 
 from repro._fsutil import atomic_write_bytes
 from repro._version import __version__
-from repro.codecs import get_codec, migrate_files, pack, unpack
 from repro.runner.spec import JobSpec
 
 #: bump to orphan every existing cache entry on a layout change
@@ -118,12 +111,10 @@ class ResultCache:
     """Spec-hash -> pickled report store under one directory."""
 
     def __init__(
-        self, root, salt: Optional[str] = None, codec="none",
-        index: bool = True,
+        self, root, salt: Optional[str] = None, index: bool = True,
     ) -> None:
         self.root = Path(root)
         self.salt = __version__ if salt is None else salt
-        self.codec = get_codec(codec)
         self._index_enabled = index
         self._index = None
 
@@ -152,7 +143,7 @@ class ResultCache:
         path = self.path(spec)
         try:
             with open(path, "rb") as handle:
-                return True, pickle.loads(unpack(handle.read()))
+                return True, pickle.loads(handle.read())
         except FileNotFoundError:
             return False, None
         except Exception:
@@ -167,8 +158,7 @@ class ResultCache:
         the index (a worker name when the broker publishes, None for a
         plain local run)."""
         raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        packed = pack(raw, self.codec)
-        path = atomic_write_bytes(self.path(spec), packed)
+        path = atomic_write_bytes(self.path(spec), raw)
         index = self.index
         if index is not None:
             try:
@@ -177,20 +167,12 @@ class ResultCache:
                     value,
                     spec=spec,
                     salt=self.salt,
-                    codec=self.codec.name,
-                    size_bytes=len(packed),
+                    size_bytes=len(raw),
                     holder=holder,
                 )
             except Exception:
                 pass  # advisory: cache reindex reconciles
         return path
-
-    def migrate(self, codec):
-        """Re-encode every entry under ``codec`` in place; returns
-        ``(examined, changed, bytes_before, bytes_after)``. Safe while
-        readers are live — rewrites are atomic and reads decode any
-        codec."""
-        return migrate_files(self.entry_paths(), codec)
 
     def entries(self) -> int:
         """Number of stored results (any salt)."""

@@ -26,8 +26,8 @@ and stream pickled reports back for the broker to publish. A worker
 takes each trace from its per-process memo, from the trace cache it
 was started with (forked workers share the runner's
 ``<cache-dir>/traces``), or from a local build; traces never cross the
-wire. Report payloads travel through the broker-advertised codec
-(:mod:`repro.codecs`), so ``paper``-size reports ship compressed.
+wire. A report travels as its plain pickle, the same bytes the
+result cache stores.
 
 Lease lifecycle::
 
@@ -87,8 +87,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import repro.runner.runner as _execution
 import repro.telemetry as _tm
-from repro.codecs import get_codec, pack, unpack
-from repro.runner.backends import ExecutionBackend, _trace_codec, _trace_root
+from repro.runner.backends import ExecutionBackend, _trace_root
 from repro.runner.cache import ResultCache
 from repro.runner.spec import JobSpec
 from repro.workloads import TraceCache
@@ -651,7 +650,6 @@ class Broker:
         poll: float = 0.1,
         max_attempts: int = 3,
         clock: Callable[[], float] = time.time,
-        codec="none",
         results_budget: int = 256 * 1024 * 1024,
         grid_idle_timeout: float = 3600.0,
         auth_token: Optional[str] = None,
@@ -660,7 +658,6 @@ class Broker:
         self.cache = cache
         self.lease_ttl = lease_ttl
         self.poll = poll
-        self.codec = get_codec(codec)
         #: shared wire-auth secret; None = open broker (no handshake
         #: required, auth frames acknowledged as already-authenticated)
         self.auth_token = auth_token
@@ -1024,7 +1021,6 @@ class Broker:
                 "lease_ttl": self.lease_ttl,
                 "poll": self.poll,
                 "specs": self.stats.specs,
-                "codec": self.codec.name,
             }
         if mtype == "lease":
             return self._handle_lease(
@@ -1197,11 +1193,11 @@ class Broker:
             for key, spec in keyed:
                 if key in sized:
                     continue
-                # decode the entry by hand instead of cache.get(): the
-                # raw pickle length falls out for free, so the hit is
+                # read the entry by hand instead of cache.get(): the
+                # pickle's length falls out for free, so the hit is
                 # never re-pickled just to size its wire entry
                 try:
-                    raw = unpack(self.cache.path(spec).read_bytes())
+                    raw = self.cache.path(spec).read_bytes()
                     value = pickle.loads(raw)
                 except Exception:
                     continue  # absent or corrupt entry: a miss
@@ -1351,17 +1347,13 @@ class Broker:
                 used += size
             finished = not grid.outstanding and not grid.ready
         if batch:
-            # packed through the broker codec like every other
-            # payload path — outside the lock, since compressing a
+            # pickled outside the lock, since pickling a
             # multi-megabyte batch must not stall the fleet
             return {
                 "type": "grid-results",
                 "grid": gid,
-                "results": pack(
-                    pickle.dumps(
-                        batch, protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                    self.codec,
+                "results": pickle.dumps(
+                    batch, protocol=pickle.HIGHEST_PROTOCOL
                 ),
                 "count": len(batch),
                 "done": False,
@@ -1424,10 +1416,7 @@ class Broker:
         if key not in self._by_key:
             return {"type": "error", "message": f"unknown key {key!r}"}
         try:
-            # unpack() is codec-transparent: raw pickled reports from
-            # codec-less workers decode exactly like packed ones
-            raw = unpack(data)
-            value = pickle.loads(raw)
+            value = pickle.loads(data)
         except Exception as exc:
             return self._handle_error(
                 worker, key, f"undecodable report: {exc}"
@@ -1446,7 +1435,7 @@ class Broker:
         with _tm.bind_trace(trace_id), _tm.span(
             "broker.publish", worker=worker, key=key
         ):
-            reply = self._publish_result(worker, key, raw, value)
+            reply = self._publish_result(worker, key, data, value)
         # a result counts once it is published; a refused publish
         # counts as an error, as a worker-reported failure does
         if reply["type"] != "ok":
@@ -1666,7 +1655,6 @@ def run_worker(
     batch: int = 1,
     trace_root: Optional[str] = None,
     name: Optional[str] = None,
-    trace_codec: str = "none",
     auth_token: Optional[str] = None,
 ) -> WorkerStats:
     """Connect to a broker, execute leased specs until the grid is done.
@@ -1674,10 +1662,9 @@ def run_worker(
     This is the body of ``repro worker --connect``. The worker leases
     up to ``batch`` specs per request, executes them with the standard
     workload/timing stack (attaching the persistent trace cache at
-    ``trace_root``, if given), reports each pickled result — packed
-    through the broker-advertised codec — and heartbeats its
-    outstanding leases every ``ttl / 4`` seconds on a second
-    connection so long simulations stay leased. A trace missing from
+    ``trace_root``, if given), reports each pickled result, and
+    heartbeats its outstanding leases every ``ttl / 4`` seconds on a
+    second connection so long simulations stay leased. A trace missing from
     the per-process memo and the trace cache is built locally. With
     ``auth_token`` set, both connections run the v3 HMAC
     handshake before any other frame (required against an
@@ -1689,7 +1676,7 @@ def run_worker(
     worker_name = name or f"{socket.gethostname()}-{os.getpid()}"
     stats = WorkerStats(name=worker_name)
     previous = _execution._swap_trace_cache(
-        TraceCache(trace_root, codec=trace_codec) if trace_root else None
+        TraceCache(trace_root) if trace_root else None
     )
     sock = None
     stream = None
@@ -1763,7 +1750,6 @@ def run_worker(
                 f"{welcome.get('message', welcome)!r}"
             )
         ttl = float(welcome.get("lease_ttl", DEFAULT_LEASE_TTL))
-        wire_codec = get_codec(welcome.get("codec", "none"))
         beat = threading.Thread(
             target=heartbeats, name="worker-heartbeat", daemon=True
         )
@@ -1798,11 +1784,8 @@ def run_worker(
                     _W_EXEC_SECONDS.observe(
                         time.perf_counter() - started, kind=spec.kind
                     )
-                    data = pack(
-                        pickle.dumps(
-                            value, protocol=pickle.HIGHEST_PROTOCOL
-                        ),
-                        wire_codec,
+                    data = pickle.dumps(
+                        value, protocol=pickle.HIGHEST_PROTOCOL
                     )
                     if len(data) > _REPORT_BUDGET:
                         raise ValueError(
@@ -2001,10 +1984,9 @@ class GridClient:
                 )
             results = reply.get("results", ())
             if isinstance(results, (bytes, bytearray)):
-                # non-empty batches travel packed through the
-                # broker's codec, like every other payload path
+                # non-empty batches travel as one pickle
                 try:
-                    results = pickle.loads(unpack(bytes(results)))
+                    results = pickle.loads(results)
                 except Exception as exc:
                     raise ProtocolError(
                         f"undecodable grid-results batch: {exc}"
@@ -2067,7 +2049,6 @@ class RemoteBackend(ExecutionBackend):
         poll: seconds the broker holds an idle worker's lease poll.
         max_attempts: execution attempts per spec before giving up.
         timeout: overall safety limit for one grid, ``None`` = wait.
-        codec: wire compression codec name (``none``/``zlib``).
         announce: callback receiving the bound ``host:port`` string.
         wait_workers_timeout: with ``workers == 0``, how long to wait
             for the first external worker before failing the run
@@ -2091,7 +2072,6 @@ class RemoteBackend(ExecutionBackend):
     poll: float = 0.1
     max_attempts: int = 3
     timeout: Optional[float] = None
-    codec: str = "none"
     wait_workers_timeout: Optional[float] = None
     attach: Optional[Tuple[str, int]] = None
     auth_token: Optional[str] = None
@@ -2125,7 +2105,6 @@ class RemoteBackend(ExecutionBackend):
             listen=self.listen,
             poll=self.poll,
             max_attempts=self.max_attempts,
-            codec=self.codec,
             auth_token=self.auth_token,
         )
         self.broker = broker
@@ -2156,7 +2135,6 @@ class RemoteBackend(ExecutionBackend):
                         batch=self.batch,
                         trace_root=_trace_root(runner),
                         name=f"local-{index}-{os.getpid()}",
-                        trace_codec=_trace_codec(runner),
                         auth_token=self.auth_token,
                     ),
                     daemon=True,

@@ -76,11 +76,10 @@ def _swap_trace_cache(cache: Optional[TraceCache]) -> Optional[TraceCache]:
     return previous
 
 
-def _worker_init(trace_root: Optional[str], codec: str = "none") -> None:
-    """Pool-worker initializer: attach the shared trace cache (writes
-    under the parent runner's codec; reads decode any codec)."""
+def _worker_init(trace_root: Optional[str]) -> None:
+    """Pool-worker initializer: attach the shared trace cache."""
     if trace_root:
-        _swap_trace_cache(TraceCache(trace_root, codec=codec))
+        _swap_trace_cache(TraceCache(trace_root))
 
 
 def _programs_for(spec: JobSpec) -> ProgramSet:

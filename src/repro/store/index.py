@@ -9,7 +9,7 @@ row per entry:
 
 * the spec's identity columns (digest, kind, workload, size, policy,
   bits, encoder, variant, overrides, full canonical JSON, salt);
-* storage accounting (codec, packed size, created/updated stamps, the
+* storage accounting (entry size, created/updated stamps, the
   publishing holder);
 * scalar metrics extracted from the *in-memory* report at publish
   time (``metrics`` table, one ``(digest, name, value)`` row each) —
@@ -94,7 +94,6 @@ CREATE TABLE IF NOT EXISTS results (
     params TEXT,
     spec TEXT,
     salt TEXT,
-    codec TEXT,
     size_bytes INTEGER,
     holder TEXT,
     created REAL,
@@ -129,8 +128,8 @@ CREATE INDEX IF NOT EXISTS idx_campaigns_campaign
 #: that is *not* a metric)
 RESULT_COLUMNS = (
     "digest", "kind", "workload", "size", "policy", "bits", "encoder",
-    "variant", "forwarding", "si_fire_delay", "salt", "codec",
-    "size_bytes", "holder", "created", "updated",
+    "variant", "forwarding", "si_fire_delay", "salt", "size_bytes",
+    "holder", "created", "updated",
 )
 
 
@@ -313,7 +312,6 @@ class ResultIndex:
         value: Any,
         spec: Optional[JobSpec] = None,
         salt: Optional[str] = None,
-        codec: Optional[str] = None,
         size_bytes: Optional[int] = None,
         holder: Optional[str] = None,
         created: Optional[float] = None,
@@ -331,7 +329,6 @@ class ResultIndex:
         columns: Dict[str, Any] = {
             "digest": digest,
             "salt": salt,
-            "codec": codec,
             "size_bytes": size_bytes,
             "holder": holder,
             "created": created if created is not None else now,

@@ -294,7 +294,6 @@ def reindex(cache, progress=None) -> Tuple[int, int]:
     """
     import pickle
 
-    from repro.codecs import unpack
     from repro.runner.spec import JobSpec
 
     index = cache.index
@@ -316,22 +315,15 @@ def reindex(cache, progress=None) -> Tuple[int, int]:
             stat = path.stat()
             with open(path, "rb") as handle:
                 blob = handle.read()
-            value = pickle.loads(unpack(blob))
+            value = pickle.loads(blob)
         except Exception:
             skipped += 1
             continue
-        from repro.codecs import CodecError, blob_codec
-
-        try:
-            codec = blob_codec(blob)
-        except CodecError:
-            codec = None
         index.record(
             digest,
             value,
             spec=spec_by_digest.get(digest),
             salt=cache.salt if digest in spec_by_digest else None,
-            codec=codec,
             size_bytes=len(blob),
             created=stat.st_mtime,
         )
@@ -365,7 +357,6 @@ def rows_to_records(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
             record["campaigns"] = ",".join(row["campaigns"])
         for name in TABLE_COLUMNS:
             record[name] = row.get(name)
-        record["codec"] = row.get("codec")
         record["size_bytes"] = row.get("size_bytes")
         for name, value in sorted(row["metrics"].items()):
             record[name] = value

@@ -72,6 +72,7 @@ from repro.trace.program import (
     LockRelease,
     ProgramSet,
     compiled_once,
+    validate_once,
 )
 from repro.timing.locks import LockManager
 
@@ -150,7 +151,8 @@ _RUNNING, _BLOCKED_MISS, _BLOCKED_BARRIER, _BLOCKED_LOCK, _FINISHED = range(
 def compile_programs(
     programs: ProgramSet, block_shift: int, num_nodes: int
 ) -> Tuple[List[List[tuple]], List[int], List[int]]:
-    """Validate ``programs`` and compile it for the engine.
+    """Validate ``programs`` (once per object, :func:`validate_once`)
+    and compile it for the engine.
 
     Returns each node's steps as opcode tuples over dense block ids
     (see the ``OP_*`` layouts), the id -> block number table and the
@@ -159,7 +161,7 @@ def compile_programs(
     ProgramSet's own steps are shared, so a memoized compile holds each
     distinct step once.
     """
-    programs.validate()
+    validate_once(programs)
     bid_of: Dict[int, int] = {}
     block_of: List[int] = []
     home_of: List[int] = []

@@ -289,3 +289,15 @@ def compiled_once(
     if value is None:
         value = per_set[key] = build()
     return value
+
+
+def validate_once(programs: ProgramSet) -> None:
+    """:meth:`ProgramSet.validate`, run once per process per
+    ``programs`` object through :func:`compiled_once`. Only a pass is
+    memoized, so a malformed set raises on every call."""
+
+    def check() -> bool:
+        programs.validate()
+        return True  # compiled_once treats None as absent
+
+    compiled_once(programs, validate_once, check)

@@ -66,6 +66,7 @@ from repro.trace.program import (
     LockAcquire,
     LockRelease,
     ProgramSet,
+    validate_once,
 )
 
 StreamEvent = Union[MemoryAccess, SyncBoundary]
@@ -210,7 +211,8 @@ class _Writer:
 def schedule(
     programs: ProgramSet, quantum: int, block_shift: int
 ) -> CompiledStream:
-    """Validate ``programs``, interleave them and write the stream.
+    """Validate ``programs`` (once per object, :func:`validate_once`),
+    interleave them and write the stream.
 
     Raises SchedulingError for a quantum below 1, a deadlock or a
     release of a lock the node does not hold, and WorkloadError (from
@@ -218,7 +220,7 @@ def schedule(
     """
     if quantum < 1:
         raise SchedulingError(f"quantum must be >= 1, got {quantum}")
-    programs.validate()
+    validate_once(programs)
     n = programs.num_nodes
     writer = _Writer(block_shift)
     access, sync = writer.access, writer.sync

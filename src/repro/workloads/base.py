@@ -8,7 +8,13 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict, List
 
 from repro.errors import WorkloadError
-from repro.trace.program import Program, ProgramBuilder, ProgramSet, Step
+from repro.trace.program import (
+    Program,
+    ProgramBuilder,
+    ProgramSet,
+    Step,
+    validate_once,
+)
 from repro.workloads.address_space import AddressSpace, CodeMap
 
 #: Size presets scale iteration counts and data dimensions. "tiny" keeps
@@ -128,7 +134,7 @@ class Workload:
             n,
             {node: Program(node, b.steps) for node, b in builders.items()},
         )
-        program_set.validate()
+        validate_once(program_set)
         return program_set
 
     def _generate(

@@ -14,8 +14,7 @@ reloaded by every later process::
         v3/                   # TRACE_SCHEMA
             em3d-b1/          # workload name and builder_version
                 ab/
-                    ab3f...e1.pkl # pickled ProgramSet (optionally
-                                  #   packed through repro.codecs)
+                    ab3f...e1.pkl # pickled ProgramSet
 
 An entry is live when it sits in the current schema's directory and
 its workload's directory names the registry's current
@@ -46,12 +45,6 @@ builds shared their steps held one object per step and loaded 40x
 slower; ``TRACE_SCHEMA`` 2 orphaned them, so each was rebuilt once,
 shared. ``TRACE_SCHEMA`` 3 moved every entry into its workload's
 directory, so each entry written before is rebuilt once more.
-
-Entries are written through a pluggable codec (``none`` keeps the
-legacy raw-pickle format; ``zlib`` shrinks a ``paper``-size ``em3d``
-trace 33.5x). Reads are codec-transparent: whatever codec wrote an
-entry — including the pre-codec format — any ``TraceCache`` decodes
-it, and :meth:`migrate` re-encodes a directory in place.
 """
 
 from __future__ import annotations
@@ -63,7 +56,6 @@ from pathlib import Path
 from typing import Iterator, Optional, Tuple
 
 from repro._fsutil import atomic_write_bytes
-from repro.codecs import BLOB_MAGIC, get_codec, migrate_files, pack, unpack
 from repro.trace.program import ProgramSet
 from repro.workloads.base import Workload
 from repro.workloads.registry import builder_version
@@ -86,13 +78,11 @@ class TraceCache:
     """Workload-fingerprint -> pickled :class:`ProgramSet` store.
 
     ``hits`` / ``builds`` count this process's cache outcomes (pool
-    worker processes keep their own counters). ``codec`` selects the
-    entry compression for *writes*; reads decode any codec.
+    worker processes keep their own counters).
     """
 
-    def __init__(self, root, codec="none") -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
-        self.codec = get_codec(codec)
         self.hits = 0
         self.builds = 0
 
@@ -112,12 +102,11 @@ class TraceCache:
     def get(self, workload: Workload) -> Tuple[bool, Optional[ProgramSet]]:
         """Return ``(hit, program_set)``; corrupt entries are misses.
 
-        Raw (``none``-codec) entries deserialize straight out of a
-        read-only ``mmap`` of the file: every pool worker loading the
-        same trace then reads one shared page-cache copy of the bytes
-        instead of materializing a private heap buffer first. Packed
-        entries decompress into a private buffer regardless, and
-        empty or unmappable files fall back to a plain read.
+        Entries deserialize straight out of a read-only ``mmap`` of
+        the file: every pool worker loading the same trace then reads
+        one shared page-cache copy of the bytes instead of
+        materializing a private heap buffer first. Empty or
+        unmappable files fall back to a plain read.
         """
         path = self.path(workload)
         try:
@@ -127,15 +116,12 @@ class TraceCache:
                         handle.fileno(), 0, access=mmap.ACCESS_READ
                     )
                 except (ValueError, OSError):
-                    value = pickle.loads(unpack(handle.read()))
+                    value = pickle.loads(handle.read())
                 else:
+                    # pickle copies what it keeps, so the mapping can
+                    # close right after loads
                     with buf:
-                        if buf[: len(BLOB_MAGIC)] == BLOB_MAGIC:
-                            value = pickle.loads(unpack(bytes(buf)))
-                        else:
-                            # pickle copies what it keeps, so the
-                            # mapping can close right after loads
-                            value = pickle.loads(buf)
+                        value = pickle.loads(buf)
             if not isinstance(value, ProgramSet):
                 raise TypeError(f"expected ProgramSet, got {type(value)}")
             return True, value
@@ -148,9 +134,7 @@ class TraceCache:
 
     def put(self, workload: Workload, programs: ProgramSet) -> Path:
         raw = pickle.dumps(programs, protocol=pickle.HIGHEST_PROTOCOL)
-        return atomic_write_bytes(
-            self.path(workload), pack(raw, self.codec)
-        )
+        return atomic_write_bytes(self.path(workload), raw)
 
     # -- accounting ----------------------------------------------------
 
@@ -189,11 +173,6 @@ class TraceCache:
         for path in paths:
             path.unlink(missing_ok=True)
         return len(paths)
-
-    def migrate(self, codec) -> Tuple[int, int, int, int]:
-        """Re-encode every entry under ``codec`` in place; returns
-        ``(examined, changed, bytes_before, bytes_after)``."""
-        return migrate_files(self.entry_paths(), codec)
 
 
 def _current(builder: str) -> bool:

@@ -7,10 +7,7 @@ the same grid every backend must produce byte-identical reports,
 execute each unique spec exactly once fleet-wide, write nothing into
 the cache but results, the index and traces, and account identically
 in ``RunnerStats`` (cold run all-executed, warm run all-cache-hits).
-The matrix is additionally parametrized over the cache/wire codec
-(``none``/``zlib``) — compression must be invisible to every one of
-those properties. A future job-queue backend joins the matrix by
-adding one factory.
+A future job-queue backend joins the matrix by adding one factory.
 """
 
 import hashlib
@@ -34,8 +31,6 @@ from repro.runner import (
 SIZE = "tiny"
 
 BACKENDS = ("inline", "pool", "remote")
-
-CODECS = ("none", "zlib")
 
 
 def _grid():
@@ -61,19 +56,18 @@ def _digests(results) -> dict:
     }
 
 
-def _make_runner(kind: str, cache_dir, codec: str = "none") -> Runner:
-    cache = ResultCache(cache_dir, codec=codec)
+def _make_runner(kind: str, cache_dir) -> Runner:
+    cache = ResultCache(cache_dir)
     if kind == "inline":
         return Runner(cache=cache, backend=InlineBackend())
     if kind == "pool":
         return Runner(cache=cache, backend=PoolBackend(jobs=2))
     # the acceptance-criteria configuration: a 2-worker remote run
-    # over localhost (codec also compresses the wire report frames)
+    # over localhost
     return Runner(
         cache=cache,
         backend=RemoteBackend(
-            workers=2, lease_ttl=20.0, poll=0.02, batch=2,
-            timeout=240, codec=codec,
+            workers=2, lease_ttl=20.0, poll=0.02, batch=2, timeout=240,
         ),
     )
 
@@ -84,14 +78,13 @@ def serial_golden():
     return _digests(Runner().run(_grid()))
 
 
-@pytest.mark.parametrize("codec", CODECS)
 @pytest.mark.parametrize("kind", BACKENDS)
 class TestBackendConformance:
     def test_cold_run_is_exactly_once_and_byte_identical(
-        self, kind, codec, tmp_path, serial_golden
+        self, kind, tmp_path, serial_golden
     ):
         grid = _grid()
-        runner = _make_runner(kind, tmp_path, codec)
+        runner = _make_runner(kind, tmp_path)
         results = runner.run(grid)
 
         # byte-identical to the serial oracle, whatever the transport
@@ -110,20 +103,20 @@ class TestBackendConformance:
         assert list(tmp_path.rglob("*.done")) == []
 
     def test_warm_run_is_all_cache_hits(
-        self, kind, codec, tmp_path, serial_golden
+        self, kind, tmp_path, serial_golden
     ):
         grid = _grid()
-        _make_runner(kind, tmp_path, codec).run(grid)
-        second = _make_runner(kind, tmp_path, codec)
+        _make_runner(kind, tmp_path).run(grid)
+        second = _make_runner(kind, tmp_path)
         results = second.run(grid)
         assert second.stats.executed == 0
         assert second.stats.cache_hits == len(grid)
         assert second.stats.cache_fraction == 1.0
         assert _digests(results) == serial_golden
 
-    def test_requested_duplicates_collapse(self, kind, codec, tmp_path):
+    def test_requested_duplicates_collapse(self, kind, tmp_path):
         spec = census_job("em3d", SIZE)
-        runner = _make_runner(kind, tmp_path, codec)
+        runner = _make_runner(kind, tmp_path)
         results = runner.run([spec, spec, spec])
         assert results[spec].total_blocks > 0
         assert runner.stats.requested == 3
@@ -151,22 +144,6 @@ class TestRemoteFleetAccounting:
         assert stats.duplicates == 0
         assert backend.broker.table.reclaimed == 0
         assert len(stats.workers) == 2
-
-
-class TestCodecTransparency:
-    @pytest.mark.parametrize("cold,warm", [("none", "zlib"), ("zlib", "none")])
-    def test_warm_run_reads_entries_written_under_other_codec(
-        self, tmp_path, serial_golden, cold, warm
-    ):
-        """Switching --codec between runs must never invalidate the
-        cache: reads decode whatever codec wrote the entry."""
-        grid = _grid()
-        _make_runner("inline", tmp_path, cold).run(grid)
-        second = _make_runner("inline", tmp_path, warm)
-        results = second.run(grid)
-        assert second.stats.executed == 0
-        assert second.stats.cache_hits == len(grid)
-        assert _digests(results) == serial_golden
 
 
 class TestBackendSelection:

@@ -16,10 +16,10 @@ import pickle
 import socket
 import struct
 import time
+import zlib
 
 import pytest
 
-from repro.codecs import blob_codec
 from repro.experiments.cli import build_parser, main, _runner_from_args
 from repro.fleet import FleetService, WorkerSupervisor
 from repro.runner import (
@@ -145,13 +145,11 @@ class TestServeMode:
         self, tmp_path, golden, monkeypatch
     ):
         """Traces never cross the wire: the pool's workers build each
-        missing trace into the service's trace cache, in its codec."""
+        missing trace into the service's trace cache."""
         # forked workers inherit this process's memo; start them empty
         monkeypatch.setattr(runner_module, "_PROGRAMS", {})
-        traces = TraceCache(tmp_path / "traces", codec="zlib")
-        with _service(
-            tmp_path, trace_cache=traces, codec="zlib"
-        ) as service:
+        traces = TraceCache(tmp_path / "traces")
+        with _service(tmp_path, trace_cache=traces) as service:
             with GridClient(service.address, name="it-client") as client:
                 client.submit(_grid_a() + _grid_b())
                 got = {
@@ -164,7 +162,6 @@ class TestServeMode:
             trace_key(get_workload(name, SIZE))
             for name in ("em3d", "tomcatv")
         )
-        assert {blob_codec(p.read_bytes()) for p in entries} == {"zlib"}
 
     def test_failed_start_leaves_nothing_running(self, tmp_path):
         """A metrics port already in use fails start() before any
@@ -350,6 +347,33 @@ class TestServeMode:
             })
             assert done["type"] == "grid-done"
             raw.close()
+        finally:
+            broker.stop()
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: b"not a pickle",
+        # an entry written by an earlier release under `--codec zlib`
+        lambda blob: b"LTPZ\x04zlib" + zlib.compress(blob),
+    ], ids=["garbage", "zlib"])
+    def test_corrupt_cache_entry_is_a_miss_at_submit(
+        self, tmp_path, damage
+    ):
+        """The broker's cache probe at submit admits a spec whose
+        entry does not unpickle as new work instead of serving it."""
+        spec = census_job("em3d", SIZE)
+        cache = ResultCache(tmp_path)
+        cache.put(spec, Runner().run_one(spec))
+        path = cache.path(spec)
+        path.write_bytes(damage(path.read_bytes()))
+        broker = Broker(cache=cache, poll=0.02)
+        address = broker.start()
+        try:
+            raw = _RawClient(address)
+            reply = raw.request({
+                "type": "submit", "client": "c", "specs": [spec],
+            })
+            raw.close()
+            assert (reply["cached"], reply["new"]) == (0, 1)
         finally:
             broker.stop()
 
@@ -573,38 +597,6 @@ class TestServeMode:
                     collected = []
                     for item in client.stream(timeout=1e-9):
                         collected.append(item)
-        finally:
-            broker.stop()
-
-    def test_grid_results_travel_under_the_broker_codec(
-        self, tmp_path
-    ):
-        """Non-empty grid-results batches are packed through the wire
-        codec like every other payload path."""
-        from repro.codecs import blob_codec
-
-        specs = [census_job("em3d", SIZE)]
-        cache = ResultCache(tmp_path, codec="zlib")
-        for spec in specs:
-            cache.put(spec, Runner().run_one(spec))
-        broker = Broker(cache=cache, codec="zlib", poll=0.02)
-        address = broker.start()
-        try:
-            raw = _RawClient(address)
-            gid = raw.request({
-                "type": "submit", "client": "c", "specs": specs,
-            })["grid"]
-            reply = raw.request({
-                "type": "grid-poll", "grid": gid, "max": 32,
-            })
-            assert isinstance(reply["results"], bytes)
-            assert blob_codec(reply["results"]) == "zlib"
-            raw.close()
-            # and the GridClient decodes it transparently
-            with GridClient(address) as client:
-                client.submit(specs)
-                decoded = dict(client.stream(timeout=60))
-            assert len(decoded) == 1
         finally:
             broker.stop()
 

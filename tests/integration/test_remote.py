@@ -26,7 +26,6 @@ import time
 import pytest
 
 import repro.telemetry as tm
-from repro.codecs import blob_codec
 from repro.experiments.cli import build_parser, main, _runner_from_args
 from repro.runner import (
     Broker,
@@ -416,7 +415,7 @@ class TestWorkerCli:
         self, tmp_path, serial_golden, monkeypatch
     ):
         """An external worker gets no traces from the broker: it
-        builds each one into its --trace-cache, in its --codec."""
+        builds each one into its --trace-cache."""
         # the forked worker inherits this process's memo
         monkeypatch.setattr(runner_module, "_PROGRAMS", {})
         traces = tmp_path / "worker-traces"
@@ -426,10 +425,7 @@ class TestWorkerCli:
         out = tmp_path / "exit-code"
         proc = multiprocessing.get_context("fork").Process(
             target=_worker_cli,
-            args=(
-                address, str(out),
-                "--trace-cache", str(traces), "--codec", "zlib",
-            ),
+            args=(address, str(out), "--trace-cache", str(traces)),
         )
         proc.start()
         try:
@@ -447,7 +443,6 @@ class TestWorkerCli:
         assert sorted(p.stem for p in entries) == sorted(
             {trace_key(get_workload(s.workload, SIZE)) for s in _grid()}
         )
-        assert {blob_codec(p.read_bytes()) for p in entries} == {"zlib"}
 
     def test_failed_connect_restores_trace_cache_global(
         self, tmp_path
@@ -537,7 +532,6 @@ class TestWorkerTraceSource:
         try:
             with worker_thread(
                 broker, batch=2, name="w", trace_root=str(traces.root),
-                trace_codec="zlib",
             ) as worker:
                 results = dict(broker.stream(gid, timeout=120))
         finally:
@@ -555,7 +549,7 @@ class TestWorkerTraceSource:
     ):
         """A worker on an empty trace cache builds each unique
         fingerprint once, however many specs share it, and persists
-        every build into its cache in its codec."""
+        every build into its cache."""
         names = sorted({spec.workload for spec in grid})
         traces = TraceCache(tmp_path / "traces")
         results, built = self._run_counting_builds(
@@ -566,7 +560,6 @@ class TestWorkerTraceSource:
         assert sorted(p.stem for p in entries) == sorted(
             trace_key(get_workload(name, SIZE)) for name in names
         )
-        assert {blob_codec(p.read_bytes()) for p in entries} == {"zlib"}
         assert {
             spec.canonical(): _digest(value)
             for spec, value in results.items()
@@ -581,11 +574,11 @@ class TestWorkerTraceSource:
         """A damaged entry in the worker's trace cache fails no spec:
         the worker rebuilds that one trace, rewrites a healthy entry,
         and reads the intact one."""
-        traces = TraceCache(tmp_path / "traces", codec="zlib")
+        traces = TraceCache(tmp_path / "traces")
         for name in ("em3d", "tomcatv"):
             cached_build(get_workload(name, SIZE), traces)
         damaged = traces.path(get_workload("em3d", SIZE))
-        damaged.write_bytes(damaged.read_bytes()[:7])  # torn header
+        damaged.write_bytes(damaged.read_bytes()[:7])  # torn entry
         results, built = self._run_counting_builds(
             tmp_path, _grid(), traces, monkeypatch, worker_thread
         )

@@ -40,7 +40,7 @@ from repro.runner.remote import (
 # -- framing -----------------------------------------------------------
 
 # arbitrary picklable payloads; NaN is excluded (x != x breaks the
-# equality check, not the codec) and None is excluded at the *top*
+# equality check, not the framing) and None is excluded at the *top*
 # level only, because read_frame reserves None for clean EOF
 _scalar = (
     st.booleans()

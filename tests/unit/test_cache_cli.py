@@ -266,6 +266,19 @@ class TestRunAllFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(flags)
 
+    @pytest.mark.parametrize("argv", [
+        ["run-all", "--backend", "remote", "--ship-traces"],
+        ["serve", "--ship-traces"],
+        ["worker", "--connect", "127.0.0.1:1", "--no-fetch-traces"],
+    ], ids=["run-all", "serve", "worker"])
+    def test_removed_trace_shipping_flags_exit_2(self, capsys, argv):
+        """Traces never cross the wire, so the shipping flags are
+        gone and argparse refuses them before anything starts."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_no_cache_disables_defaulted_trace_cache(self, tmp_path):
         args = build_parser().parse_args([
             "run-all", "--cache-dir", str(tmp_path), "--no-cache",
@@ -316,163 +329,8 @@ class TestStatsWatch:
         assert "— " not in out  # no timestamp header without --watch
 
 
-class TestCacheMigrateCli:
-    def test_migrate_reencodes_results_and_traces(
-        self, tmp_path, capsys
-    ):
-        from repro.codecs import blob_codec
-        from repro.workloads import TraceCache, cached_build, get_workload
-
-        cache = ResultCache(tmp_path)
-        specs = _populate(cache)
-        traces = TraceCache(tmp_path / "traces")
-        cached_build(get_workload("em3d", SIZE), traces)
-
-        assert main([
-            "cache", "migrate", "--cache-dir", str(tmp_path),
-            "--codec", "zlib",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "2/2 entries re-encoded to zlib" in out
-        assert "1/1 entries re-encoded to zlib" in out
-        for spec in specs:
-            assert blob_codec(cache.path(spec).read_bytes()) == "zlib"
-            hit, _ = ResultCache(tmp_path).get(spec)
-            assert hit
-        hit, _ = TraceCache(tmp_path / "traces").get(
-            get_workload("em3d", SIZE)
-        )
-        assert hit
-
-    def test_migrate_back_to_none_restores_legacy_bytes(self, tmp_path):
-        import pickle
-
-        from repro.codecs import blob_codec
-
-        cache = ResultCache(tmp_path, codec="zlib")
-        specs = _populate(cache)
-        assert main([
-            "cache", "migrate", "--cache-dir", str(tmp_path),
-            "--codec", "none",
-        ]) == 0
-        for spec in specs:
-            blob = cache.path(spec).read_bytes()
-            assert blob_codec(blob) == "none"
-            assert blob.startswith(b"\x80")  # raw pickle again
-            hit, value = cache.get(spec)
-            assert hit
-            assert pickle.dumps(
-                value, pickle.HIGHEST_PROTOCOL
-            ) == blob
-
-
-class TestCodecFlagPlumbing:
-    def test_codec_flag_wires_both_caches(self, tmp_path):
-        args = build_parser().parse_args([
-            "run-all", "--cache-dir", str(tmp_path), "--codec", "zlib",
-        ])
-        runner = _runner_from_args(args)
-        assert runner.cache.codec.name == "zlib"
-        assert runner.trace_cache.codec.name == "zlib"
-
-    def test_codec_defaults_to_none(self, tmp_path):
-        args = build_parser().parse_args([
-            "run-all", "--cache-dir", str(tmp_path),
-        ])
-        runner = _runner_from_args(args)
-        assert runner.cache.codec.name == "none"
-        assert runner.trace_cache.codec.name == "none"
-
-    def test_experiment_commands_accept_codec(self, tmp_path):
-        args = build_parser().parse_args([
-            "fig9", "--cache-dir", str(tmp_path), "--codec", "zlib",
-        ])
-        assert _runner_from_args(args).cache.codec.name == "zlib"
-
-    def test_codec_flag_sets_the_remote_wire_codec(self, tmp_path):
-        args = build_parser().parse_args([
-            "run-all", "--backend", "remote",
-            "--codec", "zlib", "--cache-dir", str(tmp_path),
-        ])
-        backend = _runner_from_args(args).backend
-        assert backend.name == "remote"
-        assert backend.codec == "zlib"
-
-    @pytest.mark.parametrize("argv", [
-        ["run-all", "--backend", "remote", "--ship-traces"],
-        ["serve", "--ship-traces"],
-        ["worker", "--connect", "127.0.0.1:1", "--no-fetch-traces"],
-    ], ids=["run-all", "serve", "worker"])
-    def test_removed_trace_shipping_flags_exit_2(self, capsys, argv):
-        """Traces never cross the wire, so the shipping flags are
-        gone and argparse refuses them before anything starts."""
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(argv)
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_worker_codec_flag_parses(self):
-        args = build_parser().parse_args([
-            "worker", "--connect", "127.0.0.1:1", "--codec", "zlib",
-        ])
-        assert args.codec == "zlib"
-
-
-class TestCodecBreakdown:
-    """`cache stats` per-entry codec census (count + bytes/codec)."""
-
-    def test_codec_census_buckets_mixed_entries(self, tmp_path):
-        from repro.codecs import codec_census
-
-        raw = ResultCache(tmp_path, codec="none")
-        packed = ResultCache(tmp_path, codec="zlib")
-        raw.put(census_job("em3d", SIZE), {"x": 1})
-        packed.put(census_job("tomcatv", SIZE), {"y": 2})
-        census = codec_census(raw.entry_paths())
-        assert set(census) == {"none", "zlib"}
-        assert census["none"][0] == 1
-        assert census["zlib"][0] == 1
-        total = sum(size for _, size in census.values())
-        assert total == sum(
-            p.stat().st_size for p in raw.entry_paths()
-        )
-
-    def test_codec_census_flags_torn_headers(self, tmp_path):
-        from repro.codecs import BLOB_MAGIC, codec_census
-
-        path = tmp_path / "ab" / "torn.pkl"
-        path.parent.mkdir(parents=True)
-        path.write_bytes(BLOB_MAGIC)  # magic with no codec name
-        census = codec_census([path])
-        assert census == {"corrupt": (1, len(BLOB_MAGIC))}
-
-    def test_codec_census_empty(self, tmp_path):
-        from repro.codecs import codec_census
-
-        assert codec_census(ResultCache(tmp_path).entry_paths()) == {}
-
-    def test_stats_cli_shows_codec_breakdown(self, tmp_path, capsys):
-        from repro.workloads import TraceCache, get_workload
-
-        cache = ResultCache(tmp_path, codec="zlib")
-        _populate(cache, names=("em3d",))
-        ResultCache(tmp_path, codec="none").put(
-            census_job("tomcatv", SIZE), {"z": 3}
-        )
-        traces = TraceCache(tmp_path / "traces", codec="zlib")
-        workload = get_workload("em3d", SIZE)
-        traces.put(workload, workload.build())
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        results_line = next(
-            line for line in out.splitlines() if "results" in line
-        )
-        assert "zlib: 1" in results_line
-        assert "none: 1" in results_line
-        traces_line = next(
-            line for line in out.splitlines() if "traces" in line
-        )
-        assert "zlib: 1" in traces_line
+class TestStatsFleetStatus:
+    """`cache stats` reads the serve pool's fleet.json mirror."""
 
     def test_stats_cli_shows_fleet_status_file(self, tmp_path, capsys):
         import json as json_mod

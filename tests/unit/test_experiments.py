@@ -250,3 +250,31 @@ class TestProfileAndEngineCli:
             build_parser().parse_args(argv + ["--engine", "fast"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([name] for name in EXPERIMENTS),
+            ["all"],
+            ["run-all"],
+            ["worker", "--connect", "127.0.0.1:7470"],
+            ["serve"],
+            ["report"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_codec_flag_is_rejected(self, argv, capsys):
+        """Cache entries and wire reports have one format, plain
+        pickle, so no subcommand selects another."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--codec", "zlib"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --codec" in capsys.readouterr().err
+
+    def test_cache_migrate_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["cache", "migrate", "--codec", "none"]
+            )
+        assert exc.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err

@@ -12,6 +12,8 @@ from repro.trace.program import (
     ProgramBuilder,
     ProgramSet,
 )
+from repro.timing.engine import compile_programs
+from repro.trace.scheduler import schedule
 from repro.workloads import get_workload
 
 
@@ -101,6 +103,31 @@ class TestProgramSet:
             [Access(0x1, 0x20, False)], [Access(0x2, 0x40, True)]
         )
         assert ps.total_steps() == 2
+
+
+class TestValidateOnce:
+    def test_a_built_set_is_validated_once(self, monkeypatch):
+        """The build validates; scheduling and compiling the same
+        object reuse that pass instead of walking every step again."""
+        calls = []
+        original = ProgramSet.validate
+
+        def counted(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(ProgramSet, "validate", counted)
+        programs = get_workload("em3d", "tiny").build()
+        schedule(programs, 1, 5)
+        compile_programs(programs, 5, programs.num_nodes)
+        assert len(calls) == 1 and calls[0] is programs
+
+    def test_a_malformed_set_raises_from_each_compile(self):
+        ps = _two_node_set([Barrier(1)], [])
+        with pytest.raises(WorkloadError, match="barrier counts"):
+            schedule(ps, 1, 5)
+        with pytest.raises(WorkloadError, match="barrier counts"):
+            compile_programs(ps, 5, 2)
 
 
 class TestProgram:

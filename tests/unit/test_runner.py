@@ -3,6 +3,7 @@ cache (hits, misses, salt invalidation, corruption), and serial/parallel
 determinism."""
 
 import pickle
+import zlib
 
 import pytest
 
@@ -181,13 +182,19 @@ class TestResultCache:
         assert new.get(spec) == (False, None)
         assert new.key(spec) != old.key(spec)
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("damage", [
+        lambda blob: b"not a pickle",
+        # an entry written by an earlier release under `--codec zlib`
+        lambda blob: b"LTPZ\x04zlib" + zlib.compress(blob),
+    ], ids=["garbage", "zlib"])
+    def test_corrupt_entry_is_a_miss(self, tmp_path, damage):
         cache = ResultCache(tmp_path)
         spec = census_job(WORKLOAD, SIZE)
         cache.put(spec, execute_spec(spec))
-        cache.path(spec).write_bytes(b"not a pickle")
+        path = cache.path(spec)
+        path.write_bytes(damage(path.read_bytes()))
         assert cache.get(spec) == (False, None)
-        assert not cache.path(spec).exists()
+        assert not path.exists()
 
     def test_prune(self, tmp_path):
         cache = ResultCache(tmp_path)

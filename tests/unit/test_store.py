@@ -8,6 +8,7 @@ import sqlite3
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.store.query import (
     format_rows_csv,
     format_rows_json,
     format_rows_table,
+    rows_to_records,
 )
 
 SIZE = "tiny"
@@ -52,9 +54,33 @@ class TestIndexOnPut:
         assert row["policy"] == "ltp"
         assert row["kind"] == "accuracy"
         assert row["salt"] == cache.salt
-        assert row["codec"] == "none"
         assert row["size_bytes"] > 0
         assert 0.0 <= row["metrics"]["accuracy"] <= 1.0
+
+    def test_put_into_an_index_with_a_codec_column(self, tmp_path):
+        """An index written by an earlier release keeps its ``codec``
+        column (tables are created only if absent), and a new row
+        leaves it NULL."""
+        conn = sqlite3.connect(tmp_path / INDEX_DB_NAME)
+        conn.execute(
+            "CREATE TABLE results ("
+            "digest TEXT PRIMARY KEY, kind TEXT, workload TEXT, "
+            "size TEXT, policy TEXT, bits INTEGER, encoder TEXT, "
+            "variant TEXT, forwarding INTEGER, si_fire_delay INTEGER, "
+            "overrides TEXT, params TEXT, spec TEXT, salt TEXT, "
+            "codec TEXT, size_bytes INTEGER, holder TEXT, "
+            "created REAL, updated REAL)"
+        )
+        conn.commit()
+        conn.close()
+        cache = ResultCache(tmp_path)
+        spec = _ltp_spec()
+        cache.put(spec, execute_spec(spec))
+        with cache.index._transaction() as raw:
+            rows = list(raw.execute("SELECT digest, codec FROM results"))
+        assert rows == [(cache.key(spec), None)]
+        records = rows_to_records(cache.index.select("", ()))
+        assert len(records) == 1 and "codec" not in records[0]
 
     def test_put_is_idempotent_per_digest(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -233,11 +259,17 @@ class TestReindex:
         assert row["policy"] == "ltp"
         assert row["kind"] is None
 
-    def test_corrupt_blob_skipped(self, tmp_path):
+    @pytest.mark.parametrize("damage", [
+        lambda blob: b"not a pickle",
+        # an entry written by an earlier release under `--codec zlib`
+        lambda blob: b"LTPZ\x04zlib" + zlib.compress(blob),
+    ], ids=["garbage", "zlib"])
+    def test_corrupt_blob_skipped(self, tmp_path, damage):
         cache = ResultCache(tmp_path)
         spec = _ltp_spec()
         cache.put(spec, execute_spec(spec))
-        cache.path(spec).write_bytes(b"not a pickle")
+        path = cache.path(spec)
+        path.write_bytes(damage(path.read_bytes()))
         cache.index.path.unlink()
         cache._index = None
         assert reindex(cache) == (0, 1)

@@ -225,8 +225,8 @@ class TestCompileMemo:
         specs = figure9.jobs(size="tiny") + si_delay.jobs(size="tiny")
         traces = {id(p): p for p in map(_programs_for, specs)}
         assert len(set(specs)) > len(traces)
-        compiles["validate"].clear()  # the builds validate too
         Runner().run(specs)
+        # the builds validate; the compiles reuse that pass
         once = {key: 1 for key in traces}
         assert Counter(id(p) for p in compiles["validate"]) == once
         assert Counter(id(p) for p, _ in compiles["compile"]) == once
@@ -238,7 +238,8 @@ class TestCompileMemo:
             run_base(ps, cfg)
         # the last run is served by the first run's compile
         assert [shift for _, shift in compiles["compile"]] == [5, 6]
-        assert len(compiles["validate"]) == 2
+        # validation does not depend on the block size: once per object
+        assert len(compiles["validate"]) == 1
 
     def test_entry_dropped_when_programs_are_collected(self):
         ps = producer_consumer(iterations=3)

@@ -9,10 +9,10 @@ import dataclasses
 import hashlib
 import io
 import pickle
+import zlib
 
 import pytest
 
-from repro.codecs import blob_codec
 from repro.core import PerBlockLTP
 from repro.sim import AccuracySimulator
 from repro.timing import TimingSimulator
@@ -335,23 +335,33 @@ class TestInvalidation:
 
 
 class TestRobustness:
-    @pytest.mark.parametrize("codec, damage", [
-        ("none", lambda blob: b"not a pickle"),
-        ("zlib", lambda blob: blob[:7]),
-        ("zlib", lambda blob: blob[: len(blob) // 2]),
-        ("zlib", lambda blob: blob[:-16] + b"\x00" * 16),
-        ("zlib", lambda blob: b"LTPZ" + bytes([3]) + b"lz9" + blob[9:]),
-    ], ids=[
-        "garbage", "torn-header", "truncated", "corrupted", "unknown-codec",
-    ])
-    def test_corrupt_entry_is_rebuilt(self, tmp_path, codec, damage):
-        """A bad entry reads as a miss, and the next build rewrites a
-        healthy one — it never fails the caller."""
-        cache = TraceCache(tmp_path, codec=codec)
+    @pytest.mark.parametrize("damage", [
+        lambda blob: b"not a pickle",
+        lambda blob: blob[:7],
+        lambda blob: blob[: len(blob) // 2],
+        lambda blob: blob[:-16] + b"\x00" * 16,
+        # an entry written by an earlier release under `--codec zlib`
+        lambda blob: b"LTPZ\x04zlib" + zlib.compress(blob),
+    ], ids=["garbage", "torn-header", "truncated", "corrupted", "zlib"])
+    @pytest.mark.parametrize("mapped", [True, False], ids=["mmap", "read"])
+    def test_corrupt_entry_is_rebuilt(
+        self, tmp_path, monkeypatch, mapped, damage
+    ):
+        """A bad entry reads as a miss on either read path, and the
+        next build rewrites a healthy one — it never fails the
+        caller."""
+        from repro.workloads import trace_cache as tc_module
+
+        cache = TraceCache(tmp_path)
         workload = get_workload(WORKLOAD, SIZE)
         cached_build(workload, cache)
         path = cache.path(workload)
         path.write_bytes(damage(path.read_bytes()))
+        if not mapped:
+            def refuse(*args, **kwargs):
+                raise OSError("no mmap here")
+
+            monkeypatch.setattr(tc_module.mmap, "mmap", refuse)
         rebuilt = cached_build(get_workload(WORKLOAD, SIZE), cache)
         assert cache.builds == 2 and cache.hits == 0
         assert_event_identical(rebuilt, workload.build())
@@ -404,19 +414,17 @@ class TestRunnerIntegration:
         grid = self._grid()
         workloads = {(s.workload, s.size, s.overrides) for s in grid}
 
-        cold = TraceCache(tmp_path / "traces", codec="zlib")
+        cold = TraceCache(tmp_path / "traces")
         runner_module._PROGRAMS.clear()
         first = Runner(trace_cache=cold, backend=make_backend()).run(grid)
         # pool and remote builds happen in forked workers, so the
         # cache's files, not this process's counters, are the record:
-        # exactly one entry per unique workload fingerprint, written
-        # in the runner's codec
+        # exactly one entry per unique workload fingerprint
         entries = list(cold.entry_paths())
         assert sorted(p.stem for p in entries) == sorted(
             trace_key(get_workload(name, size, **dict(overrides)))
             for name, size, overrides in workloads
         )
-        assert {blob_codec(p.read_bytes()) for p in entries} == {"zlib"}
 
         # a fresh process has an empty per-process memo; clearing it
         # simulates worker start-up on the same machine
@@ -448,8 +456,8 @@ class TestMmapEntryReads:
     private buffer; the degenerate files an atomic-write crash can
     leave behind must still degrade to misses."""
 
-    def _warm(self, tmp_path, codec="none"):
-        cache = TraceCache(tmp_path, codec=codec)
+    def _warm(self, tmp_path):
+        cache = TraceCache(tmp_path)
         cached_build(get_workload(WORKLOAD, SIZE), cache)
         return cache
 
@@ -471,17 +479,6 @@ class TestMmapEntryReads:
         monkeypatch.setattr(tc_module.mmap, "mmap", recording_mmap)
         hit, programs = cache.get(get_workload(WORKLOAD, SIZE))
         assert hit and mapped, "raw entry must be read via mmap"
-        assert_event_identical(
-            programs, get_workload(WORKLOAD, SIZE).build()
-        )
-
-    def test_packed_entry_still_decodes(self, tmp_path):
-        cache = self._warm(tmp_path, codec="zlib")
-        # a none-configured reader decodes the zlib entry transparently
-        hit, programs = TraceCache(tmp_path).get(
-            get_workload(WORKLOAD, SIZE)
-        )
-        assert hit
         assert_event_identical(
             programs, get_workload(WORKLOAD, SIZE).build()
         )
