@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+import zlib
 from contextlib import contextmanager
 
 import pytest
@@ -17,6 +18,18 @@ BLOCK = 32  # bytes
 #: seconds a test's threads get, all told, to finish unwinding at
 #: teardown (a worker that just saw its broker stop)
 THREAD_EXIT_GRACE = 2.0
+
+#: ways a cache entry's bytes can be spoiled on disk, by name; every
+#: reader of an entry must take each as a miss. ``zlib`` is an entry an
+#: earlier release wrote under ``--codec zlib``, whose ``LTPZ`` header
+#: pickle rejects at the first opcode.
+ENTRY_DAMAGE = {
+    "garbage": lambda blob: b"not a pickle",
+    "torn-header": lambda blob: blob[:7],
+    "truncated": lambda blob: blob[: len(blob) // 2],
+    "corrupted": lambda blob: blob[:-16] + b"\x00" * 16,
+    "zlib": lambda blob: b"LTPZ\x04zlib" + zlib.compress(blob),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -68,6 +81,12 @@ def _worker_thread(broker, **kwargs):
         broker.begin_shutdown()
         thread.join(timeout=30)
     assert not thread.is_alive()
+
+
+@pytest.fixture(params=list(ENTRY_DAMAGE))
+def damage(request):
+    """Map a cache entry's bytes to one kind of unreadable entry."""
+    return ENTRY_DAMAGE[request.param]
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ A future job-queue backend joins the matrix by adding one factory.
 
 import hashlib
 import pickle
+import zlib
 
 import pytest
 
@@ -113,6 +114,28 @@ class TestBackendConformance:
         assert second.stats.cache_hits == len(grid)
         assert second.stats.cache_fraction == 1.0
         assert _digests(results) == serial_golden
+
+    def test_zlib_cache_from_an_earlier_release_recovers(
+        self, kind, tmp_path, serial_golden
+    ):
+        """Entries an earlier release wrote under ``--codec zlib`` do
+        not unpickle: each spec re-executes once, rewriting its entry
+        as a plain pickle, and the run after that is all hits."""
+        grid = _grid()
+        _make_runner(kind, tmp_path).run(grid)
+        for path in list(ResultCache(tmp_path).entry_paths()):
+            path.write_bytes(
+                b"LTPZ\x04zlib" + zlib.compress(path.read_bytes())
+            )
+        second = _make_runner(kind, tmp_path)
+        results = second.run(grid)
+        assert second.stats.executed == len(grid)
+        assert second.stats.cache_hits == 0
+        assert _digests(results) == serial_golden
+        third = _make_runner(kind, tmp_path)
+        third.run(grid)
+        assert third.stats.executed == 0
+        assert third.stats.cache_hits == len(grid)
 
     def test_requested_duplicates_collapse(self, kind, tmp_path):
         spec = census_job("em3d", SIZE)

@@ -16,7 +16,6 @@ import pickle
 import socket
 import struct
 import time
-import zlib
 
 import pytest
 
@@ -350,11 +349,6 @@ class TestServeMode:
         finally:
             broker.stop()
 
-    @pytest.mark.parametrize("damage", [
-        lambda blob: b"not a pickle",
-        # an entry written by an earlier release under `--codec zlib`
-        lambda blob: b"LTPZ\x04zlib" + zlib.compress(blob),
-    ], ids=["garbage", "zlib"])
     def test_corrupt_cache_entry_is_a_miss_at_submit(
         self, tmp_path, damage
     ):
@@ -597,6 +591,32 @@ class TestServeMode:
                     collected = []
                     for item in client.stream(timeout=1e-9):
                         collected.append(item)
+        finally:
+            broker.stop()
+
+    def test_grid_results_batches_are_plain_pickles(self, tmp_path):
+        """A non-empty grid-results batch is one plain pickle of its
+        ``(spec, report)`` items, which any peer can load."""
+        spec = census_job("em3d", SIZE)
+        value = Runner().run_one(spec)
+        cache = ResultCache(tmp_path)
+        cache.put(spec, value)
+        broker = Broker(cache=cache, poll=0.02)
+        address = broker.start()
+        try:
+            raw = _RawClient(address)
+            gid = raw.request({
+                "type": "submit", "client": "c", "specs": [spec],
+            })["grid"]
+            reply = raw.request({
+                "type": "grid-poll", "grid": gid, "max": 32,
+            })
+            raw.close()
+            assert reply["type"] == "grid-results"
+            assert isinstance(reply["results"], bytes)
+            [(got_spec, got)] = pickle.loads(reply["results"])
+            assert got_spec == spec
+            assert pickle.dumps(got) == pickle.dumps(value)
         finally:
             broker.stop()
 
