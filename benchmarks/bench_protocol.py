@@ -54,7 +54,7 @@ def test_remote_lease_wire_overhead(benchmark):
 
 
 def test_fair_share_lease_overhead(benchmark):
-    """The weighted round-robin across tenant grids must stay cheap:
+    """The round-robin across tenant grids must stay cheap:
     draining 8 grids x 32 keys through the fair-share rotation is
     pure bookkeeping, no I/O."""
     grids = {
@@ -64,8 +64,8 @@ def test_fair_share_lease_overhead(benchmark):
 
     def cycle():
         table = LeaseTable([], ttl=60.0, clock=lambda: 1000.0)
-        for g, (grid, keys) in enumerate(grids.items()):
-            table.extend(keys, group=grid, priority=1 + g % 2)
+        for grid, keys in grids.items():
+            table.extend(keys, group=grid)
         granted = 0
         total = sum(len(k) for k in grids.values())
         while table.counts()[DONE] < total:

@@ -10,7 +10,11 @@ Checks, for ``README.md`` and every ``docs/*.md``:
 3. every backticked repo path (``src/...``, ``tests/...``,
    ``scripts/...``, ``benchmarks/...``, ``docs/...``,
    ``.github/...``) names a file or directory that exists — so a
-   renamed module breaks the docs job, not a reader.
+   renamed module breaks the docs job, not a reader;
+4. every job id under ``jobs:`` in ``.github/workflows/ci.yml`` is
+   backticked in the "CI jobs" section of ``docs/operations.md``, the
+   one place the jobs are listed — so an added or renamed job breaks
+   the docs job until the list says what it does.
 
 Run as ``python scripts/docs_check.py [REPO_ROOT]``; exits non-zero
 listing every broken reference.
@@ -28,6 +32,11 @@ REPO_PATH = re.compile(
     r"^(?:src|tests|scripts|benchmarks|docs|\.github)/[\w./-]+$"
 )
 FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+#: a job id: a key one level under the workflow's ``jobs:``
+JOB = re.compile(r"^(\s+)([\w-]+):\s*(?:#.*)?$")
+WORKFLOW = ".github/workflows/ci.yml"
+#: the file and heading that list every CI job
+CI_SECTION = ("docs/operations.md", "CI jobs")
 
 
 def slugify(heading: str) -> str:
@@ -45,6 +54,55 @@ def anchors(markdown: str) -> set:
         seen[slug] = count + 1
         ids.add(slug if count == 0 else f"{slug}-{count}")
     return ids
+
+
+def workflow_jobs(workflow: str) -> list:
+    """The job ids under a workflow's top-level ``jobs:`` key."""
+    jobs, inside, indent = [], False, None
+    for line in workflow.splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if not line[0].isspace():
+            inside = line.rstrip() == "jobs:"
+            continue
+        match = JOB.match(line)
+        if inside and match:
+            indent = indent or match.group(1)
+            if match.group(1) == indent:
+                jobs.append(match.group(2))
+    return jobs
+
+
+def section(markdown: str, title: str):
+    """The text under heading ``title`` up to the next heading of the
+    same or a higher level, or None when there is no such heading."""
+    prose = FENCE.sub("", markdown)
+    headings = list(HEADING.finditer(prose))
+    for index, match in enumerate(headings):
+        if match.group(2) != title:
+            continue
+        level = len(match.group(1))
+        end = next(
+            (h.start() for h in headings[index + 1:]
+             if len(h.group(1)) <= level),
+            len(prose),
+        )
+        return prose[match.end():end]
+    return None
+
+
+def check_ci_jobs(root: Path) -> list:
+    doc, title = CI_SECTION
+    body = section((root / doc).read_text(), title)
+    if body is None:
+        return [f"{doc}: no \"{title}\" section to list the CI jobs"]
+    listed = set(CODE_SPAN.findall(body))
+    return [
+        f"{doc}#{slugify(title)}: CI job `{job}` of {WORKFLOW} "
+        "is not listed"
+        for job in workflow_jobs((root / WORKFLOW).read_text())
+        if job not in listed
+    ]
 
 
 def check_file(path: Path, root: Path) -> list:
@@ -92,13 +150,14 @@ def main(argv) -> int:
             errors.append(f"missing documentation file: {path}")
             continue
         errors.extend(check_file(path, root))
+    errors.extend(check_ci_jobs(root))
     if errors:
         print(f"docs check FAILED ({len(errors)} problem(s)):")
         for line in errors:
             print(f"  {line}")
         return 1
     print(f"docs check OK: {len(files)} file(s), links, anchors, and "
-          f"source paths all resolve")
+          f"source paths all resolve; every CI job is listed")
     return 0
 
 

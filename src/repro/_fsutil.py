@@ -1,9 +1,10 @@
-"""Filesystem helpers shared by the on-disk cache layers.
+"""Filesystem helpers shared by the on-disk state writers.
 
 One canonical atomic-write idiom (temp file in the target directory +
 ``os.replace``, temp cleanup on failure) used by the result cache, the
-trace build cache, and the claim store, so readers sharing a directory
-with writers never observe torn files.
+trace build cache, the campaign state file and the serve pool's
+``fleet.json``, so readers sharing a directory with writers never
+observe torn files.
 """
 
 from __future__ import annotations

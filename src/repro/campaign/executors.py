@@ -13,8 +13,8 @@ select()-shaped dict: identity columns + a ``metrics`` mapping +
 
 :class:`BrokerExecutor`
     submits each point as a one-spec grid to a live ``repro serve``
-    broker via :class:`GridClient` — a campaign is just another
-    tenant under fair-share scheduling and per-client quotas. The
+    broker via :class:`GridClient` — each point's grid takes its
+    turn in the broker's round-robin beside every other grid. The
     row is synthesised from the streamed result, so scoring works
     even when the broker's cache directory isn't locally readable.
 

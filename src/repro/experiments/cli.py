@@ -335,13 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
              "until interrupted; used by smoke tests)",
     )
     p.add_argument(
-        "--max-pending-per-client", type=int, default=None,
-        metavar="N",
-        help="per-client quota: reject (with a retry-after) submit "
-             "frames that would put a client over N outstanding "
-             "specs (default: unlimited)",
-    )
-    p.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="also serve GET /metrics (Prometheus text) and "
              "GET /healthz (JSON) on 127.0.0.1:PORT (0 = a free "
@@ -372,11 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, metavar="SECS",
         help="fail if the submitted grid is not fully streamed back "
              "within SECS (default: wait)",
-    )
-    p.add_argument(
-        "--priority", type=int, default=1, metavar="N",
-        help="fair-share weight for this grid: N lease grants per "
-             "scheduling rotation vs other live grids (default: 1)",
     )
     _add_auth_token_arg(p)
     p = sub.add_parser(
@@ -1222,7 +1210,6 @@ def _serve_command(args) -> int:
             flush=True,
         ),
         auth_token=args.auth_token,
-        max_pending_per_client=args.max_pending_per_client,
         metrics_port=args.metrics_port,
     )
     try:
@@ -1267,11 +1254,8 @@ def _serve_command(args) -> int:
         f"{len(stats.workers)} worker(s) seen); "
         f"{service.supervisor.spawned} spawned"
     )
-    if stats.rejected_submits or stats.auth_failures:
-        print(
-            f"[serve] {stats.rejected_submits} over-quota submit(s), "
-            f"{stats.auth_failures} auth failure(s)"
-        )
+    if stats.auth_failures:
+        print(f"[serve] {stats.auth_failures} auth failure(s)")
     return 0
 
 
@@ -1312,9 +1296,7 @@ def _submit_command(args) -> int:
     try:
         client = GridClient((host, port), auth_token=args.auth_token)
         try:
-            reply = client.submit(
-                specs, priority=max(1, args.priority)
-            )
+            reply = client.submit(specs)
             print(
                 f"[submit] grid {reply['grid']}: {client.specs} specs "
                 f"enqueued, {client.cached} already cached broker-side"

@@ -13,62 +13,17 @@ Every experiment expresses its measurement grid as a list of
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
-from repro.core import (
-    ConfidenceConfig,
-    GlobalLTP,
-    LastPCPredictor,
-    NullPolicy,
-    PerBlockLTP,
-    SelfInvalidationPolicy,
-    SignatureEncoder,
-    TruncatedAddEncoder,
-)
-from repro.dsi import DSIPolicy
 from repro.errors import ConfigurationError
 from repro.runner import Runner
 from repro.workloads import WORKLOAD_NAMES
-
-PolicyFactory = Callable[[int], SelfInvalidationPolicy]
-
-#: canonical policy names used on the CLI and in reports
-POLICIES = ("base", "dsi", "last-pc", "ltp", "ltp-global")
 
 
 def use_runner(runner: Optional[Runner]) -> Runner:
     """The experiment-module default: a serial, uncached runner, unless
     the caller supplies a shared one."""
     return runner if runner is not None else Runner()
-
-
-def make_policy_factory(
-    name: str,
-    bits: int = 30,
-    confidence: Optional[ConfidenceConfig] = None,
-    encoder: Optional[SignatureEncoder] = None,
-) -> PolicyFactory:
-    """Build a per-node policy factory by canonical name.
-
-    Ad-hoc exploration helper (examples, tests). The experiment
-    modules themselves declare policies as
-    :class:`~repro.runner.PolicySpec` values so runs are hashable and
-    cacheable.
-    """
-    if name == "base":
-        return lambda node: NullPolicy()
-    if name == "dsi":
-        return lambda node: DSIPolicy()
-    if name == "last-pc":
-        return lambda node: LastPCPredictor(bits=bits, confidence=confidence)
-    enc = encoder or TruncatedAddEncoder(bits)
-    if name == "ltp":
-        return lambda node: PerBlockLTP(enc, confidence)
-    if name == "ltp-global":
-        return lambda node: GlobalLTP(enc, confidence)
-    raise ConfigurationError(
-        f"unknown policy {name!r}; choose from {POLICIES}"
-    )
 
 
 def workload_list(workloads: Optional[Iterable[str]]) -> List[str]:

@@ -79,9 +79,6 @@ class FleetService:
         announce: callback receiving the bound ``host:port`` string.
         auth_token: shared wire-auth secret (protocol v3). ``None``
             keeps the broker open (localhost-trust).
-        max_pending_per_client: outstanding-spec quota per submit
-            client; over-quota submissions get a ``busy`` retry-after
-            reply. ``None`` = unlimited.
         max_crashes: consecutive crash exits before the pool stops
             refilling (the crash breaker).
         metrics_port: when set, :meth:`start` also binds a plain-HTTP
@@ -107,7 +104,6 @@ class FleetService:
         max_attempts: int = 3,
         announce: Optional[Callable[[str], None]] = None,
         auth_token: Optional[str] = None,
-        max_pending_per_client: Optional[int] = None,
         max_crashes: int = 5,
         metrics_port: Optional[int] = None,
         metrics_host: str = "127.0.0.1",
@@ -132,7 +128,6 @@ class FleetService:
             poll=poll,
             max_attempts=max_attempts,
             auth_token=auth_token,
-            max_pending_per_client=max_pending_per_client,
         )
         self.batch = batch
         self.auth_token = auth_token

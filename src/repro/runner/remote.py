@@ -19,15 +19,14 @@ payload length, then the pickled message dict — request/reply over a
 persistent connection. Messages: ``hello``/``welcome``,
 ``lease``/``specs``, ``result``, ``error``, ``heartbeat``, ``bye``,
 the v2 grid frames ``submit``/``grid-poll``/``grid-results``/
-``grid-done``, and the multi-tenant v3 frames ``auth``/``challenge``
-(HMAC handshake) and ``busy`` (per-client quota backpressure). Workers
-execute leased specs with :func:`repro.runner.runner.execute_spec`
-and stream pickled reports back for the broker to publish. A worker
-takes each trace from its per-process memo, from the trace cache it
-was started with (forked workers share the runner's
-``<cache-dir>/traces``), or from a local build; traces never cross the
-wire. A report travels as its plain pickle, the same bytes the
-result cache stores.
+``grid-done``, and the v3 wire-auth frames ``auth``/``challenge``
+(HMAC handshake). Workers execute leased specs with
+:func:`repro.runner.runner.execute_spec` and stream pickled reports
+back for the broker to publish. A worker takes each trace from its
+per-process memo, from the trace cache it was started with (forked
+workers share the runner's ``<cache-dir>/traces``), or from a local
+build; traces never cross the wire. A report travels as its plain
+pickle, the same bytes the result cache stores.
 
 Lease lifecycle::
 
@@ -96,8 +95,7 @@ from repro.workloads import TraceCache
 MAGIC = b"LTPW"
 #: the only version either side emits or accepts; v2 added the
 #: grid frames (submit / grid-poll / grid-results / grid-done); v3
-#: added the multi-tenant frames (auth / challenge handshake, busy)
-#: plus the optional submit ``priority`` key
+#: added the wire-auth handshake (auth / challenge)
 PROTOCOL_VERSION = 3
 _HEADER = struct.Struct("!4sBI")
 
@@ -138,10 +136,11 @@ FAILED = "failed"
 _ENTRY_SLACK = 4096
 
 #: hard per-item ceiling for grid-results entries: a single report
-#: whose *raw* pickle is this big cannot ship in any frame (the
-#: worker-side budget checks the *packed* size, so a very
-#: compressible giant report can get this far) — it is delivered as
-#: that spec's failure instead of tearing down the client connection
+#: this big cannot ship in any frame — it is delivered as that spec's
+#: failure instead of tearing down the client connection. Reachable
+#: although workers enforce ``_REPORT_BUDGET``: a cache hit read from
+#: disk passed no worker budget, and a report inside that budget can
+#: pass this limit once ``_ENTRY_SLACK`` is added
 _GRID_ITEM_LIMIT = MAX_FRAME - 65536
 
 
@@ -177,7 +176,6 @@ _M_HB_RTT = _tm.gauge("repro_broker_heartbeat_rtt_seconds")
 # frames (snapshot prefix below) for fleet-wide /metrics aggregation.
 _WORKER_METRIC_PREFIXES = ("repro_worker_", "repro_runner_")
 _W_EXECUTED = _tm.counter("repro_worker_executed_total")
-_W_EXEC_SECONDS = _tm.histogram("repro_worker_execute_seconds")
 
 #: a worker whose last heartbeat is older than this many lease ttls is
 #: reported stale (not live) in /healthz
@@ -335,17 +333,16 @@ class LeaseTable:
     to reassign a dead peer's specs.
 
     **Fair-share scheduling**: every key belongs to a *group* (a
-    submitted grid's id; :attr:`DEFAULT_GROUP` when untagged) with an
-    integer priority. :meth:`lease` grants round-robin across groups
-    that have pending keys — up to ``priority`` consecutive grants
-    per group per rotation, insertion order within a group, rotation
-    resuming after the last-granted group — so one huge grid cannot
-    starve a small one: over any window of ``sum(priorities)``
-    consecutive grants, every group with pending keys receives at
-    least its ``priority`` of them. With a single group this is
-    exactly the original insertion-order grant, which is what keeps
-    backend-conformance byte-identity intact. All tie-breaks are by
-    admission order, so the schedule is deterministic.
+    submitted grid's id; :attr:`DEFAULT_GROUP` when untagged).
+    :meth:`lease` grants round-robin across groups that have pending
+    keys — one grant per group per turn, insertion order within a
+    group, rotation resuming after the last-granted group — so one
+    huge grid cannot starve a small one: over any window of as many
+    consecutive grants as there are groups with pending keys, every
+    such group receives one. With a single group this is exactly
+    insertion order, which is what keeps backend-conformance
+    byte-identity intact. All tie-breaks are by admission order, so
+    the schedule is deterministic.
     """
 
     def __init__(
@@ -363,8 +360,8 @@ class LeaseTable:
         self._attempts: Dict[str, int] = {}
         #: expired leases reclaimed for reassignment, cumulative
         self.reclaimed = 0
-        #: admission-ordered group -> priority (weight per rotation)
-        self._groups: Dict[str, int] = {DEFAULT_GROUP: 1}
+        #: admission-ordered set of groups (the dict's keys)
+        self._groups: Dict[str, None] = {DEFAULT_GROUP: None}
         #: key -> group; a key keeps the group it was first admitted
         #: under (later grids sharing the key ride its result anyway)
         self._group_of: Dict[str, str] = {
@@ -378,20 +375,14 @@ class LeaseTable:
         return dict(self._state)
 
     def extend(
-        self,
-        keys: Iterable[str],
-        group: str = DEFAULT_GROUP,
-        priority: int = 1,
+        self, keys: Iterable[str], group: str = DEFAULT_GROUP
     ) -> int:
         """Admit new pending keys mid-flight (how the broker enqueues
-        a submitted grid into the live table), tagged with
-        the submitting grid's ``group`` and scheduling ``priority``.
-        Keys already tracked — whatever their state — are left
-        untouched and keep their original group; returns how many
-        were new."""
-        priority = max(1, int(priority))
-        if group not in self._groups:
-            self._groups[group] = priority
+        a submitted grid into the live table), tagged with the
+        submitting grid's ``group``. Keys already tracked — whatever
+        their state — are left untouched and keep their original
+        group; returns how many were new."""
+        self._groups.setdefault(group)
         added = 0
         for key in keys:
             if key not in self._state:
@@ -473,17 +464,14 @@ class LeaseTable:
         buckets = {g: deque(pending[g]) for g in order}
         while order and len(granted) < max_n:
             for group in list(order):
-                quota = max(1, self._groups.get(group, 1))
                 bucket = buckets[group]
-                while quota and bucket and len(granted) < max_n:
-                    key = bucket.popleft()
-                    self._state[key] = LEASED
-                    self._leases[key] = LeaseInfo(
-                        owner=owner, expires=now + self.ttl
-                    )
-                    granted.append(key)
-                    self._rr_last = group
-                    quota -= 1
+                key = bucket.popleft()
+                self._state[key] = LEASED
+                self._leases[key] = LeaseInfo(
+                    owner=owner, expires=now + self.ttl
+                )
+                granted.append(key)
+                self._rr_last = group
                 if not bucket:
                     order.remove(group)
                 if len(granted) >= max_n:
@@ -578,14 +566,12 @@ class BrokerStats:
     errors: int = 0
     #: specs handed out, including reassignments after expiry
     leases: int = 0
-    #: packed report bytes received on result frames
+    #: pickled report bytes received on result frames
     result_bytes: int = 0
     #: grids admitted (``submit`` frames and :meth:`Broker.submit`)
     grids: int = 0
     #: grids fully streamed back to their client
     grids_done: int = 0
-    #: submits bounced with a ``busy`` reply (client over quota)
-    rejected_submits: int = 0
     #: connections that failed (or never attempted) the auth handshake
     auth_failures: int = 0
     workers: Set[str] = field(default_factory=set)
@@ -609,7 +595,6 @@ class GridState:
     """
 
     id: str
-    client: str
     specs: int
     ready: "deque" = field(default_factory=deque)
     outstanding: Set[str] = field(default_factory=set)
@@ -653,7 +638,6 @@ class Broker:
         results_budget: int = 256 * 1024 * 1024,
         grid_idle_timeout: float = 3600.0,
         auth_token: Optional[str] = None,
-        max_pending_per_client: Optional[int] = None,
     ) -> None:
         self.cache = cache
         self.lease_ttl = lease_ttl
@@ -661,11 +645,6 @@ class Broker:
         #: shared wire-auth secret; None = open broker (no handshake
         #: required, auth frames acknowledged as already-authenticated)
         self.auth_token = auth_token
-        #: per-client cap on outstanding (not-yet-resolved) submitted
-        #: specs; a submit that would exceed it bounces with a
-        #: ``busy`` frame carrying a retry-after instead of admitting
-        #: unbounded work. None = no quota.
-        self.max_pending_per_client = max_pending_per_client
         #: cap on raw-report bytes held in self.results — older
         #: entries are evicted once they are safely in the cache, so a
         #: long-lived service cannot grow without bound
@@ -690,6 +669,8 @@ class Broker:
         self._trace_ids: Dict[str, str] = {}
         #: lease key -> wall-clock stamp of its first grant, consumed
         #: at publication by the lease-to-publish histogram
+        #: (both maps drop a key once its lease ends for good:
+        #: published, or failed permanently)
         self._lease_started: Dict[str, float] = {}
         #: worker name -> health piggybacked on heartbeat frames:
         #: {"last_seen", "rtt", "keys", "metrics"} — feeds /healthz
@@ -988,7 +969,6 @@ class Broker:
                 "leases": self.stats.leases,
                 "grids": self.stats.grids,
                 "grids_done": self.stats.grids_done,
-                "rejected_submits": self.stats.rejected_submits,
                 "auth_failures": self.stats.auth_failures,
             }
         return {
@@ -1027,11 +1007,7 @@ class Broker:
                 worker, int(message.get("max", 1))
             )
         if mtype == "submit":
-            return self._handle_submit(
-                str(message.get("client", worker)),
-                message.get("specs"),
-                message.get("priority", 1),
-            )
+            return self._handle_submit(message.get("specs"))
         if mtype == "grid-poll":
             return self._handle_grid_poll(
                 str(message.get("grid", "")), int(message.get("max", 32))
@@ -1130,23 +1106,21 @@ class Broker:
     def submit(self, specs: Iterable[JobSpec]) -> str:
         """Admit a grid in-process, exactly as a ``submit`` frame
         would; returns its id for :meth:`stream`."""
-        reply = self._handle_submit("local", list(specs))
+        reply = self._handle_submit(list(specs))
         if reply["type"] != "grid":
             raise RemoteExecutionError(reply["message"])
         return reply["grid"]
 
-    def _handle_submit(self, client: str, specs, priority=1) -> dict:
+    def _handle_submit(self, specs) -> dict:
         """Admit a whole grid into the live lease table.
 
         Each unique spec resolves against, in order: the in-memory
         result map, the attached cache, and — failing both — the lease
         table, which is extended with the new keys (tagged with the
-        grid's id and ``priority`` for fair-share scheduling) so the
-        fleet starts executing them on its next lease poll. The reply
-        names the grid (``grid-poll`` streams it back) and says how
-        much was already served from cache. A client already holding
-        ``max_pending_per_client`` outstanding specs gets a ``busy``
-        reply with a ``retry_after`` instead of admission.
+        grid's id for fair-share scheduling) so the fleet starts
+        executing them on its next lease poll. The reply names the
+        grid (``grid-poll`` streams it back) and says how much was
+        already served from cache.
         """
         if not isinstance(specs, (list, tuple)) or not specs:
             return {
@@ -1157,14 +1131,6 @@ class Broker:
             return {
                 "type": "error",
                 "message": "submit specs must be JobSpec instances",
-            }
-        try:
-            priority = max(1, int(priority))
-        except (TypeError, ValueError):
-            return {
-                "type": "error",
-                "message": f"submit priority must be an integer >= 1, "
-                           f"got {priority!r}",
             }
         self.reap_grids()  # new arrivals sweep vanished clients out
         unique = list(dict.fromkeys(specs))
@@ -1203,43 +1169,10 @@ class Broker:
                     continue  # absent or corrupt entry: a miss
                 sized[key] = (value, len(raw) + _ENTRY_SLACK)
         with self._lock:
-            if self.max_pending_per_client is not None:
-                # quota check under the same lock as admission: the
-                # prospective outstanding count uses the exact
-                # predicate the admission loop applies below
-                incoming = sum(
-                    1
-                    for key, _ in keyed
-                    if key not in self.results and key not in sized
-                )
-                held = sum(
-                    len(g.outstanding)
-                    for g in self._grids.values()
-                    if g.client == client
-                )
-                if held + incoming > self.max_pending_per_client:
-                    self.stats.rejected_submits += 1
-                    _M_SUBMITS.inc(outcome="busy")
-                    return {
-                        "type": "busy",
-                        "retry_after": max(1.0, self.poll * 10),
-                        "outstanding": held,
-                        "submitted": incoming,
-                        "limit": self.max_pending_per_client,
-                        "message": (
-                            f"client {client!r} would hold "
-                            f"{held + incoming} outstanding specs "
-                            f"(quota {self.max_pending_per_client}) "
-                            "— retry after the backlog drains"
-                        ),
-                    }
             gid = f"g{self._grid_seq}"
             self._grid_seq += 1
             grid = GridState(
-                id=gid,
-                client=client,
-                specs=len(unique),
-                last_poll=time.monotonic(),
+                id=gid, specs=len(unique), last_poll=time.monotonic()
             )
             cached = 0
             new_keys: List[str] = []
@@ -1290,7 +1223,7 @@ class Broker:
                         # executing it again — deterministic, so the
                         # re-run is byte-identical
                         self.table.requeue(key)
-            self.table.extend(new_keys, group=gid, priority=priority)
+            self.table.extend(new_keys, group=gid)
             if grid.outstanding:
                 self._work.notify_all()
             self.stats.specs += len(new_keys)
@@ -1425,7 +1358,7 @@ class Broker:
             first = self.table.complete(key)
             if first:
                 leased_at = self._lease_started.pop(key, None)
-                trace_id = self._trace_ids.get(key)
+                trace_id = self._trace_ids.pop(key, None)
             else:
                 self.stats.duplicates += 1
         if not first:
@@ -1536,6 +1469,8 @@ class Broker:
             if final:
                 # a permanently failed key will never produce a
                 # result: deliver the failure to its waiting grids
+                self._lease_started.pop(key, None)
+                self._trace_ids.pop(key, None)
                 self._fail_subscribers(key, message)
             else:
                 self._work.notify_all()  # a retry is pending again
@@ -1773,7 +1708,6 @@ def run_worker(
                     # adopt the broker-minted trace id so this span
                     # and the broker's publish span stitch into one
                     # cross-process trace for the key
-                    started = time.perf_counter()
                     with _tm.bind_trace(lease_traces.get(key)), \
                             _tm.span(
                                 "worker.execute",
@@ -1781,9 +1715,6 @@ def run_worker(
                                 kind=spec.kind,
                             ):
                         value = _execution.execute_spec(spec)
-                    _W_EXEC_SECONDS.observe(
-                        time.perf_counter() - started, kind=spec.kind
-                    )
                     data = pickle.dumps(
                         value, protocol=pickle.HIGHEST_PROTOCOL
                     )
@@ -1884,67 +1815,16 @@ class GridClient:
         self.specs = 0
         self.cached = 0
 
-    def submit(
-        self,
-        specs: Iterable[JobSpec],
-        priority: int = 1,
-        quota_wait: Optional[float] = 60.0,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> dict:
+    def submit(self, specs: Iterable[JobSpec]) -> dict:
         """Enqueue a grid; returns the broker's ``grid`` reply (grid
-        id, unique spec count, broker-side cache hits).
-
-        ``priority`` weights this grid's share of the fleet (fair-share
-        round-robin grants up to ``priority`` specs per rotation). A
-        ``busy`` reply — the broker's per-client quota backpressure —
-        is retried after its advertised ``retry_after`` for up to
-        ``quota_wait`` seconds (``None`` = keep retrying forever),
-        then surfaced as :class:`RemoteExecutionError`. When the
-        advertised ``retry_after`` overshoots the remaining budget,
-        the final sleep is clamped to what's left and the submit is
-        attempted once more *at* the deadline — the client spends its
-        whole ``quota_wait`` before giving up, instead of forfeiting
-        a window the broker may well have freed. ``clock``/``sleep``
-        exist for tests.
-        """
-        specs = list(specs)
-        message = {
-            "type": "submit",
-            "client": self.name,
-            "specs": specs,
-        }
-        if priority != 1:
-            message["priority"] = int(priority)
-        deadline = (
-            None if quota_wait is None else clock() + quota_wait
+        id, unique spec count, broker-side cache hits)."""
+        reply = _request(
+            self._stream, {"type": "submit", "specs": list(specs)}
         )
-        final_attempt = False
-        while True:
-            reply = _request(self._stream, message)
-            if reply.get("type") == "busy":
-                wait = max(0.05, float(reply.get("retry_after", 1.0)))
-                if deadline is not None:
-                    remaining = deadline - clock()
-                    if final_attempt or remaining <= 0:
-                        raise RemoteExecutionError(
-                            "serve broker held the client over quota "
-                            f"for {quota_wait:g}s: "
-                            f"{reply.get('message', reply)!r}"
-                        )
-                    if wait > remaining:
-                        # clamp: sleep out the budget and try once
-                        # more at the deadline rather than raising
-                        # with unspent quota_wait on the table
-                        wait = remaining
-                        final_attempt = True
-                sleep(wait)
-                continue
-            if reply.get("type") != "grid":
-                raise ProtocolError(
-                    f"submit rejected: {reply.get('message', reply)!r}"
-                )
-            break
+        if reply.get("type") != "grid":
+            raise ProtocolError(
+                f"submit rejected: {reply.get('message', reply)!r}"
+            )
         self.grid = reply["grid"]
         self.specs = int(reply.get("specs", 0))
         self.cached = int(reply.get("cached", 0))
@@ -2020,7 +1900,6 @@ def submit_grid(
     specs: Iterable[JobSpec],
     timeout: Optional[float] = None,
     name: Optional[str] = None,
-    priority: int = 1,
     auth_token: Optional[str] = None,
 ) -> Dict[JobSpec, Any]:
     """One-shot convenience: submit ``specs`` to a serve-mode broker
@@ -2028,7 +1907,7 @@ def submit_grid(
     with GridClient(
         address, name=name, auth_token=auth_token
     ) as client:
-        client.submit(specs, priority=priority)
+        client.submit(specs)
         return dict(client.stream(timeout=timeout))
 
 

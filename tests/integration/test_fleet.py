@@ -835,90 +835,6 @@ class TestWireAuth:
             broker.stop()
 
 
-class TestSubmitQuota:
-    def test_over_quota_submit_gets_busy_then_admits_after_drain(
-        self, tmp_path
-    ):
-        import threading
-
-        broker = Broker(
-            cache=ResultCache(tmp_path), poll=0.02,
-            max_pending_per_client=1,
-        )
-        address = broker.start()
-        try:
-            raw = _RawClient(address)
-            first = raw.request({
-                "type": "submit", "client": "c",
-                "specs": [census_job("em3d", SIZE)],
-            })
-            assert first["type"] == "grid"
-            busy = raw.request({
-                "type": "submit", "client": "c",
-                "specs": [census_job("tomcatv", SIZE)],
-            })
-            assert busy["type"] == "busy"
-            assert busy["retry_after"] > 0
-            assert busy["outstanding"] == 1
-            assert busy["limit"] == 1
-            assert broker.stats.rejected_submits == 1
-            # quotas are per client: another tenant is unaffected
-            other = _RawClient(address)
-            ok = other.request({
-                "type": "submit", "client": "d",
-                "specs": [census_job("tomcatv", SIZE)],
-            })
-            assert ok["type"] == "grid"
-            # once c's backlog drains, the retry admits
-            worker = threading.Thread(
-                target=run_worker,
-                kwargs=dict(address=address, name="w"),
-                daemon=True,
-            )
-            worker.start()
-            deadline = time.monotonic() + 240
-            retry = busy
-            while time.monotonic() < deadline:
-                retry = raw.request({
-                    "type": "submit", "client": "c",
-                    "specs": [census_job("tomcatv", SIZE)],
-                })
-                if retry["type"] != "busy":
-                    break
-                time.sleep(0.05)
-            assert retry["type"] == "grid"
-            raw.close()
-            other.close()
-            broker.begin_shutdown()
-            worker.join(timeout=30)
-            assert not worker.is_alive()
-        finally:
-            broker.stop()
-
-    def test_grid_client_retries_busy_within_quota_wait(
-        self, tmp_path
-    ):
-        """GridClient.submit absorbs transient busy replies and gives
-        up with a clear error once quota_wait expires."""
-        broker = Broker(
-            cache=ResultCache(tmp_path), poll=0.02,
-            max_pending_per_client=1,
-        )
-        address = broker.start()
-        try:
-            with GridClient(address, name="c") as client:
-                client.submit([census_job("em3d", SIZE)])
-                with pytest.raises(
-                    RemoteExecutionError, match="quota"
-                ):
-                    client.submit(
-                        [census_job("tomcatv", SIZE)],
-                        quota_wait=0.3,
-                    )
-        finally:
-            broker.stop()
-
-
 class TestWireCompat:
     @pytest.mark.parametrize("version", [1, 2, 9])
     def test_future_versions_are_rejected(self, version):
@@ -950,6 +866,37 @@ class TestWireCompat:
             }
             welcome = client.request({"type": "hello", "worker": "w-1"})
             assert welcome["protocol"] == 3
+        finally:
+            client.close()
+            broker.stop()
+
+    def test_submit_priority_and_client_keys_are_ignored(
+        self, tmp_path
+    ):
+        """Submit priorities and per-client quotas are gone without a
+        version bump: a ``submit`` frame that still carries
+        ``priority`` and ``client`` is admitted like any other, even
+        with a weight the old broker refused, and its grid gets one
+        grant per turn like every other grid."""
+        broker = Broker(cache=ResultCache(tmp_path), poll=0.02)
+        address = broker.start()
+        client = _RawClient(address)
+        first = [census_job(w, SIZE) for w in ("em3d", "tomcatv")]
+        second = [census_job(w, SIZE) for w in ("appbt", "barnes")]
+        try:
+            for specs, priority in ((first, 3), (second, "high")):
+                reply = client.request({
+                    "type": "submit", "client": "c",
+                    "priority": priority, "specs": specs,
+                })
+                assert reply["type"] == "grid"
+                assert reply["new"] == 2
+            grant = client.request(
+                {"type": "lease", "worker": "w-1", "max": 4}
+            )
+            assert [spec for _, spec in grant["leases"]] == [
+                first[0], second[0], first[1], second[1],
+            ]
         finally:
             client.close()
             broker.stop()

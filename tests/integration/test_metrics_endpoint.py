@@ -202,6 +202,43 @@ class TestLiveScrape:
             broker.stop()
         assert not worker.is_alive()
 
+    def test_heartbeat_times_each_execution_once(
+        self, tmp_path, worker_thread
+    ):
+        """A worker's heartbeat snapshot carries each execution's time
+        once, as the runner's series, with no worker-named copy of the
+        same observation."""
+        grid = [census_job("em3d", SIZE)]
+        broker = Broker(
+            cache=ResultCache(tmp_path / "cache"),
+            lease_ttl=0.4,  # beats every ~0.1s
+            poll=0.02,
+        )
+        executed = tm.registry().counter("repro_worker_executed_total")
+        before = executed.value(outcome="ok")
+        gid = broker.submit(grid)
+        broker.start()
+        try:
+            with worker_thread(broker, name="timer"):
+                assert len(list(broker.stream(gid, timeout=240))) == 1
+
+                def shipped():
+                    counters = broker.worker_snapshots().get(
+                        "timer", {}
+                    ).get("counters", {})
+                    return counters.get(
+                        "repro_worker_executed_total", {}
+                    ).get("outcome=ok", 0) > before
+
+                # a beat sent after the worker counted the spec, so
+                # after every observation of its execution
+                assert _wait(shipped), "no heartbeat after execution"
+                snapshot = broker.worker_snapshots()["timer"]
+        finally:
+            broker.stop()
+        assert "repro_runner_execute_seconds" in snapshot["histograms"]
+        assert "repro_worker_execute_seconds" not in snapshot["histograms"]
+
     def test_spans_stitch_lease_execute_publish(
         self, tmp_path, worker_thread
     ):

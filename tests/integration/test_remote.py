@@ -828,6 +828,60 @@ class TestLeaseSpans:
         assert [span["attrs"]["keys"] for span in spans] == [2]
 
 
+class TestLeaseTraceIds:
+    def test_trace_ids_last_until_a_lease_ends_for_good(self, tmp_path):
+        """A key's trace id and first-grant stamp live from its first
+        grant until its lease ends for good: a reclaimed lease is
+        regranted under the same id, a published or permanently
+        failed key leaves neither behind, and a requeued key is traced
+        afresh."""
+        now = [1_000.0]
+        good = census_job("em3d", SIZE)
+        bad = census_job("tomcatv", SIZE)
+        cache = ResultCache(tmp_path)
+        broker = Broker(
+            cache=cache,
+            lease_ttl=10.0,
+            max_attempts=1,
+            clock=lambda: now[0],
+        )
+        lease = {"type": "lease", "worker": "w-1", "max": 2}
+        try:
+            gid = broker.submit([good, bad])
+            grant = broker._dispatch(lease)
+            traces = grant["traces"]
+            key = {spec: key for key, spec in grant["leases"]}
+            now[0] += 20.0  # w-1 went silent past the ttl
+            regrant = broker._dispatch(dict(lease, worker="w-2"))
+            assert regrant["traces"] == traces
+            broker._dispatch({
+                "type": "result", "worker": "w-2", "key": key[good],
+                "report": pickle.dumps(Runner().run_one(good)),
+            })
+            broker._dispatch({
+                "type": "error", "worker": "w-2", "key": key[bad],
+                "message": "boom",
+            })
+            with pytest.raises(
+                RemoteExecutionError, match="failed permanently"
+            ):
+                list(broker.stream(gid, timeout=10))
+            assert broker._trace_ids == {}
+            assert broker._lease_started == {}
+            # evicted from memory and pruned from the cache, the
+            # published key is requeued by a resubmission, and the
+            # failed one is re-armed
+            broker.results.clear()
+            for path in cache.entry_paths():
+                path.unlink()
+            broker.submit([good, bad])
+            again = broker._dispatch(lease)["traces"]
+            assert sorted(again) == sorted(traces)
+            assert not set(again.values()) & set(traces.values())
+        finally:
+            broker.stop()
+
+
 class TestSilentBroker:
     def test_worker_times_out_instead_of_hanging(self, monkeypatch):
         """A broker that welcomes a worker and then stops answering (a

@@ -15,21 +15,12 @@ from repro.experiments import (
     table4,
 )
 from repro.experiments.cli import build_parser, main
-from repro.experiments.common import make_policy_factory, workload_list
+from repro.experiments.common import workload_list
 
 SUBSET = ["em3d", "tomcatv"]
 
 
 class TestCommon:
-    def test_all_policy_factories_construct(self):
-        for name in ("base", "dsi", "last-pc", "ltp", "ltp-global"):
-            policy = make_policy_factory(name)(0)
-            assert policy.name
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_policy_factory("magic")
-
     def test_workload_list_default_is_all_nine(self):
         assert len(workload_list(None)) == 9
 
@@ -270,6 +261,26 @@ class TestProfileAndEngineCli:
             build_parser().parse_args(argv + ["--codec", "zlib"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["submit", "fig6", "--connect", "127.0.0.1:7463",
+             "--priority", "2"],
+            ["serve", "--max-pending-per-client", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tenant_policy_flags_are_rejected(self, argv, capsys):
+        """The broker shares its fleet by one round-robin rule, so no
+        grid carries a weight and no client a quota."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert (
+            f"unrecognized arguments: {argv[-2]}"
+            in capsys.readouterr().err
+        )
 
     def test_cache_migrate_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -26,17 +26,6 @@ def telemetry_on():
     tm.set_enabled(was)
 
 
-class FakeClock:
-    def __init__(self, now=1_000.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
-
-
 class FakeProc:
     """Process stand-in the supervisor can spawn/reap/terminate."""
 
@@ -406,120 +395,23 @@ class TestServiceConstruction:
             FleetService(cache=None)
 
 
-class TestSubmitQuotaClamp:
-    """GridClient.submit quota backpressure with an injectable clock.
-
-    The broker's ``busy`` reply advertises ``retry_after``; the client
-    must spend its whole ``quota_wait`` budget before raising — when
-    the advertised wait overshoots the remaining budget, the last
-    sleep clamps to what's left and the submit is retried once at the
-    deadline. No sockets: ``_request`` is monkeypatched and the
-    client is built without connecting.
-    """
-
-    def _client(self, monkeypatch, replies):
-        from repro.runner import remote
+class TestGridClientSubmit:
+    def test_submit_frame_carries_only_the_specs(self, monkeypatch):
+        """A grid has no weight and its client no quota, so the frame
+        names neither, and one ``grid`` reply admits it. No sockets:
+        ``_request`` is monkeypatched and the client never connects."""
+        from repro.runner import census_job, remote
 
         client = remote.GridClient.__new__(remote.GridClient)
-        client.name = "unit-client"
         client._stream = object()
-        client.grid = None
-        client.specs = 0
-        client.cached = 0
-        calls = []
+        sent = []
 
         def fake_request(stream, message):
-            calls.append(message)
-            return replies.pop(0)
+            sent.append(message)
+            return {"type": "grid", "grid": "g0", "specs": 1, "cached": 0}
 
         monkeypatch.setattr(remote, "_request", fake_request)
-        return client, calls
-
-    def _busy(self, retry_after):
-        return {
-            "type": "busy",
-            "retry_after": retry_after,
-            "message": "quota",
-        }
-
-    def _grid(self):
-        return {"type": "grid", "grid": "g-1", "specs": 1, "cached": 0}
-
-    def test_overshooting_retry_after_clamps_to_budget(
-        self, monkeypatch
-    ):
-        # failing-before: retry_after=10 > quota_wait=1 used to raise
-        # immediately, even though a 1s sleep fit a final attempt
-        client, calls = self._client(
-            monkeypatch, [self._busy(10.0), self._grid()]
-        )
-        clock = FakeClock(now=0.0)
-        sleeps = []
-
-        def sleep(dt):
-            sleeps.append(dt)
-            clock.advance(dt)
-
-        reply = client.submit(
-            [], quota_wait=1.0, clock=clock, sleep=sleep
-        )
-        assert reply["grid"] == "g-1"
-        assert sleeps == [1.0]  # clamped, not the advertised 10s
-        assert len(calls) == 2  # the deadline attempt happened
-
-    def test_still_busy_at_deadline_raises(self, monkeypatch):
-        from repro.runner.remote import RemoteExecutionError
-
-        client, calls = self._client(
-            monkeypatch, [self._busy(10.0), self._busy(10.0)]
-        )
-        clock = FakeClock(now=0.0)
-        sleeps = []
-
-        def sleep(dt):
-            sleeps.append(dt)
-            clock.advance(dt)
-
-        with pytest.raises(RemoteExecutionError, match="quota"):
-            client.submit(
-                [], quota_wait=1.0, clock=clock, sleep=sleep
-            )
-        assert sleeps == [1.0]  # exactly one clamped sleep, no more
-        assert len(calls) == 2
-
-    def test_within_budget_retries_use_advertised_wait(
-        self, monkeypatch
-    ):
-        client, calls = self._client(
-            monkeypatch,
-            [self._busy(0.2), self._busy(0.2), self._grid()],
-        )
-        clock = FakeClock(now=0.0)
-        sleeps = []
-
-        def sleep(dt):
-            sleeps.append(dt)
-            clock.advance(dt)
-
-        reply = client.submit(
-            [], quota_wait=1.0, clock=clock, sleep=sleep
-        )
-        assert reply["grid"] == "g-1"
-        assert sleeps == [0.2, 0.2]
-
-    def test_unbounded_quota_wait_never_clamps(self, monkeypatch):
-        client, calls = self._client(
-            monkeypatch,
-            [self._busy(5.0), self._busy(5.0), self._grid()],
-        )
-        clock = FakeClock(now=0.0)
-        sleeps = []
-
-        def sleep(dt):
-            sleeps.append(dt)
-            clock.advance(dt)
-
-        client.submit(
-            [], quota_wait=None, clock=clock, sleep=sleep
-        )
-        assert sleeps == [5.0, 5.0]
+        specs = [census_job("em3d", "tiny")]
+        assert client.submit(iter(specs))["grid"] == "g0"
+        assert sent == [{"type": "submit", "specs": specs}]
+        assert (client.grid, client.specs, client.cached) == ("g0", 1, 0)
