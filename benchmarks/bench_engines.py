@@ -9,15 +9,17 @@ byte-identical, this proves the shipped one is actually fast. The
 BENCH record's ``stats_s`` times the shipped engine, with the
 reference time and the speedup in ``extra_info``.
 
-The same grid also gates the telemetry layer's overhead budget on the
-path that records: :func:`~repro.runner.execute_spec`, which with
-collection on opens the execute span, folds the engine's event counters
-and observes the runner's execute histogram. Each spec runs
-``OVERHEAD_ROUNDS`` times with collection on and as often fully
-disabled, the two modes back to back in alternating order, and the
-grid's summed per-spec minimums must differ by under 5% — the engine
-hot loop is not instrumented per-event, so anything larger means an
-instrument crept onto the hot path (see ``docs/observability.md``).
+The same grid also gates the telemetry layer's overhead budget:
+:func:`~repro.runner.execute_spec` opens the execute span, counts the
+spec and observes the runner's execute histogram around
+``_execute_spec_inner``, whose only recording is the once-per-spec
+fold of the engine's event counts. Each spec runs ``OVERHEAD_ROUNDS``
+times through each, the two back to back in alternating order, and
+the grid's summed per-spec minimums must differ by under 5%, so what
+the runner records per spec stays noise next to the simulation. No
+simulator module imports the telemetry package
+(``tests/unit/test_telemetry.py`` pins that), so nothing records per
+event (see ``docs/observability.md``).
 Back to back and minimums, because on a shared host the speed of a
 whole grid run drifts by more than the budget; two runs of one spec a
 fraction of a second apart see the same host.
@@ -25,7 +27,6 @@ fraction of a second apart see the same host.
 
 import time
 
-import repro.telemetry as telemetry
 from benchmarks.conftest import save_rendered
 from repro.experiments import figure9
 from repro.protocol.states import ProtocolVariant
@@ -37,7 +38,7 @@ from tests.oracle import ReferenceTimingSimulator, reference_factory
 
 SIZE = "small"
 
-#: telemetry on/off alternations of the overhead gate
+#: execute_spec/_execute_spec_inner alternations of the overhead gate
 OVERHEAD_ROUNDS = 5
 
 
@@ -80,43 +81,36 @@ def test_engine_cores(benchmark, monkeypatch):
                 programs[(spec.workload, spec.size, spec.overrides)]
             )
 
-    was_enabled = telemetry.enabled()
-    telemetry.set_enabled(True)
-    try:
-        start = time.perf_counter()
-        grid(ReferenceTimingSimulator)
-        reference_s = time.perf_counter() - start
+    start = time.perf_counter()
+    grid(ReferenceTimingSimulator)
+    reference_s = time.perf_counter() - start
 
-        # shipped engine, telemetry collecting (the default)
-        benchmark.pedantic(
-            lambda: grid(TimingSimulator), rounds=1, iterations=1
-        )
-        stats = getattr(benchmark.stats, "stats", benchmark.stats)
-        fast_s = stats.mean
+    benchmark.pedantic(
+        lambda: grid(TimingSimulator), rounds=1, iterations=1
+    )
+    stats = getattr(benchmark.stats, "stats", benchmark.stats)
+    fast_s = stats.mean
 
-        # overhead gate: each spec through execute_spec with
-        # instruments collecting and short-circuited back to back,
-        # alternating which goes first, keeping the minimum per spec
-        # and mode
-        monkeypatch.setattr(runner_module, "_PROGRAMS", programs)
-        best = {mode: [float("inf")] * len(specs) for mode in (True, False)}
-        for round_no in range(OVERHEAD_ROUNDS):
-            order = (True, False) if round_no % 2 == 0 else (False, True)
-            for i, spec in enumerate(specs):
-                for enabled in order:
-                    telemetry.set_enabled(enabled)
-                    start = time.perf_counter()
-                    execute_spec(spec)
-                    best[enabled][i] = min(
-                        best[enabled][i], time.perf_counter() - start
-                    )
-    finally:
-        telemetry.set_enabled(was_enabled)
+    # overhead gate: each spec through execute_spec and the
+    # _execute_spec_inner it wraps back to back, alternating which
+    # goes first, keeping the minimum per spec and path
+    monkeypatch.setattr(runner_module, "_PROGRAMS", programs)
+    paths = (execute_spec, runner_module._execute_spec_inner)
+    best = {path: [float("inf")] * len(specs) for path in paths}
+    for round_no in range(OVERHEAD_ROUNDS):
+        order = paths if round_no % 2 == 0 else paths[::-1]
+        for i, spec in enumerate(specs):
+            for path in order:
+                start = time.perf_counter()
+                path(spec)
+                best[path][i] = min(
+                    best[path][i], time.perf_counter() - start
+                )
 
-    fast_on_s = sum(best[True])
-    fast_off_s = sum(best[False])
+    recording_s = sum(best[execute_spec])
+    bare_s = sum(best[runner_module._execute_spec_inner])
     speedup = reference_s / fast_s
-    overhead = fast_on_s / fast_off_s - 1.0
+    overhead = recording_s / bare_s - 1.0
     benchmark.extra_info["specs"] = len(specs)
     benchmark.extra_info["reference_s"] = round(reference_s, 3)
     benchmark.extra_info["reference_specs_per_s"] = round(
@@ -126,8 +120,8 @@ def test_engine_cores(benchmark, monkeypatch):
         len(specs) / fast_s, 3
     )
     benchmark.extra_info["engine_speedup"] = round(speedup, 3)
-    benchmark.extra_info["fast_telemetry_on_s"] = round(fast_on_s, 3)
-    benchmark.extra_info["fast_telemetry_off_s"] = round(fast_off_s, 3)
+    benchmark.extra_info["fast_recording_s"] = round(recording_s, 3)
+    benchmark.extra_info["fast_bare_s"] = round(bare_s, 3)
     benchmark.extra_info["telemetry_overhead"] = round(overhead, 4)
     save_rendered(
         "engine_cores",
@@ -139,8 +133,8 @@ def test_engine_cores(benchmark, monkeypatch):
         f"({len(specs) / fast_s:5.2f} specs/s)\n"
         f"  speedup    {speedup:6.2f}x\n"
         f"  telemetry  {overhead:+7.1%} "
-        f"(execute_spec, summed per-spec min of {OVERHEAD_ROUNDS}: "
-        f"on {fast_on_s:.2f}s, off {fast_off_s:.2f}s)",
+        f"(summed per-spec min of {OVERHEAD_ROUNDS}: execute_spec "
+        f"{recording_s:.2f}s, _execute_spec_inner {bare_s:.2f}s)",
     )
     # the point of shipping the optimized engine; measured ~2.1x,
     # gated loosely so shared-runner noise can't flake the job
@@ -148,6 +142,6 @@ def test_engine_cores(benchmark, monkeypatch):
     # telemetry folds engine counters and observes the histogram once
     # per spec, never per event; the budget is mostly noise allowance
     assert overhead < 0.05, (
-        f"telemetry overhead {overhead:.1%} (on {fast_on_s:.2f}s vs "
-        f"off {fast_off_s:.2f}s)"
+        f"telemetry overhead {overhead:.1%} (execute_spec "
+        f"{recording_s:.2f}s vs _execute_spec_inner {bare_s:.2f}s)"
     )

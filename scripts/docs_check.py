@@ -14,7 +14,13 @@ Checks, for ``README.md`` and every ``docs/*.md``:
 4. every job id under ``jobs:`` in ``.github/workflows/ci.yml`` is
    backticked in the "CI jobs" section of ``docs/operations.md``, the
    one place the jobs are listed — so an added or renamed job breaks
-   the docs job until the list says what it does.
+   the docs job until the list says what it does;
+5. every metric registered under ``src/repro`` through ``counter(``,
+   ``gauge(`` or ``histogram(`` has a row (a table line whose first
+   cell is the backticked name) in the "Metric catalog" section of
+   ``docs/observability.md``, and every row there names a registered
+   metric — so an added, renamed or deleted series breaks the docs
+   job until the catalog says what it counts.
 
 Run as ``python scripts/docs_check.py [REPO_ROOT]``; exits non-zero
 listing every broken reference.
@@ -37,6 +43,12 @@ JOB = re.compile(r"^(\s+)([\w-]+):\s*(?:#.*)?$")
 WORKFLOW = ".github/workflows/ci.yml"
 #: the file and heading that list every CI job
 CI_SECTION = ("docs/operations.md", "CI jobs")
+#: a metric registered in the package, by its literal name
+METRIC = re.compile(r"\b(?:counter|gauge|histogram)\(\s*[\"'](\w+)[\"']")
+#: a catalog row: a table line whose first cell is a backticked name
+CATALOG_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|", re.MULTILINE)
+#: the file and heading that list every metric
+CATALOG_SECTION = ("docs/observability.md", "Metric catalog")
 
 
 def slugify(heading: str) -> str:
@@ -105,6 +117,25 @@ def check_ci_jobs(root: Path) -> list:
     ]
 
 
+def check_metric_catalog(root: Path) -> list:
+    doc, title = CATALOG_SECTION
+    body = section((root / doc).read_text(), title)
+    if body is None:
+        return [f"{doc}: no \"{title}\" section to list the metrics"]
+    rows = set(CATALOG_ROW.findall(body))
+    registered = set()
+    for path in (root / "src" / "repro").rglob("*.py"):
+        registered.update(METRIC.findall(path.read_text()))
+    where = f"{doc}#{slugify(title)}"
+    return [
+        f"{where}: metric `{name}` is registered but has no row"
+        for name in sorted(registered - rows)
+    ] + [
+        f"{where}: row `{name}` names no registered metric"
+        for name in sorted(rows - registered)
+    ]
+
+
 def check_file(path: Path, root: Path) -> list:
     errors = []
     text = path.read_text()
@@ -151,13 +182,15 @@ def main(argv) -> int:
             continue
         errors.extend(check_file(path, root))
     errors.extend(check_ci_jobs(root))
+    errors.extend(check_metric_catalog(root))
     if errors:
         print(f"docs check FAILED ({len(errors)} problem(s)):")
         for line in errors:
             print(f"  {line}")
         return 1
     print(f"docs check OK: {len(files)} file(s), links, anchors, and "
-          f"source paths all resolve; every CI job is listed")
+          f"source paths all resolve; every CI job and metric is "
+          f"listed")
     return 0
 
 

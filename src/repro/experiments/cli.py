@@ -228,14 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workloads", nargs="+", choices=WORKLOAD_NAMES, default=None
         )
-        p.add_argument(
-            "--csv", metavar="PATH", default=None,
-            help="also write flattened rows as CSV",
-        )
-        p.add_argument(
-            "--json", metavar="PATH", default=None,
-            help="also write flattened rows as JSON",
-        )
+        # a file holds one experiment's rows, so `all` exports none;
+        # `query --format csv|json` exports any set of indexed results
+        for fmt in () if name == "all" else ("csv", "json"):
+            p.add_argument(
+                f"--{fmt}", metavar="PATH", default=None,
+                help=f"also write flattened rows as {fmt.upper()}",
+            )
         _add_runner_args(p)
     p = sub.add_parser(
         "run-all",
@@ -704,12 +703,12 @@ def _backend_from_args(args):
 
 
 def _configure_telemetry(cache_dir) -> None:
-    """Point the span sink at ``<cache>/telemetry/`` (no-op when
-    telemetry is off or there is no cache to sit beside — metrics
-    still work in memory, spans simply have nowhere to land)."""
+    """Point the span sink at ``<cache>/telemetry/`` (no-op when there
+    is no cache to sit beside — metrics still work in memory, spans
+    simply have nowhere to land)."""
     import repro.telemetry as _tm
 
-    if cache_dir and _tm.enabled():
+    if cache_dir:
         _tm.configure(Path(cache_dir) / _tm.TELEMETRY_DIRNAME)
 
 
@@ -790,9 +789,9 @@ def _run_all(args) -> int:
     start = time.time()
     runner.run(specs)
     elapsed = time.time() - start
-    # freeze the accounting before the render passes below re-request
+    # read the accounting before the render passes below re-request
     # every spec (all memo hits, which would inflate the summary)
-    grid_stats = runner.stats.snapshot()
+    grid_stats = runner.stats
     runner.progress = None
     for name, module in EXPERIMENTS.items():
         result = module.run(
@@ -1400,7 +1399,7 @@ def _profile_command(args) -> int:
     # the timing engine folds its per-kind dispatch counts into this
     # series
     events = _tm.counter("repro_engine_events_total")
-    before = events.collect()
+    since = _tm.Baseline(events)
     seconds = dict.fromkeys(kinds, 0.0)
     profiler = cProfile.Profile()
     start = time.time()
@@ -1411,12 +1410,10 @@ def _profile_command(args) -> int:
         seconds[spec.kind] += time.perf_counter() - began
     profiler.disable()
     elapsed = time.time() - start
-    counters: dict = {}
-    for key, value in events.collect().items():
-        count = int(value - before.get(key, 0))
-        if count:
-            kind = parse_label_key(key).get("kind", "")
-            counters[kind] = counters.get(kind, 0) + count
+    counters = {
+        parse_label_key(key).get("kind", ""): count
+        for key, count in since.series(events).items()
+    }
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     rate = len(specs) / elapsed if elapsed else 0.0
@@ -1435,12 +1432,6 @@ def _profile_command(args) -> int:
             print(
                 f"    {kind:<14} {count:>12,}  ({count / total:5.1%})"
             )
-    elif "timing" in kinds:
-        print(
-            "[profile] (no engine events recorded — the counts come "
-            "from the repro_engine_events_total metric, which "
-            "REPRO_TELEMETRY=off disables)"
-        )
     if args.json:
         record = {
             "schema": "ltp-repro-bench/1",

@@ -90,7 +90,12 @@ class WorkerSupervisor:
         self.auth_token = auth_token
         #: insertion-ordered name -> process
         self._procs: Dict[str, object] = {}
-        self.spawned = 0
+        self._since = _tm.Baseline(_M_LIFECYCLE)
+
+    @property
+    def spawned(self) -> int:
+        """Workers forked since this supervisor was made."""
+        return self._since.count(_M_LIFECYCLE, event="spawn")
 
     def _next_name(self) -> str:
         """The lowest free worker slot, reused across respawns.
@@ -160,7 +165,6 @@ class WorkerSupervisor:
         for _ in range(missing):
             name = self._next_name()
             self._procs[name] = self.spawn(name, self.address)
-            self.spawned += 1
             _M_LIFECYCLE.inc(event="spawn")
         return missing
 

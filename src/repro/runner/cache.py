@@ -14,10 +14,7 @@ The key of an entry is ``sha256("repro-cache/<schema>/<salt>/" +
 spec.canonical())``. The *salt* defaults to the package version
 (:data:`repro._version.__version__`): bumping the version after a
 behaviour-affecting code change orphans every old entry rather than
-serving stale results. Orphans are harmless; ``prune(keep_specs)``
-deletes **everything** not addressed by ``keep_specs`` under the
-current salt — orphans and unlisted current entries alike — so pass
-the full grid you intend to keep.
+serving stale results. Orphans are harmless.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent runner
 processes sharing a cache directory never observe torn entries; a
@@ -218,22 +215,8 @@ class ResultCache:
     ) -> int:
         """Retention sweep: drop entries older than ``max_age`` seconds
         and/or oldest-first down to ``max_bytes``. Returns the number
-        removed. Complements :meth:`prune`, which keeps an explicit
-        grid."""
+        removed."""
         return prune_files(
             self.entry_paths(), max_age=max_age, max_bytes=max_bytes,
             now=now,
         )
-
-    def prune(self, keep_specs=()) -> int:
-        """Delete entries not addressed by ``keep_specs`` under the
-        current salt. Returns the number removed."""
-        keep = {self.path(spec) for spec in keep_specs}
-        removed = 0
-        if not self.root.is_dir():
-            return 0
-        for path in self.root.glob("*/*.pkl"):
-            if path not in keep:
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed

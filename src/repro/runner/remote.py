@@ -152,14 +152,15 @@ def _entry_size(spec: "JobSpec", value: Any) -> int:
 
 
 # -- wire-layer instruments (see docs/observability.md) ----------------
-# Broker-side series mirror BrokerStats live, so a scrape never waits
-# for the exit summary; the lease-to-publish histogram is the fleet's
-# end-to-end latency (first grant of a key to its publication).
+# Broker-side series are the one store of the counts BrokerStats reads;
+# the lease-to-publish histogram is the fleet's end-to-end latency
+# (first grant of a key to its publication).
 _M_FRAMES = _tm.counter("repro_broker_frames_total")
 _M_LEASES = _tm.counter("repro_broker_leases_total")
 _M_RESULTS = _tm.counter("repro_broker_results_total")
 _M_RESULT_BYTES = _tm.counter("repro_broker_result_bytes_total")
 _M_SUBMITS = _tm.counter("repro_broker_submits_total")
+_M_GRIDS_DONE = _tm.counter("repro_broker_grids_done_total")
 _M_AUTH_FAILURES = _tm.counter("repro_broker_auth_failures_total")
 _M_LEASE_TO_PUBLISH = _tm.histogram(
     "repro_broker_lease_to_publish_seconds"
@@ -553,28 +554,30 @@ class LeaseTable:
 # -- broker ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BrokerStats:
-    """Fleet-side accounting of one broker, over every grid it admits."""
+    """Fleet-side accounting of one broker when read, over every grid
+    it admitted: its broker counters since it was made, and its own
+    key and worker sets."""
 
-    specs: int = 0
+    specs: int
     #: first-time completions (== specs on a clean run)
-    results: int = 0
+    results: int
     #: redundant reports acknowledged and dropped
-    duplicates: int = 0
-    #: failed attempts reported by workers
-    errors: int = 0
+    duplicates: int
+    #: failed attempts: reported by workers, or refused at publication
+    errors: int
     #: specs handed out, including reassignments after expiry
-    leases: int = 0
+    leases: int
     #: pickled report bytes received on result frames
-    result_bytes: int = 0
+    result_bytes: int
     #: grids admitted (``submit`` frames and :meth:`Broker.submit`)
-    grids: int = 0
+    grids: int
     #: grids fully streamed back to their client
-    grids_done: int = 0
+    grids_done: int
     #: connections that failed (or never attempted) the auth handshake
-    auth_failures: int = 0
-    workers: Set[str] = field(default_factory=set)
+    auth_failures: int
+    workers: frozenset
 
 
 @dataclass
@@ -595,7 +598,6 @@ class GridState:
     """
 
     id: str
-    specs: int
     ready: "deque" = field(default_factory=deque)
     outstanding: Set[str] = field(default_factory=set)
     #: spec label -> last error message, for permanently failed keys
@@ -682,7 +684,12 @@ class Broker:
             clock=clock,
             max_attempts=max_attempts,
         )
-        self.stats = BrokerStats()
+        self._since = _tm.Baseline(
+            _M_RESULTS, _M_LEASES, _M_RESULT_BYTES, _M_SUBMITS,
+            _M_GRIDS_DONE, _M_AUTH_FAILURES,
+        )
+        #: workers that said hello (stream() waits on the first)
+        self._workers: Set[str] = set()
         self.results: Dict[str, Any] = {}
         self._lock = threading.Lock()
         #: notified (under self._lock) whenever a result or permanent
@@ -885,8 +892,6 @@ class Broker:
                     {"type": "ok", "authenticated": True},
                     True, None, False,
                 )
-            with self._lock:
-                self.stats.auth_failures += 1
             _M_AUTH_FAILURES.inc()
             return (
                 {
@@ -895,8 +900,6 @@ class Broker:
                 },
                 False, None, True,
             )
-        with self._lock:
-            self.stats.auth_failures += 1
         _M_AUTH_FAILURES.inc()
         return (
             {
@@ -908,6 +911,25 @@ class Broker:
         )
 
     # -- observability ---------------------------------------------------
+
+    @property
+    def stats(self) -> BrokerStats:
+        """This broker's accounting so far (a frozen copy)."""
+        count = self._since.count
+        with self._lock:
+            specs, workers = len(self._by_key), frozenset(self._workers)
+        return BrokerStats(
+            specs=specs,
+            results=count(_M_RESULTS, outcome="first"),
+            duplicates=count(_M_RESULTS, outcome="duplicate"),
+            errors=count(_M_RESULTS, outcome="error"),
+            leases=count(_M_LEASES),
+            result_bytes=count(_M_RESULT_BYTES),
+            grids=count(_M_SUBMITS, outcome="admitted"),
+            grids_done=count(_M_GRIDS_DONE),
+            auth_failures=count(_M_AUTH_FAILURES),
+            workers=workers,
+        )
 
     def worker_snapshots(self) -> Dict[str, dict]:
         """Per-worker registry snapshots piggybacked on heartbeats —
@@ -937,6 +959,7 @@ class Broker:
         """
         now = time.time()
         stale_after = _HEALTH_STALE_TTLS * self.lease_ttl
+        stats = self.stats
         with self._lock:
             states = self.table.states()
             depth = sum(
@@ -961,16 +984,6 @@ class Broker:
                 gid: len(grid.outstanding)
                 for gid, grid in self._grids.items()
             }
-            stats = {
-                "specs": self.stats.specs,
-                "results": self.stats.results,
-                "duplicates": self.stats.duplicates,
-                "errors": self.stats.errors,
-                "leases": self.stats.leases,
-                "grids": self.stats.grids,
-                "grids_done": self.stats.grids_done,
-                "auth_failures": self.stats.auth_failures,
-            }
         return {
             "queue_depth": depth,
             "leased": leased,
@@ -978,7 +991,10 @@ class Broker:
             "workers": workers,
             "grids_pending": grids_pending,
             "closing": self.closing,
-            "stats": stats,
+            "stats": {name: getattr(stats, name) for name in (
+                "specs", "results", "duplicates", "errors", "leases",
+                "grids", "grids_done", "auth_failures",
+            )},
         }
 
     def _dispatch(self, message: Any) -> dict:
@@ -994,13 +1010,11 @@ class Broker:
             return {"type": "ok", "authenticated": True}
         if mtype == "hello":
             with self._lock:
-                self.stats.workers.add(worker)
+                self._workers.add(worker)
             return {
                 "type": "welcome",
                 "protocol": PROTOCOL_VERSION,
                 "lease_ttl": self.lease_ttl,
-                "poll": self.poll,
-                "specs": self.stats.specs,
             }
         if mtype == "lease":
             return self._handle_lease(
@@ -1067,7 +1081,6 @@ class Broker:
                 # again, which also reclaims leases expired meanwhile
                 self._work.wait(self.poll)
                 keys = self.table.lease(worker, max(1, max_n))
-            self.stats.leases += len(keys)
             now = time.time()
             traces = {}
             for key in keys:
@@ -1171,9 +1184,7 @@ class Broker:
         with self._lock:
             gid = f"g{self._grid_seq}"
             self._grid_seq += 1
-            grid = GridState(
-                id=gid, specs=len(unique), last_poll=time.monotonic()
-            )
+            grid = GridState(id=gid, last_poll=time.monotonic())
             cached = 0
             new_keys: List[str] = []
             for key, spec in keyed:
@@ -1226,8 +1237,6 @@ class Broker:
             self.table.extend(new_keys, group=gid)
             if grid.outstanding:
                 self._work.notify_all()
-            self.stats.specs += len(new_keys)
-            self.stats.grids += 1
             self._grids[gid] = grid
         _M_SUBMITS.inc(outcome="admitted")
         return {
@@ -1295,7 +1304,7 @@ class Broker:
             if finished:
                 if not grid.done_sent:
                     grid.done_sent = True
-                    self.stats.grids_done += 1
+                    _M_GRIDS_DONE.inc()
                 # everything is delivered: the grid's state has no
                 # further purpose, so a long-lived service drops it
                 # (a duplicate poll gets unknown-grid, which clients
@@ -1359,8 +1368,6 @@ class Broker:
             if first:
                 leased_at = self._lease_started.pop(key, None)
                 trace_id = self._trace_ids.pop(key, None)
-            else:
-                self.stats.duplicates += 1
         if not first:
             _M_RESULTS.inc(outcome="duplicate")
             return {"type": "ok", "duplicate": True}
@@ -1373,12 +1380,7 @@ class Broker:
         # counts as an error, as a worker-reported failure does
         if reply["type"] != "ok":
             _M_RESULTS.inc(outcome="error")
-            with self._lock:
-                self.stats.errors += 1
             return reply
-        with self._lock:
-            self.stats.results += 1
-            self.stats.result_bytes += len(data)
         _M_RESULTS.inc(outcome="first")
         _M_RESULT_BYTES.inc(len(data))
         if leased_at is not None:
@@ -1464,7 +1466,6 @@ class Broker:
             return {"type": "error", "message": f"unknown key {key!r}"}
         _M_RESULTS.inc(outcome="error")
         with self._lock:
-            self.stats.errors += 1
             final = self.table.fail(key, worker)
             if final:
                 # a permanently failed key will never produce a
@@ -1527,7 +1528,7 @@ class Broker:
                 finished = not grid.outstanding
                 if finished:
                     del self._grids[gid]
-                    self.stats.grids_done += 1
+                    _M_GRIDS_DONE.inc()
             yield from batch
             if finished:
                 if grid.failures:
@@ -1548,7 +1549,7 @@ class Broker:
                 )
             if (
                 first_worker_timeout is not None
-                and not self.stats.workers
+                and not self._workers
                 and time.monotonic() - start > first_worker_timeout
             ):
                 where = (
@@ -1575,14 +1576,20 @@ class Broker:
 # -- worker ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkerStats:
-    """One worker process's accounting, returned by :func:`run_worker`."""
+    """One worker's accounting, returned by :func:`run_worker`: its
+    ``repro_worker_executed_total`` outcomes while it ran."""
 
-    name: str = ""
-    leased: int = 0
-    executed: int = 0
-    failed: int = 0
+    name: str
+    executed: int
+    failed: int
+
+    @property
+    def leased(self) -> int:
+        """A worker finishes every leased spec, executed or failed,
+        before it leases again, so at a clean exit this is the sum."""
+        return self.executed + self.failed
 
 
 def run_worker(
@@ -1609,7 +1616,7 @@ def run_worker(
     seconds.
     """
     worker_name = name or f"{socket.gethostname()}-{os.getpid()}"
-    stats = WorkerStats(name=worker_name)
+    since = _tm.Baseline(_W_EXECUTED)
     previous = _execution._swap_trace_cache(
         TraceCache(trace_root) if trace_root else None
     )
@@ -1648,10 +1655,9 @@ def run_worker(
                 }
                 if rtt is not None:
                     frame["rtt"] = round(rtt, 6)
-                if _tm.enabled():
-                    frame["metrics"] = _tm.registry().snapshot(
-                        prefixes=_WORKER_METRIC_PREFIXES
-                    )
+                frame["metrics"] = _tm.registry().snapshot(
+                    prefixes=_WORKER_METRIC_PREFIXES
+                )
                 sent = time.perf_counter()
                 _request(hb_stream, frame)
                 rtt = time.perf_counter() - sent
@@ -1701,7 +1707,6 @@ def run_worker(
                 continue
             with held_lock:
                 held.update(key for key, _ in leases)
-            stats.leased += len(leases)
             lease_traces = reply.get("traces") or {}
             for key, spec in leases:
                 try:
@@ -1733,15 +1738,12 @@ def run_worker(
                     if reply.get("type") == "error":
                         # the broker refused the result (it could not
                         # publish it): the spec failed, not executed
-                        stats.failed += 1
                         _W_EXECUTED.inc(outcome="failed")
                     else:
-                        stats.executed += 1
                         _W_EXECUTED.inc(outcome="ok")
                 except (OSError, ProtocolError):
                     raise  # lost the broker: nothing left to report to
                 except Exception:
-                    stats.failed += 1
                     _W_EXECUTED.inc(outcome="failed")
                     _request(stream, {
                         "type": "error",
@@ -1768,7 +1770,11 @@ def run_worker(
         except OSError:
             pass
         _execution._swap_trace_cache(previous)
-    return stats
+    return WorkerStats(
+        name=worker_name,
+        executed=since.count(_W_EXECUTED, outcome="ok"),
+        failed=since.count(_W_EXECUTED, outcome="failed"),
+    )
 
 
 # -- grid submission client --------------------------------------------

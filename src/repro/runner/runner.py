@@ -63,7 +63,6 @@ ProgressFn = Callable[[int, int, JobSpec, str], None]
 # broker, so a fleet scrape shows per-worker execution breakdowns.
 _M_EXECUTED = _tm.counter("repro_runner_specs_executed_total")
 _M_EXEC_SECONDS = _tm.histogram("repro_runner_execute_seconds")
-_M_TRACE_BUILDS = _tm.counter("repro_runner_trace_builds_total")
 _M_ENGINE_EVENTS = _tm.counter("repro_engine_events_total")
 _M_SOURCES = _tm.counter("repro_runner_results_total")
 
@@ -93,7 +92,6 @@ def _programs_for(spec: JobSpec) -> ProgramSet:
             "runner.build_trace", workload=spec.workload, size=spec.size
         ):
             programs = cached_build(workload, _TRACE_CACHE)
-        _M_TRACE_BUILDS.inc(workload=spec.workload)
         _PROGRAMS[key] = programs
     return programs
 
@@ -102,8 +100,8 @@ def execute_spec(spec: JobSpec) -> Any:
     """Run one spec to completion and return its report object.
 
     Instrumented but identity-clean: the spans/counters emitted here
-    never touch the spec, the report, or the cached bytes — telemetry
-    on and off produce byte-identical results.
+    never touch the spec, the report, or the cached bytes — its report
+    is byte-identical to :func:`_execute_spec_inner`'s.
     """
     started = time.perf_counter()
     with _tm.span(
@@ -139,30 +137,33 @@ def _execute_spec_inner(spec: JobSpec) -> Any:
             si_fire_delay=spec.si_fire_delay,
         )
         report = engine.run(programs)
-        if _tm.enabled():
-            # fold the engine's per-kind dispatch counters into the
-            # fleet-visible series
-            for kind, count in engine.event_counts.items():
-                if count:
-                    _M_ENGINE_EVENTS.inc(count, kind=kind)
+        # fold the engine's per-kind dispatch counters into the
+        # fleet-visible series
+        for kind, count in engine.event_counts.items():
+            if count:
+                _M_ENGINE_EVENTS.inc(count, kind=kind)
         return report
     raise ConfigurationError(f"unknown job kind {spec.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunnerStats:
-    """Cumulative accounting across a Runner's lifetime."""
+    """A Runner's accounting when read: its specs by result source in
+    ``repro_runner_results_total`` since the runner was made."""
 
-    requested: int = 0
     #: duplicates collapsed within a single run() call
-    dedup_hits: int = 0
-    memo_hits: int = 0
-    cache_hits: int = 0
-    executed: int = 0
+    dedup_hits: int
+    memo_hits: int
+    cache_hits: int
+    executed: int
 
     @property
     def served_without_execution(self) -> int:
         return self.dedup_hits + self.memo_hits + self.cache_hits
+
+    @property
+    def requested(self) -> int:
+        return self.served_without_execution + self.executed
 
     @property
     def cache_fraction(self) -> float:
@@ -170,15 +171,6 @@ class RunnerStats:
         if not self.requested:
             return 0.0
         return self.served_without_execution / self.requested
-
-    def snapshot(self) -> "RunnerStats":
-        return RunnerStats(
-            requested=self.requested,
-            dedup_hits=self.dedup_hits,
-            memo_hits=self.memo_hits,
-            cache_hits=self.cache_hits,
-            executed=self.executed,
-        )
 
     def summary(self) -> str:
         return (
@@ -210,7 +202,6 @@ class Runner:
     progress: Optional[ProgressFn] = None
     trace_cache: Optional[TraceCache] = None
     backend: Optional[Any] = None
-    stats: RunnerStats = field(default_factory=RunnerStats)
     _memo: Dict[JobSpec, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -224,6 +215,18 @@ class Runner:
             from repro.runner.backends import default_backend
 
             self.backend = default_backend(jobs=self.jobs)
+        self._since = _tm.Baseline(_M_SOURCES)
+
+    @property
+    def stats(self) -> RunnerStats:
+        """This runner's accounting so far (a frozen copy)."""
+        count = self._since.count
+        return RunnerStats(
+            dedup_hits=count(_M_SOURCES, source="dedup"),
+            memo_hits=count(_M_SOURCES, source="memo"),
+            cache_hits=count(_M_SOURCES, source="cache"),
+            executed=count(_M_SOURCES, source="run"),
+        )
 
     def run(self, specs: Iterable[JobSpec]) -> Dict[JobSpec, Any]:
         """Resolve every spec, executing each unique one at most once.
@@ -232,9 +235,9 @@ class Runner:
         collapse onto the same entry).
         """
         requested = list(specs)
-        self.stats.requested += len(requested)
         unique = list(dict.fromkeys(requested))
-        self.stats.dedup_hits += len(requested) - len(unique)
+        if len(requested) > len(unique):
+            _M_SOURCES.inc(len(requested) - len(unique), source="dedup")
         total = len(unique)
         results: Dict[JobSpec, Any] = {}
         misses: List[JobSpec] = []
@@ -243,13 +246,11 @@ class Runner:
             source = None
             if spec in self._memo:
                 results[spec] = self._memo[spec]
-                self.stats.memo_hits += 1
                 source = "memo"
             elif self.cache is not None:
                 hit, value = self.cache.get(spec)
                 if hit:
                     results[spec] = self._memo[spec] = value
-                    self.stats.cache_hits += 1
                     source = "cache"
             if source is None:
                 misses.append(spec)
@@ -265,7 +266,6 @@ class Runner:
             # in the sqlite result index beside the blobs
             if self.cache is not None and not self.backend.publishes:
                 self.cache.put(spec, value)
-            self.stats.executed += 1
             done += 1
             self._report(done, total, spec, "run")
         return results

@@ -1,14 +1,16 @@
 """Unified telemetry: metrics registry, span tracing, exposition.
 
 The observability layer the rest of the repo instruments against.
-Stdlib-only, zero-cost when disabled (``REPRO_TELEMETRY=off`` or
-:func:`set_enabled`), and strictly out-of-band: nothing here touches
-spec identity, cache keys, or result bytes.
+Stdlib-only and strictly out-of-band: nothing here touches spec
+identity, cache keys, or result bytes. Instruments always record —
+the registry is the one store of every count the system prints — and
+spans land only where a sink directory is configured.
 
 Four pieces:
 
 * :mod:`repro.telemetry.metrics` — process-global registry of named
-  counters / gauges / fixed-bucket histograms with label support;
+  counters / gauges / fixed-bucket histograms with label support, and
+  the :class:`Baseline` the stat views read their counts through;
 * :mod:`repro.telemetry.spans` — ``with span("broker.lease", ...)``
   timing blocks emitting schema-versioned JSONL, with trace ids that
   propagate over the wire so one spec's lease → execute → publish
@@ -27,6 +29,7 @@ See docs/observability.md for the metric catalog and span schema.
 from repro.telemetry.exposition import CONTENT_TYPE, render_prometheus
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
+    Baseline,
     METRICS_SCHEMA,
     Counter,
     Gauge,
@@ -34,11 +37,9 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     REGISTRY,
     counter,
-    enabled,
     gauge,
     histogram,
     registry,
-    set_enabled,
 )
 from repro.telemetry.sink import (
     DEFAULT_BACKUPS,
@@ -64,6 +65,7 @@ from repro.telemetry.spans import (
 TELEMETRY_DIRNAME = "telemetry"
 
 __all__ = [
+    "Baseline",
     "CONTENT_TYPE",
     "Counter",
     "DEFAULT_BACKUPS",
@@ -83,7 +85,6 @@ __all__ = [
     "configured_dir",
     "counter",
     "current_trace_id",
-    "enabled",
     "gauge",
     "histogram",
     "new_trace_id",
@@ -92,7 +93,6 @@ __all__ = [
     "registry",
     "render_prometheus",
     "rotated_segments",
-    "set_enabled",
     "shutdown",
     "span",
 ]

@@ -16,10 +16,9 @@ lock, so a scraper thread calling :meth:`MetricsRegistry.snapshot`
 mid-hammer sees torn nothing: each sample it reads is a value some
 update actually produced, and counters only ever grow.
 
-Zero-cost when disabled: every mutator checks the module switch
-(:func:`enabled`, env ``REPRO_TELEMETRY=off``) before touching the
-lock, so a disabled process pays one attribute load + branch per
-would-be update and allocates nothing.
+Instruments always record, so the registry is the one store of every
+count the system prints; stat objects such as ``Broker.stats`` read it
+through a :class:`Baseline`.
 
 Snapshots are plain JSON-serializable dicts (schema
 ``repro-metrics/1``) — the same shape travels inside worker heartbeat
@@ -29,7 +28,6 @@ Prometheus renderer in :mod:`repro.telemetry.exposition`.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -41,24 +39,6 @@ DEFAULT_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
     30.0, 60.0,
 )
-
-_FALSEY = ("0", "off", "false", "no", "disabled")
-
-#: process-wide switch; flipped by set_enabled() / REPRO_TELEMETRY
-_ENABLED = os.environ.get("REPRO_TELEMETRY", "on").lower() not in _FALSEY
-
-
-def enabled() -> bool:
-    """Is telemetry collection on in this process?"""
-    return _ENABLED
-
-
-def set_enabled(on: bool) -> None:
-    """Flip the process-wide telemetry switch (tests, benchmarks,
-    ``--no-telemetry``)."""
-    global _ENABLED
-    _ENABLED = bool(on)
-
 
 def _label_key(labels: Dict[str, str]) -> str:
     """Canonical string key for one label set — JSON-safe, so it
@@ -94,8 +74,6 @@ class Counter:
         self._values: Dict[str, float] = {}
 
     def inc(self, n: float = 1, **labels: str) -> None:
-        if not _ENABLED:
-            return
         if n < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
         key = _label_key(labels)
@@ -111,6 +89,37 @@ class Counter:
             return dict(self._values)
 
 
+class Baseline:
+    """The counts of some counters since this object was made.
+
+    A stat view holds one, made with the object it describes, so it
+    reads that object's counts without storing a second copy:
+    ``Baseline(RESULTS).count(RESULTS, outcome="first")`` is how many
+    ``outcome="first"`` results this process recorded since.
+    """
+
+    def __init__(self, *counters: Counter) -> None:
+        self._base = {counter: counter.collect() for counter in counters}
+
+    def series(self, counter: Counter) -> Dict[str, int]:
+        """Each label set's count since the baseline, where nonzero."""
+        base = self._base[counter]
+        deltas = {
+            key: int(value - base.get(key, 0))
+            for key, value in counter.collect().items()
+        }
+        return {key: n for key, n in deltas.items() if n}
+
+    def count(self, counter: Counter, **labels: str) -> int:
+        """The summed count of the series whose labels include
+        ``labels`` (with none, of every series)."""
+        wanted = labels.items()
+        return sum(
+            n for key, n in self.series(counter).items()
+            if wanted <= parse_label_key(key).items()
+        )
+
+
 class Gauge:
     """A value that can go up and down, one per label set."""
 
@@ -123,14 +132,10 @@ class Gauge:
         self._values: Dict[str, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
-        if not _ENABLED:
-            return
         with self._lock:
             self._values[_label_key(labels)] = value
 
     def inc(self, n: float = 1, **labels: str) -> None:
-        if not _ENABLED:
-            return
         key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0) + n
@@ -181,8 +186,6 @@ class Histogram:
         self._sums: Dict[str, float] = {}
 
     def observe(self, value: float, **labels: str) -> None:
-        if not _ENABLED:
-            return
         key = _label_key(labels)
         idx = len(self.buckets)  # +Inf by default
         for i, bound in enumerate(self.buckets):

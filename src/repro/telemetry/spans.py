@@ -14,9 +14,9 @@ publish span rejoins it — one spec's lease → execute → report →
 publish lifecycle reads as a single trace from the merged span logs
 of broker and worker hosts.
 
-Emission is zero-cost when telemetry is disabled or no sink is
-configured (the context manager short-circuits to a no-op), and the
-sink itself swallows I/O errors — tracing never breaks the traced.
+Emission is a no-op when no sink is configured (the context manager
+short-circuits), and the sink itself swallows I/O errors — tracing
+never breaks the traced.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
 
-from repro.telemetry import metrics as _metrics
 from repro.telemetry.sink import RotatingJsonlWriter, read_jsonl
 
 #: span record schema version (bump on incompatible shape changes)
@@ -152,9 +151,6 @@ def span(name: str, **attrs: Any) -> Iterator[Dict[str, Any]]:
     (``s["keys"] = len(granted)``). Attribute values must be
     JSON-serializable; keep them small — they ride every record.
     """
-    if not _metrics.enabled():
-        yield attrs
-        return
     sink = _sink()
     if sink is None:
         yield attrs

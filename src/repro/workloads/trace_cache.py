@@ -55,6 +55,7 @@ import pickle
 from pathlib import Path
 from typing import Iterator, Optional, Tuple
 
+import repro.telemetry as _tm
 from repro._fsutil import atomic_write_bytes
 from repro.trace.program import ProgramSet
 from repro.workloads.base import Workload
@@ -64,6 +65,10 @@ from repro.workloads.registry import builder_version
 #: orphaned the entries written before builds shared equal steps, 3 the
 #: entries written before each workload and builder got a directory
 TRACE_SCHEMA = 3
+
+#: traces :func:`cached_build` handed out, by workload and ``source``:
+#: ``cache`` (loaded) or ``build`` (synthesized); see docs/observability.md
+_M_TRACES = _tm.counter("repro_runner_traces_total")
 
 
 def trace_key(workload: Workload) -> str:
@@ -77,14 +82,22 @@ def trace_key(workload: Workload) -> str:
 class TraceCache:
     """Workload-fingerprint -> pickled :class:`ProgramSet` store.
 
-    ``hits`` / ``builds`` count this process's cache outcomes (pool
-    worker processes keep their own counters).
+    ``hits`` / ``builds`` count the traces this process loaded from a
+    trace cache and built since this object was made (pool worker
+    processes count their own).
     """
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        self.hits = 0
-        self.builds = 0
+        self._since = _tm.Baseline(_M_TRACES)
+
+    @property
+    def hits(self) -> int:
+        return self._since.count(_M_TRACES, source="cache")
+
+    @property
+    def builds(self) -> int:
+        return self._since.count(_M_TRACES, source="build")
 
     def key(self, workload: Workload) -> str:
         return trace_key(workload)
@@ -189,15 +202,12 @@ def cached_build(
 ) -> ProgramSet:
     """Build a workload's trace, serving and feeding ``cache``.
 
-    With ``cache=None`` this is exactly ``workload.build()``.
+    With ``cache=None`` this is ``workload.build()``, counted.
     """
-    if cache is None:
-        return workload.build()
-    hit, programs = cache.get(workload)
-    if hit:
-        cache.hits += 1
-        return programs
-    programs = workload.build()
-    cache.builds += 1
-    cache.put(workload, programs)
+    hit, programs = (False, None) if cache is None else cache.get(workload)
+    if not hit:
+        programs = workload.build()
+        if cache is not None:
+            cache.put(workload, programs)
+    _M_TRACES.inc(workload=workload.name, source="cache" if hit else "build")
     return programs

@@ -914,6 +914,8 @@ class TestWireCompat:
             assert welcome["type"] == "welcome"
             assert welcome["protocol"] == 3
             assert "ship_traces" not in welcome
+            # a worker reads only lease_ttl from it
+            assert set(welcome) == {"type", "protocol", "lease_ttl"}
             grant = client.request(
                 {"type": "lease", "worker": "w-1", "max": 1}
             )

@@ -62,12 +62,9 @@ def _wait(predicate, timeout: float = 60.0, interval: float = 0.1):
 
 
 @pytest.fixture(autouse=True)
-def _telemetry_on(tmp_path):
-    was = tm.enabled()
-    tm.set_enabled(True)
+def _span_sink(tmp_path):
     tm.configure(tmp_path / "telemetry")
     yield
-    tm.set_enabled(was)
     tm.shutdown()
 
 

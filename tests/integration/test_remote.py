@@ -25,7 +25,6 @@ import time
 
 import pytest
 
-import repro.telemetry as tm
 from repro.experiments.cli import build_parser, main, _runner_from_args
 from repro.runner import (
     Broker,
@@ -268,8 +267,6 @@ class TestRemoteFailures:
             cache=FullDiskCache(tmp_path), lease_ttl=20.0, poll=0.02
         )
         gid = broker.submit([spec])
-        was = tm.enabled()
-        tm.set_enabled(True)
         before = counts()
         broker.start()
         try:
@@ -281,7 +278,6 @@ class TestRemoteFailures:
                     list(broker.stream(gid, timeout=30))
         finally:
             broker.stop()
-            tm.set_enabled(was)
         assert worker["stats"].executed == 0
         assert worker["stats"].failed == 1
         # the refused report counts as an error, never as a result

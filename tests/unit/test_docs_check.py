@@ -1,5 +1,7 @@
-"""The docs guard's CI-job rule: every job of the workflow is listed in
-the runbook's "CI jobs" section, on small hand-written trees."""
+"""The docs guard's listing rules, on small hand-written trees: every
+job of the workflow is listed in the runbook's "CI jobs" section, and
+the observability doc's "Metric catalog" has one row per registered
+metric."""
 
 import importlib.util
 from pathlib import Path
@@ -69,3 +71,71 @@ def test_a_complete_list_passes_and_a_missing_section_fails(tmp_path):
     assert docs_check.check_ci_jobs(root) == [
         'docs/operations.md: no "CI jobs" section to list the CI jobs'
     ]
+
+
+SOURCE = """\
+import repro.telemetry as _tm
+
+_M_RUNS = _tm.counter("repro_demo_runs_total")
+_M_WAIT = _tm.histogram(
+    "repro_demo_wait_seconds"
+)
+_G_LIVE = _tm.gauge('repro_demo_live')
+started = time.perf_counter()
+"""
+
+CATALOG = """\
+# Observability
+
+## Metric catalog
+
+### Demo
+
+| metric | type | labels | meaning |
+| --- | --- | --- | --- |
+| `repro_demo_runs_total` | counter | | runs |
+| `repro_demo_wait_seconds` | histogram | | waits |
+{extra}
+## Scrape endpoint
+
+| `repro_demo_elsewhere_total` | counter | | outside the section |
+"""
+
+
+def _catalog_tree(tmp_path, extra=""):
+    module = tmp_path / "src" / "repro" / "demo.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(SOURCE)
+    doc = tmp_path / docs_check.CATALOG_SECTION[0]
+    doc.parent.mkdir()
+    doc.write_text(CATALOG.format(extra=extra))
+    return tmp_path
+
+
+def test_a_registered_metric_missing_from_the_catalog_fails(tmp_path):
+    """The gauge has no row in the section (a row after the section's
+    end does not count), whichever quotes and line breaks register
+    it."""
+    root = _catalog_tree(tmp_path)
+    assert docs_check.check_metric_catalog(root) == [
+        "docs/observability.md#metric-catalog: metric "
+        "`repro_demo_live` is registered but has no row"
+    ]
+
+
+def test_a_stale_catalog_row_fails(tmp_path):
+    root = _catalog_tree(tmp_path, extra=(
+        "| `repro_demo_live` | gauge | | live |\n"
+        "| `repro_demo_gone_total` | counter | | renamed away |\n"
+    ))
+    assert docs_check.check_metric_catalog(root) == [
+        "docs/observability.md#metric-catalog: row "
+        "`repro_demo_gone_total` names no registered metric"
+    ]
+
+
+def test_a_matching_catalog_passes(tmp_path):
+    root = _catalog_tree(
+        tmp_path, extra="| `repro_demo_live` | gauge | | live |\n"
+    )
+    assert docs_check.check_metric_catalog(root) == []

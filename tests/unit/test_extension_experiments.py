@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.experiments import forwarding, protocol_variants, traffic
 from repro.experiments.cli import main
 
@@ -61,6 +63,16 @@ class TestCLIExport:
         assert rc == 0
         out = capsys.readouterr().out
         assert "export skipped" in out
+
+    def test_all_has_no_export_flags(self, tmp_path, capsys):
+        """``all`` runs many experiments, and one file can hold only
+        one experiment's rows, so it takes no export flags
+        (``query --format csv|json`` exports any set of results)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["all", "--size", "tiny", "--csv", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_new_experiments_reachable(self, capsys):
         for cmd in ("variants", "traffic"):

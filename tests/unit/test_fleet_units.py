@@ -18,14 +18,6 @@ from repro.fleet import service as service_mod
 from repro.runner import ResultCache
 
 
-@pytest.fixture
-def telemetry_on():
-    was = tm.enabled()
-    tm.set_enabled(True)
-    yield
-    tm.set_enabled(was)
-
-
 class FakeProc:
     """Process stand-in the supervisor can spawn/reap/terminate."""
 
@@ -165,9 +157,7 @@ class TestWorkerSupervisor:
         sup.reap()
         assert sup.names() == [spawned[1].name]
 
-    def test_lifecycle_counter_tracks_spawns_and_exits(
-        self, telemetry_on
-    ):
+    def test_lifecycle_counter_tracks_spawns_and_exits(self):
         lifecycle = tm.counter("repro_fleet_worker_lifecycle_total")
         spawns = lifecycle.value(event="spawn")
         exits = lifecycle.value(event="exit")
@@ -300,7 +290,7 @@ class TestSupervisionStep:
         assert service.supervisor.live() == 1  # the survivor stays
         assert len(spawned) == 2  # the crashed slot stays empty
 
-    def test_step_sets_the_pool_gauges(self, tmp_path, telemetry_on):
+    def test_step_sets_the_pool_gauges(self, tmp_path):
         service, spawned = self._service(
             tmp_path, workers=2, max_crashes=1
         )

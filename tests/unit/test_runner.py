@@ -205,16 +205,6 @@ class TestResultCache:
         assert cache.get(spec) == (False, None)
         assert not path.exists()
 
-    def test_prune(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        keep = census_job(WORKLOAD, SIZE)
-        drop = census_job("tomcatv", SIZE)
-        cache.put(keep, execute_spec(keep))
-        cache.put(drop, execute_spec(drop))
-        assert cache.prune([keep]) == 1
-        assert cache.get(keep)[0]
-        assert not cache.get(drop)[0]
-
 
 class TestRunner:
     def test_duplicates_execute_once(self):

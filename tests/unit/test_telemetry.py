@@ -8,14 +8,12 @@ The load-bearing properties:
   are exact;
 * the Prometheus rendering is byte-stable (golden test) — it is the
   scrape contract external collectors parse;
-* disabled telemetry is a no-op that allocates no series;
 * rotated JSONL logs read back in write order across segments, and
   torn lines degrade to skipped records, never exceptions;
 * span records carry the documented schema and stitch parent/trace
   ids through nesting and ``bind_trace``.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -37,12 +35,9 @@ from repro.telemetry.top import (
 
 
 @pytest.fixture(autouse=True)
-def _telemetry_on():
-    """Each test runs with collection on and no span sink leaking."""
-    was = tm.enabled()
-    tm.set_enabled(True)
+def _span_sink_detached():
+    """No test leaves a span sink configured for the next."""
     yield
-    tm.set_enabled(was)
     tm.shutdown()
 
 
@@ -116,26 +111,6 @@ class TestRegistryConcurrency:
     def test_get_or_create_returns_same_instrument(self):
         reg = MetricsRegistry()
         assert reg.counter("a_total") is reg.counter("a_total")
-
-
-class TestDisabled:
-    def test_disabled_mutators_record_nothing(self):
-        tm.set_enabled(False)
-        reg = MetricsRegistry()
-        reg.counter("c_total").inc(5, worker="w")
-        reg.gauge("g").set(3)
-        reg.histogram("h_seconds").observe(0.2)
-        snap = reg.snapshot()
-        assert snap["counters"] == {}
-        assert snap["gauges"] == {}
-        assert snap["histograms"] == {}
-
-    def test_disabled_span_emits_nothing(self, tmp_path):
-        tm.configure(tmp_path / "telemetry")
-        tm.set_enabled(False)
-        with tm.span("op"):
-            pass
-        assert list(tm.read_spans(tmp_path / "telemetry")) == []
 
 
 class TestPrometheusGolden:
@@ -325,23 +300,68 @@ class TestResultPathIsolation:
         self, tmp_path
     ):
         """Telemetry must stay off the result byte-path: the same
-        spec executes to pickle-identical reports with collection on
-        (spans configured and all) and fully disabled."""
+        spec executes to pickle-identical reports through the
+        recording ``execute_spec`` (spans configured and all) and
+        through the ``_execute_spec_inner`` it wraps."""
         import pickle
 
         from repro.runner import PolicySpec, timing_job
-        from repro.runner.runner import execute_spec
+        from repro.runner.runner import _execute_spec_inner, execute_spec
 
         spec = timing_job("em3d", "tiny", PolicySpec(name="ltp"))
         tm.configure(tmp_path / "telemetry")
-        tm.set_enabled(True)
         with_telemetry = pickle.dumps(execute_spec(spec))
-        tm.set_enabled(False)
-        without = pickle.dumps(execute_spec(spec))
+        without = pickle.dumps(_execute_spec_inner(spec))
         assert with_telemetry == without
         # and the instrumented run really did record something
-        tm.set_enabled(True)
         assert list(tm.read_spans(tmp_path / "telemetry"))
+
+
+#: the simulator packages: recording happens around them, once per spec
+#: in the runner and once per frame in the broker and the worker
+SIMULATOR_PACKAGES = (
+    "core", "dsi", "ext", "protocol", "sim", "timing", "trace",
+)
+
+
+def _imported_modules(path: Path, package: tuple) -> list:
+    """Every module an ``import`` statement in ``path`` names (for
+    ``from M import a``: ``M`` and ``M.a``), relative imports resolved
+    against ``package``."""
+    import ast
+
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package[:len(package) - node.level + 1]
+                base = ".".join(parent + ((base,) if base else ()))
+            names += [base] + [f"{base}.{a.name}" for a in node.names]
+    return names
+
+
+class TestSimulatorsStayTelemetryFree:
+    def test_no_simulator_module_imports_telemetry(self):
+        """Counters always record, so no off switch can show what an
+        instrument on a per-event path costs; none may be there: no
+        module of a simulator package imports ``repro.telemetry``."""
+        import repro
+
+        src = Path(repro.__file__).resolve().parent
+        offenders = []
+        for name in SIMULATOR_PACKAGES:
+            for path in sorted((src / name).rglob("*.py")):
+                package = ("repro",) + path.relative_to(src).parent.parts
+                if any(
+                    module == "repro.telemetry"
+                    or module.startswith("repro.telemetry.")
+                    for module in _imported_modules(path, package)
+                ):
+                    offenders.append(str(path.relative_to(src)))
+        assert offenders == []
 
 
 class TestEndpointImport:

@@ -441,6 +441,36 @@ class TestRunnerIntegration:
         )
         assert runner_module._TRACE_CACHE is None
 
+    def test_trace_counter_tells_a_cache_load_from_a_build(
+        self, tmp_path, monkeypatch
+    ):
+        """One cold build, then one load of the same trace from the
+        warm trace cache through a fresh memo (as a new worker
+        process does): the trace counter reads one of each, not two
+        builds, and agrees with the cache's own view."""
+        import repro.telemetry as tm
+
+        traces = tm.counter("repro_runner_traces_total")
+        builds = traces.value(workload=WORKLOAD, source="build")
+        loads = traces.value(workload=WORKLOAD, source="cache")
+        cache = TraceCache(tmp_path)
+        spec = census_job(WORKLOAD, SIZE)
+        monkeypatch.setattr(runner_module, "_PROGRAMS", {})
+        previous = runner_module._swap_trace_cache(cache)
+        try:
+            runner_module._programs_for(spec)
+            runner_module._PROGRAMS.clear()
+            runner_module._programs_for(spec)
+        finally:
+            runner_module._swap_trace_cache(previous)
+        assert traces.value(workload=WORKLOAD, source="build") == (
+            builds + 1
+        )
+        assert traces.value(workload=WORKLOAD, source="cache") == (
+            loads + 1
+        )
+        assert cache.builds == 1 and cache.hits == 1
+
 
 class TestMmapEntryReads:
     """The read path maps raw entries instead of copying them into a
